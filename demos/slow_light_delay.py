@@ -17,7 +17,7 @@ from vitlab.core import (
     transfer_amplitude,
 )
 from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble
-from vitlab.spatial import composite_susceptibility
+from vitlab.spatial import pulse_media
 
 conf = load_config()
 cfg = replace(physical_config(conf), od=0.5)
@@ -40,16 +40,7 @@ for tp_us in (20.0, 80.0):
 print()
 print("measured regime: T_P = 1.73 us with the full correction stack")
 corr = corrections(conf, average=True, side=True, jitter=True)
-dist = corr.distribution(eta)
-offs, jwts = corr.jitter()
-media, weights = [], []
-for eta_i, wz in zip(dist.etas, dist.weights):
-    for off, wj in zip(offs, jwts):
-        def med(w, eta_i=eta_i, off=off):
-            chi = composite_susceptibility(cfg, eta_i, Detunings(w, off), corr.side)
-            return transfer_amplitude(chi, cfg)
-        media.append(med)
-        weights.append(wz * wj)
+media, weights = pulse_media(cfg, eta, 0.0, corr)
 
 pulse = make_gaussian_pulse(PulseSpec(duration=1.73e-6))
 res = run_pulse_ensemble(pulse, media, weights)

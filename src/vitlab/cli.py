@@ -25,7 +25,6 @@ from vitlab.core import (
     group_delay_analytic,
     group_velocity,
     resonant_transmission,
-    transfer_amplitude,
 )
 from vitlab.errors import ConvergenceError
 from vitlab.fitting import (
@@ -39,7 +38,7 @@ from vitlab.fitting import (
     write_fit_json,
 )
 from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble, write_trace_csv
-from vitlab.spatial import composite_susceptibility, corrected_spectrum, corrected_transmission, effective_cooperativity
+from vitlab.spatial import corrected_spectrum, corrected_transmission, effective_cooperativity, pulse_media
 from vitlab.synth import (
     ScanPlan,
     generate_scan,
@@ -108,22 +107,6 @@ def cmd_spectrum(args):
     return 0
 
 
-def _pulse_media(cfg, eta, carrier, corr):
-    """One transfer function per (coupling class, jitter offset) member."""
-    dist = corr.distribution(eta)
-    joffs, jwts = corr.jitter()
-    media, weights = [], []
-    for eta_i, wz in zip(dist.etas, dist.weights):
-        for off, wj in zip(joffs, jwts):
-            def medium(w, eta_i=eta_i, off=off):
-                det = Detunings(carrier + w, off)
-                chi = composite_susceptibility(cfg, eta_i, det, corr.side)
-                return transfer_amplitude(chi, cfg)
-            media.append(medium)
-            weights.append(wz * wj)
-    return media, weights
-
-
 def cmd_pulse(args):
     conf, cfg, eta, corr = _setup(args)
     if args.od is not None:
@@ -131,7 +114,7 @@ def cmd_pulse(args):
     spec = PulseSpec(duration=args.tp_us * US, carrier_detuning=args.carrier_mhz * MHZ)
     pulse = make_gaussian_pulse(spec, n_samples=args.samples,
                                 span=args.span_factor * spec.duration)
-    media, weights = _pulse_media(cfg, eta, spec.carrier_detuning, corr)
+    media, weights = pulse_media(cfg, eta, spec.carrier_detuning, corr)
     if len(media) == 1:
         result = run_pulse(pulse, media[0])
     else:
@@ -174,6 +157,7 @@ def cmd_synth(args):
 
 
 def _scan_to_datasets(path, sidecar_path):
+    scans = read_scan_csv(path)
     if sidecar_path is None:
         sidecar_path = os.path.splitext(path)[0] + ".json"
     with open(sidecar_path) as fh:
@@ -187,21 +171,35 @@ def _scan_to_datasets(path, sidecar_path):
         efficiency_d2=meta["plan"]["efficiency_d2"],
         rng_seed=meta["plan"]["rng_seed"],
     )
-    scans = read_scan_csv(path)
     return [(dcav, spectrum_from_records(records, plan)) for dcav, records in scans]
 
 
-def _read_plain_spectrum(path):
+def _read_csv(path):
+    """Header and float rows of a CSV file; a file without data rows is an error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["delta_probe_MHz", "transmission"]:
-            raise ValueError("not a spectrum file (bad header)")
+        header = next(reader, None)
         rows = [[float(v) for v in row] for row in reader]
-    dp = np.array([r[0] for r in rows]) * MHZ
-    t = np.array([r[1] for r in rows])
-    e = np.array([r[2] for r in rows]) if len(rows[0]) > 2 else None
-    return Spectrum(delta_probe=dp, transmission=t, emission=e)
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    return header, np.array(rows)
+
+
+def _read_plain_spectrum(path):
+    header, rows = _read_csv(path)
+    if header[:2] != ["delta_probe_MHz", "transmission"]:
+        raise ValueError(f"{path} is not a spectrum file (bad header)")
+    e = rows[:, 2] if rows.shape[1] > 2 else None
+    return Spectrum(delta_probe=rows[:, 0] * MHZ, transmission=rows[:, 1], emission=e)
+
+
+def _read_datasets(path, sidecar_path, delta_cavity):
+    """[(delta_cavity, Spectrum)] from a scan CSV (with sidecar) or a spectrum CSV."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    if header[1:2] == ["delta_cavity_MHz"]:
+        return _scan_to_datasets(path, sidecar_path)
+    return [(delta_cavity, _read_plain_spectrum(path))]
 
 
 def cmd_fit(args):
@@ -210,9 +208,14 @@ def cmd_fit(args):
     corr = cfgmod.corrections(
         conf, average=args.average, side=args.side, jitter=args.jitter
     )
+    if args.sidecar and len(args.input) > 1:
+        raise ValueError("--sidecar needs a single --input; "
+                         "each scan otherwise reads its own sidecar")
 
     if args.model == "linear":
-        rows = np.loadtxt(args.input[0], delimiter=",", skiprows=1, ndmin=2)
+        rows = np.vstack([_read_csv(path)[1] for path in args.input])
+        if rows.shape[1] < 3:
+            raise ValueError("--model linear needs columns x, y, sigma")
         fit = fit_linear_weighted(rows[:, 0], rows[:, 1], rows[:, 2])
         ratio, ratio_err = ratio_with_error(
             fit.intercept, fit.intercept_err, fit.slope, fit.slope_err,
@@ -235,19 +238,15 @@ def cmd_fit(args):
             print(text)
         return 0
 
+    dcav = args.delta_cavity_mhz * MHZ
     if args.model == "lorentzian":
-        try:
-            spec = _read_plain_spectrum(args.input[0])
-        except ValueError:
-            datasets = _scan_to_datasets(args.input[0], args.sidecar)
-            spec = datasets[0][1]
+        if len(args.input) > 1:
+            raise ValueError("--model lorentzian fits one line: give a single --input")
+        spec = _read_datasets(args.input[0], args.sidecar, dcav)[0][1]
         fit = fit_lorentzian(spec, on=args.on)
     else:
-        try:
-            datasets = _scan_to_datasets(args.input[0], args.sidecar)
-        except (FileNotFoundError, KeyError):
-            spec = _read_plain_spectrum(args.input[0])
-            datasets = [(args.delta_cavity_mhz * MHZ, spec)]
+        datasets = [d for path in args.input
+                    for d in _read_datasets(path, args.sidecar, dcav)]
         free = tuple(args.free.split(","))
         fit = fit_vit_spectra(datasets, cfg, free=free, corrections=corr)
 
@@ -302,7 +301,7 @@ def _reproduce_fig3(args, conf, cfg):
     results = {}
     for label, jitter in (("no_jitter", False), ("with_jitter", True)):
         corr = cfgmod.corrections(conf, average=True, side=True, jitter=jitter)
-        media, weights = _pulse_media(cfg, eta_eff_0, 0.0, corr)
+        media, weights = pulse_media(cfg, eta_eff_0, 0.0, corr)
         res = run_pulse_ensemble(pulse, media, weights)
         results[label] = res
         write_trace_csv(os.path.join(out_dir, f"fig3_output_{label}.csv"), res.output)
@@ -459,8 +458,11 @@ def build_parser():
     p = sub.add_parser("fit", help="fit spectra or a linear trend")
     _add_common(p)
     p.add_argument("--model", choices=("lorentzian", "vit", "linear"), required=True)
-    p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--sidecar", help="scan sidecar JSON (default: input .json)")
+    p.add_argument("--input", nargs="+", required=True,
+                   help="scan or spectrum CSVs; vit fits them jointly, linear "
+                        "pools their rows, lorentzian takes one")
+    p.add_argument("--sidecar",
+                   help="scan sidecar JSON for a single input (default: input .json)")
     p.add_argument("--free", default="eta_eff,od,scale_d2",
                    help=f"comma list from {','.join(VIT_PARAMS)}")
     p.add_argument("--on", choices=("absorbance", "transmission"),

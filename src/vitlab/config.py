@@ -12,6 +12,7 @@ then the VIT_LAB_CONFIG environment variable, then the packaged file.
 """
 
 import json
+import math
 import os
 from importlib import resources
 
@@ -47,6 +48,8 @@ def validate_config(doc):
             raise ValueError(f"unknown config key '{key}'")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"config key '{key}' must be a number")
+        if not math.isfinite(value):
+            raise ValueError(f"config key '{key}' must be finite")
     merged = packaged_defaults()
     merged.update(doc)
     for key in _POSITIVE:

@@ -97,13 +97,6 @@ class Detunings:
         return 2.0 * dp / cfg.gamma, 2.0 * (dp - dc) / cfg.kappa
 
 
-@dataclass(frozen=True)
-class Susceptibility:
-    """Complex dimensionless susceptibility (scalar or array)."""
-
-    value: object
-
-
 def susceptibility(cfg, eta, det):
     """Linear weak-probe susceptibility of the coupled ensemble.
 
@@ -111,18 +104,24 @@ def susceptibility(cfg, eta, det):
           / [(eta + 1 - Dt*dc)^2 + (Dt + dc)^2]
 
     eta is the cooperativity; eta = 0 gives the bare two-level response.
+    A 1-d array of cooperativities (one per ensemble member) is taken as
+    a (member, 1) column, so it broadcasts against detunings of shape
+    (point,) or (member, point).  Returns a complex ndarray.
     """
-    if eta < 0:
+    eta = np.asarray(eta, dtype=float)
+    if (eta < 0).any():
         raise ValueError("cooperativity must be nonnegative")
+    if eta.ndim == 1:
+        eta = eta[:, None]
     dt, dc = det.normalized(cfg)
     num = dt - (eta - dt * dc) * dc - 1j * (eta + 1.0 + dc * dc)
     den = (eta + 1.0 - dt * dc) ** 2 + (dt + dc) ** 2
-    return Susceptibility(-(cfg.od / cfg.kl) * num / den)
+    return -(cfg.od / cfg.kl) * num / den
 
 
 def transfer_amplitude(chi, cfg):
-    """Amplitude transfer function t = exp(i k L chi / 2)."""
-    return np.exp(0.5j * cfg.kl * chi.value)
+    """Amplitude transfer function t = exp(i k L chi / 2) of a susceptibility array."""
+    return np.exp(0.5j * cfg.kl * chi)
 
 
 def transmission(cfg, eta, det):
@@ -207,13 +206,6 @@ def group_velocity(delay, path_length):
     if delay <= 0:
         raise ValueError("delay must be positive")
     return path_length / delay
-
-
-def transparency(t_with, t_without):
-    """Normalized transparency (T' - T)/(1 - T) of a control-induced window."""
-    if t_without >= 1.0:
-        raise ValueError("baseline transmission must be below 1")
-    return (t_with - t_without) / (1.0 - t_without)
 
 
 def transparency_window_width(eta, kappa):

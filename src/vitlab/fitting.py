@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vitlab.core import Detunings, TWO_PI
+from vitlab.config import MHZ
+from vitlab.core import Detunings
 from vitlab.errors import RankDeficientError
 from vitlab.spatial import IDEAL, corrected_spectrum
-
-MHZ = TWO_PI * 1e6
 
 VIT_PARAMS = ("eta_eff", "od", "scale_d2", "probe_offset_mhz", "cavity_offset_mhz")
 

@@ -6,7 +6,10 @@ probe limit), the atomic excited state (c_e), and the second ground
 state with one resonator photon (c_g).  Their steady state follows from
 a 2x2 complex linear system, solved here with numpy.linalg rather than
 by algebra, so the result is an honest cross-check of the closed-form
-susceptibility in vitlab.core rather than a restatement of it.
+susceptibility in vitlab.core rather than a restatement of it.  The
+package computes nothing with this module: it is the witness the tests
+hold the closed forms (chi, and the branching ratio inside
+vitlab.spatial.corrected_spectrum) against.
 
 Amplitude equations (e^{+i omega t} rotating frame, FWHM linewidths):
 
@@ -21,20 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vitlab.core import (
-    Susceptibility,
-    coupling_from_cooperativity,
-    susceptibility,
-    transfer_amplitude,
-)
-
 __all__ = [
     "DriveSpec",
     "AmplitudeState",
     "steady_state_amplitudes",
     "susceptibility_from_oracle",
     "branching_ratio",
-    "cavity_emission_probability",
 ]
 
 
@@ -97,7 +92,7 @@ def susceptibility_from_oracle(cfg, drive, det):
         raise ValueError("omega_p must be nonzero to normalize the response")
     state = steady_state_amplitudes(cfg, drive, det)
     scale = -cfg.gamma * cfg.od / cfg.kl
-    return Susceptibility(scale * np.conj(np.asarray(state.c_e) / drive.omega_p))
+    return scale * np.conj(np.asarray(state.c_e) / drive.omega_p)
 
 
 def branching_ratio(state, cfg):
@@ -111,24 +106,3 @@ def branching_ratio(state, cfg):
     if np.any(total == 0):
         raise ValueError("branching ratio undefined for identically zero amplitudes")
     return pc / total
-
-
-def cavity_emission_probability(cfg, eta, det, scale=1.0):
-    """Shape model for the resonator-emission channel.
-
-    P_c = scale * (1 - |t|^2) * beta: photons removed from the probe,
-    times the fraction branched into the resonator.  scale absorbs
-    detection efficiency and geometry and is a free fit parameter.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if eta == 0:
-        # no resonator channel at all
-        return np.zeros(np.broadcast(
-            np.asarray(det.delta_probe), np.asarray(det.delta_cavity)).shape)
-    g = coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma)
-    # omega_p drops out of beta (both amplitudes are linear in it)
-    state = steady_state_amplitudes(cfg, DriveSpec(omega_p=1.0, g=g), det)
-    beta = branching_ratio(state, cfg)
-    t = transfer_amplitude(susceptibility(cfg, eta, det), cfg)
-    return scale * (1.0 - np.abs(t) ** 2) * beta

@@ -244,12 +244,12 @@ def read_trace_csv(path):
     """Read a pulse trace written by write_trace_csv."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["time_us", "re", "im"]:
-            raise ValueError("not a pulse trace file (bad header)")
+            raise ValueError(f"{path} is not a pulse trace file (bad header)")
         rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader]
     if len(rows) < 2:
-        raise ValueError("trace needs at least two samples")
+        raise ValueError(f"{path}: a trace needs at least two samples")
     t = np.array([r[0] for r in rows]) * 1e-6
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0):

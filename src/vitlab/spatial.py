@@ -12,6 +12,11 @@ Four effects are modeled, each switchable:
   * resonator frequency jitter, modeled as a Gaussian spread of the
     cavity detuning and applied as a Gauss-Hermite quadrature.
 
+Averaging and jitter together define the correction ensemble: one
+member per coupling class x jitter offset, each with a weight.
+Corrections.members enumerates it once; corrected_spectrum and
+pulse_media are its two consumers.
+
 Everything here is a pure function; quadrature node/weight choices are
 deterministic so results never depend on evaluation order.
 """
@@ -20,18 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vitlab.core import (
-    Detunings,
-    Susceptibility,
-    TWO_PI,
-    coupling_from_cooperativity,
-    susceptibility,
-    transfer_amplitude,
-)
-from vitlab.errors import ConvergenceError
-from vitlab.oracle import DriveSpec, branching_ratio, steady_state_amplitudes
+from vitlab.core import Detunings, TWO_PI, susceptibility, transfer_amplitude
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+# member x point elements evaluated at once by corrected_spectrum; larger
+# blocks buy no speed and raise the peak memory of a wide ensemble
+BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,6 @@ class CouplingDistribution:
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.any(e < 0):
             raise ValueError("cooperativities must be nonnegative")
-
-
-def point_distribution(eta):
-    """All weight at a single coupling; reduces every average to the ideal model."""
-    return CouplingDistribution(etas=(float(eta),), weights=(1.0,))
 
 
 def standing_wave_distribution(eta_max, nodes=64):
@@ -97,7 +92,7 @@ def composite_susceptibility(cfg, eta, det, side):
     The side channel carries od * weight/(1 + weight), the main channel
     the rest, so the wide-scan integrated absorption is unchanged.  Both
     share the coupling eta; the side channel's two-photon resonance is
-    displaced by zeeman_shift.
+    displaced by zeeman_shift.  eta broadcasts as in core.susceptibility.
     """
     if side is None or side.weight == 0.0:
         return susceptibility(cfg, eta, det)
@@ -106,23 +101,7 @@ def composite_susceptibility(cfg, eta, det, side):
     cfg_side = replace(cfg, od=cfg.od - od_main)
     det_side = Detunings(det.delta_probe,
                          np.asarray(det.delta_cavity) + side.zeeman_shift)
-    chi = susceptibility(cfg_main, eta, det).value \
-        + susceptibility(cfg_side, eta, det_side).value
-    return Susceptibility(chi)
-
-
-def averaged_transmission(cfg, dist, det):
-    """Intensity-averaged transmission over a coupling distribution.
-
-    Atoms at different positions act as independent transmission paths
-    in the dilute limit, so the detector sees the weighted average of
-    |t|^2, not a single medium with averaged chi.
-    """
-    acc = 0.0
-    for eta, w in zip(dist.etas, dist.weights):
-        t = transfer_amplitude(susceptibility(cfg, eta, det), cfg)
-        acc = acc + w * np.abs(t) ** 2
-    return acc
+    return susceptibility(cfg_main, eta, det) + susceptibility(cfg_side, eta, det_side)
 
 
 def jitter_quadrature(sigma, nodes=16):
@@ -135,50 +114,17 @@ def jitter_quadrature(sigma, nodes=16):
     return np.sqrt(2.0) * sigma * x, w / w.sum()
 
 
-def jitter_broadened(spectrum_fn, sigma, nodes=16, check_tol=None):
-    """Average a spectrum over Gaussian resonator-frequency jitter.
-
-    spectrum_fn(delta_probe, delta_cavity) is evaluated at displaced
-    cavity detunings and Gauss-Hermite averaged.  sigma is the rms
-    jitter (rad/s); sigma = 0 returns the function unchanged.  With
-    check_tol set, the quadrature is repeated at twice the node count
-    and a ConvergenceError is raised if the two disagree beyond the
-    tolerance (relative).
-    """
-    if sigma == 0:
-        return spectrum_fn
-
-    def broadened(delta_probe, delta_cavity):
-        def quad(n):
-            offs, wts = jitter_quadrature(sigma, n)
-            return sum(
-                w * spectrum_fn(delta_probe, np.asarray(delta_cavity) + off)
-                for off, w in zip(offs, wts)
-            )
-
-        val = quad(nodes)
-        if check_tol is not None:
-            ref = quad(2 * nodes)
-            err = np.max(np.abs(val - ref)) / max(np.max(np.abs(ref)), 1e-300)
-            if err > check_tol:
-                raise ConvergenceError(
-                    f"jitter quadrature not converged: rel change {err:.2e} on node doubling"
-                )
-        return val
-
-    return broadened
-
-
 @dataclass(frozen=True)
 class Corrections:
     """Which apparatus corrections to apply, and their knobs.
 
     averaging_nodes: 0 disables standing-wave averaging, otherwise the
-        Gauss-Legendre node count (64 is plenty; doubling changes
-        results by < 1e-6).
+        Gauss-Legendre node count (64 is plenty; doubling it moves the
+        fig2 spectra by < 1e-12).
     side: SideChannel or None.
     jitter_fwhm: FWHM of the resonator frequency jitter (rad/s), 0 off.
-    jitter_nodes: Gauss-Hermite node count.
+    jitter_nodes: Gauss-Hermite node count (doubling 16 moves the fig2
+        spectra by < 1e-5).
     """
 
     averaging_nodes: int = 0
@@ -186,13 +132,22 @@ class Corrections:
     jitter_fwhm: float = 0.0
     jitter_nodes: int = 16
 
-    def distribution(self, eta_max):
-        if self.averaging_nodes:
-            return standing_wave_distribution(eta_max, self.averaging_nodes)
-        return point_distribution(eta_max)
+    def members(self, eta_max):
+        """The correction ensemble as flat arrays (etas, offsets, weights).
 
-    def jitter(self):
-        return jitter_quadrature(self.jitter_fwhm * SIGMA_PER_FWHM, self.jitter_nodes)
+        One member per coupling class x jitter offset, classes major:
+        max(averaging_nodes, 1) classes (eta_max alone when averaging is
+        off) times the jitter nodes (one zero offset when jitter_fwhm
+        is 0).  offsets shift the cavity detuning (rad/s); the weights
+        sum to 1.
+        """
+        if self.averaging_nodes:
+            dist = standing_wave_distribution(eta_max, self.averaging_nodes)
+            etas, wz = np.asarray(dist.etas), np.asarray(dist.weights)
+        else:
+            etas, wz = np.array([float(eta_max)]), np.ones(1)
+        offs, wj = jitter_quadrature(self.jitter_fwhm * SIGMA_PER_FWHM, self.jitter_nodes)
+        return np.repeat(etas, len(offs)), np.tile(offs, len(etas)), np.outer(wz, wj).ravel()
 
 
 IDEAL = Corrections()
@@ -202,33 +157,56 @@ def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0)
     """Transmission and resonator-emission spectra with the full correction stack.
 
     Returns (transmission, emission), each the intensity-level average
-    over the coupling distribution and the jitter quadrature.  The
-    emission channel multiplies the absorbed fraction by the branching
-    ratio of the main two-photon channel and by emission_scale.
+    of the ensemble members (Corrections.members), with the shape of
+    the broadcast detunings.  The emission channel multiplies the
+    absorbed fraction by the branching ratio of the main two-photon
+    channel, beta = eta/(eta + 1 + dc^2) with dc the member's
+    normalized cavity detuning (the closed form of the amplitude
+    equations in vitlab.oracle), and by emission_scale.  Members are
+    evaluated in blocks of about BLOCK_POINTS member x point elements.
     """
-    dist = corrections.distribution(eta_max)
-    joffs, jwts = corrections.jitter()
-    dp = np.asarray(det.delta_probe, dtype=float)
-    dcav = np.asarray(det.delta_cavity, dtype=float)
-
-    trans = 0.0
-    emis = 0.0
-    for eta, wz in zip(dist.etas, dist.weights):
-        g = coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma) if eta > 0 else 0.0
-        for off, wj in zip(joffs, jwts):
-            det_j = Detunings(dp, dcav + off)
-            chi = composite_susceptibility(cfg, eta, det_j, corrections.side)
-            t2 = np.abs(transfer_amplitude(chi, cfg)) ** 2
-            trans = trans + wz * wj * t2
-            if eta > 0:
-                state = steady_state_amplitudes(cfg, DriveSpec(1.0, g), det_j)
-                beta = branching_ratio(state, cfg)
-            else:
-                beta = 0.0
-            emis = emis + wz * wj * (1.0 - t2) * beta
-    return trans, emission_scale * emis
+    if emission_scale <= 0:
+        raise ValueError("emission_scale must be positive")
+    etas, offsets, weights = corrections.members(eta_max)
+    dp, dcav = np.broadcast_arrays(np.asarray(det.delta_probe, dtype=float),
+                                   np.asarray(det.delta_cavity, dtype=float))
+    shape = dp.shape
+    dp, dcav = dp.ravel(), dcav.ravel()
+    trans = np.zeros(dp.size)
+    emis = np.zeros(dp.size)
+    step = max(BLOCK_POINTS // max(dp.size, 1), 1)
+    for lo in range(0, len(etas), step):
+        block = slice(lo, lo + step)
+        det_m = Detunings(dp, dcav + offsets[block, None])
+        chi = composite_susceptibility(cfg, etas[block], det_m, corrections.side)
+        t2 = np.abs(transfer_amplitude(chi, cfg)) ** 2
+        eta = etas[block, None]
+        dc = det_m.normalized(cfg)[1]
+        trans += weights[block] @ t2
+        emis += weights[block] @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
+    return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
 
 
 def corrected_transmission(cfg, eta_max, det, corrections=IDEAL):
     """Transmission channel of corrected_spectrum alone."""
     return corrected_spectrum(cfg, eta_max, det, corrections)[0]
+
+
+def pulse_media(cfg, eta_max, carrier, corrections):
+    """Transfer functions of the ensemble members for pulse propagation.
+
+    Returns (media, weights) for vitlab.pulses.run_pulse_ensemble: one
+    medium t(omega) per member of Corrections.members, with omega the
+    offset from the carrier detuning and the resonator at zero detuning
+    (plus the member's jitter offset).
+    """
+    etas, offsets, weights = corrections.members(eta_max)
+
+    def medium(eta, offset):
+        def t(w):
+            det = Detunings(carrier + w, offset)
+            return transfer_amplitude(
+                composite_susceptibility(cfg, eta, det, corrections.side), cfg)
+        return t
+
+    return [medium(eta, off) for eta, off in zip(etas, offsets)], weights

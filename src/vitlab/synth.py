@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vitlab.core import Detunings, TWO_PI, resonant_transmission
+from vitlab.config import MHZ
+from vitlab.core import Detunings, resonant_transmission
 from vitlab.spatial import IDEAL, corrected_spectrum
-
-MHZ = TWO_PI * 1e6
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,11 @@ def read_scan_csv(path):
     order = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         expected = ["delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
                     "expected_d1", "expected_d2"]
         if header[: len(expected)] != expected:
-            raise ValueError("not a scan file (bad header)")
+            raise ValueError(f"{path} is not a scan file (bad header)")
         for row in reader:
             dcav = float(row[1]) * MHZ
             rec = CountRecord(
@@ -201,6 +200,8 @@ def read_scan_csv(path):
                 groups[key] = (dcav, [])
                 order.append(key)
             groups[key][1].append(rec)
+    if not order:
+        raise ValueError(f"{path} has no data rows")
     return [groups[k] for k in order]
 
 

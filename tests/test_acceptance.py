@@ -34,10 +34,9 @@ from vitlab.oracle import DriveSpec, branching_ratio, steady_state_amplitudes, s
 from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble
 from vitlab.spatial import (
     Corrections,
-    SideChannel,
-    composite_susceptibility,
     corrected_transmission,
     effective_cooperativity,
+    pulse_media,
 )
 from vitlab.synth import ScanPlan, Spectrum, generate_scan, spectrum_from_records
 
@@ -83,8 +82,8 @@ def test_criterion_03_oracle_equivalence(report, cfg):
     worst = 0.0
     for eta in (0.1, 1.0, 3.4, 7.2):
         g = coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma)
-        chi_o = susceptibility_from_oracle(cfg, DriveSpec(omega_p=0.3, g=g), det).value
-        chi_c = susceptibility(cfg, eta, det).value
+        chi_o = susceptibility_from_oracle(cfg, DriveSpec(omega_p=0.3, g=g), det)
+        chi_c = susceptibility(cfg, eta, det)
         worst = max(worst, float(np.max(np.abs(chi_o - chi_c) / np.abs(chi_c))))
     report(3, "amplitude-solver susceptibility matches closed form",
            worst < 1e-10, f"worst rel dev = {worst:.2e} on 100x100 x 4 etas")
@@ -92,7 +91,7 @@ def test_criterion_03_oracle_equivalence(report, cfg):
 
 def test_criterion_04_two_level_limit(report, cfg):
     delta = _grid_mhz(n=10_000)
-    chi = susceptibility(cfg, 0.0, Detunings(delta, 0.0)).value
+    chi = susceptibility(cfg, 0.0, Detunings(delta, 0.0))
     dt = 2.0 * delta / cfg.gamma
     ref = -(cfg.od / cfg.kl) * (dt - 1j) / (1.0 + dt**2)
     worst = float(np.max(np.abs(chi - ref) / np.abs(ref)))
@@ -140,17 +139,7 @@ def test_criterion_06_pulse_delays(report, cfg, conf):
     delays = {}
     for label, jitter in (("static", False), ("jitter", True)):
         corr = corrections_from(conf, average=True, side=True, jitter=jitter)
-        dist = corr.distribution(5.0)
-        joffs, jwts = corr.jitter()
-        media, weights = [], []
-        for eta_i, wz in zip(dist.etas, dist.weights):
-            for off, wj in zip(joffs, jwts):
-                def med(w, eta_i=eta_i, off=off):
-                    chi = composite_susceptibility(meas, eta_i, Detunings(w, off), corr.side)
-                    return transfer_amplitude(chi, meas)
-                media.append(med)
-                weights.append(wz * wj)
-        r = run_pulse_ensemble(short, media, weights)
+        r = run_pulse_ensemble(short, *pulse_media(meas, 5.0, 0.0, corr))
         delays[label] = (r.delay_centroid / 1e-9, r.delay_peak / 1e-9)
 
     vals = [v for pair in delays.values() for v in pair]

@@ -118,6 +118,79 @@ def test_env_config_changes_defaults(tmp_path, monkeypatch):
     assert float(rows_b[5][1]) < float(rows_a[5][1]) ** 2
 
 
+def _synth(prefix, dcav, seed):
+    assert main(["synth", "--delta-cavity-mhz", dcav, "--points", "41",
+                 "--scan-from", "-3", "--scan-to", "3", "--flux", "1e6",
+                 "--dwell-us", "20000", "--seed", seed, "--out", str(prefix)]) == 0
+    return str(prefix) + ".csv"
+
+
+def test_fit_vit_joins_every_input(tmp_path, capsys):
+    a = _synth(tmp_path / "a", "0.5", "1")
+    b = _synth(tmp_path / "b", "-2.2", "2")
+    out = tmp_path / "fit.json"
+
+    def fit(*inputs):
+        assert main(["fit", "--model", "vit", "--input", *inputs, "--out", str(out)]) == 0
+        return json.loads(out.read_text())["params"]["eta_eff"]
+
+    alone, joint = fit(a), fit(a, b)
+    # the second scan enters the fit: it moves the estimate and tightens it
+    assert joint["value"] != alone["value"]
+    assert joint["error"] < alone["error"]
+    # one --sidecar cannot describe two scans; a line fit takes one spectrum
+    assert main(["fit", "--model", "vit", "--input", a, b,
+                 "--sidecar", str(tmp_path / "a.json")]) == 2
+    assert "--sidecar" in capsys.readouterr().err
+    assert main(["fit", "--model", "lorentzian", "--input", a, b]) == 2
+    assert "--input" in capsys.readouterr().err
+
+
+def test_fit_linear_pools_inputs(tmp_path):
+    rows = [(n, 3.4 * (n + 1) + (0.5 if n > 11 else 0.0), 0.1) for n in range(3, 23, 2)]
+
+    def write(name, part):
+        path = tmp_path / name
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["n_c", "eta_eff", "eta_eff_err"])
+            w.writerows(part)
+        return str(path)
+
+    def fit(*inputs):
+        out = tmp_path / "lin.json"
+        assert main(["fit", "--model", "linear", "--input", *inputs,
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    a, b, both = write("a.csv", rows[:5]), write("b.csv", rows[5:]), write("all.csv", rows)
+    assert fit(a, b) == fit(both)
+    assert fit(a, b)["slope"]["value"] != pytest.approx(fit(a)["slope"]["value"], rel=1e-6)
+
+
+@pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}'))
+def test_non_finite_config_returns_2(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", str(conf), "--out", str(out)]) == 2
+    assert "'od'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
+@pytest.mark.parametrize("text", (
+    "",
+    "delta_probe_MHz,transmission,cavity_emission\n",
+    "delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,expected_d1,expected_d2\n",
+))
+def test_empty_input_returns_2(tmp_path, capsys, model, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    assert main(["fit", "--model", model, "--input", str(data)]) == 2
+    assert "data.csv" in capsys.readouterr().err
+
+
 def test_missing_input_returns_2(capsys):
     assert main(["fit", "--model", "vit", "--input", "/nonexistent.csv"]) == 2
     capsys.readouterr()

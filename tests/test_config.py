@@ -34,6 +34,9 @@ def test_validate_rejects_bad_types():
         validate_config({"od": "0.4"})
     with pytest.raises(ValueError):
         validate_config({"od": True})
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="'od' must be finite"):
+            validate_config({"od": value})
 
 
 def test_validate_range_checks():

@@ -18,10 +18,10 @@ from vitlab.core import (
     susceptibility,
     transfer_amplitude,
     transmission,
-    transparency,
     transparency_window_width,
 )
 from vitlab.errors import ConvergenceError
+from vitlab.fitting import extract_transparency
 
 
 def test_config_validation():
@@ -57,6 +57,21 @@ def test_cooperativity_coupling_round_trip(cfg):
 def test_susceptibility_rejects_negative_eta(cfg):
     with pytest.raises(ValueError):
         susceptibility(cfg, -0.5, Detunings(0.0, 0.0))
+    with pytest.raises(ValueError):
+        susceptibility(cfg, np.array([1.0, -0.5]), Detunings(0.0, 0.0))
+
+
+def test_susceptibility_broadcasts_member_column(cfg):
+    # a 1-d eta is a (member, 1) column: row m equals the scalar call
+    etas = np.array([0.0, 3.4, 37.4])
+    grid = np.linspace(-2, 2, 7) * cfg.gamma
+    offsets = np.array([[0.0], [0.1], [-0.2]]) * cfg.kappa
+    rows = susceptibility(cfg, etas, Detunings(grid, offsets))
+    assert rows.shape == (3, 7)
+    for m, eta in enumerate(etas):
+        one = susceptibility(cfg, eta, Detunings(grid, offsets[m, 0]))
+        assert np.array_equal(rows[m], one)
+    assert susceptibility(cfg, etas, Detunings(grid, 0.0)).shape == (3, 7)
 
 
 def test_resonant_transmission_identity(cfg):
@@ -72,7 +87,7 @@ def test_resonant_transmission_identity(cfg):
 
 def test_two_level_limit(cfg):
     delta = np.linspace(-10, 10, 401) * cfg.gamma
-    chi = susceptibility(cfg, 0.0, Detunings(delta, 0.0)).value
+    chi = susceptibility(cfg, 0.0, Detunings(delta, 0.0))
     dt = 2.0 * delta / cfg.gamma
     ref = -(cfg.od / cfg.kl) * (dt - 1j) / (1.0 + dt**2)
     assert np.max(np.abs(chi - ref) / np.abs(ref)) < 1e-13
@@ -82,7 +97,7 @@ def test_transfer_amplitude_is_exponential(cfg):
     det = Detunings(0.3 * cfg.gamma, -0.1 * cfg.gamma)
     chi = susceptibility(cfg, 2.0, det)
     t = transfer_amplitude(chi, cfg)
-    assert np.isclose(t, np.exp(0.5j * cfg.kl * chi.value), rtol=1e-14)
+    assert np.isclose(t, np.exp(0.5j * cfg.kl * chi), rtol=1e-14)
 
 
 def test_detuning_normalization(cfg):
@@ -138,11 +153,12 @@ def test_transparency_window_width(cfg):
 
 
 def test_transparency_definition():
+    # theta = (T' - T)/(1 - T) against the bare-ensemble T = e^{-od}
     t = np.exp(-0.4)
-    assert transparency(t, t) == pytest.approx(0.0, abs=1e-15)
-    assert transparency(1.0, t) == pytest.approx(1.0, rel=1e-12)
+    assert extract_transparency(t, 0.4)[0] == pytest.approx(0.0, abs=1e-15)
+    assert extract_transparency(1.0, 0.4)[0] == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        transparency(0.5, 1.0)
+        extract_transparency(0.5, 0.0)
 
 
 def test_fock_delay_ladder(cfg):

@@ -274,6 +274,13 @@ def test_extract_transparency():
     theta, err = extract_transparency(1.0, 0.4, t_prime_err=0.033)
     assert theta == pytest.approx(1.0, rel=1e-12)
     assert err == pytest.approx(0.033 / (1.0 - t), rel=1e-12)
+    # linear in T' between the bare baseline (0) and full transmission (1)
+    theta, _ = extract_transparency(0.5 * (1.0 + t), 0.4)
+    assert theta == pytest.approx(0.5, rel=1e-12)
+    # a baseline of T = e^{-od} >= 1 leaves no window to open
+    for od in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            extract_transparency(0.5, od)
 
 
 def test_fit_json_writer(tmp_path, cfg):

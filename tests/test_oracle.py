@@ -11,10 +11,14 @@ from vitlab.core import (
 from vitlab.oracle import (
     DriveSpec,
     branching_ratio,
-    cavity_emission_probability,
     steady_state_amplitudes,
     susceptibility_from_oracle,
 )
+from vitlab.spatial import IDEAL, corrected_spectrum
+
+
+def _emission(cfg, eta, det, scale=1.0):
+    return corrected_spectrum(cfg, eta, det, IDEAL, scale)[1]
 
 
 def _drive(cfg, eta, omega_p=0.2):
@@ -32,8 +36,8 @@ def test_oracle_matches_closed_form_on_grid(cfg):
     dp, dc = np.meshgrid(delta, delta, indexing="ij")
     det = Detunings(dp, dc)
     for eta in (0.1, 1.0, 3.4, 7.2):
-        chi_o = susceptibility_from_oracle(cfg, _drive(cfg, eta), det).value
-        chi_c = susceptibility(cfg, eta, det).value
+        chi_o = susceptibility_from_oracle(cfg, _drive(cfg, eta), det)
+        chi_c = susceptibility(cfg, eta, det)
         rel = np.abs(chi_o - chi_c) / np.abs(chi_c)
         assert np.max(rel) < 1e-10
 
@@ -56,7 +60,7 @@ def test_oracle_normalization_guard(cfg):
 def test_uncoupled_oracle_is_two_level(cfg):
     delta = np.linspace(-8, 8, 101) * cfg.gamma
     det = Detunings(delta, 0.0)
-    chi = susceptibility_from_oracle(cfg, DriveSpec(omega_p=0.3, g=0.0), det).value
+    chi = susceptibility_from_oracle(cfg, DriveSpec(omega_p=0.3, g=0.0), det)
     dt = 2.0 * delta / cfg.gamma
     ref = -(cfg.od / cfg.kl) * (dt - 1j) / (1.0 + dt**2)
     assert np.max(np.abs(chi - ref) / np.abs(ref)) < 1e-12
@@ -80,28 +84,28 @@ def test_branching_ratio_decays_off_two_photon_resonance(cfg):
 def test_emission_probability_shape(cfg):
     delta = np.linspace(-4e6, 4e6, 81) * 2 * np.pi
     det = Detunings(delta, 0.0)
-    p = cavity_emission_probability(cfg, 3.4, det)
+    p = _emission(cfg, 3.4, det)
     assert p.shape == delta.shape
     assert np.all(p >= 0) and np.all(p <= 1)
     # peaks at two-photon resonance
     assert np.argmax(p) == 40
     # consistency: scale multiplies through
-    assert np.allclose(cavity_emission_probability(cfg, 3.4, det, scale=0.5),
+    assert np.allclose(_emission(cfg, 3.4, det, scale=0.5),
                        0.5 * p, rtol=1e-12)
 
 
 def test_emission_probability_vanishes_without_coupling(cfg):
     delta = np.linspace(-4e6, 4e6, 11) * 2 * np.pi
-    p = cavity_emission_probability(cfg, 0.0, Detunings(delta, 0.0))
+    p = _emission(cfg, 0.0, Detunings(delta, 0.0))
     assert np.all(p == 0)
     with pytest.raises(ValueError):
-        cavity_emission_probability(cfg, 3.4, Detunings(0.0, 0.0), scale=0.0)
+        _emission(cfg, 3.4, Detunings(0.0, 0.0), scale=0.0)
 
 
 def test_emission_probability_on_resonance_value(cfg):
     # (1 - |t|^2) * eta/(eta+1) on double resonance
     eta = 3.4
-    p = cavity_emission_probability(cfg, eta, Detunings(0.0, 0.0))
+    p = _emission(cfg, eta, Detunings(0.0, 0.0))
     t2 = transmission(cfg, eta, Detunings(0.0, 0.0))
     assert np.isclose(p, (1.0 - t2) * eta / (eta + 1.0), rtol=1e-12)
 

@@ -212,3 +212,7 @@ def test_trace_reader_rejects_garbage(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace_csv(bad)
+    for text in ("", "time_us,re,im\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            read_trace_csv(bad)

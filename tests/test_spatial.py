@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from vitlab.config import MHZ
-from vitlab.core import Detunings, transmission
-from vitlab.errors import ConvergenceError
+from vitlab.config import MHZ, cavity_geometry, corrections
+from vitlab.core import (
+    Detunings,
+    cooperativity_geometric,
+    coupling_from_cooperativity,
+    transmission,
+)
+from vitlab.oracle import (
+    DriveSpec,
+    branching_ratio,
+    steady_state_amplitudes,
+    susceptibility_from_oracle,
+)
 from vitlab.spatial import (
     IDEAL,
     Corrections,
@@ -14,16 +24,10 @@ from vitlab.spatial import (
     corrected_spectrum,
     corrected_transmission,
     effective_cooperativity,
-    jitter_broadened,
     jitter_quadrature,
-    point_distribution,
+    pulse_media,
     standing_wave_distribution,
 )
-
-
-def test_point_distribution():
-    d = point_distribution(3.4)
-    assert d.etas == (3.4,) and d.weights == (1.0,)
 
 
 def test_standing_wave_distribution_moments():
@@ -74,7 +78,7 @@ def test_side_channel_shifts_weight(cfg):
     chi_plain = composite_susceptibility(cfg, 5.0, det, None)
     chi_split = composite_susceptibility(cfg, 5.0, det, side)
     # the shifted channel leaks absorption into the window
-    assert chi_split.value.imag > chi_plain.value.imag
+    assert chi_split.imag > chi_plain.imag
 
 
 def test_jitter_quadrature_is_normal():
@@ -90,22 +94,6 @@ def test_jitter_zero_width_identity(cfg):
     t0 = corrected_transmission(cfg, 5.0, det, IDEAL)
     t1 = corrected_transmission(cfg, 5.0, det, Corrections(jitter_fwhm=0.0))
     assert np.allclose(t0, t1, rtol=1e-14)
-
-
-def test_jitter_broadened_convergence_guard():
-    # feature much narrower than the node spacing defeats the quadrature
-    def narrow(dp, dc):
-        return 1.0 / (1.0 + (np.asarray(dc) / 1e-3) ** 2)
-
-    wrapped = jitter_broadened(narrow, sigma=1.0, nodes=16, check_tol=1e-6)
-    with pytest.raises(ConvergenceError):
-        wrapped(0.0, 0.0)
-    # smooth function sails through the same check
-    smooth = jitter_broadened(lambda dp, dc: np.cos(dc), sigma=0.1,
-                              nodes=16, check_tol=1e-6)
-    assert smooth(0.0, 0.0) > 0.9
-    # zero width short-circuits to the original function
-    assert jitter_broadened(narrow, sigma=0.0) is narrow
 
 
 def test_jitter_softens_the_window(cfg):
@@ -126,15 +114,24 @@ def test_effective_cooperativity_ladder():
 
 def test_corrections_factory_roundtrip():
     c = Corrections(averaging_nodes=32, side=SideChannel(), jitter_fwhm=0.2 * MHZ)
-    d = c.distribution(5.0)
-    assert len(d.etas) == 32
-    off, w = c.jitter()
-    assert len(off) == c.jitter_nodes
-    assert np.isclose(np.std([0.0]) + np.sqrt(np.sum(w * off**2)),
-                      0.2 * MHZ * SIGMA_PER_FWHM, rtol=1e-10)
-    # IDEAL collapses to a single member
-    assert IDEAL.distribution(5.0).etas == (5.0,)
-    assert IDEAL.jitter() == ((0.0,), (1.0,))
+    etas, offs, w = c.members(5.0)
+    assert len(etas) == len(offs) == len(w) == 32 * c.jitter_nodes
+    # classes major, jitter offsets minor, weights the outer product
+    dist = standing_wave_distribution(5.0, 32)
+    joffs, jwts = jitter_quadrature(0.2 * MHZ * SIGMA_PER_FWHM, c.jitter_nodes)
+    assert np.array_equal(etas.reshape(32, -1)[:, 0], dist.etas)
+    assert np.all(etas.reshape(32, -1) == etas.reshape(32, -1)[:, :1])
+    assert np.array_equal(offs.reshape(32, -1), np.tile(joffs, (32, 1)))
+    assert np.array_equal(w.reshape(32, -1), np.outer(dist.weights, jwts))
+    assert np.isclose(w.sum(), 1.0, atol=1e-12)
+    assert np.isclose(np.sqrt(np.sum(w * offs**2)), 0.2 * MHZ * SIGMA_PER_FWHM,
+                      rtol=1e-10)
+    # IDEAL collapses to a single member at eta_max with no offset
+    assert [a.tolist() for a in IDEAL.members(5.0)] == [[5.0], [0.0], [1.0]]
+    # one correction alone keeps the other axis at a single node
+    assert len(Corrections(averaging_nodes=8).members(5.0)[0]) == 8
+    etas, offs, _ = Corrections(jitter_fwhm=0.2 * MHZ, jitter_nodes=4).members(5.0)
+    assert etas.tolist() == [5.0] * 4 and len(set(offs)) == 4
 
 
 def test_corrected_spectrum_channels(cfg):
@@ -167,3 +164,77 @@ def test_measured_regime_transparency_endpoints(cfg):
         tp = corrected_transmission(cfg, effective_cooperativity(5.0, n_c), det, corr)
         theta = (tp - t_bare) / (1.0 - t_bare)
         assert abs(theta - want) < 5e-4
+
+
+ETAS = (0.0, 3.4, 37.4)
+
+
+def _oracle_spectrum(cfg, eta_max, det, corr, scale):
+    """Per-member reference: the amplitude solver's chi on each channel and its
+    branching ratio, summed one member at a time."""
+    trans = emis = 0.0
+    for eta, off, w in zip(*corr.members(eta_max)):
+        drive = DriveSpec(1.0, coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma))
+        det_m = Detunings(det.delta_probe, np.asarray(det.delta_cavity) + off)
+        if corr.side is None:
+            chi = susceptibility_from_oracle(cfg, drive, det_m)
+        else:
+            od_main = cfg.od / (1.0 + corr.side.weight)
+            det_s = Detunings(det.delta_probe, det_m.delta_cavity + corr.side.zeeman_shift)
+            chi = (susceptibility_from_oracle(replace(cfg, od=od_main), drive, det_m)
+                   + susceptibility_from_oracle(replace(cfg, od=cfg.od - od_main),
+                                                drive, det_s))
+        t2 = np.exp(-cfg.kl * np.imag(chi))
+        beta = branching_ratio(steady_state_amplitudes(cfg, drive, det_m), cfg)
+        trans = trans + w * t2
+        emis = emis + w * (1.0 - t2) * beta
+    return trans, scale * emis
+
+
+@pytest.mark.parametrize("average", (False, True))
+@pytest.mark.parametrize("side", (False, True))
+@pytest.mark.parametrize("jitter", (False, True))
+def test_corrected_spectrum_matches_oracle_loop(cfg, conf, average, side, jitter):
+    corr = corrections(conf, average=average, side=side, jitter=jitter,
+                       averaging_nodes=6, jitter_nodes=4)
+    # 1001 points split the members into blocks of four (BLOCK_POINTS 4096)
+    dets = (Detunings(np.linspace(-4, 4, 1001) * MHZ, 0.5 * MHZ),
+            Detunings(0.3 * MHZ, -2.2 * MHZ),
+            Detunings(np.linspace(-4, 4, 5) * MHZ, 1000.0 * cfg.gamma))
+    for eta in ETAS:
+        for det in dets:
+            trans, emis = corrected_spectrum(cfg, eta, det, corr, 0.7)
+            ref_t, ref_e = _oracle_spectrum(cfg, eta, det, corr, 0.7)
+            assert np.shape(trans) == np.shape(emis) == np.shape(ref_t)
+            assert np.max(np.abs(trans - ref_t)) < 1e-12
+            assert np.max(np.abs(emis - ref_e)) < 1e-12
+
+
+def test_pulse_media_match_corrected_spectrum(cfg, conf):
+    # the pulse path and the spectrum path average the same ensemble
+    corr = corrections(conf, average=True, side=True, jitter=True,
+                       averaging_nodes=8, jitter_nodes=4)
+    carrier = 0.4 * MHZ
+    w = np.linspace(-3, 3, 61) * MHZ
+    for eta in ETAS:
+        media, weights = pulse_media(cfg, eta, carrier, corr)
+        assert len(media) == len(weights) == 32
+        summed = sum(wt * np.abs(m(w)) ** 2 for m, wt in zip(media, weights))
+        want = corrected_transmission(cfg, eta, Detunings(carrier + w, 0.0), corr)
+        assert np.max(np.abs(summed - want)) < 1e-14
+
+
+def test_quadrature_convergence_fig2_panels(cfg, conf):
+    # the node counts that `vitlab reproduce fig2` uses are converged
+    eta = conf["f_eg"] * cooperativity_geometric(cavity_geometry(conf))
+    grid = np.linspace(-8.0, 8.0, 321) * MHZ
+    dcavs = (1000.0 * cfg.gamma, 0.5 * MHZ, -2.2 * MHZ, 2.8 * MHZ)
+
+    def panels(**nodes):
+        corr = corrections(conf, average=True, side=True, jitter=True, **nodes)
+        return np.array([corrected_spectrum(cfg, eta, Detunings(grid, d), corr)
+                         for d in dcavs])
+
+    base = panels()
+    assert np.max(np.abs(panels(jitter_nodes=32) - base)) < 1e-5
+    assert np.max(np.abs(panels(averaging_nodes=128) - base)) < 1e-12

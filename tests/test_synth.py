@@ -164,3 +164,9 @@ def test_scan_reader_rejects_garbage(tmp_path):
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
         read_scan_csv(bad)
+    header = ("delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,"
+              "expected_d1,expected_d2\n")
+    for text in ("", header):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            read_scan_csv(bad)
