@@ -17,7 +17,7 @@ from vitlab.core import (
     transfer_amplitude,
 )
 from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble
-from vitlab.spatial import pulse_media
+from vitlab.spatial import ensemble_transfer
 
 conf = load_config()
 cfg = replace(physical_config(conf), od=0.5)
@@ -40,10 +40,11 @@ for tp_us in (20.0, 80.0):
 print()
 print("measured regime: T_P = 1.73 us with the full correction stack")
 corr = corrections(conf, average=True, side=True, jitter=True)
-media, weights = pulse_media(cfg, eta, 0.0, corr)
-
 pulse = make_gaussian_pulse(PulseSpec(duration=1.73e-6))
-res = run_pulse_ensemble(pulse, media, weights)
+# one transfer row per ensemble member on the pulse's frequency grid,
+# the resonator at zero detuning
+blocks = ensemble_transfer(cfg, eta, Detunings(pulse.omega, 0.0), corr)
+res = run_pulse_ensemble(pulse, ((w, t) for w, _, _, t in blocks))
 path = 2.0 * conf["length_um"] * 1e-6
 print(f"centroid delay {res.delay_centroid / 1e-9:.1f} ns, "
       f"peak delay {res.delay_peak / 1e-9:.1f} ns")

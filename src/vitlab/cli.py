@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration or validation problem,
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -37,12 +38,14 @@ from vitlab.fitting import (
     ratio_with_error,
     write_fit_json,
 )
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble, write_trace_csv
-from vitlab.spatial import corrected_spectrum, corrected_transmission, effective_cooperativity, pulse_media
+from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse_ensemble, write_trace_csv
+from vitlab.spatial import (corrected_spectrum, corrected_transmission,
+                            effective_cooperativity, ensemble_transfer)
 from vitlab.synth import (
     ScanPlan,
     generate_scan,
     read_scan_csv,
+    read_scan_sidecar,
     spectrum_from_records,
     write_scan_csv,
     write_scan_sidecar,
@@ -50,9 +53,25 @@ from vitlab.synth import (
 )
 
 
+def _number(kind, ok=lambda v: True):
+    """argparse type: a finite float for which ok holds; argparse names the flag."""
+    def number(text):
+        value = float(text)
+        if math.isfinite(value) and ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+    return number
+
+
+FINITE = _number("a finite number")
+POSITIVE = _number("a positive finite number", lambda v: v > 0)
+NONNEGATIVE = _number("a nonnegative finite number", lambda v: v >= 0)
+FRACTION = _number("a number in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 def _add_common(p):
     p.add_argument("--config", help="path to a JSON config document")
-    p.add_argument("--eta", type=float, default=None,
+    p.add_argument("--eta", type=NONNEGATIVE, default=None,
                    help="antinode cooperativity; default f_eg * eta0 from the config")
     p.add_argument("--average", action="store_true",
                    help="average over the standing-wave coupling")
@@ -107,6 +126,13 @@ def cmd_spectrum(args):
     return 0
 
 
+def _run_ensemble(cfg, eta, carrier, corr, pulse):
+    """The correction ensemble's pulse result, the resonator at zero detuning."""
+    det = Detunings(carrier + pulse.omega, 0.0)
+    blocks = ensemble_transfer(cfg, eta, det, corr)
+    return run_pulse_ensemble(pulse, ((w, t) for w, _, _, t in blocks))
+
+
 def cmd_pulse(args):
     conf, cfg, eta, corr = _setup(args)
     if args.od is not None:
@@ -114,11 +140,7 @@ def cmd_pulse(args):
     spec = PulseSpec(duration=args.tp_us * US, carrier_detuning=args.carrier_mhz * MHZ)
     pulse = make_gaussian_pulse(spec, n_samples=args.samples,
                                 span=args.span_factor * spec.duration)
-    media, weights = pulse_media(cfg, eta, spec.carrier_detuning, corr)
-    if len(media) == 1:
-        result = run_pulse(pulse, media[0])
-    else:
-        result = run_pulse_ensemble(pulse, media, weights)
+    result = _run_ensemble(cfg, eta, spec.carrier_detuning, corr, pulse)
     doc = {
         "delay_centroid_ns": result.delay_centroid / NS,
         "delay_peak_ns": result.delay_peak / NS,
@@ -160,28 +182,16 @@ def _scan_to_datasets(path, sidecar_path):
     scans = read_scan_csv(path)
     if sidecar_path is None:
         sidecar_path = os.path.splitext(path)[0] + ".json"
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    plan = ScanPlan(
-        delta_cavity_list=tuple(d * MHZ for d in meta["plan"]["delta_cavity_MHz"]),
-        probe_grid=tuple(d * MHZ for d in meta["plan"]["probe_grid_MHz"]),
-        photon_flux=meta["plan"]["photon_flux_per_s"],
-        dwell=meta["plan"]["dwell_us"] * US,
-        efficiency_d1=meta["plan"]["efficiency_d1"],
-        efficiency_d2=meta["plan"]["efficiency_d2"],
-        rng_seed=meta["plan"]["rng_seed"],
-    )
+    plan = read_scan_sidecar(sidecar_path)
     return [(dcav, spectrum_from_records(records, plan)) for dcav, records in scans]
 
 
 def _read_csv(path):
-    """Header and float rows of a CSV file; a file without data rows is an error."""
+    """Header and finite float rows of a CSV file (see config.read_rows)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = [[float(v) for v in row] for row in reader]
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
+        header = next(reader, [])
+        rows = cfgmod.read_rows(path, reader, len(header))
     return header, np.array(rows)
 
 
@@ -301,8 +311,7 @@ def _reproduce_fig3(args, conf, cfg):
     results = {}
     for label, jitter in (("no_jitter", False), ("with_jitter", True)):
         corr = cfgmod.corrections(conf, average=True, side=True, jitter=jitter)
-        media, weights = pulse_media(cfg, eta_eff_0, 0.0, corr)
-        res = run_pulse_ensemble(pulse, media, weights)
+        res = _run_ensemble(cfg, eta_eff_0, 0.0, corr, pulse)
         results[label] = res
         write_trace_csv(os.path.join(out_dir, f"fig3_output_{label}.csv"), res.output)
 
@@ -421,36 +430,36 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="deterministic two-channel spectrum CSV")
     _add_common(p)
-    p.add_argument("--delta-cavity-mhz", type=float, default=0.0)
-    p.add_argument("--scan-from", type=float, default=-8.0, help="MHz")
-    p.add_argument("--scan-to", type=float, default=8.0, help="MHz")
+    p.add_argument("--delta-cavity-mhz", type=FINITE, default=0.0)
+    p.add_argument("--scan-from", type=FINITE, default=-8.0, help="MHz")
+    p.add_argument("--scan-to", type=FINITE, default=8.0, help="MHz")
     p.add_argument("--points", type=int, default=161)
-    p.add_argument("--emission-scale", type=float, default=1.0)
+    p.add_argument("--emission-scale", type=POSITIVE, default=1.0)
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("pulse", help="propagate a Gaussian probe pulse")
     _add_common(p)
-    p.add_argument("--tp-us", type=float, required=True, help="intensity FWHM, us")
-    p.add_argument("--od", type=float, default=None, help="override config od")
-    p.add_argument("--carrier-mhz", type=float, default=0.0)
+    p.add_argument("--tp-us", type=POSITIVE, required=True, help="intensity FWHM, us")
+    p.add_argument("--od", type=NONNEGATIVE, default=None, help="override config od")
+    p.add_argument("--carrier-mhz", type=FINITE, default=0.0)
     p.add_argument("--samples", type=int, default=2**14)
-    p.add_argument("--span-factor", type=float, default=16.0)
+    p.add_argument("--span-factor", type=POSITIVE, default=16.0)
     p.add_argument("--trace", help="also write the output envelope CSV here")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_pulse)
 
     p = sub.add_parser("synth", help="Poisson-noise photon-counting scan")
     _add_common(p)
-    p.add_argument("--delta-cavity-mhz", type=float, nargs="+", required=True)
-    p.add_argument("--scan-from", type=float, default=-8.0)
-    p.add_argument("--scan-to", type=float, default=8.0)
+    p.add_argument("--delta-cavity-mhz", type=FINITE, nargs="+", required=True)
+    p.add_argument("--scan-from", type=FINITE, default=-8.0)
+    p.add_argument("--scan-to", type=FINITE, default=8.0)
     p.add_argument("--points", type=int, default=81)
-    p.add_argument("--flux", type=float, default=1e6, help="photons per second")
-    p.add_argument("--dwell-us", type=float, default=1000.0)
-    p.add_argument("--eff1", type=float, default=1.0)
-    p.add_argument("--eff2", type=float, default=1.0)
-    p.add_argument("--emission-scale", type=float, default=1.0)
+    p.add_argument("--flux", type=NONNEGATIVE, default=1e6, help="photons per second")
+    p.add_argument("--dwell-us", type=POSITIVE, default=1000.0)
+    p.add_argument("--eff1", type=FRACTION, default=1.0)
+    p.add_argument("--eff2", type=FRACTION, default=1.0)
+    p.add_argument("--emission-scale", type=POSITIVE, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix (.csv and .json)")
     p.set_defaults(func=cmd_synth)
@@ -467,7 +476,7 @@ def build_parser():
                    help=f"comma list from {','.join(VIT_PARAMS)}")
     p.add_argument("--on", choices=("absorbance", "transmission"),
                    default="absorbance", help="lorentzian fit domain")
-    p.add_argument("--delta-cavity-mhz", type=float, default=0.0,
+    p.add_argument("--delta-cavity-mhz", type=FINITE, default=0.0,
                    help="resonator detuning for plain spectrum inputs")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_fit)

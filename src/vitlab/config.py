@@ -9,6 +9,7 @@ than silently ignored.
 
 Resolution order for the default document: explicit path argument,
 then the VIT_LAB_CONFIG environment variable, then the packaged file.
+read_rows parses the data rows of every scan, spectrum and trace CSV.
 """
 
 import json
@@ -31,6 +32,32 @@ _POSITIVE = ("gamma_MHz", "kappa_MHz", "wavelength_um", "finesse", "waist_um",
 _NONNEGATIVE = ("od", "side_weight", "side_shift_MHz", "jitter_fwhm_MHz")
 _UNIT_INTERVAL = ("f_ef", "f_eg", "side_weight")
 KNOWN_KEYS = set(_POSITIVE) | set(_NONNEGATIVE) | set(_UNIT_INTERVAL)
+
+
+def read_rows(path, reader, width, types=()):
+    """The data rows left in a csv reader, converted cell by cell.
+
+    Every row must hold width cells, each a finite float; for each
+    (i, read) pair in types, cell i is read by read(cell) instead.  A
+    row of another width, a cell that does not parse or is not finite,
+    or no row at all raises ValueError naming the file (and the line).
+    """
+    rows = []
+    for row in reader:
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} columns, found {len(row)}")
+            values = list(map(float, row))
+            if not all(map(math.isfinite, values)):
+                raise ValueError("values must be finite")
+            for i, read in types:
+                values[i] = read(row[i])
+        except ValueError as err:
+            raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    return rows
 
 
 def packaged_defaults():

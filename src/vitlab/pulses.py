@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vitlab.config import read_rows
 from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
@@ -27,36 +28,19 @@ EDGE_FLATNESS = 1e-6
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian probe pulse: duration (s), carrier detuning (rad/s).
-
-    duration is the intensity FWHM by default; width_convention="1/e2"
-    reinterprets it as the full 1/e^2 intensity width.
-    """
+    """Gaussian probe pulse: intensity FWHM duration (s), carrier detuning (rad/s)."""
 
     duration: float
     carrier_detuning: float = 0.0
-    shape: str = "gaussian"
-    width_convention: str = "fwhm"
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported pulse shape '{self.shape}'")
-        if self.width_convention not in ("fwhm", "1/e2"):
-            raise ValueError("width_convention must be 'fwhm' or '1/e2'")
-
-    @property
-    def intensity_fwhm(self):
-        if self.width_convention == "fwhm":
-            return self.duration
-        # full 1/e^2 width W: |E|^2 = exp(-8 t^2/W^2), FWHM = W sqrt(ln2/2)
-        return self.duration * np.sqrt(np.log(2.0) / 2.0)
 
     @property
     def spectral_fwhm(self):
         """Intensity spectral FWHM in Hz (Gaussian time-bandwidth 2 ln2 / pi)."""
-        return 2.0 * np.log(2.0) / (np.pi * self.intensity_fwhm)
+        return 2.0 * np.log(2.0) / (np.pi * self.duration)
 
 
 @dataclass(frozen=True)
@@ -84,6 +68,11 @@ class SampledPulse:
     @property
     def times(self):
         return self.t0 + self.dt * np.arange(self.n)
+
+    @property
+    def omega(self):
+        """Angular frequency offsets of the envelope spectrum, in numpy fft order."""
+        return TWO_PI * np.fft.fftfreq(self.n, self.dt)
 
 
 @dataclass(frozen=True)
@@ -113,34 +102,40 @@ def make_gaussian_pulse(spec, n_samples=2**14, span=None):
     if nyquist_hz < 10.0 * spec.spectral_fwhm:
         raise ValueError("grid too coarse: Nyquist margin below 10 spectral widths")
     t = dt * (np.arange(n_samples) - (n_samples - 1) / 2.0)
-    tau = spec.intensity_fwhm
-    field = np.exp(-2.0 * np.log(2.0) * (t / tau) ** 2).astype(complex)
+    field = np.exp(-2.0 * np.log(2.0) * (t / spec.duration) ** 2).astype(complex)
     return SampledPulse(t0=t[0], dt=dt, samples=field)
+
+
+def _apply(spectrum, t):
+    """Output envelopes fft(spectrum * t), one per row of transfer values t.
+
+    Raises BandCoverageError when a row's |t| still varies by more than
+    EDGE_FLATNESS between the two outermost samples at either end of
+    the band, since spectral weight there would wrap around.
+    """
+    if not np.all(np.isfinite(t)):
+        raise ValueError("transfer function must be finite over the pulse band")
+    # in fft order the band runs from index n/2 (most negative) up to n/2 - 1
+    h = spectrum.shape[-1] // 2
+    edges = np.abs(t[..., [h, (h + 1) % spectrum.shape[-1], h - 1, h - 2]])
+    if np.any(np.abs(edges[..., 0] - edges[..., 1]) > EDGE_FLATNESS) or np.any(
+            np.abs(edges[..., 2] - edges[..., 3]) > EDGE_FLATNESS):
+        raise BandCoverageError(
+            "transfer function still varies at the grid edge; widen the band"
+        )
+    return np.fft.fft(spectrum * t, axis=-1)
 
 
 def propagate(pulse, medium):
     """Apply t(omega) to the envelope spectrum and return the output pulse.
 
-    Exactly linear in the input.  Raises BandCoverageError when |t|
-    still varies by more than 1e-6 between the outermost frequency
-    samples of the grid, since spectral weight there would wrap around.
+    medium maps pulse.omega to one transfer value per frequency sample.
+    Exactly linear in the input; the band guard is that of _apply.
     """
-    s = np.asarray(pulse.samples, dtype=complex)
-    w = TWO_PI * np.fft.fftfreq(pulse.n, pulse.dt)
-    tvals = np.asarray(medium(w), dtype=complex)
-    if tvals.shape != w.shape:
+    tvals = np.asarray(medium(pulse.omega), dtype=complex)
+    if tvals.shape != (pulse.n,):
         raise ValueError("medium must return one value per frequency sample")
-    if not np.all(np.isfinite(tvals)):
-        raise ValueError("transfer function must be finite over the pulse band")
-
-    order = np.argsort(w)
-    mag = np.abs(tvals[order])
-    if abs(mag[0] - mag[1]) > EDGE_FLATNESS or abs(mag[-1] - mag[-2]) > EDGE_FLATNESS:
-        raise BandCoverageError(
-            "transfer function still varies at the grid edge; widen the band"
-        )
-
-    out = np.fft.fft(np.fft.ifft(s) * tvals)
+    out = _apply(np.fft.ifft(np.asarray(pulse.samples, dtype=complex)), tvals)
     return SampledPulse(t0=pulse.t0, dt=pulse.dt, samples=out)
 
 
@@ -164,70 +159,47 @@ def _peak(times, intensity):
     return float(times[i] + 0.5 * (a - c) / denom * (times[1] - times[0]))
 
 
-def _same_grid(p, q):
-    return p.n == q.n and np.isclose(p.dt, q.dt, rtol=1e-12, atol=0) and np.isclose(
-        p.t0, q.t0, rtol=0, atol=1e-9 * p.dt + abs(p.t0) * 1e-12
-    )
-
-
-def extract_delay(pulse_in, pulse_out):
-    """(centroid delay, peak delay) between two pulses on one grid.
-
-    Centroid is the first moment of |field|^2; peak uses quadratic
-    interpolation around the maximum sample.  The two can legitimately
-    disagree for distorted pulses; both are always reported.
-    """
-    if not _same_grid(pulse_in, pulse_out):
-        raise ValueError("pulses must share the same time grid")
-    t = pulse_in.times
-    ii = np.abs(np.asarray(pulse_in.samples)) ** 2
-    io = np.abs(np.asarray(pulse_out.samples)) ** 2
-    return (_centroid(t, io) - _centroid(t, ii), _peak(t, io) - _peak(t, ii))
-
-
-def attenuation(pulse_in, pulse_out):
-    """Output/input energy ratio."""
-    ein = float(np.sum(np.abs(np.asarray(pulse_in.samples)) ** 2))
-    if ein == 0:
-        raise ValueError("input pulse has zero energy")
-    return float(np.sum(np.abs(np.asarray(pulse_out.samples)) ** 2)) / ein
-
-
 def run_pulse(pulse, medium):
-    """Propagate and summarize: delays, energy ratio, output pulse."""
-    out = propagate(pulse, medium)
-    centroid, peak = extract_delay(pulse, out)
-    return PropagationResult(centroid, peak, attenuation(pulse, out), out)
+    """Propagate through one medium t(omega): a one-member run_pulse_ensemble."""
+    tvals = np.asarray(medium(pulse.omega), dtype=complex)
+    return run_pulse_ensemble(pulse, [(np.ones(1), tvals[None])])
 
 
-def run_pulse_ensemble(pulse, media, weights):
-    """Incoherent ensemble propagation: weight-averaged output intensity.
+def run_pulse_ensemble(pulse, blocks):
+    """Incoherent ensemble propagation: delays and energy of the averaged intensity.
 
-    Each medium represents one member of an ensemble (for instance one
-    coupling class of the standing wave, one jitter offset); detected
-    intensity is the weighted sum of the member intensities.  Delays
-    and energy come from that averaged intensity; the returned output
-    pulse carries its square root as a magnitude envelope (member phase
-    information is deliberately dropped).
+    blocks yields (weights, t) pairs, t holding one row of transfer
+    values on pulse.omega per member, as vitlab.spatial.ensemble_transfer
+    does.  Detected intensity is the weighted sum of the member
+    intensities.  Delays are taken from its centroid (first moment) and
+    from its peak (quadratic interpolation around the maximum sample);
+    the two can legitimately disagree for distorted pulses.  The output
+    pulse is the member's field for a one-member ensemble, otherwise
+    the square root of the intensity (member phases are dropped).
     """
-    weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(media):
-        raise ValueError("one weight per medium required")
-    if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-12):
-        raise ValueError("weights must be nonnegative and sum to 1")
-
+    spectrum = np.fft.ifft(np.asarray(pulse.samples, dtype=complex))
     intensity = np.zeros(pulse.n)
-    for medium, w in zip(media, weights):
-        out = propagate(pulse, medium)
-        intensity += w * np.abs(np.asarray(out.samples)) ** 2
+    total, members = 0.0, 0
+    for weights, t in blocks:
+        weights = np.asarray(weights, dtype=float)
+        if np.shape(t) != (len(weights), pulse.n):
+            raise ValueError("each block needs one weight and one transfer row per member")
+        if np.any(weights < 0):
+            raise ValueError("weights must be nonnegative and sum to 1")
+        out = _apply(spectrum, t)
+        intensity += weights @ np.abs(out) ** 2
+        total += weights.sum()
+        members += len(weights)
+    if not np.isclose(total, 1.0, atol=1e-12):
+        raise ValueError("weights must be nonnegative and sum to 1")
 
     t = pulse.times
     iin = np.abs(np.asarray(pulse.samples)) ** 2
     centroid = _centroid(t, intensity) - _centroid(t, iin)
     peak = _peak(t, intensity) - _peak(t, iin)
     energy = float(intensity.sum() / iin.sum())
-    avg = SampledPulse(pulse.t0, pulse.dt, np.sqrt(intensity).astype(complex))
-    return PropagationResult(centroid, peak, energy, avg)
+    field = out[0] if members == 1 else np.sqrt(intensity).astype(complex)
+    return PropagationResult(centroid, peak, energy, SampledPulse(pulse.t0, pulse.dt, field))
 
 
 def write_trace_csv(path, pulse):
@@ -247,7 +219,7 @@ def read_trace_csv(path):
         header = next(reader, [])
         if header[:3] != ["time_us", "re", "im"]:
             raise ValueError(f"{path} is not a pulse trace file (bad header)")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader]
+        rows = read_rows(path, reader, len(header))
     if len(rows) < 2:
         raise ValueError(f"{path}: a trace needs at least two samples")
     t = np.array([r[0] for r in rows]) * 1e-6

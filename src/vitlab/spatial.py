@@ -14,8 +14,10 @@ Four effects are modeled, each switchable:
 
 Averaging and jitter together define the correction ensemble: one
 member per coupling class x jitter offset, each with a weight.
-Corrections.members enumerates it once; corrected_spectrum and
-pulse_media are its two consumers.
+Corrections.members enumerates it once, and ensemble_transfer turns
+the members into transfer amplitudes block by block; corrected_spectrum
+and the pulse ensemble (vitlab.pulses.run_pulse_ensemble) consume those
+blocks.
 
 Everything here is a pure function; quadrature node/weight choices are
 deterministic so results never depend on evaluation order.
@@ -29,40 +31,20 @@ from vitlab.core import Detunings, TWO_PI, susceptibility, transfer_amplitude
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
-# member x point elements evaluated at once by corrected_spectrum; larger
+# member x point elements evaluated at once by ensemble_transfer; larger
 # blocks buy no speed and raise the peak memory of a wide ensemble
 BLOCK_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class CouplingDistribution:
-    """Discrete distribution of cooperativities with normalized weights."""
-
-    etas: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        e = np.asarray(self.etas, dtype=float)
-        if e.shape != w.shape or e.ndim != 1 or len(e) == 0:
-            raise ValueError("etas and weights must be matching 1-d sequences")
-        if np.any(w < 0) or not np.isclose(w.sum(), 1.0, rtol=0, atol=1e-12):
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if np.any(e < 0):
-            raise ValueError("cooperativities must be nonnegative")
-
-
 def standing_wave_distribution(eta_max, nodes=64):
-    """Gauss-Legendre discretization of eta_max cos^2(kz) over a quarter period."""
+    """Gauss-Legendre (etas, weights) of eta_max cos^2(kz) over a quarter period."""
     if eta_max < 0:
         raise ValueError("eta_max must be nonnegative")
     if nodes < 1:
         raise ValueError("need at least one node")
     x, w = np.polynomial.legendre.leggauss(nodes)
     kz = (x + 1.0) * (np.pi / 4.0)
-    return CouplingDistribution(
-        etas=tuple(eta_max * np.cos(kz) ** 2), weights=tuple(w / w.sum())
-    )
+    return eta_max * np.cos(kz) ** 2, w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -142,8 +124,7 @@ class Corrections:
         sum to 1.
         """
         if self.averaging_nodes:
-            dist = standing_wave_distribution(eta_max, self.averaging_nodes)
-            etas, wz = np.asarray(dist.etas), np.asarray(dist.weights)
+            etas, wz = standing_wave_distribution(eta_max, self.averaging_nodes)
         else:
             etas, wz = np.array([float(eta_max)]), np.ones(1)
         offs, wj = jitter_quadrature(self.jitter_fwhm * SIGMA_PER_FWHM, self.jitter_nodes)
@@ -153,60 +134,53 @@ class Corrections:
 IDEAL = Corrections()
 
 
-def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0):
-    """Transmission and resonator-emission spectra with the full correction stack.
+def ensemble_transfer(cfg, eta_max, det, corrections=IDEAL):
+    """Transfer amplitudes of the ensemble members, in blocks.
 
-    Returns (transmission, emission), each the intensity-level average
-    of the ensemble members (Corrections.members), with the shape of
-    the broadcast detunings.  The emission channel multiplies the
-    absorbed fraction by the branching ratio of the main two-photon
-    channel, beta = eta/(eta + 1 + dc^2) with dc the member's
-    normalized cavity detuning (the closed form of the amplitude
-    equations in vitlab.oracle), and by emission_scale.  Members are
-    evaluated in blocks of about BLOCK_POINTS member x point elements.
+    Yields (weights, etas, det_m, t) per block of about BLOCK_POINTS
+    member x point elements (at least one member): the block's member
+    weights and cooperativities, its Detunings of shape (member, point)
+    (the broadcast detunings flattened, each row's cavity detuning
+    shifted by the member's jitter offset) and t = exp(i k L chi / 2)
+    of the same shape.  This is the only place Corrections.members is
+    turned into transfer amplitudes.
     """
-    if emission_scale <= 0:
-        raise ValueError("emission_scale must be positive")
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(det.delta_probe, dtype=float),
                                    np.asarray(det.delta_cavity, dtype=float))
-    shape = dp.shape
     dp, dcav = dp.ravel(), dcav.ravel()
-    trans = np.zeros(dp.size)
-    emis = np.zeros(dp.size)
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
     for lo in range(0, len(etas), step):
         block = slice(lo, lo + step)
         det_m = Detunings(dp, dcav + offsets[block, None])
         chi = composite_susceptibility(cfg, etas[block], det_m, corrections.side)
-        t2 = np.abs(transfer_amplitude(chi, cfg)) ** 2
-        eta = etas[block, None]
+        yield weights[block], etas[block], det_m, transfer_amplitude(chi, cfg)
+
+
+def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0):
+    """Transmission and resonator-emission spectra with the full correction stack.
+
+    Returns (transmission, emission), each the intensity-level average
+    of the ensemble members (ensemble_transfer), with the shape of the
+    broadcast detunings.  The emission channel multiplies the absorbed
+    fraction by the branching ratio of the main two-photon channel,
+    beta = eta/(eta + 1 + dc^2) with dc the member's normalized cavity
+    detuning (the closed form of the amplitude equations in
+    vitlab.oracle), and by emission_scale.
+    """
+    if not 0 < emission_scale < np.inf:
+        raise ValueError("emission_scale must be positive and finite")
+    shape = np.broadcast_shapes(np.shape(det.delta_probe), np.shape(det.delta_cavity))
+    trans = emis = 0.0
+    for weights, etas, det_m, t in ensemble_transfer(cfg, eta_max, det, corrections):
+        t2 = np.abs(t) ** 2
+        eta = etas[:, None]
         dc = det_m.normalized(cfg)[1]
-        trans += weights[block] @ t2
-        emis += weights[block] @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
+        trans = trans + weights @ t2
+        emis = emis + weights @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
     return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
 
 
 def corrected_transmission(cfg, eta_max, det, corrections=IDEAL):
     """Transmission channel of corrected_spectrum alone."""
     return corrected_spectrum(cfg, eta_max, det, corrections)[0]
-
-
-def pulse_media(cfg, eta_max, carrier, corrections):
-    """Transfer functions of the ensemble members for pulse propagation.
-
-    Returns (media, weights) for vitlab.pulses.run_pulse_ensemble: one
-    medium t(omega) per member of Corrections.members, with omega the
-    offset from the carrier detuning and the resonator at zero detuning
-    (plus the member's jitter offset).
-    """
-    etas, offsets, weights = corrections.members(eta_max)
-
-    def medium(eta, offset):
-        def t(w):
-            det = Detunings(carrier + w, offset)
-            return transfer_amplitude(
-                composite_susceptibility(cfg, eta, det, corrections.side), cfg)
-        return t
-
-    return [medium(eta, off) for eta, off in zip(etas, offsets)], weights

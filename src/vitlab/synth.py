@@ -23,9 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vitlab.config import MHZ
+from vitlab.config import MHZ, US, read_rows
 from vitlab.core import Detunings, resonant_transmission
 from vitlab.spatial import IDEAL, corrected_spectrum
+
+
+# largest expected count per point drawn; numpy's Poisson sampler stops near 9e18
+MAX_EXPECTED_COUNTS = 1e15
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,10 @@ class ScanPlan:
     def __post_init__(self):
         if len(self.delta_cavity_list) == 0 or len(self.probe_grid) == 0:
             raise ValueError("plan needs at least one detuning on each axis")
-        if self.dwell <= 0:
-            raise ValueError("dwell must be positive")
-        if self.photon_flux < 0:
-            raise ValueError("photon flux must be nonnegative")
+        if not 0 < self.dwell < np.inf:
+            raise ValueError("dwell must be positive and finite")
+        if not 0 <= self.photon_flux < np.inf:
+            raise ValueError("photon flux must be nonnegative and finite")
         for eff in (self.efficiency_d1, self.efficiency_d2):
             if not 0.0 <= eff <= 1.0:
                 raise ValueError("efficiencies must lie in [0, 1]")
@@ -101,6 +105,9 @@ def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
         trans, emis = corrected_spectrum(cfg, eta, det, corrections, emission_scale)
         e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
         e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * emis
+        if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
+            raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
+                             "lower the photon flux, dwell or emission scale")
         records = []
         for j in range(len(grid)):
             rng = _point_rng(plan.rng_seed, i, j)
@@ -178,7 +185,6 @@ def write_scan_csv(path, scans):
 def read_scan_csv(path):
     """Read a scan CSV back into (delta_cavity, [CountRecord ...]) groups."""
     groups = {}
-    order = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -186,23 +192,11 @@ def read_scan_csv(path):
                     "expected_d1", "expected_d2"]
         if header[: len(expected)] != expected:
             raise ValueError(f"{path} is not a scan file (bad header)")
-        for row in reader:
-            dcav = float(row[1]) * MHZ
-            rec = CountRecord(
-                delta_probe=float(row[0]) * MHZ,
-                counts_d1=int(row[2]),
-                counts_d2=int(row[3]),
-                expected_d1=float(row[4]),
-                expected_d2=float(row[5]),
-            )
-            key = row[1]
-            if key not in groups:
-                groups[key] = (dcav, [])
-                order.append(key)
-            groups[key][1].append(rec)
-    if not order:
-        raise ValueError(f"{path} has no data rows")
-    return [groups[k] for k in order]
+        rows = read_rows(path, reader, len(header), ((2, int), (3, int)))
+    for dp, dcav, c1, c2, e1, e2, *_ in rows:
+        rec = CountRecord(dp * MHZ, c1, c2, e1, e2)
+        groups.setdefault(dcav, (dcav * MHZ, []))[1].append(rec)
+    return list(groups.values())
 
 
 def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1.0):
@@ -242,3 +236,24 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return meta
+
+
+def read_scan_sidecar(path):
+    """The ScanPlan recorded in a sidecar written by write_scan_sidecar."""
+    with open(path) as fh:
+        meta = json.load(fh)
+    try:
+        plan = meta["plan"]
+        return ScanPlan(
+            delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
+            probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
+            photon_flux=plan["photon_flux_per_s"],
+            dwell=plan["dwell_us"] * US,
+            efficiency_d1=plan["efficiency_d1"],
+            efficiency_d2=plan["efficiency_d2"],
+            rng_seed=plan["rng_seed"],
+        )
+    except KeyError as err:
+        raise ValueError(f"{path}: sidecar lacks key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed sidecar ({err})") from None

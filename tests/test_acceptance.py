@@ -36,7 +36,7 @@ from vitlab.spatial import (
     Corrections,
     corrected_transmission,
     effective_cooperativity,
-    pulse_media,
+    ensemble_transfer,
 )
 from vitlab.synth import ScanPlan, Spectrum, generate_scan, spectrum_from_records
 
@@ -139,7 +139,8 @@ def test_criterion_06_pulse_delays(report, cfg, conf):
     delays = {}
     for label, jitter in (("static", False), ("jitter", True)):
         corr = corrections_from(conf, average=True, side=True, jitter=jitter)
-        r = run_pulse_ensemble(short, *pulse_media(meas, 5.0, 0.0, corr))
+        blocks = ensemble_transfer(meas, 5.0, Detunings(short.omega, 0.0), corr)
+        r = run_pulse_ensemble(short, ((w, t) for w, _, _, t in blocks))
         delays[label] = (r.delay_centroid / 1e-9, r.delay_peak / 1e-9)
 
     vals = [v for pair in delays.values() for v in pair]

@@ -191,6 +191,59 @@ def test_empty_input_returns_2(tmp_path, capsys, model, text):
     assert "data.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
+@pytest.mark.parametrize("text", (
+    "delta_probe_MHz,transmission,cavity_emission\n0.1,abc,0.2\n",
+    "delta_probe_MHz,transmission,cavity_emission\n0.1,0.5\n",
+    "delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,expected_d1,expected_d2\n"
+    "0.1,0.0,5\n",
+))
+def test_bad_row_returns_2(tmp_path, capsys, model, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    assert main(["fit", "--model", model, "--input", str(data)]) == 2
+    assert "data.csv, line 2" in capsys.readouterr().err
+
+
+def test_sidecar_missing_key_returns_2(tmp_path, capsys):
+    prefix = tmp_path / "scan"
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11",
+                 "--seed", "5", "--out", str(prefix)]) == 0
+    sidecar = tmp_path / "scan.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["plan"]
+    sidecar.write_text(json.dumps(doc))
+    assert main(["fit", "--model", "vit", "--input", str(prefix) + ".csv"]) == 2
+    err = capsys.readouterr().err
+    assert "scan.json" in err and "'plan'" in err
+
+
+@pytest.mark.parametrize("argv, flag", (
+    (["synth", "--delta-cavity-mhz", "0", "--dwell-us", "nan"], "--dwell-us"),
+    (["synth", "--delta-cavity-mhz", "0", "--flux", "inf"], "--flux"),
+    (["synth", "--delta-cavity-mhz", "0", "--eff1", "1.5"], "--eff1"),
+    (["spectrum", "--emission-scale", "inf"], "--emission-scale"),
+    (["spectrum", "--scan-from", "-inf"], "--scan-from"),
+    (["pulse", "--tp-us", "0"], "--tp-us"),
+    (["pulse", "--tp-us", "1.73", "--eta", "nan"], "--eta"),
+))
+def test_non_finite_flag_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_synth_flux_beyond_counts_returns_2(tmp_path, capsys):
+    prefix = tmp_path / "scan"
+    assert main(["synth", "--delta-cavity-mhz", "0", "--flux", "1e30",
+                 "--out", str(prefix)]) == 2
+    assert "flux" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_input_returns_2(capsys):
     assert main(["fit", "--model", "vit", "--input", "/nonexistent.csv"]) == 2
     capsys.readouterr()

@@ -24,16 +24,14 @@ from vitlab.spatial import (
     corrected_spectrum,
     corrected_transmission,
     effective_cooperativity,
+    ensemble_transfer,
     jitter_quadrature,
-    pulse_media,
     standing_wave_distribution,
 )
 
 
 def test_standing_wave_distribution_moments():
-    d = standing_wave_distribution(4.0, nodes=64)
-    w = np.asarray(d.weights)
-    e = np.asarray(d.etas)
+    e, w = standing_wave_distribution(4.0, nodes=64)
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
     assert np.all(e >= 0) and np.all(e <= 4.0)
     # mean of cos^2 over a quarter period is 1/2
@@ -43,12 +41,10 @@ def test_standing_wave_distribution_moments():
 
 
 def test_distribution_validation():
-    from vitlab.spatial import CouplingDistribution
-
     with pytest.raises(ValueError):
-        CouplingDistribution(etas=(1.0, 2.0), weights=(0.6,))
+        standing_wave_distribution(-1.0)
     with pytest.raises(ValueError):
-        CouplingDistribution(etas=(1.0,), weights=(0.5,))
+        standing_wave_distribution(4.0, nodes=0)
 
 
 def test_averaging_lowers_transparency(cfg):
@@ -117,12 +113,12 @@ def test_corrections_factory_roundtrip():
     etas, offs, w = c.members(5.0)
     assert len(etas) == len(offs) == len(w) == 32 * c.jitter_nodes
     # classes major, jitter offsets minor, weights the outer product
-    dist = standing_wave_distribution(5.0, 32)
+    cetas, cwts = standing_wave_distribution(5.0, 32)
     joffs, jwts = jitter_quadrature(0.2 * MHZ * SIGMA_PER_FWHM, c.jitter_nodes)
-    assert np.array_equal(etas.reshape(32, -1)[:, 0], dist.etas)
+    assert np.array_equal(etas.reshape(32, -1)[:, 0], cetas)
     assert np.all(etas.reshape(32, -1) == etas.reshape(32, -1)[:, :1])
     assert np.array_equal(offs.reshape(32, -1), np.tile(joffs, (32, 1)))
-    assert np.array_equal(w.reshape(32, -1), np.outer(dist.weights, jwts))
+    assert np.array_equal(w.reshape(32, -1), np.outer(cwts, jwts))
     assert np.isclose(w.sum(), 1.0, atol=1e-12)
     assert np.isclose(np.sqrt(np.sum(w * offs**2)), 0.2 * MHZ * SIGMA_PER_FWHM,
                       rtol=1e-10)
@@ -210,18 +206,23 @@ def test_corrected_spectrum_matches_oracle_loop(cfg, conf, average, side, jitter
             assert np.max(np.abs(emis - ref_e)) < 1e-12
 
 
-def test_pulse_media_match_corrected_spectrum(cfg, conf):
-    # the pulse path and the spectrum path average the same ensemble
+def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
+    # the (weights, t) blocks the pulse ensemble consumes, four members of
+    # 1024 frequencies each, average to the spectrum path's transmission
+    # taken one frequency at a time (all 32 members in one block)
     corr = corrections(conf, average=True, side=True, jitter=True,
                        averaging_nodes=8, jitter_nodes=4)
     carrier = 0.4 * MHZ
-    w = np.linspace(-3, 3, 61) * MHZ
+    omega = 2 * np.pi * np.fft.fftfreq(1024, 4e-9)
+    det = Detunings(carrier + omega, 0.0)
     for eta in ETAS:
-        media, weights = pulse_media(cfg, eta, carrier, corr)
-        assert len(media) == len(weights) == 32
-        summed = sum(wt * np.abs(m(w)) ** 2 for m, wt in zip(media, weights))
-        want = corrected_transmission(cfg, eta, Detunings(carrier + w, 0.0), corr)
-        assert np.max(np.abs(summed - want)) < 1e-14
+        blocks = [(w, t) for w, _, _, t in ensemble_transfer(cfg, eta, det, corr)]
+        assert [len(w) for w, _ in blocks] == [4] * 8
+        assert all(t.shape == (4, 1024) for _, t in blocks)
+        summed = sum(w @ np.abs(t) ** 2 for w, t in blocks)
+        want = [corrected_transmission(cfg, eta, Detunings(carrier + w, 0.0), corr)
+                for w in omega[::16]]
+        assert np.max(np.abs(summed[::16] - want)) < 1e-14
 
 
 def test_quadrature_convergence_fig2_panels(cfg, conf):

@@ -14,6 +14,7 @@ from vitlab.synth import (
     absorbed_photon_budget,
     generate_scan,
     read_scan_csv,
+    read_scan_sidecar,
     spectrum_from_records,
     write_scan_csv,
     write_scan_sidecar,
@@ -35,6 +36,18 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ScanPlan(delta_cavity_list=(0.0,), probe_grid=GRID, photon_flux=1e6,
                  dwell=1e-3, efficiency_d1=1.5)
+    for flux, dwell in ((np.inf, 1e-3), (np.nan, 1e-3), (1e6, np.nan), (1e6, np.inf)):
+        with pytest.raises(ValueError):
+            ScanPlan(delta_cavity_list=(0.0,), probe_grid=GRID, photon_flux=flux,
+                     dwell=dwell)
+
+
+def test_counts_beyond_poisson_range_rejected(cfg):
+    # finite but absurd: 1e27 expected photons per point
+    with pytest.raises(ValueError, match="flux"):
+        generate_scan(cfg, 3.4, _plan(flux=1e30))
+    with pytest.raises(ValueError, match="emission scale"):
+        generate_scan(cfg, 3.4, _plan(), emission_scale=1e30)
 
 
 def test_determinism(cfg):
@@ -170,3 +183,40 @@ def test_scan_reader_rejects_garbage(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match="bad.csv"):
             read_scan_csv(bad)
+    # a short row, a non-numeric cell, a fractional count, a NaN: the
+    # error names the file and the line
+    good = "0.0,0.0,5,1,5.0,1.0\n"
+    for row in ("0.1,0.0,5", "abc,0.0,5,1,5.0,1.0", "0.1,0.0,5.5,1,5.0,1.0",
+                "0.1,0.0,5,1,nan,1.0"):
+        bad.write_text(header + good + row + "\n")
+        with pytest.raises(ValueError, match="bad.csv, line 3"):
+            read_scan_csv(bad)
+
+
+def test_sidecar_round_trip(tmp_path, cfg):
+    plan = ScanPlan(delta_cavity_list=(0.0, 0.5 * MHZ, -2.2 * MHZ), probe_grid=GRID,
+                    photon_flux=2.5e6, dwell=20e-3, efficiency_d1=0.9,
+                    efficiency_d2=0.35, rng_seed=7)
+    path = tmp_path / "scan.json"
+    write_scan_sidecar(path, plan, cfg, 3.4)
+    back = read_scan_sidecar(path)
+    # the sidecar holds MHz and us, so the rad/s and s values come back
+    # through one unit conversion each way
+    for name in ("delta_cavity_list", "probe_grid", "photon_flux", "dwell",
+                 "efficiency_d1", "efficiency_d2"):
+        np.testing.assert_allclose(getattr(back, name), getattr(plan, name),
+                                   rtol=1e-15, atol=1e-9)
+    assert back.rng_seed == plan.rng_seed
+    assert len(back.probe_grid) == len(plan.probe_grid)
+
+    doc = json.loads(path.read_text())
+    del doc["plan"]["dwell_us"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="scan.json.*'dwell_us'"):
+        read_scan_sidecar(path)
+    doc["plan"]["dwell_us"] = -1.0
+    for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}',
+                 json.dumps(doc)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="scan.json"):
+            read_scan_sidecar(path)
