@@ -11,6 +11,7 @@ import numpy as np
 
 from vitlab.config import MHZ, load_config, physical_config
 from vitlab.fitting import fit_vit_spectra, format_value_error
+from vitlab.recipes import RESONATOR_DETUNINGS_MHZ
 from vitlab.synth import ScanPlan, generate_scan, spectrum_from_records
 
 parser = argparse.ArgumentParser(description=__doc__)
@@ -23,7 +24,7 @@ cfg = physical_config(conf)
 eta_true = 5.0
 
 plan = ScanPlan(
-    delta_cavity_list=tuple(np.array([0.5, -2.2, 2.8]) * MHZ),
+    delta_cavity_list=tuple(np.array(RESONATOR_DETUNINGS_MHZ) * MHZ),
     probe_grid=tuple(np.linspace(-4.0, 4.0, 81) * MHZ),
     photon_flux=1e6,
     dwell=args.dwell_ms * 1e-3,

@@ -8,17 +8,10 @@ eta_eff = slope * (n_c + intercept/slope). For the full-size version see
 
 import argparse
 
-import numpy as np
-
-from vitlab.config import MHZ, load_config, physical_config
-from vitlab.fitting import (
-    fit_linear_weighted,
-    fit_vit_spectra,
-    format_value_error,
-    ratio_with_error,
-)
-from vitlab.spatial import Corrections, effective_cooperativity
-from vitlab.synth import ScanPlan, generate_scan, spectrum_from_records
+from vitlab.config import corrections, load_config, physical_config
+from vitlab.fitting import format_value_error
+from vitlab.recipes import calibration_line, photon_number_scan
+from vitlab.spatial import effective_cooperativity
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--seed", type=int, default=42)
@@ -26,31 +19,16 @@ args = parser.parse_args()
 
 conf = load_config()
 cfg = physical_config(conf)
-corr = Corrections(averaging_nodes=64)
+rows = photon_number_scan(cfg, 3.4, range(4, 23, 3), corrections(conf, average=True),
+                          args.seed)
 
 print(" n_c   truth   fitted eta_eff")
-rows = []
-for i, n_c in enumerate(range(4, 23, 3)):
-    truth = effective_cooperativity(3.4, n_c)
-    plan = ScanPlan(
-        delta_cavity_list=(0.0,),
-        probe_grid=tuple(np.linspace(-4.0, 4.0, 81) * MHZ),
-        photon_flux=2e6,
-        dwell=20e-3,
-        rng_seed=args.seed + i,
-    )
-    scans = generate_scan(cfg, truth, plan, corr)
-    datasets = [(d, spectrum_from_records(recs, plan)) for d, recs in scans]
-    fit = fit_vit_spectra(datasets, cfg, corrections=corr)
-    rows.append((n_c, fit.value("eta_eff"), fit.error("eta_eff")))
-    print(f"{n_c:4d}  {truth:6.1f}   "
-          f"{format_value_error(fit.value('eta_eff'), fit.error('eta_eff'))}")
+for n_c, eta, err in rows:
+    print(f"{n_c:4d}  {effective_cooperativity(3.4, n_c):6.1f}   "
+          f"{format_value_error(eta, err)}")
 
-line = fit_linear_weighted([r[0] for r in rows], [r[1] for r in rows],
-                           [r[2] for r in rows])
-ratio, ratio_err = ratio_with_error(line.intercept, line.intercept_err,
-                                    line.slope, line.slope_err,
-                                    line.cov_slope_intercept)
+line = calibration_line(rows)
+ratio, ratio_err = line.ratio
 print()
 print(f"slope          {format_value_error(line.slope, line.slope_err)}  (truth 3.4)")
 print(f"intercept      {format_value_error(line.intercept, line.intercept_err)}  (truth 3.4)")

@@ -8,20 +8,14 @@ window. The velocity uses the double-pass path through the column.
 
 from dataclasses import replace
 
-from vitlab.config import load_config, physical_config, corrections
-from vitlab.core import (
-    Detunings,
-    group_delay_analytic,
-    group_velocity,
-    susceptibility,
-    transfer_amplitude,
-)
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble
-from vitlab.spatial import ensemble_transfer
+from vitlab import recipes
+from vitlab.config import load_config, physical_config
+from vitlab.core import Detunings, group_delay_analytic, susceptibility, transfer_amplitude
+from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse
 
 conf = load_config()
-cfg = replace(physical_config(conf), od=0.5)
-eta = 5.0
+cfg = replace(physical_config(conf), od=recipes.MEASURED_OD)
+eta = recipes.ETA_EFF_0
 
 tau = group_delay_analytic(cfg.od, cfg.kappa, eta)
 print(f"narrowband prediction tau = {tau / 1e-9:.1f} ns")
@@ -38,15 +32,10 @@ for tp_us in (20.0, 80.0):
           f"energy transmission {res.energy_transmission:.4f}")
 
 print()
-print("measured regime: T_P = 1.73 us with the full correction stack")
-corr = corrections(conf, average=True, side=True, jitter=True)
-pulse = make_gaussian_pulse(PulseSpec(duration=1.73e-6))
-# one transfer row per ensemble member on the pulse's frequency grid,
-# the resonator at zero detuning
-blocks = ensemble_transfer(cfg, eta, Detunings(pulse.omega, 0.0), corr)
-res = run_pulse_ensemble(pulse, ((w, t) for w, _, _, t in blocks))
-path = 2.0 * conf["length_um"] * 1e-6
-print(f"centroid delay {res.delay_centroid / 1e-9:.1f} ns, "
-      f"peak delay {res.delay_peak / 1e-9:.1f} ns")
-print(f"peak-delay group velocity over the {path / 1e-6:.0f} um double pass: "
-      f"{group_velocity(res.delay_peak, path):.0f} m/s")
+print(f"measured regime: T_P = {recipes.PULSE_FWHM_US} us with the full correction stack")
+_, _, summary, params = recipes.fig3(conf, cfg)
+jittered = summary["with_jitter"]
+print(f"centroid delay {jittered['delay_centroid_ns']:.1f} ns, "
+      f"peak delay {jittered['delay_peak_ns']:.1f} ns")
+print(f"peak-delay group velocity over the {params['path_um']:.0f} um double pass: "
+      f"{jittered['velocity_peak_m_per_s']:.0f} m/s")

@@ -9,26 +9,23 @@ import numpy as np
 
 from vitlab.config import MHZ, corrections, load_config, physical_config
 from vitlab.core import Detunings, transmission
+from vitlab.recipes import ETA_EFF_0, transparency_curve
 from vitlab.spatial import corrected_transmission, effective_cooperativity
 
 conf = load_config()
 cfg = physical_config(conf)
-corr = corrections(conf, average=True, side=True, jitter=True)
 
-t_bare = np.exp(-cfg.od)
-print(f"bare two-level transmission exp(-OD) = {t_bare:.4f}")
+print(f"bare two-level transmission exp(-OD) = {np.exp(-cfg.od):.4f}")
 print()
 print(" n_c   eta_eff   T(0,0)   contrast")
-for n_c in range(0, 11, 2):
-    eta = effective_cooperativity(5.0, n_c)
-    t0 = corrected_transmission(cfg, eta, Detunings(0.0, 0.0), corr)
-    theta = (t0 - t_bare) / (1.0 - t_bare)
+for n_c, eta, t0, theta in transparency_curve(conf, cfg, range(0, 11, 2)):
     print(f"{n_c:4d}  {eta:8.1f}  {t0:.4f}     {theta:.3f}")
 
 print()
 print("window profile at n_c = 4 (uncorrected single atom for comparison):")
+corr = corrections(conf, average=True, side=True, jitter=True)
 grid = np.linspace(-4.0, 4.0, 17) * MHZ
-eta = effective_cooperativity(5.0, 4)
+eta = effective_cooperativity(ETA_EFF_0, 4)
 print(" delta/2pi (MHz)   corrected   ideal")
 for d in grid:
     tc = corrected_transmission(cfg, eta, Detunings(d, 0.0), corr)

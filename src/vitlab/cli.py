@@ -19,28 +19,13 @@ from dataclasses import replace
 import numpy as np
 
 from vitlab import config as cfgmod
-from vitlab.config import MHZ, NS, US
-from vitlab.core import (
-    Detunings,
-    cooperativity_geometric,
-    group_delay_analytic,
-    group_velocity,
-    resonant_transmission,
-)
+from vitlab import recipes
+from vitlab.config import MHZ, NS, US, write_csv, write_json
+from vitlab.core import Detunings, group_delay_analytic, resonant_transmission
 from vitlab.errors import ConvergenceError
-from vitlab.fitting import (
-    VIT_PARAMS,
-    extract_transparency,
-    fit_linear_weighted,
-    fit_lorentzian,
-    fit_vit_spectra,
-    format_value_error,
-    ratio_with_error,
-    write_fit_json,
-)
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse_ensemble, write_trace_csv
-from vitlab.spatial import (corrected_spectrum, corrected_transmission,
-                            effective_cooperativity, ensemble_transfer)
+from vitlab.fitting import VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra
+from vitlab.pulses import PulseSpec, make_gaussian_pulse, write_trace_csv
+from vitlab.spatial import corrected_spectrum
 from vitlab.synth import (
     ScanPlan,
     generate_scan,
@@ -69,10 +54,11 @@ NONNEGATIVE = _number("a nonnegative finite number", lambda v: v >= 0)
 FRACTION = _number("a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def _add_common(p):
+def _add_common(p, eta=True):
     p.add_argument("--config", help="path to a JSON config document")
-    p.add_argument("--eta", type=NONNEGATIVE, default=None,
-                   help="antinode cooperativity; default f_eg * eta0 from the config")
+    if eta:
+        p.add_argument("--eta", type=NONNEGATIVE, default=None,
+                       help="antinode cooperativity; default f_eg * eta0 from the config")
     p.add_argument("--average", action="store_true",
                    help="average over the standing-wave coupling")
     p.add_argument("--side", action="store_true",
@@ -86,7 +72,7 @@ def _setup(args):
     cfg = cfgmod.physical_config(conf)
     eta = args.eta
     if eta is None:
-        eta = conf["f_eg"] * cooperativity_geometric(cfgmod.cavity_geometry(conf))
+        eta = cfgmod.model_cooperativity(conf)
     corr = cfgmod.corrections(
         conf, average=args.average, side=args.side, jitter=args.jitter
     )
@@ -101,15 +87,9 @@ def _probe_grid(args):
     return np.linspace(args.scan_from * MHZ, args.scan_to * MHZ, args.points)
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
-def _write_spectrum_csv(fh, grid, trans, emis):
-    writer = csv.writer(fh)
-    writer.writerow(["delta_probe_MHz", "transmission", "cavity_emission"])
-    for d, t, e in zip(grid, trans, emis):
-        writer.writerow([repr(float(d) / MHZ), repr(float(t)), repr(float(e))])
+def _write_spectrum_csv(path, grid, trans, emis):
+    write_csv(path, ["delta_probe_MHz", "transmission", "cavity_emission"],
+              ((float(d) / MHZ, float(t), float(e)) for d, t, e in zip(grid, trans, emis)))
 
 
 def cmd_spectrum(args):
@@ -117,20 +97,8 @@ def cmd_spectrum(args):
     grid = _probe_grid(args)
     det = Detunings(grid, args.delta_cavity_mhz * MHZ)
     trans, emis = corrected_spectrum(cfg, eta, det, corr, args.emission_scale)
-    fh = _open_out(args.out)
-    try:
-        _write_spectrum_csv(fh, grid, trans, emis)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_spectrum_csv(args.out, grid, trans, emis)
     return 0
-
-
-def _run_ensemble(cfg, eta, carrier, corr, pulse):
-    """The correction ensemble's pulse result, the resonator at zero detuning."""
-    det = Detunings(carrier + pulse.omega, 0.0)
-    blocks = ensemble_transfer(cfg, eta, det, corr)
-    return run_pulse_ensemble(pulse, ((w, t) for w, _, _, t in blocks))
 
 
 def cmd_pulse(args):
@@ -140,23 +108,14 @@ def cmd_pulse(args):
     spec = PulseSpec(duration=args.tp_us * US, carrier_detuning=args.carrier_mhz * MHZ)
     pulse = make_gaussian_pulse(spec, n_samples=args.samples,
                                 span=args.span_factor * spec.duration)
-    result = _run_ensemble(cfg, eta, spec.carrier_detuning, corr, pulse)
-    doc = {
-        "delay_centroid_ns": result.delay_centroid / NS,
-        "delay_peak_ns": result.delay_peak / NS,
-        "energy_transmission": result.energy_transmission,
-        "tau_max_analytic_ns": group_delay_analytic(cfg.od, cfg.kappa, eta) / NS,
-        "resonant_transmission_analytic": resonant_transmission(cfg.od, eta),
-    }
+    result = recipes.pulse_ensemble(cfg, eta, pulse, corr, spec.carrier_detuning)
+    doc = dict(recipes.delays(result),
+               tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / NS,
+               resonant_transmission_analytic=resonant_transmission(cfg.od, eta))
     if args.trace:
         write_trace_csv(args.trace, result.output)
         doc["trace"] = args.trace
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_json(args.out, doc)
     return 0
 
 
@@ -176,14 +135,6 @@ def cmd_synth(args):
     write_scan_csv(args.out + ".csv", scans)
     write_scan_sidecar(args.out + ".json", plan, cfg, eta, corr, args.emission_scale)
     return 0
-
-
-def _scan_to_datasets(path, sidecar_path):
-    scans = read_scan_csv(path)
-    if sidecar_path is None:
-        sidecar_path = os.path.splitext(path)[0] + ".json"
-    plan = read_scan_sidecar(sidecar_path)
-    return [(dcav, spectrum_from_records(records, plan)) for dcav, records in scans]
 
 
 def _read_csv(path):
@@ -207,9 +158,13 @@ def _read_datasets(path, sidecar_path, delta_cavity):
     """[(delta_cavity, Spectrum)] from a scan CSV (with sidecar) or a spectrum CSV."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
-    if header[1:2] == ["delta_cavity_MHz"]:
-        return _scan_to_datasets(path, sidecar_path)
-    return [(delta_cavity, _read_plain_spectrum(path))]
+    if header[1:2] != ["delta_cavity_MHz"]:
+        return [(delta_cavity, _read_plain_spectrum(path))]
+    scans = read_scan_csv(path)
+    if sidecar_path is None:
+        sidecar_path = os.path.splitext(path)[0] + ".json"
+    plan = read_scan_sidecar(sidecar_path)
+    return [(dcav, spectrum_from_records(records, plan)) for dcav, records in scans]
 
 
 def cmd_fit(args):
@@ -227,197 +182,51 @@ def cmd_fit(args):
         if rows.shape[1] < 3:
             raise ValueError("--model linear needs columns x, y, sigma")
         fit = fit_linear_weighted(rows[:, 0], rows[:, 1], rows[:, 2])
-        ratio, ratio_err = ratio_with_error(
-            fit.intercept, fit.intercept_err, fit.slope, fit.slope_err,
-            fit.cov_slope_intercept,
-        )
-        doc = {
-            "slope": {"value": fit.slope, "error": fit.slope_err},
-            "intercept": {"value": fit.intercept, "error": fit.intercept_err},
-            "chi2": fit.chi2,
-            "ratio_intercept_slope": {
-                "value": ratio, "error": ratio_err,
-                "formatted": format_value_error(ratio, ratio_err),
-            },
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        write_json(args.out, fit.to_json_dict())
         return 0
 
     dcav = args.delta_cavity_mhz * MHZ
-    if args.model == "lorentzian":
-        if len(args.input) > 1:
-            raise ValueError("--model lorentzian fits one line: give a single --input")
-        spec = _read_datasets(args.input[0], args.sidecar, dcav)[0][1]
-        fit = fit_lorentzian(spec, on=args.on)
-    else:
-        datasets = [d for path in args.input
-                    for d in _read_datasets(path, args.sidecar, dcav)]
-        free = tuple(args.free.split(","))
-        fit = fit_vit_spectra(datasets, cfg, free=free, corrections=corr)
-
-    if args.out:
-        write_fit_json(args.out, fit)
-    else:
-        print(json.dumps(fit.to_json_dict(), indent=2, sort_keys=True))
-    return 0 if fit.converged else 3
-
-
-def _manifest(out_dir, figure, files, parameters):
-    doc = {"figure": figure, "files": sorted(files), "parameters": parameters}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _reproduce_fig2(args, conf, cfg):
-    out_dir = args.out_dir
-    eta = conf["f_eg"] * cooperativity_geometric(cfgmod.cavity_geometry(conf))
-    corr = cfgmod.corrections(conf, average=True, side=True, jitter=True)
-    grid = np.linspace(-8.0 * MHZ, 8.0 * MHZ, 321)
-    panels = {
-        "fig2A.csv": 1000.0 * cfg.gamma,   # resonator parked far away: bare line
-        "fig2B.csv": 0.5 * MHZ,
-        "fig2C.csv": -2.2 * MHZ,
-        "fig2D.csv": 2.8 * MHZ,
-    }
-    files = []
-    for name, dcav in panels.items():
-        det = Detunings(grid, dcav)
-        trans, emis = corrected_spectrum(cfg, eta, det, corr)
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            _write_spectrum_csv(fh, grid, trans, emis)
-        files.append(name)
-    params = {"eta": eta, "od": cfg.od,
-              "delta_cavity_MHz": {k: v / MHZ for k, v in panels.items()},
-              "corrections": "average+side+jitter"}
-    return files, params
-
-
-def _reproduce_fig3(args, conf, cfg):
-    out_dir = args.out_dir
-    cfg = replace(cfg, od=0.5)          # double-pass optical depth
-    eta_eff_0 = 5.0                     # antinode value from the scan fits
-    spec = PulseSpec(duration=1.73 * US)
-    pulse = make_gaussian_pulse(spec)
-    write_trace_csv(os.path.join(out_dir, "fig3_input.csv"), pulse)
-
-    results = {}
-    for label, jitter in (("no_jitter", False), ("with_jitter", True)):
-        corr = cfgmod.corrections(conf, average=True, side=True, jitter=jitter)
-        res = _run_ensemble(cfg, eta_eff_0, 0.0, corr, pulse)
-        results[label] = res
-        write_trace_csv(os.path.join(out_dir, f"fig3_output_{label}.csv"), res.output)
-
-    path = 2.0 * cfg.length
-    doc = {
-        label: {
-            "delay_centroid_ns": r.delay_centroid / NS,
-            "delay_peak_ns": r.delay_peak / NS,
-            "energy_transmission": r.energy_transmission,
-            "velocity_centroid_m_per_s": group_velocity(r.delay_centroid, path),
-            "velocity_peak_m_per_s": group_velocity(r.delay_peak, path),
-        }
-        for label, r in results.items()
-    }
-    doc["tau_max_analytic_ns"] = group_delay_analytic(cfg.od, cfg.kappa, eta_eff_0) / NS
-    with open(os.path.join(out_dir, "fig3_delays.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files = ["fig3_input.csv", "fig3_output_no_jitter.csv",
-             "fig3_output_with_jitter.csv", "fig3_delays.json"]
-    params = {"od": 0.5, "eta_eff_0": eta_eff_0, "T_P_us": 1.73,
-              "path_um": 2.0 * cfg.length / 1e-6}
-    return files, params
-
-
-def _reproduce_fig4(args, conf, cfg):
-    out_dir = args.out_dir
-    eta_model = conf["f_eg"] * cooperativity_geometric(cfgmod.cavity_geometry(conf))
-    corr = cfgmod.corrections(conf, average=True)
-    grid = np.linspace(-4.0 * MHZ, 4.0 * MHZ, 81)
-    n_c_values = list(range(2, 23, 2))
-
-    rows = []
-    for i, n_c in enumerate(n_c_values):
-        eta_eff = effective_cooperativity(eta_model, n_c)
-        # high-eta spectra are shallow; generous dwell keeps every fit tame
-        plan = ScanPlan(
-            delta_cavity_list=(0.0,), probe_grid=tuple(grid),
-            photon_flux=2.0e6, dwell=20e-3,
-            rng_seed=args.seed + i,
-        )
-        scans = generate_scan(cfg, eta_eff, plan, corr)
-        datasets = [(d, spectrum_from_records(r, plan)) for d, r in scans]
-        fit = fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
+    datasets = [d for path in args.input for d in _read_datasets(path, args.sidecar, dcav)]
+    if args.model == "vit":
+        fit = fit_vit_spectra(datasets, cfg, free=tuple(args.free.split(",")),
                               corrections=corr)
-        rows.append((n_c, fit.value("eta_eff"), fit.error("eta_eff")))
+    elif len(datasets) > 1:
+        raise ValueError(f"--model lorentzian fits one line: --input {' '.join(args.input)} "
+                         f"holds {len(datasets)} spectra, one per file and resonator detuning")
+    else:
+        fit = fit_lorentzian(datasets[0][1], on=args.on)
 
-    with open(os.path.join(out_dir, "fig4_eta_eff.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_c", "eta_eff", "eta_eff_err"])
-        for row in rows:
-            writer.writerow([row[0], repr(row[1]), repr(row[2])])
-
-    kept = [r for r in rows if r[0] > 2]
-    fit = fit_linear_weighted([r[0] for r in kept], [r[1] for r in kept],
-                              [r[2] for r in kept])
-    ratio, ratio_err = ratio_with_error(
-        fit.intercept, fit.intercept_err, fit.slope, fit.slope_err,
-        fit.cov_slope_intercept,
-    )
-    ref_ratio, ref_err = ratio_with_error(5.0, 1.0, 3.7, 0.1)
-    lin_doc = {
-        "slope": {"value": fit.slope, "error": fit.slope_err},
-        "intercept": {"value": fit.intercept, "error": fit.intercept_err},
-        "chi2": fit.chi2,
-        "model_prediction": eta_model,
-        "ratio_intercept_slope": {
-            "value": ratio, "error": ratio_err,
-            "formatted": format_value_error(ratio, ratio_err),
-        },
-        "reported_reference_ratio": {
-            "value": ref_ratio, "error": ref_err,
-            "formatted": format_value_error(ref_ratio, ref_err),
-        },
-    }
-    with open(os.path.join(out_dir, "fig4_linear_fit.json"), "w") as fh:
-        json.dump(lin_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    # transparency curve: measured regime, antinode eta_eff_0 = 5
-    full = cfgmod.corrections(conf, average=True, side=True, jitter=True)
-    res_det = Detunings(0.0, 0.0)
-    with open(os.path.join(out_dir, "fig4_transparency.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_c", "theta"])
-        for n_c in range(0, 11):
-            t_prime = corrected_transmission(
-                cfg, effective_cooperativity(5.0, n_c), res_det, full
-            )
-            theta, _ = extract_transparency(float(t_prime), cfg.od)
-            writer.writerow([n_c, repr(float(theta))])
-
-    files = ["fig4_eta_eff.csv", "fig4_linear_fit.json", "fig4_transparency.csv"]
-    params = {"eta_eff_0_truth": eta_model, "n_c_values": n_c_values,
-              "seed": args.seed, "linear_fit_uses": "n_c > 2"}
-    return files, params
+    write_json(args.out, fit.to_json_dict())
+    return 0 if fit.converged else 3
 
 
 def cmd_reproduce(args):
     conf = cfgmod.load_config(args.config)
     cfg = cfgmod.physical_config(conf)
     os.makedirs(args.out_dir, exist_ok=True)
-    recipe = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3,
-              "fig4": _reproduce_fig4}[args.figure]
-    files, params = recipe(args, conf, cfg)
-    _manifest(args.out_dir, args.figure, files, params)
+    files = []
+
+    def path(name):
+        files.append(name)
+        return os.path.join(args.out_dir, name)
+
+    if args.figure == "fig2":
+        grid, spectra, params = recipes.fig2(conf, cfg)
+        for name, (trans, emis) in spectra.items():
+            _write_spectrum_csv(path(name), grid, trans, emis)
+    elif args.figure == "fig3":
+        pulse, results, summary, params = recipes.fig3(conf, cfg)
+        write_trace_csv(path("fig3_input.csv"), pulse)
+        for label, result in results.items():
+            write_trace_csv(path(f"fig3_output_{label}.csv"), result.output)
+        write_json(path("fig3_delays.json"), summary)
+    else:
+        rows, line, curve, params = recipes.fig4(conf, cfg, args.seed)
+        write_csv(path("fig4_eta_eff.csv"), ["n_c", "eta_eff", "eta_eff_err"], rows)
+        write_json(path("fig4_linear_fit.json"), line)
+        write_csv(path("fig4_transparency.csv"), ["n_c", "theta"], curve)
+    write_json(os.path.join(args.out_dir, "manifest.json"),
+               {"figure": args.figure, "files": sorted(files), "parameters": params})
     return 0
 
 
@@ -465,7 +274,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit spectra or a linear trend")
-    _add_common(p)
+    _add_common(p, eta=False)
     p.add_argument("--model", choices=("lorentzian", "vit", "linear"), required=True)
     p.add_argument("--input", nargs="+", required=True,
                    help="scan or spectrum CSVs; vit fits them jointly, linear "

@@ -9,15 +9,19 @@ than silently ignored.
 
 Resolution order for the default document: explicit path argument,
 then the VIT_LAB_CONFIG environment variable, then the packaged file.
-read_rows parses the data rows of every scan, spectrum and trace CSV.
+read_rows parses the data rows of every scan, spectrum and trace CSV;
+write_csv and write_json write every CSV and JSON file.
 """
 
+import csv
 import json
 import math
 import os
+import sys
+from contextlib import nullcontext
 from importlib import resources
 
-from vitlab.core import CavityGeometry, PhysicalConfig, TWO_PI
+from vitlab.core import CavityGeometry, PhysicalConfig, TWO_PI, cooperativity_geometric
 from vitlab.spatial import Corrections, SideChannel
 
 MHZ = TWO_PI * 1e6    # MHz (ordinary frequency) -> rad/s
@@ -58,6 +62,27 @@ def read_rows(path, reader, width, types=()):
     if not rows:
         raise ValueError(f"{path} has no data rows")
     return rows
+
+
+def _output(path, newline=None):
+    return nullcontext(sys.stdout) if path is None else open(path, "w", newline=newline)
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows of Python ints and floats; stdout when path is None.
+
+    Floats go out as repr, so reading them back gives the same doubles.
+    """
+    with _output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc):
+    """Write doc as indented, key-sorted JSON plus a newline; stdout when path is None."""
+    with _output(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def packaged_defaults():
@@ -124,6 +149,11 @@ def cavity_geometry(conf):
         waist=conf["waist_um"] * UM,
         wavelength=conf["wavelength_um"] * UM,
     )
+
+
+def model_cooperativity(conf):
+    """Antinode cooperativity the config implies: f_eg times the geometric eta0."""
+    return conf["f_eg"] * cooperativity_geometric(cavity_geometry(conf))
 
 
 def side_channel(conf):

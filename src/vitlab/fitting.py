@@ -15,7 +15,6 @@ of one count.  Parameter covariances are (J^T J)^{-1} at the optimum
 with J the weighted Jacobian.
 """
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,10 +43,6 @@ class FitResult:
         i = self.names.index(name)
         return float(np.sqrt(max(self.covariance[i, i], 0.0)))
 
-    @property
-    def params(self):
-        return {n: self.value(n) for n in self.names}
-
     def to_json_dict(self):
         return {
             "params": {
@@ -67,6 +62,20 @@ class LinearFit:
     intercept_err: float
     chi2: float
     cov_slope_intercept: float = 0.0
+
+    @property
+    def ratio(self):
+        """intercept/slope and its error, the slope-intercept covariance included."""
+        return ratio_with_error(self.intercept, self.intercept_err, self.slope,
+                                self.slope_err, self.cov_slope_intercept)
+
+    def to_json_dict(self):
+        return {
+            "slope": {"value": self.slope, "error": self.slope_err},
+            "intercept": {"value": self.intercept, "error": self.intercept_err},
+            "chi2": self.chi2,
+            "ratio_intercept_slope": value_error_doc(*self.ratio),
+        }
 
 
 def _jacobian(residual_fn, p, r0, rel_step=1e-6):
@@ -247,13 +256,20 @@ def _initial_guess(datasets, cfg):
             "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
 
 
+def _divisor(sigma, grid):
+    """A channel's residual divisor: its sigmas, 1 where one is missing or nonpositive."""
+    sigma = np.ones_like(grid) if sigma is None else np.asarray(sigma, dtype=float)
+    return np.where(sigma > 0, sigma, 1.0)
+
+
 def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
                     fixed=None, corrections=IDEAL, max_iter=200):
     """Joint fit of the coupled-ensemble model over spectra and channels.
 
     datasets: list of (delta_cavity, Spectrum); every spectrum's
     transmission channel enters the residual, and the emission channel
-    too when present.  free names parameters from VIT_PARAMS; the rest
+    too when present.  free names parameters from VIT_PARAMS, each
+    once (an unknown or repeated name raises ValueError); the rest
     stay at their initial values (overridable through fixed).
 
     probe_offset_mhz and cavity_offset_mhz are axis calibrations: the
@@ -265,11 +281,19 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
     for name in free:
         if name not in VIT_PARAMS:
             raise ValueError(f"unknown parameter '{name}'")
+        if free.count(name) > 1:
+            raise ValueError(f"parameter '{name}' is listed more than once in free")
     base = _initial_guess(datasets, cfg)
     if fixed:
         base.update(fixed)
 
     grids = [np.asarray(s.delta_probe, dtype=float) for _, s in datasets]
+    sigmas = [(_divisor(s.sigma_transmission, g), _divisor(s.sigma_emission, g))
+              for (_, s), g in zip(datasets, grids)]
+    total_len = sum(
+        len(g) * (2 if s.emission is not None else 1)
+        for (_, s), g in zip(datasets, grids)
+    )
 
     def residual(pvec):
         p = dict(base)
@@ -278,27 +302,13 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
             # barrier: reflect unphysical trials back with a large penalty
             return np.full(total_len, 1e6)
         chunks = []
-        for (dcav, spec), grid in zip(datasets, grids):
+        for (dcav, spec), grid, (st, se) in zip(datasets, grids, sigmas):
             trans, emis = _vit_model(cfg, grid, dcav, p, corrections)
-            st = (
-                np.asarray(spec.sigma_transmission, dtype=float)
-                if spec.sigma_transmission is not None
-                else np.ones_like(grid)
-            )
-            chunks.append((trans - spec.transmission) / np.where(st > 0, st, 1.0))
+            chunks.append((trans - spec.transmission) / st)
             if spec.emission is not None:
-                se = (
-                    np.asarray(spec.sigma_emission, dtype=float)
-                    if spec.sigma_emission is not None
-                    else np.ones_like(grid)
-                )
-                chunks.append((emis - spec.emission) / np.where(se > 0, se, 1.0))
+                chunks.append((emis - spec.emission) / se)
         return np.concatenate(chunks)
 
-    total_len = sum(
-        len(g) * (2 if s.emission is not None else 1)
-        for (_, s), g in zip(datasets, grids)
-    )
     p0 = [base[name] for name in free]
     return damped_least_squares(residual, p0, free, max_iter=max_iter)
 
@@ -362,6 +372,11 @@ def format_value_error(value, error):
     return f"{value:.{decimals}f}({scaled})"
 
 
+def value_error_doc(value, error):
+    """A value and its error as JSON documents carry them, with the value(error) text."""
+    return {"value": value, "error": error, "formatted": format_value_error(value, error)}
+
+
 def extract_transparency(t_prime, od, t_prime_err=0.0):
     """Transparency (T' - T)/(1 - T) against the bare-ensemble T = e^{-od}.
 
@@ -374,13 +389,3 @@ def extract_transparency(t_prime, od, t_prime_err=0.0):
     theta = (t_prime - t0) / (1.0 - t0)
     return float(theta), float(t_prime_err / (1.0 - t0))
 
-
-def write_fit_json(path, fit, extra=None):
-    """Serialize a FitResult (plus optional extra fields) to JSON."""
-    doc = fit.to_json_dict()
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc

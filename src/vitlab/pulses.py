@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vitlab.config import read_rows
+from vitlab.config import read_rows, write_csv
 from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
@@ -204,12 +204,9 @@ def run_pulse_ensemble(pulse, blocks):
 
 def write_trace_csv(path, pulse):
     """Write a pulse trace as CSV columns time_us, re, im."""
-    s = np.asarray(pulse.samples)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_us", "re", "im"])
-        for t, v in zip(pulse.times, s):
-            writer.writerow([repr(float(t) * 1e6), repr(float(v.real)), repr(float(v.imag))])
+    write_csv(path, ["time_us", "re", "im"],
+              ((float(t) * 1e6, float(v.real), float(v.imag))
+               for t, v in zip(pulse.times, np.asarray(pulse.samples))))
 
 
 def read_trace_csv(path):

@@ -23,13 +23,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vitlab.config import MHZ, US, read_rows
+from vitlab.config import MHZ, US, read_rows, write_csv, write_json
 from vitlab.core import Detunings, resonant_transmission
 from vitlab.spatial import IDEAL, corrected_spectrum
 
 
 # largest expected count per point drawn; numpy's Poisson sampler stops near 9e18
 MAX_EXPECTED_COUNTS = 1e15
+SCAN_COLUMNS = ("delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
+                "expected_d1", "expected_d2")
 
 
 @dataclass(frozen=True)
@@ -167,19 +169,10 @@ def spectrum_from_records(records, plan):
 
 def write_scan_csv(path, scans):
     """Write generate_scan output; detunings go out in MHz."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
-             "expected_d1", "expected_d2"]
-        )
-        for dcav, records in scans:
-            for r in records:
-                writer.writerow(
-                    [repr(float(r.delta_probe) / MHZ), repr(float(dcav) / MHZ),
-                     r.counts_d1, r.counts_d2,
-                     repr(float(r.expected_d1)), repr(float(r.expected_d2))]
-                )
+    write_csv(path, SCAN_COLUMNS,
+              ((float(r.delta_probe) / MHZ, float(dcav) / MHZ, r.counts_d1, r.counts_d2,
+                float(r.expected_d1), float(r.expected_d2))
+               for dcav, records in scans for r in records))
 
 
 def read_scan_csv(path):
@@ -188,9 +181,7 @@ def read_scan_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        expected = ["delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
-                    "expected_d1", "expected_d2"]
-        if header[: len(expected)] != expected:
+        if tuple(header[:len(SCAN_COLUMNS)]) != SCAN_COLUMNS:
             raise ValueError(f"{path} is not a scan file (bad header)")
         rows = read_rows(path, reader, len(header), ((2, int), (3, int)))
     for dp, dcav, c1, c2, e1, e2, *_ in rows:
@@ -232,10 +223,7 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
         "emission_scale": emission_scale,
         "rng": "numpy PCG64, SeedSequence([rng_seed, scan_index, point_index]) per point",
     }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return meta
+    write_json(path, meta)
 
 
 def read_scan_sidecar(path):

@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import STIFF_GAMMA
-from vitlab.config import MHZ, corrections as corrections_from
+from vitlab.config import MHZ
 from vitlab.core import (
     CavityGeometry,
     Detunings,
@@ -23,21 +23,19 @@ from vitlab.core import (
     transfer_amplitude,
     transmission,
 )
-from vitlab.fitting import (
-    fit_linear_weighted,
-    fit_lorentzian,
-    fit_vit_spectra,
-    format_value_error,
-    ratio_with_error,
-)
+from vitlab.fitting import fit_lorentzian, fit_vit_spectra, format_value_error, ratio_with_error
 from vitlab.oracle import DriveSpec, branching_ratio, steady_state_amplitudes, susceptibility_from_oracle
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse, run_pulse_ensemble
-from vitlab.spatial import (
-    Corrections,
-    corrected_transmission,
-    effective_cooperativity,
-    ensemble_transfer,
+from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse
+from vitlab.recipes import (
+    PUBLISHED_INTERCEPT,
+    PUBLISHED_SLOPE,
+    RESONATOR_DETUNINGS_MHZ,
+    calibration_line,
+    fig3,
+    photon_number_scan,
+    transparency_curve,
 )
+from vitlab.spatial import Corrections
 from vitlab.synth import ScanPlan, Spectrum, generate_scan, spectrum_from_records
 
 
@@ -131,19 +129,11 @@ def test_criterion_06_pulse_delays(report, cfg, conf):
     tau = group_delay_analytic(stiff.od, stiff.kappa, 3.4)
     narrow_err = abs(res.delay_centroid - tau) / tau
 
-    # measured regime: OD = 0.5 double pass, antinode cooperativity from
-    # the photon-number scan fits, standing-wave averaging + side channel,
-    # with and without resonator jitter
-    meas = replace(cfg, od=0.5)
-    short = make_gaussian_pulse(PulseSpec(duration=1.73e-6))
-    delays = {}
-    for label, jitter in (("static", False), ("jitter", True)):
-        corr = corrections_from(conf, average=True, side=True, jitter=jitter)
-        blocks = ensemble_transfer(meas, 5.0, Detunings(short.omega, 0.0), corr)
-        r = run_pulse_ensemble(short, ((w, t) for w, _, _, t in blocks))
-        delays[label] = (r.delay_centroid / 1e-9, r.delay_peak / 1e-9)
-
-    vals = [v for pair in delays.values() for v in pair]
+    # measured regime (the fig3 recipe): OD = 0.5 double pass, antinode
+    # cooperativity from the photon-number scan fits, standing-wave
+    # averaging + side channel, without and with resonator jitter
+    results = fig3(conf, cfg)[1]
+    vals = [v / 1e-9 for r in results.values() for v in (r.delay_centroid, r.delay_peak)]
     ok = narrow_err < 0.01 and all(20.0 <= v <= 45.0 for v in vals)
     report(6, "narrowband delay -> tau_max; measured-regime delay in 20-45 ns", ok,
            f"narrowband rel dev = {narrow_err:.4f}; delays ns = "
@@ -168,7 +158,7 @@ def test_criterion_08_branching_ratio(report, cfg):
 
 
 GRID81 = tuple(np.linspace(-4.0, 4.0, 81) * MHZ)
-DCAVS = (0.5 * MHZ, -2.2 * MHZ, 2.8 * MHZ)
+DCAVS = tuple(d * MHZ for d in RESONATOR_DETUNINGS_MHZ)
 
 
 def _datasets(cfg, eta, plan, noiseless=False, corr=Corrections()):
@@ -208,27 +198,17 @@ def test_criterion_09_fit_round_trip_and_coverage(report, cfg):
 
 
 def test_criterion_10_photon_number_pipeline(report, cfg):
-    corr = Corrections(averaging_nodes=64)
-    rows = []
-    for i, n_c in enumerate(range(2, 23)):
-        plan = ScanPlan(delta_cavity_list=(0.0,), probe_grid=GRID81,
-                        photon_flux=2e6, dwell=20e-3, rng_seed=100 + i)
-        datasets = _datasets(cfg, 3.4 * (n_c + 1), plan, corr=corr)
-        fit = fit_vit_spectra(datasets, cfg, corrections=corr)
-        rows.append((n_c, fit.value("eta_eff"), fit.error("eta_eff")))
-
-    kept = [r for r in rows if r[0] > 2]
-    lf = fit_linear_weighted([r[0] for r in kept], [r[1] for r in kept],
-                             [r[2] for r in kept])
+    # truth eta_eff = 3.4 (n_c + 1): slope and intercept 3.4, ratio 1
+    rows = photon_number_scan(cfg, 3.4, range(2, 23), Corrections(averaging_nodes=64),
+                              seed=100)
+    lf = calibration_line(rows)
     slope_pull = abs(lf.slope - 3.4) / lf.slope_err
     icpt_pull = abs(lf.intercept - 3.4) / lf.intercept_err
-    ratio, ratio_err = ratio_with_error(lf.intercept, lf.intercept_err,
-                                        lf.slope, lf.slope_err,
-                                        lf.cov_slope_intercept)
+    ratio, ratio_err = lf.ratio
     ratio_pull = abs(ratio - 1.0) / ratio_err
 
     # the same arithmetic applied to the published numbers
-    ref, ref_err = ratio_with_error(5.0, 1.0, 3.7, 0.1)
+    ref, ref_err = ratio_with_error(*PUBLISHED_INTERCEPT, *PUBLISHED_SLOPE)
     formatted = format_value_error(ref, ref_err)
 
     ok = (slope_pull <= 2.0 and icpt_pull <= 2.0 and ratio_pull <= 2.0
@@ -240,13 +220,7 @@ def test_criterion_10_photon_number_pipeline(report, cfg):
 
 
 def test_criterion_11_transparency_endpoints(report, cfg, conf):
-    corr = corrections_from(conf, average=True, side=True, jitter=True)
-    det = Detunings(0.0, 0.0)
-    t_bare = np.exp(-cfg.od)
-    thetas = {}
-    for n_c in (0, 10):
-        tp = corrected_transmission(cfg, effective_cooperativity(5.0, n_c), det, corr)
-        thetas[n_c] = (tp - t_bare) / (1.0 - t_bare)
+    thetas = {n_c: theta for n_c, _, _, theta in transparency_curve(conf, cfg, (0, 10))}
     ok = abs(thetas[0] - 0.40) <= 0.08 and abs(thetas[10] - 0.80) <= 0.08
     report(11, "transparency 0.40 -> 0.80 from zero to ten photons", ok,
            f"theta(0) = {thetas[0]:.3f}, theta(10) = {thetas[10]:.3f}")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from vitlab import recipes
 from vitlab.cli import main
 from vitlab.config import ENV_VAR
 
@@ -36,8 +37,10 @@ def test_spectrum_rejects_bad_range(capsys):
 def test_pulse_command(tmp_path):
     out = tmp_path / "pulse.json"
     trace = tmp_path / "trace.csv"
-    rc = main(["pulse", "--tp-us", "1.73", "--od", "0.5", "--eta", "5",
-               "--average", "--side", "--out", str(out), "--trace", str(trace)])
+    # the measured regime of the fig3 recipe
+    rc = main(["pulse", "--tp-us", str(recipes.PULSE_FWHM_US), "--od", str(recipes.MEASURED_OD),
+               "--eta", str(recipes.ETA_EFF_0), "--average", "--side",
+               "--out", str(out), "--trace", str(trace)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert 20.0 < doc["delay_centroid_ns"] < 45.0
@@ -144,6 +147,30 @@ def test_fit_vit_joins_every_input(tmp_path, capsys):
     assert "--sidecar" in capsys.readouterr().err
     assert main(["fit", "--model", "lorentzian", "--input", a, b]) == 2
     assert "--input" in capsys.readouterr().err
+
+
+def test_fit_lorentzian_rejects_several_detunings(tmp_path, capsys):
+    prefix = tmp_path / "s3"
+    assert main(["synth", "--delta-cavity-mhz", "0", "1", "-1", "--points", "11",
+                 "--out", str(prefix)]) == 0
+    assert main(["fit", "--model", "lorentzian", "--input", str(prefix) + ".csv"]) == 2
+    err = capsys.readouterr().err
+    assert "s3.csv" in err and "holds 3 spectra" in err
+
+
+def test_fit_repeated_free_returns_2(tmp_path, capsys):
+    scan = _synth(tmp_path / "scan", "0", "1")
+    assert main(["fit", "--model", "vit", "--input", scan,
+                 "--free", "eta_eff,eta_eff"]) == 2
+    assert "'eta_eff'" in capsys.readouterr().err
+
+
+def test_fit_has_no_eta_flag(tmp_path, capsys):
+    scan = _synth(tmp_path / "scan", "0", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--model", "vit", "--input", scan, "--eta", "999"])
+    assert exc.value.code == 2
+    assert "--eta" in capsys.readouterr().err
 
 
 def test_fit_linear_pools_inputs(tmp_path):
@@ -276,3 +303,19 @@ def test_reproduce_fig3(tmp_path):
     # jitter softens the window and shortens the delay
     assert doc["with_jitter"]["delay_centroid_ns"] < doc["no_jitter"]["delay_centroid_ns"]
     assert (out / "fig3_output_with_jitter.csv").exists()
+
+
+def test_reproduce_fig4(tmp_path):
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        assert main(["reproduce", "fig4", "--out-dir", str(out), "--seed", "3"]) == 0
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert manifest["files"] == [
+        "fig4_eta_eff.csv", "fig4_linear_fit.json", "fig4_transparency.csv"]
+    assert manifest["parameters"]["seed"] == 3
+    header, rows = _read_csv(outs[0] / "fig4_eta_eff.csv")
+    assert header == ["n_c", "eta_eff", "eta_eff_err"]
+    assert [int(r[0]) for r in rows] == list(range(2, 23, 2))
+    # same plan -> identical files
+    for name in ("manifest.json", *manifest["files"]):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

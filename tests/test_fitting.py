@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vitlab.config import MHZ
+from vitlab.config import MHZ, write_json
 from vitlab.core import Detunings, transmission
 from vitlab.errors import RankDeficientError
 from vitlab.fitting import (
@@ -15,8 +15,8 @@ from vitlab.fitting import (
     format_value_error,
     lorentzian,
     ratio_with_error,
-    write_fit_json,
 )
+from vitlab.recipes import RESONATOR_DETUNINGS_MHZ
 from vitlab.spatial import Corrections
 from vitlab.synth import ScanPlan, Spectrum, generate_scan, spectrum_from_records
 
@@ -134,7 +134,7 @@ def test_fit_lorentzian_against_scipy(cfg):
 
 
 def test_vit_round_trip_all_free(cfg):
-    datasets = _clean_datasets(cfg, 5.0, (0.5 * MHZ, -2.2 * MHZ, 2.8 * MHZ))
+    datasets = _clean_datasets(cfg, 5.0, [d * MHZ for d in RESONATOR_DETUNINGS_MHZ])
     fit = fit_vit_spectra(
         datasets, cfg,
         free=("eta_eff", "od", "scale_d2", "probe_offset_mhz", "cavity_offset_mhz"),
@@ -287,9 +287,16 @@ def test_fit_json_writer(tmp_path, cfg):
     datasets = _clean_datasets(cfg, 5.0, (0.0,))
     fit = fit_vit_spectra(datasets, cfg)
     path = tmp_path / "fit.json"
-    write_fit_json(path, fit, extra={"note": "round trip"})
+    write_json(path, fit.to_json_dict())
     doc = json.loads(path.read_text())
     assert doc["converged"] is True
     assert doc["params"]["eta_eff"]["value"] == pytest.approx(5.0, rel=1e-4)
     assert doc["params"]["eta_eff"]["error"] >= 0
-    assert doc["note"] == "round trip"
+
+
+@pytest.mark.parametrize("free, name", ((("eta_eff", "od", "eta_eff"), "'eta_eff'"),
+                                        (("eta_eff", "eta"), "'eta'")))
+def test_fit_vit_rejects_bad_free(cfg, free, name):
+    datasets = _clean_datasets(cfg, 5.0, (0.0,))
+    with pytest.raises(ValueError, match=name):
+        fit_vit_spectra(datasets, cfg, free=free)

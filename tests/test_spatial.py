@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from vitlab.config import MHZ, cavity_geometry, corrections
+from vitlab.config import MHZ, corrections, model_cooperativity
 from vitlab.core import (
     Detunings,
-    cooperativity_geometric,
     coupling_from_cooperativity,
     transmission,
 )
@@ -15,6 +14,7 @@ from vitlab.oracle import (
     steady_state_amplitudes,
     susceptibility_from_oracle,
 )
+from vitlab.recipes import fig2_detunings
 from vitlab.spatial import (
     IDEAL,
     Corrections,
@@ -227,14 +227,13 @@ def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
 
 def test_quadrature_convergence_fig2_panels(cfg, conf):
     # the node counts that `vitlab reproduce fig2` uses are converged
-    eta = conf["f_eg"] * cooperativity_geometric(cavity_geometry(conf))
-    grid = np.linspace(-8.0, 8.0, 321) * MHZ
-    dcavs = (1000.0 * cfg.gamma, 0.5 * MHZ, -2.2 * MHZ, 2.8 * MHZ)
+    eta = model_cooperativity(conf)
+    grid, dcavs = fig2_detunings(cfg)
 
     def panels(**nodes):
         corr = corrections(conf, average=True, side=True, jitter=True, **nodes)
         return np.array([corrected_spectrum(cfg, eta, Detunings(grid, d), corr)
-                         for d in dcavs])
+                         for d in dcavs.values()])
 
     base = panels()
     assert np.max(np.abs(panels(jitter_nodes=32) - base)) < 1e-5
