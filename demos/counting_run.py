@@ -32,7 +32,7 @@ plan = ScanPlan(
 )
 
 scans = generate_scan(cfg, eta_true, plan)
-total = sum(r.counts_d1 + r.counts_d2 for _, recs in scans for r in recs)
+total = sum(int(recs.counts_d1.sum() + recs.counts_d2.sum()) for _, recs in scans)
 print(f"generated {len(scans)} scans x {len(plan.probe_grid)} points, "
       f"{total} photons detected")
 

@@ -38,11 +38,11 @@ from vitlab.synth import (
 )
 
 
-def _number(kind, ok=lambda v: True):
-    """argparse type: a finite float for which ok holds; argparse names the flag."""
+def _number(kind, ok=lambda v: True, parse=float):
+    """argparse type: a finite parse(text) for which ok holds; argparse names the flag."""
     def number(text):
-        value = float(text)
-        if math.isfinite(value) and ok(value):
+        value = parse(text)
+        if abs(value) < math.inf and ok(value):
             return value
         raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
     return number
@@ -52,6 +52,8 @@ FINITE = _number("a finite number")
 POSITIVE = _number("a positive finite number", lambda v: v > 0)
 NONNEGATIVE = _number("a nonnegative finite number", lambda v: v >= 0)
 FRACTION = _number("a number in [0, 1]", lambda v: 0 <= v <= 1)
+SEED = _number("a nonnegative integer", lambda v: v >= 0, int)
+POWER_OF_TWO = _number("a power of two", lambda v: v > 0 and v & (v - 1) == 0, int)
 
 
 def _add_common(p, eta=True):
@@ -137,19 +139,8 @@ def cmd_synth(args):
     return 0
 
 
-def _read_csv(path):
-    """Header and finite float rows of a CSV file (see config.read_rows)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = cfgmod.read_rows(path, reader, len(header))
-    return header, np.array(rows)
-
-
 def _read_plain_spectrum(path):
-    header, rows = _read_csv(path)
-    if header[:2] != ["delta_probe_MHz", "transmission"]:
-        raise ValueError(f"{path} is not a spectrum file (bad header)")
+    rows = np.array(cfgmod.read_csv(path, ("delta_probe_MHz", "transmission")))
     e = rows[:, 2] if rows.shape[1] > 2 else None
     return Spectrum(delta_probe=rows[:, 0] * MHZ, transmission=rows[:, 1], emission=e)
 
@@ -159,6 +150,8 @@ def _read_datasets(path, sidecar_path, delta_cavity):
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[1:2] != ["delta_cavity_MHz"]:
+        if sidecar_path is not None:
+            raise ValueError(f"--sidecar goes with a scan CSV, and {path} is not one")
         return [(delta_cavity, _read_plain_spectrum(path))]
     scans = read_scan_csv(path)
     if sidecar_path is None:
@@ -178,7 +171,9 @@ def cmd_fit(args):
                          "each scan otherwise reads its own sidecar")
 
     if args.model == "linear":
-        rows = np.vstack([_read_csv(path)[1] for path in args.input])
+        if args.sidecar:
+            raise ValueError(f"--sidecar goes with a scan CSV, not the line file {args.input[0]}")
+        rows = np.vstack([cfgmod.read_csv(path) for path in args.input])
         if rows.shape[1] < 3:
             raise ValueError("--model linear needs columns x, y, sigma")
         fit = fit_linear_weighted(rows[:, 0], rows[:, 1], rows[:, 2])
@@ -203,28 +198,25 @@ def cmd_fit(args):
 def cmd_reproduce(args):
     conf = cfgmod.load_config(args.config)
     cfg = cfgmod.physical_config(conf)
-    os.makedirs(args.out_dir, exist_ok=True)
-    files = []
-
-    def path(name):
-        files.append(name)
-        return os.path.join(args.out_dir, name)
-
+    # name -> (writer, *data); a failed recipe must leave no directory behind
     if args.figure == "fig2":
         grid, spectra, params = recipes.fig2(conf, cfg)
-        for name, (trans, emis) in spectra.items():
-            _write_spectrum_csv(path(name), grid, trans, emis)
+        files = {name: (_write_spectrum_csv, grid, trans, emis)
+                 for name, (trans, emis) in spectra.items()}
     elif args.figure == "fig3":
         pulse, results, summary, params = recipes.fig3(conf, cfg)
-        write_trace_csv(path("fig3_input.csv"), pulse)
+        files = {"fig3_input.csv": (write_trace_csv, pulse)}
         for label, result in results.items():
-            write_trace_csv(path(f"fig3_output_{label}.csv"), result.output)
-        write_json(path("fig3_delays.json"), summary)
+            files[f"fig3_output_{label}.csv"] = (write_trace_csv, result.output)
+        files["fig3_delays.json"] = (write_json, summary)
     else:
         rows, line, curve, params = recipes.fig4(conf, cfg, args.seed)
-        write_csv(path("fig4_eta_eff.csv"), ["n_c", "eta_eff", "eta_eff_err"], rows)
-        write_json(path("fig4_linear_fit.json"), line)
-        write_csv(path("fig4_transparency.csv"), ["n_c", "theta"], curve)
+        files = {"fig4_eta_eff.csv": (write_csv, ["n_c", "eta_eff", "eta_eff_err"], rows),
+                 "fig4_linear_fit.json": (write_json, line),
+                 "fig4_transparency.csv": (write_csv, ["n_c", "theta"], curve)}
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, (write, *data) in files.items():
+        write(os.path.join(args.out_dir, name), *data)
     write_json(os.path.join(args.out_dir, "manifest.json"),
                {"figure": args.figure, "files": sorted(files), "parameters": params})
     return 0
@@ -252,7 +244,7 @@ def build_parser():
     p.add_argument("--tp-us", type=POSITIVE, required=True, help="intensity FWHM, us")
     p.add_argument("--od", type=NONNEGATIVE, default=None, help="override config od")
     p.add_argument("--carrier-mhz", type=FINITE, default=0.0)
-    p.add_argument("--samples", type=int, default=2**14)
+    p.add_argument("--samples", type=POWER_OF_TWO, default=2**14)
     p.add_argument("--span-factor", type=POSITIVE, default=16.0)
     p.add_argument("--trace", help="also write the output envelope CSV here")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
@@ -269,7 +261,7 @@ def build_parser():
     p.add_argument("--eff1", type=FRACTION, default=1.0)
     p.add_argument("--eff2", type=FRACTION, default=1.0)
     p.add_argument("--emission-scale", type=POSITIVE, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", required=True, help="output prefix (.csv and .json)")
     p.set_defaults(func=cmd_synth)
 
@@ -294,7 +286,7 @@ def build_parser():
     p.add_argument("figure", choices=("fig2", "fig3", "fig4"))
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

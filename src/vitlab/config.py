@@ -9,8 +9,8 @@ than silently ignored.
 
 Resolution order for the default document: explicit path argument,
 then the VIT_LAB_CONFIG environment variable, then the packaged file.
-read_rows parses the data rows of every scan, spectrum and trace CSV;
-write_csv and write_json write every CSV and JSON file.
+read_csv reads every scan, spectrum, trace and line CSV; write_csv and
+write_json write every CSV and JSON file.
 """
 
 import csv
@@ -38,27 +38,33 @@ _UNIT_INTERVAL = ("f_ef", "f_eg", "side_weight")
 KNOWN_KEYS = set(_POSITIVE) | set(_NONNEGATIVE) | set(_UNIT_INTERVAL)
 
 
-def read_rows(path, reader, width, types=()):
-    """The data rows left in a csv reader, converted cell by cell.
+def read_csv(path, columns=(), types=()):
+    """The data rows of a CSV file whose header starts with columns.
 
-    Every row must hold width cells, each a finite float; for each
-    (i, read) pair in types, cell i is read by read(cell) instead.  A
-    row of another width, a cell that does not parse or is not finite,
-    or no row at all raises ValueError naming the file (and the line).
+    Every row must hold as many cells as the header, each a finite
+    float; for each (i, read) pair in types, cell i is read by
+    read(cell) instead.  Another header, a row of another width, a cell
+    that does not parse or is not finite, or no data row at all raises
+    ValueError naming the file (and the line).
     """
     rows = []
-    for row in reader:
-        try:
-            if len(row) != width:
-                raise ValueError(f"expected {width} columns, found {len(row)}")
-            values = list(map(float, row))
-            if not all(map(math.isfinite, values)):
-                raise ValueError("values must be finite")
-            for i, read in types:
-                values[i] = read(row[i])
-        except ValueError as err:
-            raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
-        rows.append(values)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:len(columns)] != list(columns):
+            raise ValueError(f"{path}: expected a header starting {','.join(columns)}")
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, found {len(row)}")
+                values = list(map(float, row))
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("values must be finite")
+                for i, read in types:
+                    values[i] = read(row[i])
+            except ValueError as err:
+                raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path} has no data rows")
     return rows

@@ -14,15 +14,15 @@ delay is + d(arg t)/d omega, matching vitlab.core.group_delay_numeric.
 Traces are read and written as CSV with columns time_us, re, im.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from vitlab.config import read_rows, write_csv
+from vitlab.config import read_csv, write_csv
 from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
+TRACE_COLUMNS = ("time_us", "re", "im")
 EDGE_FLATNESS = 1e-6
 
 
@@ -204,24 +204,20 @@ def run_pulse_ensemble(pulse, blocks):
 
 def write_trace_csv(path, pulse):
     """Write a pulse trace as CSV columns time_us, re, im."""
-    write_csv(path, ["time_us", "re", "im"],
+    write_csv(path, TRACE_COLUMNS,
               ((float(t) * 1e6, float(v.real), float(v.imag))
                for t, v in zip(pulse.times, np.asarray(pulse.samples))))
 
 
 def read_trace_csv(path):
     """Read a pulse trace written by write_trace_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["time_us", "re", "im"]:
-            raise ValueError(f"{path} is not a pulse trace file (bad header)")
-        rows = read_rows(path, reader, len(header))
+    rows = np.array(read_csv(path, TRACE_COLUMNS))
     if len(rows) < 2:
         raise ValueError(f"{path}: a trace needs at least two samples")
-    t = np.array([r[0] for r in rows]) * 1e-6
+    t = rows[:, 0] * 1e-6
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0):
         raise ValueError("trace grid is not uniform")
-    samples = np.array([complex(r[1], r[2]) for r in rows])
+    samples = rows[:, 1].astype(complex)
+    samples.imag = rows[:, 2]
     return SampledPulse(t0=t[0], dt=float(dt[0]), samples=samples)

@@ -17,13 +17,13 @@ counts_d1, counts_d2, expected_d1, expected_d2, plus a JSON sidecar
 carrying the plan, the physical constants and the seed.
 """
 
-import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from vitlab.config import MHZ, US, read_rows, write_csv, write_json
+from vitlab.config import MHZ, US, read_csv, write_csv, write_json
 from vitlab.core import Detunings, resonant_transmission
 from vitlab.spatial import IDEAL, corrected_spectrum
 
@@ -32,6 +32,8 @@ from vitlab.spatial import IDEAL, corrected_spectrum
 MAX_EXPECTED_COUNTS = 1e15
 SCAN_COLUMNS = ("delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
                 "expected_d1", "expected_d2")
+# the columns of one scan's record array (probe detuning in rad/s)
+RECORD_FIELDS = "delta_probe,counts_d1,counts_d2,expected_d1,expected_d2"
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,6 @@ class ScanPlan:
 
 
 @dataclass(frozen=True)
-class CountRecord:
-    delta_probe: float
-    counts_d1: int
-    counts_d2: int
-    expected_d1: float
-    expected_d2: float
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Normalized spectra on a probe-detuning grid, with optional sigmas."""
 
@@ -97,8 +90,9 @@ def _point_rng(seed, scan_index, point_index):
 def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
     """Generate counts for every (resonator detuning, probe detuning) point.
 
-    Returns a list of (delta_cavity, [CountRecord ...]) in plan order.
-    Identical (cfg, eta, plan) always produce identical records.
+    Returns a list of (delta_cavity, records) in plan order, records a
+    numpy record array with the RECORD_FIELDS columns, one row per probe
+    detuning.  Identical (cfg, eta, plan) always produce identical records.
     """
     grid = np.asarray(plan.probe_grid, dtype=float)
     out = []
@@ -110,19 +104,14 @@ def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
         if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
             raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
                              "lower the photon flux, dwell or emission scale")
-        records = []
+        c1 = np.empty(len(grid), dtype=np.int64)
+        c2 = np.empty(len(grid), dtype=np.int64)
         for j in range(len(grid)):
             rng = _point_rng(plan.rng_seed, i, j)
-            records.append(
-                CountRecord(
-                    delta_probe=float(grid[j]),
-                    counts_d1=int(rng.poisson(e1[j])),
-                    counts_d2=int(rng.poisson(e2[j])),
-                    expected_d1=float(e1[j]),
-                    expected_d2=float(e2[j]),
-                )
-            )
-        out.append((float(dcav), records))
+            c1[j] = rng.poisson(e1[j])
+            c2[j] = rng.poisson(e2[j])
+        out.append((float(dcav), np.rec.fromarrays((grid, c1, c2, e1, e2),
+                                                   names=RECORD_FIELDS)))
     return out
 
 
@@ -155,11 +144,10 @@ def spectrum_from_records(records, plan):
     norm2 = plan.photon_flux * plan.dwell * plan.efficiency_d2
     if norm1 <= 0 or norm2 <= 0:
         raise ValueError("plan normalization is zero; cannot form a spectrum")
-    dp = np.array([r.delta_probe for r in records])
-    c1 = np.array([r.counts_d1 for r in records], dtype=float)
-    c2 = np.array([r.counts_d2 for r in records], dtype=float)
+    c1 = records.counts_d1.astype(float)
+    c2 = records.counts_d2.astype(float)
     return Spectrum(
-        delta_probe=dp,
+        delta_probe=records.delta_probe.copy(),
         transmission=c1 / norm1,
         emission=c2 / norm2,
         sigma_transmission=np.sqrt(np.maximum(c1, 1.0)) / norm1,
@@ -169,25 +157,19 @@ def spectrum_from_records(records, plan):
 
 def write_scan_csv(path, scans):
     """Write generate_scan output; detunings go out in MHz."""
-    write_csv(path, SCAN_COLUMNS,
-              ((float(r.delta_probe) / MHZ, float(dcav) / MHZ, r.counts_d1, r.counts_d2,
-                float(r.expected_d1), float(r.expected_d2))
-               for dcav, records in scans for r in records))
+    write_csv(path, SCAN_COLUMNS, (row for dcav, records in scans for row in zip(
+        (records.delta_probe / MHZ).tolist(), repeat(float(dcav) / MHZ),
+        records.counts_d1.tolist(), records.counts_d2.tolist(),
+        records.expected_d1.tolist(), records.expected_d2.tolist())))
 
 
 def read_scan_csv(path):
-    """Read a scan CSV back into (delta_cavity, [CountRecord ...]) groups."""
-    groups = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header[:len(SCAN_COLUMNS)]) != SCAN_COLUMNS:
-            raise ValueError(f"{path} is not a scan file (bad header)")
-        rows = read_rows(path, reader, len(header), ((2, int), (3, int)))
-    for dp, dcav, c1, c2, e1, e2, *_ in rows:
-        rec = CountRecord(dp * MHZ, c1, c2, e1, e2)
-        groups.setdefault(dcav, (dcav * MHZ, []))[1].append(rec)
-    return list(groups.values())
+    """Read a scan CSV back into (delta_cavity, records) groups, in file order."""
+    rows = read_csv(path, SCAN_COLUMNS, ((2, int), (3, int)))
+    dp, dcav, c1, c2, e1, e2 = map(np.array, list(zip(*rows))[:len(SCAN_COLUMNS)])
+    records = np.rec.fromarrays((dp * MHZ, c1, c2, e1, e2), names=RECORD_FIELDS)
+    _, first, group = np.unique(dcav, return_index=True, return_inverse=True)
+    return [(float(dcav[first[k]]) * MHZ, records[group == k]) for k in np.argsort(first)]
 
 
 def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1.0):

@@ -167,10 +167,9 @@ def _datasets(cfg, eta, plan, noiseless=False, corr=Corrections()):
     out = []
     for d, recs in scans:
         if noiseless:
-            e1 = np.array([r.expected_d1 for r in recs])
-            e2 = np.array([r.expected_d2 for r in recs])
-            spec = Spectrum(np.asarray(plan.probe_grid), e1 / norm, e2 / norm,
-                            np.full_like(e1, 1.0) / norm, np.full_like(e2, 1.0) / norm)
+            spec = Spectrum(np.asarray(plan.probe_grid), recs.expected_d1 / norm,
+                            recs.expected_d2 / norm, np.full(len(recs), 1.0 / norm),
+                            np.full(len(recs), 1.0 / norm))
         else:
             spec = spectrum_from_records(recs, plan)
         out.append((d, spec))

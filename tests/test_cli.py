@@ -149,6 +149,17 @@ def test_fit_vit_joins_every_input(tmp_path, capsys):
     assert "--input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
+def test_fit_sidecar_needs_a_scan(tmp_path, capsys, model):
+    # a sidecar describes a scan; next to a spectrum or line CSV it is a mistake
+    spec = tmp_path / "sp.csv"
+    assert main(["spectrum", "--points", "41", "--out", str(spec)]) == 0
+    assert main(["fit", "--model", model, "--input", str(spec),
+                 "--sidecar", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert "--sidecar" in err and "sp.csv" in err
+
+
 def test_fit_lorentzian_rejects_several_detunings(tmp_path, capsys):
     prefix = tmp_path / "s3"
     assert main(["synth", "--delta-cavity-mhz", "0", "1", "-1", "--points", "11",
@@ -253,6 +264,8 @@ def test_sidecar_missing_key_returns_2(tmp_path, capsys):
     (["spectrum", "--scan-from", "-inf"], "--scan-from"),
     (["pulse", "--tp-us", "0"], "--tp-us"),
     (["pulse", "--tp-us", "1.73", "--eta", "nan"], "--eta"),
+    (["synth", "--delta-cavity-mhz", "0", "--seed", "-1"], "--seed"),
+    (["pulse", "--tp-us", "1.73", "--samples", "1000"], "--samples"),
 ))
 def test_non_finite_flag_exits_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -261,6 +274,24 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_reproduce_failure_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "fig"
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig4", "--seed", "-1", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+    def fail(conf, cfg):
+        raise ValueError("recipe failed")
+
+    # the directory appears only once the recipe has returned
+    monkeypatch.setattr(recipes, "fig2", fail)
+    assert main(["reproduce", "fig2", "--out-dir", str(out)]) == 2
+    assert "recipe failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_flux_beyond_counts_returns_2(tmp_path, capsys):

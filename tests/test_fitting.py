@@ -35,11 +35,9 @@ def _clean_datasets(cfg, eta, dcavs, corrections=None, od=None):
     norm = plan.photon_flux * plan.dwell
     out = []
     for d, recs in scans:
-        e1 = np.array([r.expected_d1 for r in recs])
-        e2 = np.array([r.expected_d2 for r in recs])
-        out.append((d, Spectrum(GRID.copy(), e1 / norm, e2 / norm,
-                                np.full_like(e1, 1.0) / norm,
-                                np.full_like(e2, 1.0) / norm)))
+        out.append((d, Spectrum(GRID.copy(), recs.expected_d1 / norm,
+                                recs.expected_d2 / norm, np.full(len(recs), 1.0 / norm),
+                                np.full(len(recs), 1.0 / norm))))
     return out
 
 

@@ -14,7 +14,7 @@ from vitlab.oracle import (
     steady_state_amplitudes,
     susceptibility_from_oracle,
 )
-from vitlab.recipes import fig2_detunings
+from vitlab.recipes import fig2_detunings, transparency_curve
 from vitlab.spatial import (
     IDEAL,
     Corrections,
@@ -150,15 +150,10 @@ def test_corrected_transmission_matches_spectrum(cfg):
     assert np.allclose(corrected_transmission(cfg, 5.0, det, corr), t, rtol=1e-14)
 
 
-def test_measured_regime_transparency_endpoints(cfg):
+def test_measured_regime_transparency_endpoints(conf, cfg):
     # full correction stack at the fitted antinode cooperativity
-    corr = Corrections(averaging_nodes=64, side=SideChannel(),
-                       jitter_fwhm=0.2 * MHZ)
-    det = Detunings(0.0, 0.0)
-    t_bare = np.exp(-cfg.od)
-    for n_c, want in ((0, 0.4356), (10, 0.8123)):
-        tp = corrected_transmission(cfg, effective_cooperativity(5.0, n_c), det, corr)
-        theta = (tp - t_bare) / (1.0 - t_bare)
+    curve = transparency_curve(conf, cfg, (0, 10))
+    for (_, _, _, theta), want in zip(curve, (0.4356, 0.8123), strict=True):
         assert abs(theta - want) < 5e-4
 
 

@@ -8,7 +8,6 @@ from vitlab.config import MHZ
 from vitlab.core import Detunings, transmission
 from vitlab.spatial import IDEAL, Corrections
 from vitlab.synth import (
-    CountRecord,
     ScanPlan,
     Spectrum,
     absorbed_photon_budget,
@@ -55,7 +54,7 @@ def test_determinism(cfg):
     b = generate_scan(cfg, 3.4, _plan(seed=42))
     for (da, ra), (db, rb) in zip(a, b):
         assert da == db
-        assert all(x == y for x, y in zip(ra, rb))
+        assert np.array_equal(ra, rb)
 
 
 def test_point_streams_independent(cfg):
@@ -63,9 +62,7 @@ def test_point_streams_independent(cfg):
     # seed changes everything
     recs = generate_scan(cfg, 3.4, _plan(seed=1))[0][1]
     other = generate_scan(cfg, 3.4, _plan(seed=2))[0][1]
-    c1 = np.array([r.counts_d1 for r in recs])
-    c2 = np.array([r.counts_d1 for r in other])
-    assert np.any(c1 != c2)
+    assert np.any(recs.counts_d1 != other.counts_d1)
 
 
 def test_expected_counts_match_model(cfg):
@@ -73,7 +70,7 @@ def test_expected_counts_match_model(cfg):
     recs = generate_scan(cfg, 3.4, plan)[0][1]
     norm = plan.photon_flux * plan.dwell
     t = transmission(cfg, 3.4, Detunings(np.asarray(GRID), 0.0))
-    assert np.allclose([r.expected_d1 for r in recs], norm * t, rtol=1e-12)
+    assert np.allclose(recs.expected_d1, norm * t, rtol=1e-12)
 
 
 def test_poisson_moments(cfg):
@@ -103,10 +100,8 @@ def test_efficiencies_scale_expectations(cfg):
     plan = replace(_plan(), efficiency_d1=0.3, efficiency_d2=0.7)
     full = generate_scan(cfg, 3.4, _plan())[0][1]
     cut = generate_scan(cfg, 3.4, plan)[0][1]
-    assert np.allclose([r.expected_d1 for r in cut],
-                       [0.3 * r.expected_d1 for r in full], rtol=1e-12)
-    assert np.allclose([r.expected_d2 for r in cut],
-                       [0.7 * r.expected_d2 for r in full], rtol=1e-12)
+    assert np.allclose(cut.expected_d1, 0.3 * full.expected_d1, rtol=1e-12)
+    assert np.allclose(cut.expected_d2, 0.7 * full.expected_d2, rtol=1e-12)
 
 
 def test_budget_examples():
@@ -155,10 +150,22 @@ def test_scan_csv_round_trip(tmp_path, cfg):
     assert len(back) == 2
     for (d0, r0), (d1, r1) in zip(scans, back):
         assert np.isclose(d0, d1, rtol=1e-12, atol=1.0)
-        for a, b in zip(r0, r1):
-            assert a.counts_d1 == b.counts_d1
-            assert a.counts_d2 == b.counts_d2
-            assert np.isclose(a.expected_d2, b.expected_d2, rtol=1e-12)
+        assert r1.dtype.names == r0.dtype.names
+        assert np.array_equal(r0.counts_d1, r1.counts_d1)
+        assert np.array_equal(r0.counts_d2, r1.counts_d2)
+        assert np.allclose(r0.expected_d2, r1.expected_d2, rtol=1e-12)
+
+
+def test_scan_csv_groups_in_file_order(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,"
+                    "expected_d1,expected_d2\n"
+                    "0.0,1.0,1,2,1.5,2.5\n0.0,-1.0,3,4,3.5,4.5\n1.0,1.0,5,6,5.5,6.5\n")
+    (d_a, a), (d_b, b) = read_scan_csv(path)
+    assert (d_a, d_b) == (1.0 * MHZ, -1.0 * MHZ)
+    assert a.counts_d1.tolist() == [1, 5] and b.counts_d2.tolist() == [4]
+    assert a.delta_probe.tolist() == [0.0, MHZ]
+    assert a.expected_d2.tolist() == [2.5, 6.5]
 
 
 def test_sidecar_contents(tmp_path, cfg):
