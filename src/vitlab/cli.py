@@ -198,25 +198,29 @@ def cmd_fit(args):
 def cmd_reproduce(args):
     conf = cfgmod.load_config(args.config)
     cfg = cfgmod.physical_config(conf)
-    # name -> (writer, *data); a failed recipe must leave no directory behind
+    files = []
+
+    def path(name):
+        # only after the recipe returned, so a failed run leaves no directory
+        os.makedirs(args.out_dir, exist_ok=True)
+        files.append(name)
+        return os.path.join(args.out_dir, name)
+
     if args.figure == "fig2":
         grid, spectra, params = recipes.fig2(conf, cfg)
-        files = {name: (_write_spectrum_csv, grid, trans, emis)
-                 for name, (trans, emis) in spectra.items()}
+        for name, (trans, emis) in spectra.items():
+            _write_spectrum_csv(path(name), grid, trans, emis)
     elif args.figure == "fig3":
         pulse, results, summary, params = recipes.fig3(conf, cfg)
-        files = {"fig3_input.csv": (write_trace_csv, pulse)}
+        write_trace_csv(path("fig3_input.csv"), pulse)
         for label, result in results.items():
-            files[f"fig3_output_{label}.csv"] = (write_trace_csv, result.output)
-        files["fig3_delays.json"] = (write_json, summary)
+            write_trace_csv(path(f"fig3_output_{label}.csv"), result.output)
+        write_json(path("fig3_delays.json"), summary)
     else:
         rows, line, curve, params = recipes.fig4(conf, cfg, args.seed)
-        files = {"fig4_eta_eff.csv": (write_csv, ["n_c", "eta_eff", "eta_eff_err"], rows),
-                 "fig4_linear_fit.json": (write_json, line),
-                 "fig4_transparency.csv": (write_csv, ["n_c", "theta"], curve)}
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, (write, *data) in files.items():
-        write(os.path.join(args.out_dir, name), *data)
+        write_csv(path("fig4_eta_eff.csv"), ["n_c", "eta_eff", "eta_eff_err"], rows)
+        write_json(path("fig4_linear_fit.json"), line)
+        write_csv(path("fig4_transparency.csv"), ["n_c", "theta"], curve)
     write_json(os.path.join(args.out_dir, "manifest.json"),
                {"figure": args.figure, "files": sorted(files), "parameters": params})
     return 0

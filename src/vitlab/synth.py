@@ -163,9 +163,19 @@ def write_scan_csv(path, scans):
         records.expected_d1.tolist(), records.expected_d2.tolist())))
 
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"counts must be nonnegative, got {value}")
+    return value
+
+
 def read_scan_csv(path):
-    """Read a scan CSV back into (delta_cavity, records) groups, in file order."""
-    rows = read_csv(path, SCAN_COLUMNS, ((2, int), (3, int)))
+    """Read a scan CSV back into (delta_cavity, records) groups, in file order.
+
+    Count cells must be nonnegative integers.
+    """
+    rows = read_csv(path, SCAN_COLUMNS, ((2, _count), (3, _count)))
     dp, dcav, c1, c2, e1, e2 = map(np.array, list(zip(*rows))[:len(SCAN_COLUMNS)])
     records = np.rec.fromarrays((dp * MHZ, c1, c2, e1, e2), names=RECORD_FIELDS)
     _, first, group = np.unique(dcav, return_index=True, return_inverse=True)
