@@ -10,8 +10,9 @@ from dataclasses import replace
 
 from vitlab import recipes
 from vitlab.config import load_config, physical_config
-from vitlab.core import Detunings, group_delay_analytic, susceptibility, transfer_amplitude
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse
+from vitlab.core import group_delay_analytic
+from vitlab.pulses import PulseSpec, make_gaussian_pulse
+from vitlab.spatial import IDEAL
 
 conf = load_config()
 cfg = replace(physical_config(conf), od=recipes.MEASURED_OD)
@@ -20,14 +21,9 @@ eta = recipes.ETA_EFF_0
 tau = group_delay_analytic(cfg.od, cfg.kappa, eta)
 print(f"narrowband prediction tau = {tau / 1e-9:.1f} ns")
 
-
-def medium(w):
-    return transfer_amplitude(susceptibility(cfg, eta, Detunings(w, 0.0)), cfg)
-
-
 for tp_us in (20.0, 80.0):
     pulse = make_gaussian_pulse(PulseSpec(duration=tp_us * 1e-6), n_samples=2**16)
-    res = run_pulse(pulse, medium)
+    res = recipes.pulse_ensemble(cfg, eta, pulse, IDEAL)
     print(f"T_P = {tp_us:5.1f} us: centroid delay {res.delay_centroid / 1e-9:6.2f} ns, "
           f"energy transmission {res.energy_transmission:.4f}")
 

@@ -107,10 +107,14 @@ def cmd_pulse(args):
     conf, cfg, eta, corr = _setup(args)
     if args.od is not None:
         cfg = replace(cfg, od=args.od)
-    spec = PulseSpec(duration=args.tp_us * US, carrier_detuning=args.carrier_mhz * MHZ)
-    pulse = make_gaussian_pulse(spec, n_samples=args.samples,
-                                span=args.span_factor * spec.duration)
-    result = recipes.pulse_ensemble(cfg, eta, pulse, corr, spec.carrier_detuning)
+    spec = PulseSpec(duration=args.tp_us * US)
+    try:
+        pulse = make_gaussian_pulse(spec, n_samples=args.samples,
+                                    span=args.span_factor * spec.duration)
+        result = recipes.pulse_ensemble(cfg, eta, pulse, corr, args.carrier_mhz * MHZ)
+    except ValueError as err:
+        raise ValueError(f"--tp-us {args.tp_us:g} --span-factor {args.span_factor:g} "
+                         f"--samples {args.samples}: {err}") from None
     doc = dict(recipes.delays(result),
                tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / NS,
                resonant_transmission_analytic=resonant_transmission(cfg.od, eta))
@@ -173,10 +177,13 @@ def cmd_fit(args):
     if args.model == "linear":
         if args.sidecar:
             raise ValueError(f"--sidecar goes with a scan CSV, not the line file {args.input[0]}")
-        rows = np.vstack([cfgmod.read_csv(path) for path in args.input])
-        if rows.shape[1] < 3:
-            raise ValueError("--model linear needs columns x, y, sigma")
-        fit = fit_linear_weighted(rows[:, 0], rows[:, 1], rows[:, 2])
+        tables = [np.array(cfgmod.read_csv(path)) for path in args.input]
+        for path, table in zip(args.input, tables):
+            if table.shape[1] < 3:
+                raise ValueError(f"--model linear needs columns x, y, sigma, "
+                                 f"and {path} has {table.shape[1]}")
+        x, y, sigma = np.vstack([table[:, :3] for table in tables]).T
+        fit = fit_linear_weighted(x, y, sigma)
         write_json(args.out, fit.to_json_dict())
         return 0
 

@@ -144,8 +144,6 @@ def physical_config(conf):
         wavelength=conf["wavelength_um"] * UM,
         od=conf["od"],
         length=conf["length_um"] * UM,
-        f_probe=conf["f_ef"],
-        f_cavity=conf["f_eg"],
     )
 
 

@@ -33,8 +33,6 @@ class PhysicalConfig:
     wavelength: probe wavelength (m)
     od: resonant optical depth of the ensemble
     length: ensemble length L (m)
-    f_probe, f_cavity: oscillator strengths of the probe and resonator
-        transitions (dimensionless, in (0, 1])
     """
 
     gamma: float
@@ -42,8 +40,6 @@ class PhysicalConfig:
     wavelength: float
     od: float
     length: float
-    f_probe: float = 0.42
-    f_cavity: float = 0.47
 
     def __post_init__(self):
         if self.gamma <= 0 or self.kappa <= 0:
@@ -52,9 +48,6 @@ class PhysicalConfig:
             raise ValueError("wavelength and length must be positive")
         if self.od < 0:
             raise ValueError("optical depth must be nonnegative")
-        for f in (self.f_probe, self.f_cavity):
-            if not 0 < f <= 1:
-                raise ValueError("oscillator strengths must lie in (0, 1]")
 
     @property
     def wavenumber(self):
@@ -135,15 +128,8 @@ def cooperativity_geometric(geom):
     return 24.0 * geom.finesse / (np.pi * k * k * geom.waist * geom.waist)
 
 
-def cooperativity_from_coupling(g, kappa, gamma):
-    """Cooperativity 4 g^2 / (kappa gamma) from the atom-resonator coupling g."""
-    if g <= 0 or kappa <= 0 or gamma <= 0:
-        raise ValueError("g, kappa, gamma must be positive")
-    return 4.0 * g * g / (kappa * gamma)
-
-
 def coupling_from_cooperativity(eta, kappa, gamma):
-    """Inverse of cooperativity_from_coupling: g = sqrt(eta kappa gamma) / 2."""
+    """Atom-resonator coupling g = sqrt(eta kappa gamma) / 2, from eta = 4 g^2 / (kappa gamma)."""
     if eta < 0 or kappa <= 0 or gamma <= 0:
         raise ValueError("eta must be nonnegative, kappa and gamma positive")
     return 0.5 * np.sqrt(eta * kappa * gamma)
@@ -206,24 +192,3 @@ def group_velocity(delay, path_length):
     if delay <= 0:
         raise ValueError("delay must be positive")
     return path_length / delay
-
-
-def transparency_window_width(eta, kappa):
-    """FWHM of the induced transparency window, (1 + eta) kappa."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return (1.0 + eta) * kappa
-
-
-def fock_delay_ladder(cfg, eta_vacuum, n_max):
-    """Group delays seen by the photon-number components of the control field.
-
-    Component n experiences cooperativity eta_vacuum*(n+1), so a single
-    input pulse resolves into a ladder of delays tau(n), n = 0..n_max.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    n = np.arange(n_max + 1)
-    return np.array(
-        [group_delay_analytic(cfg.od, cfg.kappa, eta_vacuum * (ni + 1)) for ni in n]
-    )

@@ -1,10 +1,10 @@
-"""Dispersive pulse propagation through a frequency-domain transfer function.
+"""Dispersive pulse propagation through the correction ensemble.
 
 A probe pulse is held as a complex baseband envelope on a uniform time
 grid; the optical carrier never appears.  Propagation multiplies the
-envelope spectrum by a caller-supplied transfer function t(omega), with
-omega the offset from the carrier, so a carrier detuning is folded into
-the transfer function by the caller.
+envelope spectrum by each ensemble member's transfer row t(omega) from
+vitlab.spatial.ensemble_transfer, omega the offset from the carrier
+(a carrier detuning shifts the probe detuning: recipes.pulse_ensemble).
 
 Sign convention: the envelope is synthesized as sum of e^{-i omega t}
 components (analysis via numpy ifft, synthesis via fft), so a medium
@@ -28,10 +28,9 @@ EDGE_FLATNESS = 1e-6
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian probe pulse: intensity FWHM duration (s), carrier detuning (rad/s)."""
+    """Gaussian probe pulse of intensity FWHM duration (s)."""
 
     duration: float
-    carrier_detuning: float = 0.0
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -106,39 +105,6 @@ def make_gaussian_pulse(spec, n_samples=2**14, span=None):
     return SampledPulse(t0=t[0], dt=dt, samples=field)
 
 
-def _apply(spectrum, t):
-    """Output envelopes fft(spectrum * t), one per row of transfer values t.
-
-    Raises BandCoverageError when a row's |t| still varies by more than
-    EDGE_FLATNESS between the two outermost samples at either end of
-    the band, since spectral weight there would wrap around.
-    """
-    if not np.all(np.isfinite(t)):
-        raise ValueError("transfer function must be finite over the pulse band")
-    # in fft order the band runs from index n/2 (most negative) up to n/2 - 1
-    h = spectrum.shape[-1] // 2
-    edges = np.abs(t[..., [h, (h + 1) % spectrum.shape[-1], h - 1, h - 2]])
-    if np.any(np.abs(edges[..., 0] - edges[..., 1]) > EDGE_FLATNESS) or np.any(
-            np.abs(edges[..., 2] - edges[..., 3]) > EDGE_FLATNESS):
-        raise BandCoverageError(
-            "transfer function still varies at the grid edge; widen the band"
-        )
-    return np.fft.fft(spectrum * t, axis=-1)
-
-
-def propagate(pulse, medium):
-    """Apply t(omega) to the envelope spectrum and return the output pulse.
-
-    medium maps pulse.omega to one transfer value per frequency sample.
-    Exactly linear in the input; the band guard is that of _apply.
-    """
-    tvals = np.asarray(medium(pulse.omega), dtype=complex)
-    if tvals.shape != (pulse.n,):
-        raise ValueError("medium must return one value per frequency sample")
-    out = _apply(np.fft.ifft(np.asarray(pulse.samples, dtype=complex)), tvals)
-    return SampledPulse(t0=pulse.t0, dt=pulse.dt, samples=out)
-
-
 def _centroid(times, intensity):
     total = intensity.sum()
     if total <= 0:
@@ -159,12 +125,6 @@ def _peak(times, intensity):
     return float(times[i] + 0.5 * (a - c) / denom * (times[1] - times[0]))
 
 
-def run_pulse(pulse, medium):
-    """Propagate through one medium t(omega): a one-member run_pulse_ensemble."""
-    tvals = np.asarray(medium(pulse.omega), dtype=complex)
-    return run_pulse_ensemble(pulse, [(np.ones(1), tvals[None])])
-
-
 def run_pulse_ensemble(pulse, blocks):
     """Incoherent ensemble propagation: delays and energy of the averaged intensity.
 
@@ -176,8 +136,13 @@ def run_pulse_ensemble(pulse, blocks):
     the two can legitimately disagree for distorted pulses.  The output
     pulse is the member's field for a one-member ensemble, otherwise
     the square root of the intensity (member phases are dropped).
+    Raises BandCoverageError when a row's |t| still varies by more than
+    EDGE_FLATNESS at either band edge, where spectral weight would wrap.
     """
     spectrum = np.fft.ifft(np.asarray(pulse.samples, dtype=complex))
+    # in fft order the band runs from index n/2 (most negative) up to n/2 - 1
+    h = pulse.n // 2
+    edge_index = [h, (h + 1) % pulse.n, h - 1, h - 2]
     intensity = np.zeros(pulse.n)
     total, members = 0.0, 0
     for weights, t in blocks:
@@ -186,7 +151,15 @@ def run_pulse_ensemble(pulse, blocks):
             raise ValueError("each block needs one weight and one transfer row per member")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
-        out = _apply(spectrum, t)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("transfer function must be finite over the pulse band")
+        edges = np.abs(t[:, edge_index])
+        if np.any(np.abs(edges[:, 0] - edges[:, 1]) > EDGE_FLATNESS) or np.any(
+                np.abs(edges[:, 2] - edges[:, 3]) > EDGE_FLATNESS):
+            raise BandCoverageError(
+                "transfer function still varies at the grid edge; widen the band"
+            )
+        out = np.fft.fft(spectrum * t, axis=-1)
         intensity += weights @ np.abs(out) ** 2
         total += weights.sum()
         members += len(weights)

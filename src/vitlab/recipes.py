@@ -17,8 +17,7 @@ from vitlab.core import Detunings, group_delay_analytic, group_velocity
 from vitlab.fitting import (extract_transparency, fit_linear_weighted, fit_vit_spectra,
                             ratio_with_error, value_error_doc)
 from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse_ensemble
-from vitlab.spatial import (corrected_spectrum, corrected_transmission,
-                            effective_cooperativity, ensemble_transfer)
+from vitlab.spatial import corrected_spectrum, effective_cooperativity, ensemble_transfer
 from vitlab.synth import ScanPlan, generate_scan, spectrum_from_records
 
 # resonator detunings the paper scans (fig2 panels B-D), MHz
@@ -141,7 +140,7 @@ def transparency_curve(conf, cfg, n_c_values):
     rows = []
     for n_c in n_c_values:
         eta = effective_cooperativity(ETA_EFF_0, n_c)
-        t_prime = float(corrected_transmission(cfg, eta, Detunings(0.0, 0.0), corr))
+        t_prime = float(corrected_spectrum(cfg, eta, Detunings(0.0, 0.0), corr)[0])
         rows.append((n_c, eta, t_prime, extract_transparency(t_prime, cfg.od)[0]))
     return rows
 

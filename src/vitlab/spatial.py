@@ -24,6 +24,7 @@ deterministic so results never depend on evaluation order.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,15 +37,23 @@ SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 BLOCK_POINTS = 4096
 
 
+@lru_cache(maxsize=8)
+def _unit_standing_wave(nodes):
+    """Read-only Gauss-Legendre (cos^2(kz), weights) over a quarter period."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    cos2, w = np.cos((x + 1.0) * (np.pi / 4.0)) ** 2, w / w.sum()
+    cos2.flags.writeable = w.flags.writeable = False
+    return cos2, w
+
+
 def standing_wave_distribution(eta_max, nodes=64):
     """Gauss-Legendre (etas, weights) of eta_max cos^2(kz) over a quarter period."""
     if eta_max < 0:
         raise ValueError("eta_max must be nonnegative")
     if nodes < 1:
         raise ValueError("need at least one node")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    kz = (x + 1.0) * (np.pi / 4.0)
-    return eta_max * np.cos(kz) ** 2, w / w.sum()
+    cos2, w = _unit_standing_wave(nodes)
+    return eta_max * cos2, w.copy()
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,3 @@ def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0)
         emis = emis + weights @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
     return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
 
-
-def corrected_transmission(cfg, eta_max, det, corrections=IDEAL):
-    """Transmission channel of corrected_spectrum alone."""
-    return corrected_spectrum(cfg, eta_max, det, corrections)[0]

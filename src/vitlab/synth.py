@@ -18,13 +18,13 @@ carrying the plan, the physical constants and the seed.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from vitlab.config import MHZ, US, read_csv, write_csv, write_json
-from vitlab.core import Detunings, resonant_transmission
+from vitlab.core import Detunings
 from vitlab.spatial import IDEAL, corrected_spectrum
 
 
@@ -115,25 +115,6 @@ def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
     return out
 
 
-def absorbed_photon_budget(od, eta, flux, duration, cfg=None, det=None):
-    """Expected number of photons the ensemble absorbs.
-
-    On double resonance this is flux * duration * (1 - e^{-OD/(eta+1)}).
-    Given a detuning object (and a config for the remaining constants),
-    the absorbed fraction is instead averaged over the scan grid, one
-    equal dwell per point.
-    """
-    if od < 0 or eta < 0 or flux < 0 or duration < 0:
-        raise ValueError("inputs must be nonnegative")
-    if det is None:
-        return flux * duration * (1.0 - resonant_transmission(od, eta))
-    if cfg is None:
-        raise ValueError("cfg required for the scan-averaged budget")
-    cfg = replace(cfg, od=od)
-    trans = corrected_spectrum(cfg, eta, det)[0]
-    return flux * duration * float(np.mean(1.0 - trans))
-
-
 def spectrum_from_records(records, plan):
     """Counts to normalized two-channel spectrum with Poisson sigmas.
 
@@ -201,8 +182,6 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
             "wavelength_um": cfg.wavelength * 1e6,
             "od": cfg.od,
             "length_um": cfg.length * 1e6,
-            "f_ef": cfg.f_probe,
-            "f_eg": cfg.f_cavity,
             "eta": eta,
         },
         "corrections": {

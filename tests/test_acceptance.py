@@ -20,12 +20,11 @@ from vitlab.core import (
     group_delay_numeric,
     group_velocity,
     susceptibility,
-    transfer_amplitude,
     transmission,
 )
 from vitlab.fitting import fit_lorentzian, fit_vit_spectra, format_value_error, ratio_with_error
 from vitlab.oracle import DriveSpec, branching_ratio, steady_state_amplitudes, susceptibility_from_oracle
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse
+from vitlab.pulses import PulseSpec, make_gaussian_pulse
 from vitlab.recipes import (
     PUBLISHED_INTERCEPT,
     PUBLISHED_SLOPE,
@@ -33,9 +32,10 @@ from vitlab.recipes import (
     calibration_line,
     fig3,
     photon_number_scan,
+    pulse_ensemble,
     transparency_curve,
 )
-from vitlab.spatial import Corrections
+from vitlab.spatial import IDEAL, Corrections
 from vitlab.synth import ScanPlan, Spectrum, generate_scan, spectrum_from_records
 
 
@@ -120,12 +120,8 @@ def test_criterion_05_delay_identity_and_maximum(report, cfg):
 def test_criterion_06_pulse_delays(report, cfg, conf):
     # narrowband limit, on the same broad-line medium as criterion 5
     stiff = replace(cfg, gamma=STIFF_GAMMA)
-
-    def medium(w):
-        return transfer_amplitude(susceptibility(stiff, 3.4, Detunings(w, 0.0)), stiff)
-
     pulse = make_gaussian_pulse(PulseSpec(duration=80e-6))
-    res = run_pulse(pulse, medium)
+    res = pulse_ensemble(stiff, 3.4, pulse, IDEAL)
     tau = group_delay_analytic(stiff.od, stiff.kappa, 3.4)
     narrow_err = abs(res.delay_centroid - tau) / tau
 

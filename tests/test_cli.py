@@ -206,6 +206,42 @@ def test_fit_linear_pools_inputs(tmp_path):
     assert fit(a, b)["slope"]["value"] != pytest.approx(fit(a)["slope"]["value"], rel=1e-6)
 
 
+def test_fit_linear_reads_three_columns_per_file(tmp_path, capsys):
+    # each file gives its own x, y, sigma; extra columns are ignored
+    files = {"a.csv": "x,y,sigma\n1,2,0.1\n2,4,0.1\n",
+             "b.csv": "x,y,sigma,note\n3,6,0.1,7\n4,8.5,0.1,7\n",
+             "both.csv": "x,y,sigma\n1,2,0.1\n2,4,0.1\n3,6,0.1\n4,8.5,0.1\n",
+             "narrow.csv": "x,y\n1,2\n2,4\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    a, b, both, narrow = (str(tmp_path / name) for name in files)
+    out = tmp_path / "lin.json"
+
+    def fit(*inputs):
+        code = main(["fit", "--model", "linear", "--input", *inputs, "--out", str(out)])
+        return code, json.loads(out.read_text()) if code == 0 else None
+
+    assert fit(a, b) == fit(both)
+    assert fit(a, narrow)[0] == 2
+    err = capsys.readouterr().err
+    assert "narrow.csv" in err and "a.csv" not in err
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["--tp-us", "1.73", "--span-factor", "4"], "grid too short"),
+    (["--tp-us", "1000", "--samples", "2"], "grid too coarse"),
+    (["--tp-us", "80"], "widen the band"),
+))
+def test_pulse_grid_errors_name_the_flags(tmp_path, capsys, argv, message):
+    out = tmp_path / "pulse.json"
+    assert main(["pulse", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert " ".join(argv[:2]) in err
+    assert "--span-factor" in err and "--samples" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}'))
 def test_non_finite_config_returns_2(tmp_path, capsys, text):
     conf = tmp_path / "conf.json"

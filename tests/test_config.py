@@ -81,6 +81,18 @@ def test_physical_config_units():
     assert np.isclose(geom.waist, 35e-6, rtol=1e-12)
 
 
+def test_f_ef_accepted_but_unread(tmp_path):
+    # f_ef still loads from a config file and is range-checked, but no
+    # model quantity reads it
+    p = tmp_path / "conf.json"
+    p.write_text(json.dumps({"f_ef": 0.9}))
+    conf = load_config(str(p))
+    assert conf["f_ef"] == 0.9
+    assert physical_config(conf) == physical_config(packaged_defaults())
+    with pytest.raises(ValueError):
+        validate_config({"f_ef": 1.5})
+
+
 def test_side_channel_factory():
     side = side_channel(packaged_defaults())
     assert side.weight == 0.25

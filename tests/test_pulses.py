@@ -16,20 +16,22 @@ from vitlab.pulses import (
     PulseSpec,
     SampledPulse,
     make_gaussian_pulse,
-    propagate,
     read_trace_csv,
-    run_pulse,
     run_pulse_ensemble,
     write_trace_csv,
 )
-from vitlab.spatial import composite_susceptibility, ensemble_transfer
+from vitlab.recipes import pulse_ensemble
+from vitlab.spatial import IDEAL, composite_susceptibility, ensemble_transfer
 
 
-def _vit_medium(cfg, eta):
-    def medium(w):
-        return transfer_amplitude(susceptibility(cfg, eta, Detunings(w, 0.0)), cfg)
+def _one_member(pulse, t):
+    """The one-member ensemble of transfer values t on pulse.omega."""
+    return run_pulse_ensemble(pulse, [(np.ones(1), np.asarray(t, dtype=complex)[None])])
 
-    return medium
+
+def _vit_row(cfg, eta, pulse):
+    """Single-coupling transfer values on pulse.omega, resonator on resonance."""
+    return transfer_amplitude(susceptibility(cfg, eta, Detunings(pulse.omega, 0.0)), cfg)
 
 
 def test_spec_validation():
@@ -77,7 +79,7 @@ def test_sampled_pulse_validation():
 
 def test_identity_medium_is_lossless():
     pulse = make_gaussian_pulse(PulseSpec(duration=1e-6))
-    res = run_pulse(pulse, lambda w: np.ones_like(w, dtype=complex))
+    res = _one_member(pulse, np.ones(pulse.n))
     assert np.allclose(res.output.samples, pulse.samples, atol=1e-12)
     assert abs(res.delay_centroid) < 1e-12
     assert abs(res.delay_peak) < 1e-12
@@ -88,7 +90,7 @@ def test_pure_delay_medium():
     # t(w) = e^{i w tau} must delay the envelope by +tau
     pulse = make_gaussian_pulse(PulseSpec(duration=1e-6))
     tau = 37.0 * pulse.dt / 8.0  # deliberately off-grid
-    res = run_pulse(pulse, lambda w: np.exp(1j * w * tau))
+    res = _one_member(pulse, np.exp(1j * pulse.omega * tau))
     assert abs(res.delay_centroid - tau) < 1e-3 * tau
     assert abs(res.delay_peak - tau) < 0.2 * pulse.dt
     assert np.isclose(res.energy_transmission, 1.0, rtol=1e-12)
@@ -96,16 +98,16 @@ def test_pure_delay_medium():
 
 def test_flat_absorber():
     pulse = make_gaussian_pulse(PulseSpec(duration=1e-6))
-    res = run_pulse(pulse, lambda w: np.full_like(w, np.exp(-0.2), dtype=complex))
+    res = _one_member(pulse, np.full(pulse.n, np.exp(-0.2)))
     assert np.isclose(res.energy_transmission, np.exp(-0.4), rtol=1e-12)
 
 
 def test_propagation_is_linear():
     pulse = make_gaussian_pulse(PulseSpec(duration=1e-6))
-    med = lambda w: np.exp(1j * w * 1e-8 - (w * 1e-7) ** 2)
-    out1 = propagate(pulse, med)
+    med = np.exp(1j * pulse.omega * 1e-8 - (pulse.omega * 1e-7) ** 2)
+    out1 = _one_member(pulse, med).output
     doubled = SampledPulse(pulse.t0, pulse.dt, 2.0 * np.asarray(pulse.samples))
-    out2 = propagate(doubled, med)
+    out2 = _one_member(doubled, med).output
     assert np.allclose(np.asarray(out2.samples),
                        2.0 * np.asarray(out1.samples), rtol=1e-12)
 
@@ -115,18 +117,18 @@ def test_band_guard_rejects_coarse_grid(cfg):
     # atomic line, where |t| still slopes by > 1e-6 per frequency step
     pulse = make_gaussian_pulse(PulseSpec(duration=80e-6))
     with pytest.raises(BandCoverageError):
-        propagate(pulse, _vit_medium(cfg, 3.4))
+        pulse_ensemble(cfg, 3.4, pulse, IDEAL)
     # quadrupling the sample rate pushes the edge far into the flat tail
     fine = make_gaussian_pulse(PulseSpec(duration=80e-6), n_samples=2**16)
-    propagate(fine, _vit_medium(cfg, 3.4))
+    pulse_ensemble(cfg, 3.4, fine, IDEAL)
 
 
 def test_medium_output_validation():
     pulse = make_gaussian_pulse(PulseSpec(duration=1e-6))
     with pytest.raises(ValueError):
-        propagate(pulse, lambda w: np.ones(3, dtype=complex))
+        run_pulse_ensemble(pulse, [(np.ones(1), np.ones((1, 3), dtype=complex))])
     with pytest.raises(ValueError):
-        propagate(pulse, lambda w: np.full_like(w, np.nan, dtype=complex))
+        _one_member(pulse, np.full(pulse.n, np.nan))
 
 
 def test_narrowband_convergence_trio(cfg):
@@ -139,7 +141,7 @@ def test_narrowband_convergence_trio(cfg):
     errs = []
     for tp, n in ((5e-6, 2**18), (20e-6, 2**14), (80e-6, 2**14)):
         pulse = make_gaussian_pulse(PulseSpec(duration=tp), n_samples=n)
-        res = run_pulse(pulse, _vit_medium(stiff, eta))
+        res = pulse_ensemble(stiff, eta, pulse, IDEAL)
         errs.append(abs(res.delay_centroid - tau) / tau)
         assert errs[-1] < 0.01
         assert abs(res.energy_transmission - t_res) / t_res < 0.005
@@ -150,31 +152,42 @@ def test_narrowband_delay_matches_exact_slope(cfg):
     # at the default atom the asymptote is the kappa/gamma-corrected slope
     exact = (cfg.od / cfg.kappa) * (3.4 - cfg.kappa / cfg.gamma) / 4.4**2
     pulse = make_gaussian_pulse(PulseSpec(duration=80e-6), n_samples=2**16)
-    res = run_pulse(pulse, _vit_medium(cfg, 3.4))
+    res = pulse_ensemble(cfg, 3.4, pulse, IDEAL)
     assert abs(res.delay_centroid - exact) / exact < 1e-3
 
 
-def test_ensemble_single_member_matches_run_pulse(cfg):
-    # run_pulse is the one-member ensemble; check it against propagate's
-    # coherent output summarized here
+def test_ensemble_single_member_matches_fft(cfg):
+    # the one-member ensemble against the coherent output of plain numpy
+    # FFTs, summarized here
     pulse = make_gaussian_pulse(PulseSpec(duration=1.73e-6))
-    med = _vit_medium(cfg, 5.0)
-    solo = propagate(pulse, med)
-    ens = run_pulse(pulse, med)
+    solo = np.fft.fft(np.fft.ifft(pulse.samples) * _vit_row(cfg, 5.0, pulse))
+    ens = pulse_ensemble(cfg, 5.0, pulse, IDEAL)
     t = pulse.times
     i_in = np.abs(np.asarray(pulse.samples)) ** 2
-    i_out = np.abs(np.asarray(solo.samples)) ** 2
+    i_out = np.abs(solo) ** 2
     centroid = (t @ i_out) / i_out.sum() - (t @ i_in) / i_in.sum()
     assert np.isclose(ens.delay_centroid, centroid, rtol=1e-12)
     assert abs(ens.delay_peak - centroid) < 0.1 * centroid
     assert np.isclose(ens.energy_transmission, i_out.sum() / i_in.sum(), rtol=1e-12)
     # a single member keeps its field, phase included
-    assert np.array_equal(ens.output.samples, solo.samples)
+    assert np.array_equal(ens.output.samples, solo)
+
+
+@pytest.mark.parametrize("tp, n", ((1.73e-6, 2**12), (20e-6, 2**14)))
+def test_ideal_ensemble_is_the_single_coupling_row(cfg, tp, n):
+    # with no corrections the recipe's one ensemble_transfer row is the
+    # plain single-coupling transfer, so the propagation is bit-identical
+    pulse = make_gaussian_pulse(PulseSpec(duration=tp), n_samples=n)
+    ens = pulse_ensemble(cfg, 5.0, pulse, IDEAL)
+    solo = _one_member(pulse, _vit_row(cfg, 5.0, pulse))
+    assert np.array_equal(ens.output.samples, solo.output.samples)
+    assert ens.delay_centroid == solo.delay_centroid
+    assert ens.energy_transmission == solo.energy_transmission
 
 
 def test_ensemble_weight_validation(cfg):
     pulse = make_gaussian_pulse(PulseSpec(duration=1.73e-6))
-    rows = np.tile(_vit_medium(cfg, 5.0)(pulse.omega), (2, 1))
+    rows = np.tile(_vit_row(cfg, 5.0, pulse), (2, 1))
     with pytest.raises(ValueError):
         run_pulse_ensemble(pulse, [(np.array([0.7]), rows)])
     with pytest.raises(ValueError):
@@ -195,7 +208,7 @@ def test_ensemble_delay_between_members():
 @pytest.mark.parametrize("carrier_mhz", (0.0, 0.3))
 def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
     # blocks of several members (1024 samples, BLOCK_POINTS 4096) against
-    # an independent loop of propagate calls, one closure per member
+    # an independent loop of plain numpy FFTs, one transfer row per member
     corr = corrections(conf, average=True, side=True, jitter=True,
                        averaging_nodes=8, jitter_nodes=4)
     carrier = carrier_mhz * MHZ
@@ -205,13 +218,12 @@ def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
     assert len(blocks) == 8 and all(len(w) == 4 for w, _, _, _ in blocks)
     res = run_pulse_ensemble(pulse, ((w, t) for w, _, _, t in blocks))
 
+    spectrum = np.fft.ifft(pulse.samples)
     want = np.zeros(pulse.n)
     for eta, off, wt in zip(*corr.members(5.0)):
-        def medium(w):
-            det = Detunings(carrier + w, off)
-            return transfer_amplitude(
-                composite_susceptibility(cfg, eta, det, corr.side), cfg)
-        want += wt * np.abs(np.asarray(propagate(pulse, medium).samples)) ** 2
+        det = Detunings(carrier + pulse.omega, off)
+        row = transfer_amplitude(composite_susceptibility(cfg, eta, det, corr.side), cfg)
+        want += wt * np.abs(np.fft.fft(spectrum * row)) ** 2
     got = np.abs(np.asarray(res.output.samples)) ** 2
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
 
@@ -229,8 +241,8 @@ def test_ensemble_band_guard_per_row(cfg):
 def test_trace_round_trip(tmp_path):
     pulse = make_gaussian_pulse(PulseSpec(duration=1.73e-6), n_samples=2**10,
                                 span=16 * 1.73e-6)
-    med = lambda w: np.exp(1j * w * 30e-9 - (w * 4e-8) ** 2)
-    out = propagate(pulse, med)
+    w = pulse.omega
+    out = _one_member(pulse, np.exp(1j * w * 30e-9 - (w * 4e-8) ** 2)).output
     path = tmp_path / "trace.csv"
     write_trace_csv(path, out)
     back = read_trace_csv(path)
