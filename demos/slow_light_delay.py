@@ -11,7 +11,7 @@ from dataclasses import replace
 from vitlab import recipes
 from vitlab.config import load_config, physical_config
 from vitlab.core import group_delay_analytic
-from vitlab.pulses import PulseSpec, make_gaussian_pulse
+from vitlab.pulses import make_gaussian_pulse
 from vitlab.spatial import IDEAL
 
 conf = load_config()
@@ -22,7 +22,7 @@ tau = group_delay_analytic(cfg.od, cfg.kappa, eta)
 print(f"narrowband prediction tau = {tau / 1e-9:.1f} ns")
 
 for tp_us in (20.0, 80.0):
-    pulse = make_gaussian_pulse(PulseSpec(duration=tp_us * 1e-6), n_samples=2**16)
+    pulse = make_gaussian_pulse(tp_us * 1e-6, n_samples=2**16)
     res = recipes.pulse_ensemble(cfg, eta, pulse, IDEAL)
     print(f"T_P = {tp_us:5.1f} us: centroid delay {res.delay_centroid / 1e-9:6.2f} ns, "
           f"energy transmission {res.energy_transmission:.4f}")

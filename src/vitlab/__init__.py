@@ -1,8 +1,8 @@
 """Cavity-EIT / vacuum-induced-transparency modeling toolkit.
 
 Subpackages are importable directly; nothing heavy happens at import time.
-All internal frequencies are angular (rad/s). Command-line and file I/O
-use MHz / um / us instead; the conversion lives in vitlab.config only.
+All internal frequencies are angular (rad/s). Flags and files use MHz / um / us,
+converted where they are read or written; config.MHZ is the only unit constant.
 """
 
 from vitlab.errors import BandCoverageError, ConvergenceError, RankDeficientError

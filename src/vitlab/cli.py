@@ -20,11 +20,11 @@ import numpy as np
 
 from vitlab import config as cfgmod
 from vitlab import recipes
-from vitlab.config import MHZ, NS, US, write_csv, write_json
+from vitlab.config import MHZ, write_csv, write_json
 from vitlab.core import Detunings, group_delay_analytic, resonant_transmission
 from vitlab.errors import ConvergenceError
 from vitlab.fitting import VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, write_trace_csv
+from vitlab.pulses import make_gaussian_pulse, write_trace_csv
 from vitlab.spatial import corrected_spectrum
 from vitlab.synth import (
     ScanPlan,
@@ -107,16 +107,16 @@ def cmd_pulse(args):
     conf, cfg, eta, corr = _setup(args)
     if args.od is not None:
         cfg = replace(cfg, od=args.od)
-    spec = PulseSpec(duration=args.tp_us * US)
+    duration = args.tp_us * 1e-6
     try:
-        pulse = make_gaussian_pulse(spec, n_samples=args.samples,
-                                    span=args.span_factor * spec.duration)
+        pulse = make_gaussian_pulse(duration, n_samples=args.samples,
+                                    span=args.span_factor * duration)
         result = recipes.pulse_ensemble(cfg, eta, pulse, corr, args.carrier_mhz * MHZ)
     except ValueError as err:
         raise ValueError(f"--tp-us {args.tp_us:g} --span-factor {args.span_factor:g} "
                          f"--samples {args.samples}: {err}") from None
     doc = dict(recipes.delays(result),
-               tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / NS,
+               tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / 1e-9,
                resonant_transmission_analytic=resonant_transmission(cfg.od, eta))
     if args.trace:
         write_trace_csv(args.trace, result.output)
@@ -132,7 +132,7 @@ def cmd_synth(args):
         delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
         probe_grid=tuple(grid),
         photon_flux=args.flux,
-        dwell=args.dwell_us * US,
+        dwell=args.dwell_us * 1e-6,
         efficiency_d1=args.eff1,
         efficiency_d2=args.eff2,
         rng_seed=args.seed,
@@ -149,27 +149,34 @@ def _read_plain_spectrum(path):
     return Spectrum(delta_probe=rows[:, 0] * MHZ, transmission=rows[:, 1], emission=e)
 
 
-def _read_datasets(path, sidecar_path, delta_cavity):
-    """[(delta_cavity, Spectrum)] from a scan CSV (with sidecar) or a spectrum CSV."""
+def _read_input(path, args, flag_corrections):
+    """(source, corrections, [(delta_cavity, Spectrum)]) of a scan or spectrum CSV.
+
+    A scan fits with its sidecar's corrections (a flag they lack is an
+    error) and names the sidecar; a spectrum fits with flag_corrections.
+    """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[1:2] != ["delta_cavity_MHz"]:
-        if sidecar_path is not None:
+        if args.sidecar is not None:
             raise ValueError(f"--sidecar goes with a scan CSV, and {path} is not one")
-        return [(delta_cavity, _read_plain_spectrum(path))]
+        return path, flag_corrections, [(args.delta_cavity_mhz * MHZ,
+                                         _read_plain_spectrum(path))]
     scans = read_scan_csv(path)
-    if sidecar_path is None:
-        sidecar_path = os.path.splitext(path)[0] + ".json"
-    plan = read_scan_sidecar(sidecar_path)
-    return [(dcav, spectrum_from_records(records, plan)) for dcav, records in scans]
+    sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
+    plan, corr = read_scan_sidecar(sidecar)
+    for flag, field in (("average", "averaging_nodes"), ("side", "side_weight"),
+                        ("jitter", "jitter_fwhm")):
+        if getattr(args, flag) and not getattr(corr, field):
+            raise ValueError(f"--{flag} is given, but {sidecar} records the scan without it")
+    return sidecar, corr, [(dcav, spectrum_from_records(records, plan))
+                           for dcav, records in scans]
 
 
 def cmd_fit(args):
     conf = cfgmod.load_config(args.config)
     cfg = cfgmod.physical_config(conf)
-    corr = cfgmod.corrections(
-        conf, average=args.average, side=args.side, jitter=args.jitter
-    )
+    flags = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
     if args.sidecar and len(args.input) > 1:
         raise ValueError("--sidecar needs a single --input; "
                          "each scan otherwise reads its own sidecar")
@@ -187,8 +194,13 @@ def cmd_fit(args):
         write_json(args.out, fit.to_json_dict())
         return 0
 
-    dcav = args.delta_cavity_mhz * MHZ
-    datasets = [d for path in args.input for d in _read_datasets(path, args.sidecar, dcav)]
+    inputs = [_read_input(path, args, flags) for path in args.input]
+    source, corr, _ = inputs[0]
+    for other, other_corr, _ in inputs[1:]:
+        if other_corr != corr:
+            raise ValueError(f"{source} and {other} hold different corrections; "
+                             "a joint fit needs one set")
+    datasets = [d for _, _, data in inputs for d in data]
     if args.model == "vit":
         fit = fit_vit_spectra(datasets, cfg, free=tuple(args.free.split(",")),
                               corrections=corr)

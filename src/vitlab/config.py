@@ -1,11 +1,10 @@
-"""Run configuration: the one place units are converted.
+"""Run configuration: flat JSON documents in laboratory units.
 
-Configs are flat JSON documents in laboratory units (frequencies in
-ordinary MHz, lengths in um, times in us).  Everything downstream of
-this module works in angular rad/s and meters.  A config file may list
-any subset of the known keys; missing keys take the packaged defaults
-(vitlab/defaults.json).  Unknown keys are rejected outright rather
-than silently ignored.
+Configs hold frequencies in ordinary MHz and lengths in um;
+physical_config converts them to the rad/s and meters used downstream.
+A config file may list any subset of the known keys; missing keys take
+the packaged defaults (vitlab/defaults.json).  Unknown keys are
+rejected outright rather than silently ignored.
 
 Resolution order for the default document: explicit path argument,
 then the VIT_LAB_CONFIG environment variable, then the packaged file.
@@ -22,12 +21,9 @@ from contextlib import nullcontext
 from importlib import resources
 
 from vitlab.core import CavityGeometry, PhysicalConfig, TWO_PI, cooperativity_geometric
-from vitlab.spatial import Corrections, SideChannel
+from vitlab.spatial import Corrections
 
-MHZ = TWO_PI * 1e6    # MHz (ordinary frequency) -> rad/s
-UM = 1e-6
-US = 1e-6
-NS = 1e-9
+MHZ = TWO_PI * 1e6    # MHz -> rad/s: the only unit constant, the rest are powers of ten
 
 ENV_VAR = "VIT_LAB_CONFIG"
 
@@ -141,17 +137,17 @@ def physical_config(conf):
     return PhysicalConfig(
         gamma=conf["gamma_MHz"] * MHZ,
         kappa=conf["kappa_MHz"] * MHZ,
-        wavelength=conf["wavelength_um"] * UM,
+        wavelength=conf["wavelength_um"] * 1e-6,
         od=conf["od"],
-        length=conf["length_um"] * UM,
+        length=conf["length_um"] * 1e-6,
     )
 
 
 def cavity_geometry(conf):
     return CavityGeometry(
         finesse=conf["finesse"],
-        waist=conf["waist_um"] * UM,
-        wavelength=conf["wavelength_um"] * UM,
+        waist=conf["waist_um"] * 1e-6,
+        wavelength=conf["wavelength_um"] * 1e-6,
     )
 
 
@@ -160,18 +156,11 @@ def model_cooperativity(conf):
     return conf["f_eg"] * cooperativity_geometric(cavity_geometry(conf))
 
 
-def side_channel(conf):
-    return SideChannel(
-        weight=conf["side_weight"], zeeman_shift=conf["side_shift_MHz"] * MHZ
-    )
-
-
-def corrections(conf, average=False, side=False, jitter=False,
-                averaging_nodes=64, jitter_nodes=16):
-    """Build a Corrections stack from boolean switches plus config knobs."""
+def corrections(conf, average=False, side=False, jitter=False):
+    """Corrections from boolean switches plus config knobs; a switch off leaves 0s."""
     return Corrections(
-        averaging_nodes=averaging_nodes if average else 0,
-        side=side_channel(conf) if side else None,
+        averaging_nodes=64 if average else 0,
+        side_weight=conf["side_weight"] if side else 0.0,
+        side_shift=conf["side_shift_MHz"] * MHZ if side else 0.0,
         jitter_fwhm=conf["jitter_fwhm_MHz"] * MHZ if jitter else 0.0,
-        jitter_nodes=jitter_nodes,
     )

@@ -151,7 +151,8 @@ def group_delay_analytic(od, kappa, eta):
         raise ValueError("kappa must be positive")
     if od < 0 or eta < 0:
         raise ValueError("od and eta must be nonnegative")
-    return (od / kappa) * eta / (eta + 1.0) ** 2
+    # a product, not ** 2: a Python float power overflows with an exception
+    return (od / kappa) * eta / ((eta + 1.0) * (eta + 1.0))
 
 
 def group_delay_numeric(cfg, eta, step=None, tol=5e-3):

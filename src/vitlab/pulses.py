@@ -27,22 +27,6 @@ EDGE_FLATNESS = 1e-6
 
 
 @dataclass(frozen=True)
-class PulseSpec:
-    """Gaussian probe pulse of intensity FWHM duration (s)."""
-
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-
-    @property
-    def spectral_fwhm(self):
-        """Intensity spectral FWHM in Hz (Gaussian time-bandwidth 2 ln2 / pi)."""
-        return 2.0 * np.log(2.0) / (np.pi * self.duration)
-
-
-@dataclass(frozen=True)
 class SampledPulse:
     """Complex envelope on the uniform grid t0 + i*dt, i = 0..n-1."""
 
@@ -82,26 +66,28 @@ class PropagationResult:
     output: object  # SampledPulse
 
 
-def make_gaussian_pulse(spec, n_samples=2**14, span=None):
-    """Sample a unit-amplitude Gaussian envelope centered on t = 0.
+def make_gaussian_pulse(duration, n_samples=2**14, span=None):
+    """Sample a unit-amplitude Gaussian envelope of intensity FWHM duration (s).
 
-    The grid is symmetric about the center, so samples[i] equals
-    samples[n-1-i] exactly.  span defaults to 16 durations and must be
-    at least 8; the sample rate must keep the Nyquist frequency at
-    least 10 spectral FWHMs away.
+    The grid is symmetric about t = 0, so samples[i] equals samples[n-1-i]
+    exactly.  span defaults to 16 durations and must be at least 8; the
+    Nyquist frequency must stay at least 10 spectral FWHMs away, the
+    Gaussian's time-bandwidth product giving 2 ln2 / (pi duration).
     """
+    if not duration > 0:
+        raise ValueError("duration must be positive")
     if span is None:
-        span = 16.0 * spec.duration
-    if span < 8.0 * spec.duration:
+        span = 16.0 * duration
+    if span < 8.0 * duration:
         raise ValueError("grid too short: span must cover at least 8 durations")
     if n_samples & (n_samples - 1) or n_samples <= 0:
         raise ValueError("n_samples must be a power of two")
     dt = span / n_samples
     nyquist_hz = 0.5 / dt
-    if nyquist_hz < 10.0 * spec.spectral_fwhm:
+    if nyquist_hz < 10.0 * (2.0 * np.log(2.0) / (np.pi * duration)):
         raise ValueError("grid too coarse: Nyquist margin below 10 spectral widths")
     t = dt * (np.arange(n_samples) - (n_samples - 1) / 2.0)
-    field = np.exp(-2.0 * np.log(2.0) * (t / spec.duration) ** 2).astype(complex)
+    field = np.exp(-2.0 * np.log(2.0) * (t / duration) ** 2).astype(complex)
     return SampledPulse(t0=t[0], dt=dt, samples=field)
 
 

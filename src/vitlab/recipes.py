@@ -12,11 +12,11 @@ from dataclasses import replace
 import numpy as np
 
 from vitlab import config as cfgmod
-from vitlab.config import MHZ, NS, US
+from vitlab.config import MHZ
 from vitlab.core import Detunings, group_delay_analytic, group_velocity
 from vitlab.fitting import (extract_transparency, fit_linear_weighted, fit_vit_spectra,
                             ratio_with_error, value_error_doc)
-from vitlab.pulses import PulseSpec, make_gaussian_pulse, run_pulse_ensemble
+from vitlab.pulses import make_gaussian_pulse, run_pulse_ensemble
 from vitlab.spatial import corrected_spectrum, effective_cooperativity, ensemble_transfer
 from vitlab.synth import ScanPlan, generate_scan, spectrum_from_records
 
@@ -59,8 +59,8 @@ def fig2(conf, cfg):
 
 def delays(result):
     """The delays (ns) and energy transmission of a PropagationResult, as JSON carries them."""
-    return {"delay_centroid_ns": result.delay_centroid / NS,
-            "delay_peak_ns": result.delay_peak / NS,
+    return {"delay_centroid_ns": result.delay_centroid / 1e-9,
+            "delay_peak_ns": result.delay_peak / 1e-9,
             "energy_transmission": result.energy_transmission}
 
 
@@ -80,7 +80,7 @@ def fig3(conf, cfg):
     manifest parameters.
     """
     cfg = replace(cfg, od=MEASURED_OD)
-    pulse = make_gaussian_pulse(PulseSpec(duration=PULSE_FWHM_US * US))
+    pulse = make_gaussian_pulse(PULSE_FWHM_US * 1e-6)
     results = {
         label: pulse_ensemble(cfg, ETA_EFF_0, pulse, cfgmod.corrections(
             conf, average=True, side=True, jitter=jitter))
@@ -91,7 +91,7 @@ def fig3(conf, cfg):
                            velocity_centroid_m_per_s=group_velocity(r.delay_centroid, path),
                            velocity_peak_m_per_s=group_velocity(r.delay_peak, path))
                for label, r in results.items()}
-    summary["tau_max_analytic_ns"] = group_delay_analytic(cfg.od, cfg.kappa, ETA_EFF_0) / NS
+    summary["tau_max_analytic_ns"] = group_delay_analytic(cfg.od, cfg.kappa, ETA_EFF_0) / 1e-9
     params = {"od": MEASURED_OD, "eta_eff_0": ETA_EFF_0, "T_P_us": PULSE_FWHM_US,
               "path_um": path / 1e-6}
     return pulse, results, summary, params

@@ -25,10 +25,11 @@ deterministic so results never depend on evaluation order.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
-from vitlab.core import Detunings, TWO_PI, susceptibility, transfer_amplitude
+from vitlab.core import Detunings, susceptibility, transfer_amplitude
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -56,18 +57,6 @@ def standing_wave_distribution(eta_max, nodes=64):
     return eta_max * cos2, w.copy()
 
 
-@dataclass(frozen=True)
-class SideChannel:
-    """Weak parallel transition: relative strength and two-photon shift (rad/s)."""
-
-    weight: float = 0.25
-    zeeman_shift: float = TWO_PI * 0.6e6
-
-    def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("side-channel weight must lie in [0, 1]")
-
-
 def effective_cooperativity(eta_eff_0, n_c):
     """Effective antinode cooperativity eta_eff_0 (n_c + 1); exactly linear in n_c."""
     if eta_eff_0 <= 0:
@@ -77,21 +66,21 @@ def effective_cooperativity(eta_eff_0, n_c):
     return eta_eff_0 * (n_c + 1.0)
 
 
-def composite_susceptibility(cfg, eta, det, side):
+def composite_susceptibility(cfg, eta, det, corrections):
     """Main plus side-channel susceptibility with the total resonant OD conserved.
 
-    The side channel carries od * weight/(1 + weight), the main channel
-    the rest, so the wide-scan integrated absorption is unchanged.  Both
-    share the coupling eta; the side channel's two-photon resonance is
-    displaced by zeeman_shift.  eta broadcasts as in core.susceptibility.
+    The side channel carries od * side_weight/(1 + side_weight), the main
+    channel the rest, so the wide-scan integrated absorption is unchanged.
+    Both share the coupling eta; the side channel's two-photon resonance
+    is displaced by side_shift.  eta broadcasts as in core.susceptibility.
     """
-    if side is None or side.weight == 0.0:
+    if corrections.side_weight == 0.0:
         return susceptibility(cfg, eta, det)
-    od_main = cfg.od / (1.0 + side.weight)
+    od_main = cfg.od / (1.0 + corrections.side_weight)
     cfg_main = replace(cfg, od=od_main)
     cfg_side = replace(cfg, od=cfg.od - od_main)
     det_side = Detunings(det.delta_probe,
-                         np.asarray(det.delta_cavity) + side.zeeman_shift)
+                         np.asarray(det.delta_cavity) + corrections.side_shift)
     return susceptibility(cfg_main, eta, det) + susceptibility(cfg_side, eta, det_side)
 
 
@@ -112,16 +101,24 @@ class Corrections:
     averaging_nodes: 0 disables standing-wave averaging, otherwise the
         Gauss-Legendre node count (64 is plenty; doubling it moves the
         fig2 spectra by < 1e-12).
-    side: SideChannel or None.
+    side_weight: Zeeman-shifted side channel's od over the main's, in [0, 1], 0 off.
+    side_shift: the side channel's two-photon shift (rad/s).
     jitter_fwhm: FWHM of the resonator frequency jitter (rad/s), 0 off.
     jitter_nodes: Gauss-Hermite node count (doubling 16 moves the fig2
         spectra by < 1e-5).
     """
 
     averaging_nodes: int = 0
-    side: object = None
+    side_weight: float = 0.0
+    side_shift: float = 0.0
     jitter_fwhm: float = 0.0
     jitter_nodes: int = 16
+
+    def __post_init__(self):
+        if not 0.0 <= self.side_weight <= 1.0:
+            raise ValueError("side-channel weight must lie in [0, 1]")
+        if index(self.averaging_nodes) < 0 or index(self.jitter_nodes) < 1:
+            raise ValueError("averaging_nodes must be >= 0 and jitter_nodes >= 1")
 
     def members(self, eta_max):
         """The correction ensemble as flat arrays (etas, offsets, weights).
@@ -162,7 +159,7 @@ def ensemble_transfer(cfg, eta_max, det, corrections=IDEAL):
     for lo in range(0, len(etas), step):
         block = slice(lo, lo + step)
         det_m = Detunings(dp, dcav + offsets[block, None])
-        chi = composite_susceptibility(cfg, etas[block], det_m, corrections.side)
+        chi = composite_susceptibility(cfg, etas[block], det_m, corrections)
         yield weights[block], etas[block], det_m, transfer_amplitude(chi, cfg)
 
 
@@ -175,7 +172,7 @@ def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0)
     fraction by the branching ratio of the main two-photon channel,
     beta = eta/(eta + 1 + dc^2) with dc the member's normalized cavity
     detuning (the closed form of the amplitude equations in
-    vitlab.oracle), and by emission_scale.
+    vitlab.oracle), and by emission_scale.  Overflow raises ValueError.
     """
     if not 0 < emission_scale < np.inf:
         raise ValueError("emission_scale must be positive and finite")
@@ -187,5 +184,8 @@ def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0)
         dc = det_m.normalized(cfg)[1]
         trans = trans + weights @ t2
         emis = emis + weights @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
-    return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
+    trans, emis = trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
+    if not (np.isfinite(trans).all() and np.isfinite(emis).all()):
+        raise ValueError(f"cooperativity {eta_max:g} gives a non-finite spectrum")
+    return trans, emis
 

@@ -23,9 +23,9 @@ from itertools import repeat
 
 import numpy as np
 
-from vitlab.config import MHZ, US, read_csv, write_csv, write_json
+from vitlab.config import MHZ, read_csv, write_csv, write_json
 from vitlab.core import Detunings
-from vitlab.spatial import IDEAL, corrected_spectrum
+from vitlab.spatial import IDEAL, Corrections, corrected_spectrum
 
 
 # largest expected count per point drawn; numpy's Poisson sampler stops near 9e18
@@ -165,7 +165,6 @@ def read_scan_csv(path):
 
 def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1.0):
     """JSON sidecar recording everything needed to regenerate a scan."""
-    side = corrections.side
     meta = {
         "plan": {
             "delta_cavity_MHz": [d / MHZ for d in plan.delta_cavity_list],
@@ -186,8 +185,8 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
         },
         "corrections": {
             "averaging_nodes": corrections.averaging_nodes,
-            "side_weight": side.weight if side else 0.0,
-            "side_shift_MHz": side.zeeman_shift / MHZ if side else 0.0,
+            "side_weight": corrections.side_weight,
+            "side_shift_MHz": corrections.side_shift / MHZ,
             "jitter_fwhm_MHz": corrections.jitter_fwhm / MHZ,
             "jitter_nodes": corrections.jitter_nodes,
         },
@@ -198,20 +197,23 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
 
 
 def read_scan_sidecar(path):
-    """The ScanPlan recorded in a sidecar written by write_scan_sidecar."""
+    """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged."""
     with open(path) as fh:
         meta = json.load(fh)
     try:
-        plan = meta["plan"]
+        plan, corr = meta["plan"], meta["corrections"]
         return ScanPlan(
             delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
             probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
             photon_flux=plan["photon_flux_per_s"],
-            dwell=plan["dwell_us"] * US,
+            dwell=plan["dwell_us"] * 1e-6,
             efficiency_d1=plan["efficiency_d1"],
             efficiency_d2=plan["efficiency_d2"],
             rng_seed=plan["rng_seed"],
-        )
+        ), Corrections(
+            averaging_nodes=corr["averaging_nodes"], side_weight=corr["side_weight"],
+            side_shift=corr["side_shift_MHz"] * MHZ, jitter_fwhm=corr["jitter_fwhm_MHz"] * MHZ,
+            jitter_nodes=corr["jitter_nodes"])
     except KeyError as err:
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
     except (TypeError, ValueError) as err:

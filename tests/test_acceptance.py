@@ -24,7 +24,7 @@ from vitlab.core import (
 )
 from vitlab.fitting import fit_lorentzian, fit_vit_spectra, format_value_error, ratio_with_error
 from vitlab.oracle import DriveSpec, branching_ratio, steady_state_amplitudes, susceptibility_from_oracle
-from vitlab.pulses import PulseSpec, make_gaussian_pulse
+from vitlab.pulses import make_gaussian_pulse
 from vitlab.recipes import (
     PUBLISHED_INTERCEPT,
     PUBLISHED_SLOPE,
@@ -120,7 +120,7 @@ def test_criterion_05_delay_identity_and_maximum(report, cfg):
 def test_criterion_06_pulse_delays(report, cfg, conf):
     # narrowband limit, on the same broad-line medium as criterion 5
     stiff = replace(cfg, gamma=STIFF_GAMMA)
-    pulse = make_gaussian_pulse(PulseSpec(duration=80e-6))
+    pulse = make_gaussian_pulse(80e-6)
     res = pulse_ensemble(stiff, 3.4, pulse, IDEAL)
     tau = group_delay_analytic(stiff.od, stiff.kappa, 3.4)
     narrow_err = abs(res.delay_centroid - tau) / tau

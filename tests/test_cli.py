@@ -338,6 +338,42 @@ def test_synth_flux_beyond_counts_returns_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_spectrum_huge_cooperativity_returns_2(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    with pytest.warns(RuntimeWarning):
+        assert main(["spectrum", "--eta", "1e308", "--points", "3", "--out", str(out)]) == 2
+    assert "cooperativity 1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_uses_the_sidecar_corrections(tmp_path, capsys):
+    # a scan with averaging and jitter fits the same with and without the
+    # flags: its sidecar records both (the truth is eta_eff 3.39)
+    prefix = str(tmp_path / "sc")
+    assert main(["synth", "--average", "--jitter", "--delta-cavity-mhz", "0.5",
+                 "--points", "161", "--flux", "1e6", "--dwell-us", "50000",
+                 "--seed", "1", "--out", prefix]) == 0
+    out = tmp_path / "fit.json"
+
+    def fit(*argv):
+        code = main(["fit", "--model", "vit", "--input", *argv, "--out", str(out)])
+        return code, out.read_bytes() if code == 0 else None
+
+    code, bare = fit(prefix + ".csv")
+    assert code == 0 and fit(prefix + ".csv", "--average", "--jitter") == (0, bare)
+    eta = json.loads(bare)["params"]["eta_eff"]
+    assert abs(eta["value"] - 3.39) < 3 * eta["error"]
+    # a flag whose correction the sidecar lacks
+    assert fit(prefix + ".csv", "--side")[0] == 2
+    err = capsys.readouterr().err
+    assert "--side" in err and "sc.json" in err
+    # a joint fit needs one set of corrections
+    plain = _synth(tmp_path / "plain", "0", "1")
+    assert fit(prefix + ".csv", plain)[0] == 2
+    err = capsys.readouterr().err
+    assert "sc.json" in err and "plain.json" in err
+
+
 def test_missing_input_returns_2(capsys):
     assert main(["fit", "--model", "vit", "--input", "/nonexistent.csv"]) == 2
     capsys.readouterr()

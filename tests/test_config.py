@@ -11,7 +11,6 @@ from vitlab.config import (
     load_config,
     packaged_defaults,
     physical_config,
-    side_channel,
     validate_config,
 )
 
@@ -93,18 +92,13 @@ def test_f_ef_accepted_but_unread(tmp_path):
         validate_config({"f_ef": 1.5})
 
 
-def test_side_channel_factory():
-    side = side_channel(packaged_defaults())
-    assert side.weight == 0.25
-    assert np.isclose(side.zeeman_shift, 0.6 * MHZ, rtol=1e-12)
-
-
 def test_corrections_factory_flags():
     conf = packaged_defaults()
     none = corrections(conf)
-    assert none.averaging_nodes == 0 and none.side is None
-    assert none.jitter_fwhm == 0.0
+    assert none.averaging_nodes == 0
+    assert none.side_weight == none.side_shift == none.jitter_fwhm == 0.0
     full = corrections(conf, average=True, side=True, jitter=True)
     assert full.averaging_nodes == 64
-    assert full.side is not None
+    assert full.side_weight == 0.25
+    assert np.isclose(full.side_shift, 0.6 * MHZ, rtol=1e-12)
     assert np.isclose(full.jitter_fwhm, 0.2 * MHZ, rtol=1e-12)

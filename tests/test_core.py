@@ -135,6 +135,14 @@ def test_delay_maximum_location(cfg):
     assert abs(peak - (1.0 + 2.0 * cfg.kappa / cfg.gamma)) < 0.005
 
 
+def test_group_delay_analytic_huge_cooperativity(cfg):
+    # eta/(eta+1)^2 underflows to 0 instead of overflowing the square
+    assert group_delay_analytic(cfg.od, cfg.kappa, 1e300) == 0.0
+    for eta in (1.0, 3.39, 5.0, 37.4):
+        assert group_delay_analytic(cfg.od, cfg.kappa, eta) == (
+            (cfg.od / cfg.kappa) * eta / (eta + 1.0) ** 2)
+
+
 def test_group_velocity():
     assert group_velocity(25e-9, 40e-6) == pytest.approx(1600.0, rel=1e-12)
     with pytest.raises(ValueError):

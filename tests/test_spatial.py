@@ -19,7 +19,6 @@ from vitlab.spatial import (
     IDEAL,
     Corrections,
     SIGMA_PER_FWHM,
-    SideChannel,
     composite_susceptibility,
     corrected_spectrum,
     effective_cooperativity,
@@ -67,24 +66,41 @@ def test_averaging_lowers_transparency(cfg):
     assert avg > transmission(cfg, 0.0, det)
 
 
-def test_side_channel_conserves_optical_depth(cfg):
+# the packaged defaults' side channel: a quarter of the main od, 0.6 MHz away
+SIDE = Corrections(side_weight=0.25, side_shift=0.6 * MHZ)
+
+
+def test_side_weight_conserves_optical_depth(cfg):
     # far off resonance both channels absorb in their 1/delta^2 tails;
     # splitting od must not change the total wing absorbance
     far = Detunings(2000.0 * cfg.gamma, 0.0)
     t_plain = corrected_spectrum(cfg, 5.0, far, IDEAL)[0]
-    t_side = corrected_spectrum(
-        cfg, 5.0, far, Corrections(side=SideChannel())
-    )[0]
+    t_side = corrected_spectrum(cfg, 5.0, far, SIDE)[0]
     assert np.isclose(np.log(t_plain), np.log(t_side), rtol=1e-6)
 
 
-def test_side_channel_shifts_weight(cfg):
-    side = SideChannel()
+def test_side_weight_shifts_absorption(cfg):
     det = Detunings(0.0, 0.0)
-    chi_plain = composite_susceptibility(cfg, 5.0, det, None)
-    chi_split = composite_susceptibility(cfg, 5.0, det, side)
+    chi_plain = composite_susceptibility(cfg, 5.0, det, IDEAL)
+    chi_split = composite_susceptibility(cfg, 5.0, det, SIDE)
     # the shifted channel leaks absorption into the window
     assert chi_split.imag > chi_plain.imag
+    # zero weight is off, whatever the shift
+    off = composite_susceptibility(cfg, 5.0, det, replace(SIDE, side_weight=0.0))
+    assert off == chi_plain
+
+
+@pytest.mark.parametrize("fields, error", (
+    ({"side_weight": 1.5}, ValueError),
+    ({"side_weight": -0.1}, ValueError),
+    ({"side_weight": float("nan")}, ValueError),
+    ({"averaging_nodes": -1}, ValueError),
+    ({"jitter_nodes": 0}, ValueError),
+    ({"averaging_nodes": 64.0}, TypeError),
+))
+def test_corrections_validation(fields, error):
+    with pytest.raises(error):
+        Corrections(**fields)
 
 
 def test_jitter_quadrature_is_normal():
@@ -119,7 +135,7 @@ def test_effective_cooperativity_ladder():
 
 
 def test_corrections_factory_roundtrip():
-    c = Corrections(averaging_nodes=32, side=SideChannel(), jitter_fwhm=0.2 * MHZ)
+    c = replace(SIDE, averaging_nodes=32, jitter_fwhm=0.2 * MHZ)
     etas, offs, w = c.members(5.0)
     assert len(etas) == len(offs) == len(w) == 32 * c.jitter_nodes
     # classes major, jitter offsets minor, weights the outer product
@@ -170,11 +186,11 @@ def _oracle_spectrum(cfg, eta_max, det, corr, scale):
     for eta, off, w in zip(*corr.members(eta_max)):
         drive = DriveSpec(1.0, coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma))
         det_m = Detunings(det.delta_probe, np.asarray(det.delta_cavity) + off)
-        if corr.side is None:
+        if corr.side_weight == 0:
             chi = susceptibility_from_oracle(cfg, drive, det_m)
         else:
-            od_main = cfg.od / (1.0 + corr.side.weight)
-            det_s = Detunings(det.delta_probe, det_m.delta_cavity + corr.side.zeeman_shift)
+            od_main = cfg.od / (1.0 + corr.side_weight)
+            det_s = Detunings(det.delta_probe, det_m.delta_cavity + corr.side_shift)
             chi = (susceptibility_from_oracle(replace(cfg, od=od_main), drive, det_m)
                    + susceptibility_from_oracle(replace(cfg, od=cfg.od - od_main),
                                                 drive, det_s))
@@ -189,8 +205,8 @@ def _oracle_spectrum(cfg, eta_max, det, corr, scale):
 @pytest.mark.parametrize("side", (False, True))
 @pytest.mark.parametrize("jitter", (False, True))
 def test_corrected_spectrum_matches_oracle_loop(cfg, conf, average, side, jitter):
-    corr = corrections(conf, average=average, side=side, jitter=jitter,
-                       averaging_nodes=6, jitter_nodes=4)
+    corr = replace(corrections(conf, average=average, side=side, jitter=jitter),
+                   averaging_nodes=6, jitter_nodes=4)
     # 1001 points split the members into blocks of four (BLOCK_POINTS 4096)
     dets = (Detunings(np.linspace(-4, 4, 1001) * MHZ, 0.5 * MHZ),
             Detunings(0.3 * MHZ, -2.2 * MHZ),
@@ -208,8 +224,8 @@ def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
     # the (weights, t) blocks the pulse ensemble consumes, four members of
     # 1024 frequencies each, average to the spectrum path's transmission
     # taken one frequency at a time (all 32 members in one block)
-    corr = corrections(conf, average=True, side=True, jitter=True,
-                       averaging_nodes=8, jitter_nodes=4)
+    corr = replace(corrections(conf, average=True, side=True, jitter=True),
+                   averaging_nodes=8, jitter_nodes=4)
     carrier = 0.4 * MHZ
     omega = 2 * np.pi * np.fft.fftfreq(1024, 4e-9)
     det = Detunings(carrier + omega, 0.0)
@@ -229,7 +245,7 @@ def test_quadrature_convergence_fig2_panels(cfg, conf):
     grid, dcavs = fig2_detunings(cfg)
 
     def panels(**nodes):
-        corr = corrections(conf, average=True, side=True, jitter=True, **nodes)
+        corr = replace(corrections(conf, average=True, side=True, jitter=True), **nodes)
         return np.array([corrected_spectrum(cfg, eta, Detunings(grid, d), corr)
                          for d in dcavs.values()])
 

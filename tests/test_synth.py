@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from vitlab.config import MHZ
+from vitlab.config import MHZ, corrections
 from vitlab.core import Detunings, transmission
 from vitlab.spatial import IDEAL, Corrections
 from vitlab.synth import (
@@ -176,13 +176,16 @@ def test_scan_reader_rejects_garbage(tmp_path):
             read_scan_csv(bad)
 
 
-def test_sidecar_round_trip(tmp_path, cfg):
+def test_sidecar_round_trip(tmp_path, cfg, conf):
     plan = ScanPlan(delta_cavity_list=(0.0, 0.5 * MHZ, -2.2 * MHZ), probe_grid=GRID,
                     photon_flux=2.5e6, dwell=20e-3, efficiency_d1=0.9,
                     efficiency_d2=0.35, rng_seed=7)
     path = tmp_path / "scan.json"
-    write_scan_sidecar(path, plan, cfg, 3.4)
-    back = read_scan_sidecar(path)
+    corr = corrections(conf, average=True, side=True, jitter=True)
+    write_scan_sidecar(path, plan, cfg, 3.4, corr)
+    back, back_corr = read_scan_sidecar(path)
+    # 0.6 MHz side shift and 0.2 MHz jitter come back as the same doubles
+    assert back_corr == corr
     # the sidecar holds MHz and us, so the rad/s and s values come back
     # through one unit conversion each way
     for name in ("delta_cavity_list", "probe_grid", "photon_flux", "dwell",
@@ -193,13 +196,16 @@ def test_sidecar_round_trip(tmp_path, cfg):
     assert len(back.probe_grid) == len(plan.probe_grid)
 
     doc = json.loads(path.read_text())
+    # corrections a Corrections cannot hold: fractional nodes, weight above 1
+    bad = [dict(doc, corrections=dict(doc["corrections"], **fields))
+           for fields in ({"averaging_nodes": 64.0}, {"side_weight": 2.0})]
     del doc["plan"]["dwell_us"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="scan.json.*'dwell_us'"):
         read_scan_sidecar(path)
     doc["plan"]["dwell_us"] = -1.0
     for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}',
-                 json.dumps(doc)):
+                 json.dumps(doc), *map(json.dumps, bad)):
         path.write_text(text)
         with pytest.raises(ValueError, match="scan.json"):
             read_scan_sidecar(path)
