@@ -22,7 +22,7 @@ from vitlab import config as cfgmod
 from vitlab import recipes
 from vitlab.config import MHZ, write_csv, write_json
 from vitlab.core import Detunings, group_delay_analytic, resonant_transmission
-from vitlab.errors import ConvergenceError
+from vitlab.errors import BandCoverageError, ConvergenceError
 from vitlab.fitting import VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
 from vitlab.spatial import corrected_spectrum
@@ -112,9 +112,12 @@ def cmd_pulse(args):
         pulse = make_gaussian_pulse(duration, n_samples=args.samples,
                                     span=args.span_factor * duration)
         result = recipes.pulse_ensemble(cfg, eta, pulse, corr, args.carrier_mhz * MHZ)
-    except ValueError as err:
+    except BandCoverageError as err:
         raise ValueError(f"--tp-us {args.tp_us:g} --span-factor {args.span_factor:g} "
                          f"--samples {args.samples}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"--eta {eta:g} --od {cfg.od:g} "
+                         f"--carrier-mhz {args.carrier_mhz:g}: {err}") from None
     doc = dict(recipes.delays(result),
                tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / 1e-9,
                resonant_transmission_analytic=resonant_transmission(cfg.od, eta))
@@ -182,8 +185,9 @@ def cmd_fit(args):
                          "each scan otherwise reads its own sidecar")
 
     if args.model == "linear":
-        if args.sidecar:
-            raise ValueError(f"--sidecar goes with a scan CSV, not the line file {args.input[0]}")
+        for flag in ("sidecar", "average", "side", "jitter"):
+            if getattr(args, flag):
+                raise ValueError(f"--{flag} does not apply to the line file {args.input[0]}")
         tables = [np.array(cfgmod.read_csv(path)) for path in args.input]
         for path, table in zip(args.input, tables):
             if table.shape[1] < 3:

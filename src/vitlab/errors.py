@@ -17,8 +17,9 @@ class RankDeficientError(ConvergenceError):
 
 
 class BandCoverageError(ValueError):
-    """Pulse grid does not cover the medium's spectral features.
+    """Pulse grid does not cover the pulse or the medium's response.
 
-    Raised when the transfer function still varies at the edge of the
-    sampled frequency band, where wrap-around would corrupt the output.
+    Raised when the grid's span or band is too small for the pulse or the
+    medium's response, where wrap-around would corrupt the output, or the
+    band reaches the optical carrier, where the envelope model fails.
     """

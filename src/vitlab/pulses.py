@@ -5,6 +5,11 @@ grid; the optical carrier never appears.  Propagation multiplies the
 envelope spectrum by each ensemble member's transfer row t(omega) from
 vitlab.spatial.ensemble_transfer, omega the offset from the carrier
 (a carrier detuning shifts the probe detuning: recipes.pulse_ensemble).
+Rows are evaluated only on the envelope's spectral support (bins above
+SUPPORT_FLOOR of its peak, plus the band edges): exact, as a passive medium
+has |t| <= 1, which is checked.  BandCoverageError guards the grid: |t| flat
+to EDGE_FLATNESS at the band edges, and at most WRAP_FRACTION of the output
+energy in the outer 1/16 of the window at either end, where delays wrap.
 
 Sign convention: the envelope is synthesized as sum of e^{-i omega t}
 components (analysis via numpy ifft, synthesis via fft), so a medium
@@ -23,7 +28,9 @@ from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
 TRACE_COLUMNS = ("time_us", "re", "im")
+SUPPORT_FLOOR = 1e-17
 EDGE_FLATNESS = 1e-6
+WRAP_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,22 +77,20 @@ def make_gaussian_pulse(duration, n_samples=2**14, span=None):
     """Sample a unit-amplitude Gaussian envelope of intensity FWHM duration (s).
 
     The grid is symmetric about t = 0, so samples[i] equals samples[n-1-i]
-    exactly.  span defaults to 16 durations and must be at least 8; the
-    Nyquist frequency must stay at least 10 spectral FWHMs away, the
-    Gaussian's time-bandwidth product giving 2 ln2 / (pi duration).
+    exactly.  BandCoverageError unless duration and time step are positive,
+    span (default 16 durations) >= 8 durations and the Nyquist frequency
+    >= 10 spectral FWHMs of 2 ln2 / (pi duration) (time-bandwidth product).
     """
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    if span is None:
-        span = 16.0 * duration
-    if span < 8.0 * duration:
-        raise ValueError("grid too short: span must cover at least 8 durations")
     if n_samples & (n_samples - 1) or n_samples <= 0:
         raise ValueError("n_samples must be a power of two")
+    span = 16.0 * duration if span is None else span
     dt = span / n_samples
-    nyquist_hz = 0.5 / dt
-    if nyquist_hz < 10.0 * (2.0 * np.log(2.0) / (np.pi * duration)):
-        raise ValueError("grid too coarse: Nyquist margin below 10 spectral widths")
+    if not (duration > 0 and dt > 0):
+        raise BandCoverageError("duration must be positive, as must the time step span/n_samples")
+    if span < 8.0 * duration:
+        raise BandCoverageError("grid too short: span must cover at least 8 durations")
+    if 0.5 * np.pi * duration / dt < 10.0 * 2.0 * np.log(2.0):
+        raise BandCoverageError("grid too coarse: Nyquist margin below 10 spectral widths")
     t = dt * (np.arange(n_samples) - (n_samples - 1) / 2.0)
     field = np.exp(-2.0 * np.log(2.0) * (t / duration) ** 2).astype(complex)
     return SampledPulse(t0=t[0], dt=dt, samples=field)
@@ -111,61 +116,76 @@ def _peak(times, intensity):
     return float(times[i] + 0.5 * (a - c) / denom * (times[1] - times[0]))
 
 
-def run_pulse_ensemble(pulse, blocks):
+def run_pulse_ensemble(pulse, transfer):
     """Incoherent ensemble propagation: delays and energy of the averaged intensity.
 
-    blocks yields (weights, t) pairs, t holding one row of transfer
-    values on pulse.omega per member, as vitlab.spatial.ensemble_transfer
-    does.  Detected intensity is the weighted sum of the member
-    intensities.  Delays are taken from its centroid (first moment) and
-    from its peak (quadratic interpolation around the maximum sample);
-    the two can legitimately disagree for distorted pulses.  The output
-    pulse is the member's field for a one-member ensemble, otherwise
-    the square root of the intensity (member phases are dropped).
-    Raises BandCoverageError when a row's |t| still varies by more than
-    EDGE_FLATNESS at either band edge, where spectral weight would wrap.
+    transfer(omega), called once on the pulse's spectral support, yields
+    (weights, t) blocks, t holding one row of transfer values on omega per
+    member, as vitlab.spatial.ensemble_transfer does.  Detected intensity
+    is the weighted sum of the member intensities.  Delays are taken from
+    its centroid (first moment) and from its peak (quadratic interpolation
+    around the maximum sample); the two can legitimately disagree for
+    distorted pulses.  The output pulse is the member's field for a
+    one-member ensemble, otherwise the square root of the intensity
+    (member phases are dropped).  A row with |t| > 1 raises ValueError, a
+    grid that fails a guard of the module docstring BandCoverageError.
     """
+    n, h = pulse.n, pulse.n // 2
     spectrum = np.fft.ifft(np.asarray(pulse.samples, dtype=complex))
     # in fft order the band runs from index n/2 (most negative) up to n/2 - 1
-    h = pulse.n // 2
-    edge_index = [h, (h + 1) % pulse.n, h - 1, h - 2]
-    intensity = np.zeros(pulse.n)
-    total, members = 0.0, 0
-    for weights, t in blocks:
+    edge_index = [h, (h + 1) % n, h - 1, h - 2]
+    # a mask, not np.union1d: np.unique imports numpy.ma, 1.7 MB of peak memory
+    support = np.abs(spectrum) > SUPPORT_FLOOR * np.max(np.abs(spectrum))
+    support[edge_index] = True
+    cols = np.flatnonzero(support)
+    edge_cols = np.searchsorted(cols, edge_index)
+    intensity = np.zeros(n)
+    total, members, buf = 0.0, 0, np.empty((0, n), dtype=complex)
+    for weights, t in transfer(pulse.omega[cols]):
         weights = np.asarray(weights, dtype=float)
-        if np.shape(t) != (len(weights), pulse.n):
+        m = len(weights)
+        if np.shape(t) != (m, len(cols)):
             raise ValueError("each block needs one weight and one transfer row per member")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
         if not np.all(np.isfinite(t)):
             raise ValueError("transfer function must be finite over the pulse band")
-        edges = np.abs(t[:, edge_index])
-        if np.any(np.abs(edges[:, 0] - edges[:, 1]) > EDGE_FLATNESS) or np.any(
-                np.abs(edges[:, 2] - edges[:, 3]) > EDGE_FLATNESS):
-            raise BandCoverageError(
-                "transfer function still varies at the grid edge; widen the band"
-            )
-        out = np.fft.fft(spectrum * t, axis=-1)
-        intensity += weights @ np.abs(out) ** 2
+        if np.any(np.abs(t) > 1.0 + 1e-12):
+            raise ValueError("|t| exceeds 1 somewhere in the band; the medium must be passive")
+        edges = np.abs(t[:, edge_cols])
+        if np.any(np.abs(edges[:, 0::2] - edges[:, 1::2]) > EDGE_FLATNESS):
+            raise BandCoverageError("transfer function varies at the grid edge; widen the band")
+        # one buffer, reused and transformed in place, bounds the peak memory
+        out = buf[:m] if len(buf) >= m else (buf := np.empty((m, n), dtype=complex))
+        out[:] = 0.0
+        out[:, cols] = spectrum[cols] * t
+        np.fft.fft(out, axis=-1, out=out)
+        field = out[0].copy() if m == 1 else None
+        sq = np.square(out.view(float), out=out.view(float))
+        intensity += (weights @ sq).reshape(-1, 2).sum(1)
         total += weights.sum()
-        members += len(weights)
+        members += m
     if not np.isclose(total, 1.0, atol=1e-12):
         raise ValueError("weights must be nonnegative and sum to 1")
+    k = n // 16
+    if max(intensity[:k].sum(), intensity[n - k:].sum()) > WRAP_FRACTION * intensity.sum():
+        raise BandCoverageError("output reaches the ends of the time window; widen the span")
 
     t = pulse.times
     iin = np.abs(np.asarray(pulse.samples)) ** 2
     centroid = _centroid(t, intensity) - _centroid(t, iin)
     peak = _peak(t, intensity) - _peak(t, iin)
     energy = float(intensity.sum() / iin.sum())
-    field = out[0] if members == 1 else np.sqrt(intensity).astype(complex)
+    field = field if members == 1 else np.sqrt(intensity).astype(complex)
     return PropagationResult(centroid, peak, energy, SampledPulse(pulse.t0, pulse.dt, field))
 
 
 def write_trace_csv(path, pulse):
     """Write a pulse trace as CSV columns time_us, re, im."""
+    s = np.asarray(pulse.samples)
+    # row by row: whole-column lists would add 1.5 MB to the peak of fig3
     write_csv(path, TRACE_COLUMNS,
-              ((float(t) * 1e6, float(v.real), float(v.imag))
-               for t, v in zip(pulse.times, np.asarray(pulse.samples))))
+              map(np.ndarray.tolist, np.column_stack((pulse.times * 1e6, s.real, s.imag))))
 
 
 def read_trace_csv(path):

@@ -105,6 +105,19 @@ def test_fit_linear_command(tmp_path):
     assert doc["ratio_intercept_slope"]["value"] == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("flag", ("--average", "--side", "--jitter"))
+def test_fit_linear_rejects_correction_flags(tmp_path, capsys, flag):
+    # a line has no spectrum to correct; the flag is an error, not ignored
+    data = tmp_path / "line.csv"
+    data.write_text("n_c,eta_eff,eta_eff_err\n3,13.6,0.1\n5,20.4,0.1\n7,27.2,0.1\n")
+    out = tmp_path / "lin.json"
+    assert main(["fit", "--model", "linear", "--input", str(data), flag,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "line.csv" in err
+    assert not out.exists()
+
+
 def test_env_config_changes_defaults(tmp_path, monkeypatch):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"od": 2.0}))
@@ -231,6 +244,11 @@ def test_fit_linear_reads_three_columns_per_file(tmp_path, capsys):
     (["--tp-us", "1.73", "--span-factor", "4"], "grid too short"),
     (["--tp-us", "1000", "--samples", "2"], "grid too coarse"),
     (["--tp-us", "80"], "widen the band"),
+    # the medium's ringing outlasts a 1.6 us window: wrapped centroid -3.50 ns, converged -3.12 ns
+    (["--tp-us", "0.1"], "ends of the time window"),
+    # the smallest float underflows to a zero duration; 1e-100 us spans a band past the carrier
+    (["--tp-us", "4.94066e-324"], "duration must be positive"),
+    (["--tp-us", "1e-100"], "band reaches the optical carrier"),
 ))
 def test_pulse_grid_errors_name_the_flags(tmp_path, capsys, argv, message):
     out = tmp_path / "pulse.json"
@@ -343,6 +361,17 @@ def test_spectrum_huge_cooperativity_returns_2(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         assert main(["spectrum", "--eta", "1e308", "--points", "3", "--out", str(out)]) == 2
     assert "cooperativity 1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pulse_huge_cooperativity_names_the_medium(tmp_path, capsys):
+    # an overflowing transfer function is the medium's fault, not the grid's
+    out = tmp_path / "pulse.json"
+    with pytest.warns(RuntimeWarning):
+        assert main(["pulse", "--tp-us", "1.73", "--eta", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--eta 1e+308" in err and "finite" in err
+    assert "--span-factor" not in err and "--samples" not in err
     assert not out.exists()
 
 

@@ -1,17 +1,21 @@
-"""Property tests of the input boundary: the one CSV reader and the config schema.
+"""Property tests of the input boundary: the one CSV reader, the config
+schema and the pulse grid flags.
 
 The contract at every boundary is "a correct result, or a ValueError
-that names the file (and line) or the config key at fault".
+that names the file (and line), the config key or the flags at fault".
 """
 
+import contextlib
 import csv
 import io
+import json
 import math
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vitlab.cli import main
 from vitlab.config import KNOWN_KEYS, packaged_defaults, read_csv, validate_config
 from vitlab.synth import SCAN_COLUMNS, read_scan_csv
 
@@ -158,3 +162,32 @@ def test_validate_config_merges_or_names_the_key(numbers, wild):
     assert not faulty
     assert merged == {**packaged_defaults(), **doc}
     assert all(not _fault(key, value) for key, value in merged.items())
+
+
+GRID_FLAGS = ("--tp-us", "--span-factor", "--samples")
+
+
+@pytest.fixture(scope="module")
+def pulse_json(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "pulse.json"
+
+
+# laboratory values mixed with extremes, down to the smallest positive float
+# (its duration underflows to zero, and a band past the optical carrier
+# would overflow core.susceptibility)
+@SETTINGS
+@given(tp_us=st.one_of(st.floats(0.3, 5.0), st.floats(0.0, 1e300, exclude_min=True)),
+       span_factor=st.one_of(st.floats(6.0, 48.0), st.floats(1e-300, 1e300)),
+       samples=st.one_of(st.integers(9, 12), st.integers(0, 12)).map(lambda k: 2 ** k))
+def test_pulse_grid_runs_or_names_the_flags(pulse_json, tp_us, span_factor, samples):
+    pulse_json.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["pulse", "--tp-us", repr(tp_us), "--span-factor", repr(span_factor),
+                     "--samples", str(samples), "--out", str(pulse_json)])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert all(math.isfinite(v) for v in json.loads(pulse_json.read_text()).values())
+    else:
+        assert code == 2 and not pulse_json.exists()
+        assert all(flag in err.getvalue() for flag in GRID_FLAGS)

@@ -19,18 +19,30 @@ from vitlab.pulses import (
     run_pulse_ensemble,
     write_trace_csv,
 )
-from vitlab.recipes import pulse_ensemble
+from vitlab.recipes import ETA_EFF_0, MEASURED_OD, PULSE_FWHM_US, pulse_ensemble
 from vitlab.spatial import IDEAL, composite_susceptibility, ensemble_transfer
 
 
-def _one_member(pulse, t):
-    """The one-member ensemble of transfer values t on pulse.omega."""
-    return run_pulse_ensemble(pulse, [(np.ones(1), np.asarray(t, dtype=complex)[None])])
+def _one_member(pulse, row):
+    """The one-member ensemble whose transfer values on omega are row(omega)."""
+    return run_pulse_ensemble(
+        pulse, lambda omega: [(np.ones(1), np.asarray(row(omega), dtype=complex)[None])])
 
 
-def _vit_row(cfg, eta, pulse):
-    """Single-coupling transfer values on pulse.omega, resonator on resonance."""
-    return transfer_amplitude(susceptibility(cfg, eta, Detunings(pulse.omega, 0.0)), cfg)
+def _vit_row(cfg, eta, omega):
+    """Single-coupling transfer values on omega, resonator on resonance."""
+    return transfer_amplitude(susceptibility(cfg, eta, Detunings(omega, 0.0)), cfg)
+
+
+def _full_band_intensity(cfg, eta, pulse, corr, carrier=0.0):
+    """Ensemble intensity from a loop of plain numpy FFTs over every bin, one member at a time."""
+    spectrum = np.fft.ifft(pulse.samples)
+    want = np.zeros(pulse.n)
+    for eta_m, off, wt in zip(*corr.members(eta)):
+        det = Detunings(carrier + pulse.omega, off)
+        row = transfer_amplitude(composite_susceptibility(cfg, eta_m, det, corr), cfg)
+        want += wt * np.abs(np.fft.fft(spectrum * row)) ** 2
+    return want
 
 
 @pytest.mark.parametrize("duration", (0.0, -1e-6, float("nan")))
@@ -55,18 +67,22 @@ def test_gaussian_grid_properties():
 
 
 def test_gaussian_grid_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(BandCoverageError, match="grid too short"):
         make_gaussian_pulse(1e-6, span=4e-6)
     with pytest.raises(ValueError):
         make_gaussian_pulse(1e-6, n_samples=1000)
-    with pytest.raises(ValueError):
+    with pytest.raises(BandCoverageError):
         # 8-duration span with few samples: Nyquist margin too small
         make_gaussian_pulse(1e-6, n_samples=16, span=8e-6)
     # the margin is 10 spectral FWHMs of 2 ln2 / (pi 1 us) = 0.44 MHz:
     # a 4 MHz Nyquist frequency falls short, 8 MHz clears it
-    with pytest.raises(ValueError, match="grid too coarse"):
+    with pytest.raises(BandCoverageError, match="grid too coarse"):
         make_gaussian_pulse(1e-6, n_samples=64, span=8e-6)
     assert make_gaussian_pulse(1e-6, n_samples=128, span=8e-6).n == 128
+    # a nan span, or a time step that underflows to zero, is no grid
+    for duration, span in ((1e-6, float("nan")), (1e-321, 8e-321)):
+        with pytest.raises(BandCoverageError, match="time step"):
+            make_gaussian_pulse(duration, n_samples=4096, span=span)
 
 
 def test_sampled_pulse_validation():
@@ -78,7 +94,7 @@ def test_sampled_pulse_validation():
 
 def test_identity_medium_is_lossless():
     pulse = make_gaussian_pulse(1e-6)
-    res = _one_member(pulse, np.ones(pulse.n))
+    res = _one_member(pulse, np.ones_like)
     assert np.allclose(res.output.samples, pulse.samples, atol=1e-12)
     assert abs(res.delay_centroid) < 1e-12
     assert abs(res.delay_peak) < 1e-12
@@ -89,7 +105,7 @@ def test_pure_delay_medium():
     # t(w) = e^{i w tau} must delay the envelope by +tau
     pulse = make_gaussian_pulse(1e-6)
     tau = 37.0 * pulse.dt / 8.0  # deliberately off-grid
-    res = _one_member(pulse, np.exp(1j * pulse.omega * tau))
+    res = _one_member(pulse, lambda w: np.exp(1j * w * tau))
     assert abs(res.delay_centroid - tau) < 1e-3 * tau
     assert abs(res.delay_peak - tau) < 0.2 * pulse.dt
     assert np.isclose(res.energy_transmission, 1.0, rtol=1e-12)
@@ -97,13 +113,15 @@ def test_pure_delay_medium():
 
 def test_flat_absorber():
     pulse = make_gaussian_pulse(1e-6)
-    res = _one_member(pulse, np.full(pulse.n, np.exp(-0.2)))
+    res = _one_member(pulse, lambda w: np.full(len(w), np.exp(-0.2)))
     assert np.isclose(res.energy_transmission, np.exp(-0.4), rtol=1e-12)
 
 
 def test_propagation_is_linear():
     pulse = make_gaussian_pulse(1e-6)
-    med = np.exp(1j * pulse.omega * 1e-8 - (pulse.omega * 1e-7) ** 2)
+    def med(w):
+        return np.exp(1j * w * 1e-8 - (w * 1e-7) ** 2)
+
     out1 = _one_member(pulse, med).output
     doubled = SampledPulse(pulse.t0, pulse.dt, 2.0 * np.asarray(pulse.samples))
     out2 = _one_member(doubled, med).output
@@ -125,9 +143,9 @@ def test_band_guard_rejects_coarse_grid(cfg):
 def test_medium_output_validation():
     pulse = make_gaussian_pulse(1e-6)
     with pytest.raises(ValueError):
-        run_pulse_ensemble(pulse, [(np.ones(1), np.ones((1, 3), dtype=complex))])
+        run_pulse_ensemble(pulse, lambda w: [(np.ones(1), np.ones((1, 3), dtype=complex))])
     with pytest.raises(ValueError):
-        _one_member(pulse, np.full(pulse.n, np.nan))
+        _one_member(pulse, lambda w: np.full(len(w), np.nan))
 
 
 def test_narrowband_convergence_trio(cfg):
@@ -157,9 +175,9 @@ def test_narrowband_delay_matches_exact_slope(cfg):
 
 def test_ensemble_single_member_matches_fft(cfg):
     # the one-member ensemble against the coherent output of plain numpy
-    # FFTs, summarized here
+    # FFTs over every bin, summarized here
     pulse = make_gaussian_pulse(1.73e-6)
-    solo = np.fft.fft(np.fft.ifft(pulse.samples) * _vit_row(cfg, 5.0, pulse))
+    solo = np.fft.fft(np.fft.ifft(pulse.samples) * _vit_row(cfg, 5.0, pulse.omega))
     ens = pulse_ensemble(cfg, 5.0, pulse, IDEAL)
     t = pulse.times
     i_in = np.abs(np.asarray(pulse.samples)) ** 2
@@ -168,8 +186,9 @@ def test_ensemble_single_member_matches_fft(cfg):
     assert np.isclose(ens.delay_centroid, centroid, rtol=1e-12)
     assert abs(ens.delay_peak - centroid) < 0.1 * centroid
     assert np.isclose(ens.energy_transmission, i_out.sum() / i_in.sum(), rtol=1e-12)
-    # a single member keeps its field, phase included
-    assert np.array_equal(ens.output.samples, solo)
+    # a single member keeps its field, phase included; the bins off the
+    # pulse's spectral support are dropped, which moves it in the last digits
+    assert np.max(np.abs(ens.output.samples - solo)) < 1e-13 * np.max(np.abs(solo))
 
 
 @pytest.mark.parametrize("tp, n", ((1.73e-6, 2**12), (20e-6, 2**14)))
@@ -178,7 +197,7 @@ def test_ideal_ensemble_is_the_single_coupling_row(cfg, tp, n):
     # plain single-coupling transfer, so the propagation is bit-identical
     pulse = make_gaussian_pulse(tp, n_samples=n)
     ens = pulse_ensemble(cfg, 5.0, pulse, IDEAL)
-    solo = _one_member(pulse, _vit_row(cfg, 5.0, pulse))
+    solo = _one_member(pulse, lambda w: _vit_row(cfg, 5.0, w))
     assert np.array_equal(ens.output.samples, solo.output.samples)
     assert ens.delay_centroid == solo.delay_centroid
     assert ens.energy_transmission == solo.energy_transmission
@@ -186,62 +205,121 @@ def test_ideal_ensemble_is_the_single_coupling_row(cfg, tp, n):
 
 def test_ensemble_weight_validation(cfg):
     pulse = make_gaussian_pulse(1.73e-6)
-    rows = np.tile(_vit_row(cfg, 5.0, pulse), (2, 1))
+    def rows(weights):
+        return lambda w: [(np.array(weights), np.tile(_vit_row(cfg, 5.0, w), (2, 1)))]
+
     with pytest.raises(ValueError):
-        run_pulse_ensemble(pulse, [(np.array([0.7]), rows)])
+        run_pulse_ensemble(pulse, rows([0.7]))
     with pytest.raises(ValueError):
-        run_pulse_ensemble(pulse, [(np.array([0.7, 0.7]), rows)])
+        run_pulse_ensemble(pulse, rows([0.7, 0.7]))
     with pytest.raises(ValueError):
-        run_pulse_ensemble(pulse, [])
+        run_pulse_ensemble(pulse, lambda w: [])
 
 
 def test_ensemble_delay_between_members():
     # two pure delays: the intensity centroid is the weighted mean
     pulse = make_gaussian_pulse(1e-6)
     t1, t2 = 20e-9, 60e-9
-    rows = np.exp(1j * np.outer([t1, t2], pulse.omega))
-    res = run_pulse_ensemble(pulse, [(np.array([0.25, 0.75]), rows)])
+    res = run_pulse_ensemble(
+        pulse, lambda w: [(np.array([0.25, 0.75]), np.exp(1j * np.outer([t1, t2], w)))])
     assert np.isclose(res.delay_centroid, 0.25 * t1 + 0.75 * t2, rtol=1e-6)
 
 
 @pytest.mark.parametrize("carrier_mhz", (0.0, 0.3))
 def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
-    # blocks of several members (1024 samples, BLOCK_POINTS 4096) against
-    # an independent loop of plain numpy FFTs, one transfer row per member
+    # blocks of several members on the pulse's spectral support against an
+    # independent loop of plain numpy FFTs over every bin, one transfer row
+    # per member: the witness that dropping the other bins is exact
     corr = replace(corrections(conf, average=True, side=True, jitter=True),
                    averaging_nodes=8, jitter_nodes=4)
     carrier = carrier_mhz * MHZ
-    # a 0.5 us pulse on an 8-duration span keeps the band edges flat
-    pulse = make_gaussian_pulse(0.5e-6, n_samples=2**10, span=4e-6)
-    blocks = list(ensemble_transfer(cfg, 5.0, Detunings(carrier + pulse.omega, 0.0), corr))
-    assert len(blocks) == 8 and all(len(w) == 4 for w, _, _, _ in blocks)
-    res = run_pulse_ensemble(pulse, ((w, t) for w, _, _, t in blocks))
+    # a 32-duration span: the medium's ringing puts 3e-9 of the output
+    # energy in the window's outer sixteenths (1.8e-5 on 8 durations)
+    pulse = make_gaussian_pulse(0.5e-6, n_samples=2**11, span=16e-6)
+    sizes = []
 
-    spectrum = np.fft.ifft(pulse.samples)
-    want = np.zeros(pulse.n)
-    for eta, off, wt in zip(*corr.members(5.0)):
-        det = Detunings(carrier + pulse.omega, off)
-        row = transfer_amplitude(composite_susceptibility(cfg, eta, det, corr), cfg)
-        want += wt * np.abs(np.fft.fft(spectrum * row)) ** 2
+    def transfer(omega):
+        assert len(omega) < pulse.n
+        for w, _, _, t in ensemble_transfer(cfg, 5.0, Detunings(carrier + omega, 0.0), corr):
+            sizes.append(len(w))
+            yield w, t
+
+    res = run_pulse_ensemble(pulse, transfer)
+    assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 32
+    want = _full_band_intensity(cfg, 5.0, pulse, corr, carrier)
     got = np.abs(np.asarray(res.output.samples)) ** 2
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
+
+
+def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
+    # the fig3 pulse on the default 16384-sample grid, whose spectral
+    # support is a few percent of the bins, through the full correction
+    # stack (fewer nodes than fig3, so the full-band loop stays quick)
+    corr = replace(corrections(conf, average=True, side=True, jitter=True),
+                   averaging_nodes=16, jitter_nodes=4)
+    medium = replace(cfg, od=MEASURED_OD)
+    pulse = make_gaussian_pulse(PULSE_FWHM_US * 1e-6)
+    support = []
+
+    def transfer(omega):
+        support.append(len(omega))
+        det = Detunings(omega, 0.0)
+        return ((w, t) for w, _, _, t in ensemble_transfer(medium, ETA_EFF_0, det, corr))
+
+    res = run_pulse_ensemble(pulse, transfer)
+    assert support[0] < pulse.n // 16
+    want = _full_band_intensity(medium, ETA_EFF_0, pulse, corr)
+    got = np.abs(np.asarray(res.output.samples)) ** 2
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
+    t = pulse.times
+    i_in = np.abs(np.asarray(pulse.samples)) ** 2
+    centroid = (t @ want) / want.sum() - (t @ i_in) / i_in.sum()
+    assert np.isclose(res.delay_centroid, centroid, rtol=1e-12)
+    assert np.isclose(res.energy_transmission, want.sum() / i_in.sum(), rtol=1e-12)
+
+
+def test_active_medium_is_rejected():
+    # dropping the bins off the spectral support is exact only for |t| <= 1
+    pulse = make_gaussian_pulse(1e-6)
+    with pytest.raises(ValueError, match="passive"):
+        _one_member(pulse, lambda w: np.full(len(w), 1.0 + 1e-9))
+    with pytest.raises(ValueError, match="passive"):
+        _one_member(pulse, lambda w: np.exp(1j * w * 1e-8 + 1e-9 * (w * 1e-7) ** 2))
+
+
+@pytest.mark.parametrize("fraction", (0.45, 0.6))
+def test_band_guard_rejects_time_wrap(fraction):
+    # a pure delay keeps |t| = 1, flat at the band edges, but a delay of
+    # 0.45 span pushes the pulse into the window's end and 0.6 span wraps
+    # it round to the start (centroid -6.4 us instead of +9.6 us)
+    pulse = make_gaussian_pulse(1e-6)
+    tau = fraction * pulse.n * pulse.dt
+    with pytest.raises(BandCoverageError, match="ends of the time window"):
+        _one_member(pulse, lambda w: np.exp(1j * w * tau))
+    # 0.3 span still fits, and the delay comes out exact
+    tau = 0.3 * pulse.n * pulse.dt
+    res = _one_member(pulse, lambda w: np.exp(1j * w * tau))
+    assert abs(res.delay_centroid - tau) < 1e-3 * tau
 
 
 def test_ensemble_band_guard_per_row(cfg):
     # one flat row, one row whose |t| still slopes at the band edge
     pulse = make_gaussian_pulse(1e-6)
-    flat = np.ones(pulse.n, dtype=complex)
-    slope = np.exp(-(pulse.omega / np.max(pulse.omega)) ** 2).astype(complex)
-    run_pulse_ensemble(pulse, [(np.array([0.5, 0.5]), np.array([flat, flat]))])
+    top = np.max(pulse.omega)
+
+    def rows(sloped):
+        return lambda w: [(np.array([0.5, 0.5]), np.array(
+            [np.ones(len(w)), np.exp(-(w / top) ** 2) if sloped else np.ones(len(w))]))]
+
+    run_pulse_ensemble(pulse, rows(False))
     with pytest.raises(BandCoverageError):
-        run_pulse_ensemble(pulse, [(np.array([0.5, 0.5]), np.array([flat, slope]))])
+        run_pulse_ensemble(pulse, rows(True))
 
 
 def test_trace_round_trip(tmp_path):
     pulse = make_gaussian_pulse(1.73e-6, n_samples=2**10,
                                 span=16 * 1.73e-6)
-    w = pulse.omega
-    out = _one_member(pulse, np.exp(1j * w * 30e-9 - (w * 4e-8) ** 2)).output
+    out = _one_member(pulse, lambda w: np.exp(1j * w * 30e-9 - (w * 4e-8) ** 2)).output
     path = tmp_path / "trace.csv"
     write_trace_csv(path, out)
     back = read_trace_csv(path)
