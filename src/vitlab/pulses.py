@@ -7,9 +7,12 @@ vitlab.spatial.ensemble_transfer, omega the offset from the carrier
 (a carrier detuning shifts the probe detuning: recipes.pulse_ensemble).
 Rows are evaluated only on the envelope's spectral support (bins above
 SUPPORT_FLOOR of its peak, plus the band edges): exact, as a passive medium
-has |t| <= 1, which is checked.  BandCoverageError guards the grid: |t| flat
-to EDGE_FLATNESS at the band edges, and at most WRAP_FRACTION of the output
-energy in the outer 1/16 of the window at either end, where delays wrap.
+has |t| <= 1, which is checked.  Member intensities then hold frequencies
+below the support's width, so their weighted sum is formed on a power-of-two
+grid of at least two widths and interpolated back exactly.  BandCoverageError
+guards the grid: |t| flat to EDGE_FLATNESS at the band edges, and at most
+WRAP_FRACTION of the output energy in the outer 1/16 of the window at either
+end, where delays wrap.
 
 Sign convention: the envelope is synthesized as sum of e^{-i omega t}
 components (analysis via numpy ifft, synthesis via fft), so a medium
@@ -28,7 +31,7 @@ from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
 TRACE_COLUMNS = ("time_us", "re", "im")
-SUPPORT_FLOOR = 1e-17
+SUPPORT_FLOOR = 1e-15  # above the ifft's own round-off
 EDGE_FLATNESS = 1e-6
 WRAP_FRACTION = 1e-6
 
@@ -119,11 +122,12 @@ def _peak(times, intensity):
 def run_pulse_ensemble(pulse, transfer):
     """Incoherent ensemble propagation: delays and energy of the averaged intensity.
 
-    transfer(omega), called once on the pulse's spectral support, yields
-    (weights, t) blocks, t holding one row of transfer values on omega per
-    member, as vitlab.spatial.ensemble_transfer does.  Detected intensity
-    is the weighted sum of the member intensities.  Delays are taken from
-    its centroid (first moment) and from its peak (quadratic interpolation
+    transfer(omega), called once on the pulse's spectral support and the
+    four band-edge offsets, yields (weights, t) blocks, t holding one row
+    of transfer values on omega per member, as
+    vitlab.spatial.ensemble_transfer does.  Detected intensity is the
+    weighted sum of the member intensities.  Delays are taken from its
+    centroid (first moment) and from its peak (quadratic interpolation
     around the maximum sample); the two can legitimately disagree for
     distorted pulses.  The output pulse is the member's field for a
     one-member ensemble, otherwise the square root of the intensity
@@ -132,19 +136,21 @@ def run_pulse_ensemble(pulse, transfer):
     """
     n, h = pulse.n, pulse.n // 2
     spectrum = np.fft.ifft(np.asarray(pulse.samples, dtype=complex))
+    magnitude = np.abs(spectrum)
+    cols = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
+    if len(cols) == 0:
+        raise ValueError("zero-energy pulse has no centroid")
+    # signed frequency indices -n/2 .. n/2 - 1; the intensity's lie below their width
+    q = (cols + h) % n - h
+    nc = min(n, 1 << int(2 * (q.max() - q.min() + 1) - 1).bit_length())
     # in fft order the band runs from index n/2 (most negative) up to n/2 - 1
     edge_index = [h, (h + 1) % n, h - 1, h - 2]
-    # a mask, not np.union1d: np.unique imports numpy.ma, 1.7 MB of peak memory
-    support = np.abs(spectrum) > SUPPORT_FLOOR * np.max(np.abs(spectrum))
-    support[edge_index] = True
-    cols = np.flatnonzero(support)
-    edge_cols = np.searchsorted(cols, edge_index)
-    intensity = np.zeros(n)
-    total, members, buf = 0.0, 0, np.empty((0, n), dtype=complex)
-    for weights, t in transfer(pulse.omega[cols]):
+    coarse, total, members = np.zeros(nc), 0.0, 0
+    buf = np.empty((0, nc), dtype=complex)
+    for weights, t in transfer(pulse.omega[np.concatenate((cols, edge_index))]):
         weights = np.asarray(weights, dtype=float)
         m = len(weights)
-        if np.shape(t) != (m, len(cols)):
+        if np.shape(t) != (m, len(cols) + 4):
             raise ValueError("each block needs one weight and one transfer row per member")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
@@ -152,21 +158,26 @@ def run_pulse_ensemble(pulse, transfer):
             raise ValueError("transfer function must be finite over the pulse band")
         if np.any(np.abs(t) > 1.0 + 1e-12):
             raise ValueError("|t| exceeds 1 somewhere in the band; the medium must be passive")
-        edges = np.abs(t[:, edge_cols])
+        edges = np.abs(t[:, -4:])
         if np.any(np.abs(edges[:, 0::2] - edges[:, 1::2]) > EDGE_FLATNESS):
             raise BandCoverageError("transfer function varies at the grid edge; widen the band")
-        # one buffer, reused and transformed in place, bounds the peak memory
-        out = buf[:m] if len(buf) >= m else (buf := np.empty((m, n), dtype=complex))
+        rows = spectrum[cols] * t[:, :-4]
+        if m == 1:
+            field = np.zeros(n, dtype=complex)
+            field[cols] = rows[0]
+            np.fft.fft(field, out=field)
+        # one buffer of nc-sample rows, reused and transformed in place
+        out = buf[:m] if len(buf) >= m else (buf := np.empty((m, nc), dtype=complex))
         out[:] = 0.0
-        out[:, cols] = spectrum[cols] * t
+        out[:, cols % nc] = rows
         np.fft.fft(out, axis=-1, out=out)
-        field = out[0].copy() if m == 1 else None
         sq = np.square(out.view(float), out=out.view(float))
-        intensity += (weights @ sq).reshape(-1, 2).sum(1)
+        coarse += (weights @ sq).reshape(-1, 2).sum(1)
         total += weights.sum()
         members += m
     if not np.isclose(total, 1.0, atol=1e-12):
         raise ValueError("weights must be nonnegative and sum to 1")
+    intensity = coarse if nc == n else np.fft.irfft(np.fft.rfft(coarse), n) * (n / nc)
     k = n // 16
     if max(intensity[:k].sum(), intensity[n - k:].sum()) > WRAP_FRACTION * intensity.sum():
         raise BandCoverageError("output reaches the ends of the time window; widen the span")
@@ -176,7 +187,8 @@ def run_pulse_ensemble(pulse, transfer):
     centroid = _centroid(t, intensity) - _centroid(t, iin)
     peak = _peak(t, intensity) - _peak(t, iin)
     energy = float(intensity.sum() / iin.sum())
-    field = field if members == 1 else np.sqrt(intensity).astype(complex)
+    # interpolation can leave -1e-16 of the peak in the tails
+    field = field if members == 1 else np.sqrt(np.maximum(intensity, 0.0)).astype(complex)
     return PropagationResult(centroid, peak, energy, SampledPulse(pulse.t0, pulse.dt, field))
 
 

@@ -119,6 +119,8 @@ class Corrections:
             raise ValueError("side-channel weight must lie in [0, 1]")
         if index(self.averaging_nodes) < 0 or index(self.jitter_nodes) < 1:
             raise ValueError("averaging_nodes must be >= 0 and jitter_nodes >= 1")
+        if not (abs(self.side_shift) < np.inf and 0.0 <= self.jitter_fwhm < np.inf):
+            raise ValueError("side_shift must be finite, jitter_fwhm nonnegative and finite")
 
     def members(self, eta_max):
         """The correction ensemble as flat arrays (etas, offsets, weights).

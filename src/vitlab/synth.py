@@ -20,6 +20,7 @@ carrying the plan, the physical constants and the seed.
 import json
 from dataclasses import dataclass
 from itertools import repeat
+from operator import index
 
 import numpy as np
 
@@ -66,8 +67,8 @@ class ScanPlan:
         for eff in (self.efficiency_d1, self.efficiency_d2):
             if not 0.0 <= eff <= 1.0:
                 raise ValueError("efficiencies must lie in [0, 1]")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
+        if index(self.rng_seed) < 0:
+            raise ValueError("rng_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,14 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
 def read_scan_sidecar(path):
     """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged."""
     with open(path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"sidecar {path} is not valid JSON: {err}") from None
     try:
         plan, corr = meta["plan"], meta["corrections"]
+        if any(isinstance(v, bool) for v in [*plan.values(), *corr.values()]):
+            raise ValueError("true or false where a number belongs")
         return ScanPlan(
             delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
             probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
@@ -216,5 +222,5 @@ def read_scan_sidecar(path):
             jitter_nodes=corr["jitter_nodes"])
     except KeyError as err:
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (AttributeError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed sidecar ({err})") from None

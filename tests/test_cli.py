@@ -310,6 +310,17 @@ def test_sidecar_missing_key_returns_2(tmp_path, capsys):
     assert "scan.json" in err and "'plan'" in err
 
 
+@pytest.mark.parametrize("content", (b'{"plan": ', b'{"plan": "\xff"}'))
+def test_sidecar_not_json_names_the_file(tmp_path, capsys, content):
+    prefix = tmp_path / "run"
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11",
+                 "--seed", "5", "--out", str(prefix)]) == 0
+    (tmp_path / "run.json").write_bytes(content)
+    assert main(["fit", "--model", "vit", "--input", str(prefix) + ".csv"]) == 2
+    err = capsys.readouterr().err
+    assert "run.json" in err and "not valid JSON" in err
+
+
 @pytest.mark.parametrize("argv, flag", (
     (["synth", "--delta-cavity-mhz", "0", "--dwell-us", "nan"], "--dwell-us"),
     (["synth", "--delta-cavity-mhz", "0", "--flux", "inf"], "--flux"),
@@ -373,6 +384,23 @@ def test_pulse_huge_cooperativity_names_the_medium(tmp_path, capsys):
     assert "--eta 1e+308" in err and "finite" in err
     assert "--span-factor" not in err and "--samples" not in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("carrier", ("1e9", "1e80", "1e3"))
+def test_pulse_carrier_past_the_optical_frequency_names_the_medium(tmp_path, capsys, carrier):
+    # 1e9 MHz is 1 PHz, past the 352 THz of the 852 nm line (1e80 overflowed
+    # chi); 1 GHz is an ordinary detuning
+    out = tmp_path / "pulse.json"
+    code = main(["pulse", "--tp-us", "1.73", "--carrier-mhz", carrier, "--out", str(out)])
+    err = capsys.readouterr().err
+    if carrier == "1e3":
+        assert code == 0
+        assert all(np.isfinite(v) for v in json.loads(out.read_text()).values())
+        return
+    assert code == 2 and not out.exists()
+    assert f"--carrier-mhz {float(carrier):g}" in err and "optical frequency" in err
+    assert "--span-factor" not in err
 
 
 def test_fit_uses_the_sidecar_corrections(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Property tests of the input boundary: the one CSV reader, the config
-schema and the pulse grid flags.
+schema, the scan sidecar and the pulse grid flags.
 
 The contract at every boundary is "a correct result, or a ValueError
 that names the file (and line), the config key or the flags at fault".
 """
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from vitlab.cli import main
 from vitlab.config import KNOWN_KEYS, packaged_defaults, read_csv, validate_config
-from vitlab.synth import SCAN_COLUMNS, read_scan_csv
+from vitlab.spatial import Corrections
+from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -191,3 +193,61 @@ def test_pulse_grid_runs_or_names_the_flags(pulse_json, tp_us, span_factor, samp
     else:
         assert code == 2 and not pulse_json.exists()
         assert all(flag in err.getvalue() for flag in GRID_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def scan(tmp_path_factory):
+    """A small synthetic scan with jitter (16 members), and its sidecar document."""
+    prefix = tmp_path_factory.mktemp("properties") / "scan"
+    assert main(["synth", "--jitter", "--delta-cavity-mhz", "0.5", "--points", "41",
+                 "--scan-from", "-3", "--scan-to", "3", "--flux", "1e6",
+                 "--dwell-us", "20000", "--seed", "1", "--out", str(prefix)]) == 0
+    sidecar = prefix.with_suffix(".json")
+    return prefix.with_suffix(".csv"), sidecar, json.loads(sidecar.read_text())
+
+
+# what a hand-edited sidecar may hold in place of a value
+SIDECAR_VALUES = st.one_of(
+    st.text(max_size=3), st.lists(st.floats(-10.0, 10.0), max_size=2), st.none(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1), st.floats(max_value=-1e-3, allow_infinity=False))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_sidecar_reads_or_names_the_file(scan, data):
+    # keys deleted, values replaced at any level, the text truncated: the
+    # reader returns a plan and corrections or names the sidecar, and a fit
+    # of the scan exits 0 or 2 naming the sidecar, never with a traceback
+    csv_path, sidecar, valid = scan
+    doc = copy.deepcopy(valid)
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        parts = [part for part in (doc, doc.get("plan"), doc.get("corrections"))
+                 if isinstance(part, dict) and part]
+        part = data.draw(st.sampled_from(parts), label="part")
+        key = data.draw(st.sampled_from(sorted(part)), label="key")
+        if data.draw(st.booleans(), label="delete"):
+            del part[key]
+        else:
+            part[key] = data.draw(SIDECAR_VALUES, label="value")
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 3), label="truncate") == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+    sidecar.write_text(text)
+    try:
+        plan, corr = read_scan_sidecar(sidecar)
+    except ValueError as err:
+        assert str(sidecar) in str(err)
+        refused = True
+    else:
+        assert isinstance(plan, ScanPlan) and isinstance(corr, Corrections)
+        refused = False
+    out = csv_path.with_name("fit.json")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["fit", "--model", "vit", "--input", str(csv_path), "--out", str(out)])
+    # every sidecar the reader takes still describes this scan
+    assert code == (2 if refused else 0), err.getvalue()
+    assert out.exists() == (code == 0)
+    assert str(sidecar) in err.getvalue() or not refused

@@ -223,6 +223,10 @@ def test_ensemble_delay_between_members():
     res = run_pulse_ensemble(
         pulse, lambda w: [(np.array([0.25, 0.75]), np.exp(1j * np.outer([t1, t2], w)))])
     assert np.isclose(res.delay_centroid, 0.25 * t1 + 0.75 * t2, rtol=1e-6)
+    # the interpolated intensity dips to -3e-18 of its unit peak in the tails;
+    # the output field is its clipped square root, real and finite
+    out = np.asarray(res.output.samples)
+    assert np.all(np.isfinite(out)) and np.all(out.real >= 0) and not np.any(out.imag)
 
 
 @pytest.mark.parametrize("carrier_mhz", (0.0, 0.3))
@@ -253,7 +257,7 @@ def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
 
 def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
     # the fig3 pulse on the default 16384-sample grid, whose spectral
-    # support is a few percent of the bins, through the full correction
+    # support is under one percent of the bins, through the full correction
     # stack (fewer nodes than fig3, so the full-band loop stays quick)
     corr = replace(corrections(conf, average=True, side=True, jitter=True),
                    averaging_nodes=16, jitter_nodes=4)
@@ -267,15 +271,55 @@ def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
         return ((w, t) for w, _, _, t in ensemble_transfer(medium, ETA_EFF_0, det, corr))
 
     res = run_pulse_ensemble(pulse, transfer)
-    assert support[0] < pulse.n // 16
+    # the Gaussian's lobe of 71 bins plus the four band edges, not the round-off
+    assert support[0] < 128
     want = _full_band_intensity(medium, ETA_EFF_0, pulse, corr)
-    got = np.abs(np.asarray(res.output.samples)) ** 2
+    out = np.asarray(res.output.samples)
+    assert np.all(np.isfinite(out)) and np.all(out.real >= 0)
+    got = np.abs(out) ** 2
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
     t = pulse.times
     i_in = np.abs(np.asarray(pulse.samples)) ** 2
     centroid = (t @ want) / want.sum() - (t @ i_in) / i_in.sum()
     assert np.isclose(res.delay_centroid, centroid, rtol=1e-12)
     assert np.isclose(res.energy_transmission, want.sum() / i_in.sum(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("band", ("full", "compact"))
+def test_ensemble_matches_plain_ffts(band):
+    # full: a single-sample pulse has a flat spectrum, so its support is
+    # every bin and the coarse grid is the whole grid.  compact: a raised
+    # cosine on 41 bins off the centre, 6e-3 of its peak at the outer ones:
+    # the intensity holds frequencies up to 40, past the 32 that a coarse
+    # grid of one width (64 samples, not 128) could hold
+    n, dt = 1024, 1e-9
+    spectrum = np.full(n, 1.0 / n)
+    if band == "compact":
+        q = np.arange(-20, 21)
+        spectrum = np.zeros(n)
+        spectrum[q + 30] = np.cos(np.pi * q / 42) ** 2
+    # centred in the window: synthesis by fft puts e^{i pi q} at t = n dt / 2
+    spectrum = spectrum * (-1.0) ** np.arange(n)
+    pulse = SampledPulse(t0=0.0, dt=dt, samples=np.fft.fft(spectrum))
+    weights = np.array([0.3, 0.7])
+
+    def rows(w):
+        # two shifts with a smooth absorption, flat (zero) at the band edges
+        return np.array([0.9 * np.exp(1j * w * 3 * dt), 0.5 * np.exp(-1j * w * 5.5 * dt)]) \
+            * np.exp(-(w * 4 * dt) ** 2)
+
+    support = []
+
+    def transfer(omega):
+        support.append(len(omega))
+        return [(weights, rows(omega))]
+
+    res = run_pulse_ensemble(pulse, transfer)
+    assert support == [n + 4 if band == "full" else 41 + 4]
+    want = weights @ (np.abs(np.fft.fft(np.fft.ifft(pulse.samples) * rows(pulse.omega))) ** 2)
+    out = np.asarray(res.output.samples)
+    assert np.all(np.isfinite(out)) and np.all(out.real >= 0)
+    assert np.max(np.abs(np.abs(out) ** 2 - want)) < 1e-12 * np.max(want)
 
 
 def test_active_medium_is_rejected():

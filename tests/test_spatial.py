@@ -97,6 +97,9 @@ def test_side_weight_shifts_absorption(cfg):
     ({"averaging_nodes": -1}, ValueError),
     ({"jitter_nodes": 0}, ValueError),
     ({"averaging_nodes": 64.0}, TypeError),
+    ({"side_shift": float("inf")}, ValueError),
+    ({"jitter_fwhm": -1.0}, ValueError),
+    ({"jitter_fwhm": float("nan")}, ValueError),
 ))
 def test_corrections_validation(fields, error):
     with pytest.raises(error):

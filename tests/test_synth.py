@@ -38,6 +38,12 @@ def test_plan_validation():
         with pytest.raises(ValueError):
             ScanPlan(delta_cavity_list=(0.0,), probe_grid=GRID, photon_flux=flux,
                      dwell=dwell)
+    # the seed feeds SeedSequence: a nonnegative integer, never a float
+    with pytest.raises(ValueError):
+        _plan(seed=-1)
+    for seed in (np.nan, 1.0):
+        with pytest.raises(TypeError):
+            _plan(seed=seed)
 
 
 def test_counts_beyond_poisson_range_rejected(cfg):
@@ -196,16 +202,19 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     assert len(back.probe_grid) == len(plan.probe_grid)
 
     doc = json.loads(path.read_text())
-    # corrections a Corrections cannot hold: fractional nodes, weight above 1
-    bad = [dict(doc, corrections=dict(doc["corrections"], **fields))
-           for fields in ({"averaging_nodes": 64.0}, {"side_weight": 2.0})]
+    # serialized now: the edits of doc below would reach these shallow copies.
+    # Corrections a Corrections cannot hold (fractional nodes, weight above
+    # 1), and true or false, which Python would read as the numbers 1 and 0
+    bad = [json.dumps(dict(doc, **{part: dict(doc[part], **fields)})) for part, fields in (
+        ("corrections", {"averaging_nodes": 64.0}), ("corrections", {"side_weight": 2.0}),
+        ("corrections", {"averaging_nodes": True}), ("plan", {"dwell_us": True}))]
     del doc["plan"]["dwell_us"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="scan.json.*'dwell_us'"):
         read_scan_sidecar(path)
     doc["plan"]["dwell_us"] = -1.0
-    for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}',
-                 json.dumps(doc), *map(json.dumps, bad)):
+    for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}', '{"plan": ',
+                 json.dumps(doc), *bad):
         path.write_text(text)
         with pytest.raises(ValueError, match="scan.json"):
             read_scan_sidecar(path)
