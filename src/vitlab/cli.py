@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -56,6 +57,18 @@ SEED = _number("a nonnegative integer", lambda v: v >= 0, int)
 POWER_OF_TWO = _number("a power of two", lambda v: v > 0 and v & (v - 1) == 0, int)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e9 and -.5 as values, not as flags.
+
+    Older argparse takes only -1 and -1.5 for negative numbers; here a
+    dash, an optional dot and a digit start a value (no flag starts so).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_common(p, eta=True):
     p.add_argument("--config", help="path to a JSON config document")
     if eta:
@@ -91,7 +104,7 @@ def _probe_grid(args):
 
 def _write_spectrum_csv(path, grid, trans, emis):
     write_csv(path, ["delta_probe_MHz", "transmission", "cavity_emission"],
-              ((float(d) / MHZ, float(t), float(e)) for d, t, e in zip(grid, trans, emis)))
+              (grid / MHZ, trans, emis))
 
 
 def cmd_spectrum(args):
@@ -167,7 +180,7 @@ def _read_input(path, args, flag_corrections):
                                          _read_plain_spectrum(path))]
     scans = read_scan_csv(path)
     sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
-    plan, corr = read_scan_sidecar(sidecar)
+    plan, corr = read_scan_sidecar(sidecar, scans)
     for flag, field in (("average", "averaging_nodes"), ("side", "side_weight"),
                         ("jitter", "jitter_fwhm")):
         if getattr(args, flag) and not getattr(corr, field):
@@ -241,16 +254,16 @@ def cmd_reproduce(args):
         write_json(path("fig3_delays.json"), summary)
     else:
         rows, line, curve, params = recipes.fig4(conf, cfg, args.seed)
-        write_csv(path("fig4_eta_eff.csv"), ["n_c", "eta_eff", "eta_eff_err"], rows)
+        write_csv(path("fig4_eta_eff.csv"), ["n_c", "eta_eff", "eta_eff_err"], list(zip(*rows)))
         write_json(path("fig4_linear_fit.json"), line)
-        write_csv(path("fig4_transparency.csv"), ["n_c", "theta"], curve)
+        write_csv(path("fig4_transparency.csv"), ["n_c", "theta"], list(zip(*curve)))
     write_json(os.path.join(args.out_dir, "manifest.json"),
                {"figure": args.figure, "files": sorted(files), "parameters": params})
     return 0
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vitlab",
         description="Resonator-EIT spectra, pulse delays, synthetic scans and fits",
     )

@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from importlib import resources
+from itertools import chain
 
 from vitlab.core import CavityGeometry, PhysicalConfig, TWO_PI, cooperativity_geometric
 from vitlab.spatial import Corrections
@@ -70,15 +71,28 @@ def _output(path, newline=None):
     return nullcontext(sys.stdout) if path is None else open(path, "w", newline=newline)
 
 
-def write_csv(path, header, rows):
-    """Write a header and rows of Python ints and floats; stdout when path is None.
+# rows formatted per block: larger blocks add to the peak memory of a
+# fig3 run (1.25 MB at 4096) and buy nothing
+CSV_BLOCK_ROWS = 512
 
-    Floats go out as repr, so reading them back gives the same doubles.
+
+def write_csv(path, header, columns):
+    """Write a header and equal-length 1-D columns; stdout when path is None.
+
+    A column is a numpy array or a sequence of Python ints and floats.
+    The bytes are those of csv.writer over the rows: floats go out as
+    repr, so reading them back gives the same doubles.
     """
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
     with _output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            parts = [col[lo:lo + CSV_BLOCK_ROWS] for col in columns]
+            parts = [p.tolist() if hasattr(p, "tolist") else p for p in parts]
+            fh.write(row * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
 
 
 def write_json(path, doc):

@@ -99,7 +99,8 @@ def susceptibility(cfg, eta, det):
     eta is the cooperativity; eta = 0 gives the bare two-level response.
     A 1-d array of cooperativities (one per ensemble member) is taken as
     a (member, 1) column, so it broadcasts against detunings of shape
-    (point,) or (member, point).  Returns a complex ndarray.
+    (point,) or (member, point).  Returns a complex ndarray, or a complex
+    scalar for scalar inputs.
     """
     eta = np.asarray(eta, dtype=float)
     if (eta < 0).any():
@@ -107,9 +108,13 @@ def susceptibility(cfg, eta, det):
     if eta.ndim == 1:
         eta = eta[:, None]
     dt, dc = det.normalized(cfg)
-    num = dt - (eta - dt * dc) * dc - 1j * (eta + 1.0 + dc * dc)
-    den = (eta + 1.0 - dt * dc) ** 2 + (dt + dc) ** 2
-    return -(cfg.od / cfg.kl) * num / den
+    # real arithmetic throughout: Re and Im share the scale (OD/kL)/den
+    dtdc = dt * dc
+    scale = (cfg.od / cfg.kl) / ((eta + 1.0 - dtdc) ** 2 + (dt + dc) ** 2)
+    chi = np.empty(np.shape(scale), dtype=complex)
+    chi.real = scale * ((eta - dtdc) * dc - dt)
+    chi.imag = scale * (eta + 1.0 + dc * dc)
+    return chi[()]
 
 
 def transfer_amplitude(chi, cfg):
@@ -118,8 +123,8 @@ def transfer_amplitude(chi, cfg):
 
 
 def transmission(cfg, eta, det):
-    """Power transmission |t|^2 through the ensemble."""
-    return np.abs(transfer_amplitude(susceptibility(cfg, eta, det), cfg)) ** 2
+    """Power transmission |t|^2 = exp(-k L Im chi) through the ensemble."""
+    return np.exp(-cfg.kl * susceptibility(cfg, eta, det).imag)
 
 
 def cooperativity_geometric(geom):

@@ -195,9 +195,7 @@ def run_pulse_ensemble(pulse, transfer):
 def write_trace_csv(path, pulse):
     """Write a pulse trace as CSV columns time_us, re, im."""
     s = np.asarray(pulse.samples)
-    # row by row: whole-column lists would add 1.5 MB to the peak of fig3
-    write_csv(path, TRACE_COLUMNS,
-              map(np.ndarray.tolist, np.column_stack((pulse.times * 1e6, s.real, s.imag))))
+    write_csv(path, TRACE_COLUMNS, (pulse.times * 1e6, s.real, s.imag))
 
 
 def read_trace_csv(path):

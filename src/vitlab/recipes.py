@@ -13,7 +13,8 @@ import numpy as np
 
 from vitlab import config as cfgmod
 from vitlab.config import MHZ
-from vitlab.core import TWO_PI, Detunings, group_delay_analytic, group_velocity
+from vitlab.core import (TWO_PI, Detunings, group_delay_analytic, group_velocity,
+                         transfer_amplitude)
 from vitlab.errors import BandCoverageError
 from vitlab.fitting import (extract_transparency, fit_linear_weighted, fit_vit_spectra,
                             ratio_with_error, value_error_doc)
@@ -74,7 +75,7 @@ def pulse_ensemble(cfg, eta, pulse, corrections, carrier=0.0):
     if abs(carrier) + np.pi / pulse.dt >= TWO_PI * SPEED_OF_LIGHT / cfg.wavelength:
         raise ValueError("the carrier detuning puts the band past the optical frequency")
     return run_pulse_ensemble(pulse, lambda omega: (
-        (w, t) for w, _, _, t in
+        (w, transfer_amplitude(chi, cfg)) for w, _, _, chi in
         ensemble_transfer(cfg, eta, Detunings(carrier + omega, 0.0), corrections)))
 
 

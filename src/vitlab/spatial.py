@@ -15,21 +15,21 @@ Four effects are modeled, each switchable:
 Averaging and jitter together define the correction ensemble: one
 member per coupling class x jitter offset, each with a weight.
 Corrections.members enumerates it once, and ensemble_transfer turns
-the members into transfer amplitudes block by block; corrected_spectrum
-and the pulse ensemble (vitlab.pulses.run_pulse_ensemble) consume those
-blocks.
+the members into susceptibilities block by block; corrected_spectrum
+and the pulse ensemble (vitlab.pulses.run_pulse_ensemble, through
+recipes.pulse_ensemble) consume those blocks.
 
 Everything here is a pure function; quadrature node/weight choices are
 deterministic so results never depend on evaluation order.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
 import numpy as np
 
-from vitlab.core import Detunings, susceptibility, transfer_amplitude
+from vitlab.core import Detunings, susceptibility
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -70,18 +70,17 @@ def composite_susceptibility(cfg, eta, det, corrections):
     """Main plus side-channel susceptibility with the total resonant OD conserved.
 
     The side channel carries od * side_weight/(1 + side_weight), the main
-    channel the rest, so the wide-scan integrated absorption is unchanged.
+    channel the rest, so the wide-scan integrated absorption is unchanged;
+    chi is linear in od, so that is (chi(det) + w chi(det_side)) / (1 + w).
     Both share the coupling eta; the side channel's two-photon resonance
     is displaced by side_shift.  eta broadcasts as in core.susceptibility.
     """
-    if corrections.side_weight == 0.0:
+    w = corrections.side_weight
+    if w == 0.0:
         return susceptibility(cfg, eta, det)
-    od_main = cfg.od / (1.0 + corrections.side_weight)
-    cfg_main = replace(cfg, od=od_main)
-    cfg_side = replace(cfg, od=cfg.od - od_main)
     det_side = Detunings(det.delta_probe,
                          np.asarray(det.delta_cavity) + corrections.side_shift)
-    return susceptibility(cfg_main, eta, det) + susceptibility(cfg_side, eta, det_side)
+    return (susceptibility(cfg, eta, det) + w * susceptibility(cfg, eta, det_side)) / (1.0 + w)
 
 
 def jitter_quadrature(sigma, nodes=16):
@@ -143,15 +142,17 @@ IDEAL = Corrections()
 
 
 def ensemble_transfer(cfg, eta_max, det, corrections=IDEAL):
-    """Transfer amplitudes of the ensemble members, in blocks.
+    """Susceptibilities of the ensemble members, in blocks.
 
-    Yields (weights, etas, det_m, t) per block of about BLOCK_POINTS
+    Yields (weights, etas, det_m, chi) per block of about BLOCK_POINTS
     member x point elements (at least one member): the block's member
     weights and cooperativities, its Detunings of shape (member, point)
     (the broadcast detunings flattened, each row's cavity detuning
-    shifted by the member's jitter offset) and t = exp(i k L chi / 2)
-    of the same shape.  This is the only place Corrections.members is
-    turned into transfer amplitudes.
+    shifted by the member's jitter offset) and the composite
+    susceptibility of the same shape.  A member's intensity transmission
+    is exp(-k L Im chi), its transfer amplitude
+    core.transfer_amplitude(chi, cfg).  This is the only place
+    Corrections.members is turned into susceptibilities.
     """
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(det.delta_probe, dtype=float),
@@ -161,8 +162,8 @@ def ensemble_transfer(cfg, eta_max, det, corrections=IDEAL):
     for lo in range(0, len(etas), step):
         block = slice(lo, lo + step)
         det_m = Detunings(dp, dcav + offsets[block, None])
-        chi = composite_susceptibility(cfg, etas[block], det_m, corrections)
-        yield weights[block], etas[block], det_m, transfer_amplitude(chi, cfg)
+        yield (weights[block], etas[block], det_m,
+               composite_susceptibility(cfg, etas[block], det_m, corrections))
 
 
 def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0):
@@ -174,20 +175,21 @@ def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0)
     fraction by the branching ratio of the main two-photon channel,
     beta = eta/(eta + 1 + dc^2) with dc the member's normalized cavity
     detuning (the closed form of the amplitude equations in
-    vitlab.oracle), and by emission_scale.  Overflow raises ValueError.
+    vitlab.oracle), and by emission_scale.  A non-finite susceptibility
+    (overflow) raises ValueError.
     """
     if not 0 < emission_scale < np.inf:
         raise ValueError("emission_scale must be positive and finite")
     shape = np.broadcast_shapes(np.shape(det.delta_probe), np.shape(det.delta_cavity))
     trans = emis = 0.0
-    for weights, etas, det_m, t in ensemble_transfer(cfg, eta_max, det, corrections):
-        t2 = np.abs(t) ** 2
+    for weights, etas, det_m, chi in ensemble_transfer(cfg, eta_max, det, corrections):
+        # Re chi alone can overflow (eta 1e308); a finite chi keeps t2 and beta in [0, 1]
+        if not np.isfinite(chi).all():
+            raise ValueError(f"cooperativity {eta_max:g} gives a non-finite spectrum")
+        # |exp(i k L chi / 2)|^2: the phase Re chi is never needed
+        t2 = np.exp(-cfg.kl * chi.imag)
         eta = etas[:, None]
         dc = det_m.normalized(cfg)[1]
         trans = trans + weights @ t2
         emis = emis + weights @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
-    trans, emis = trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
-    if not (np.isfinite(trans).all() and np.isfinite(emis).all()):
-        raise ValueError(f"cooperativity {eta_max:g} gives a non-finite spectrum")
-    return trans, emis
-
+    return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]

@@ -19,7 +19,6 @@ carrying the plan, the physical constants and the seed.
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from operator import index
 
 import numpy as np
@@ -33,6 +32,8 @@ from vitlab.spatial import IDEAL, Corrections, corrected_spectrum
 MAX_EXPECTED_COUNTS = 1e15
 SCAN_COLUMNS = ("delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
                 "expected_d1", "expected_d2")
+# relative slack of read_scan_sidecar's check of expected counts against the plan
+NORM_MARGIN = 1e-9
 # the columns of one scan's record array (probe detuning in rad/s)
 RECORD_FIELDS = "delta_probe,counts_d1,counts_d2,expected_d1,expected_d2"
 
@@ -139,10 +140,10 @@ def spectrum_from_records(records, plan):
 
 def write_scan_csv(path, scans):
     """Write generate_scan output; detunings go out in MHz."""
-    write_csv(path, SCAN_COLUMNS, (row for dcav, records in scans for row in zip(
-        (records.delta_probe / MHZ).tolist(), repeat(float(dcav) / MHZ),
-        records.counts_d1.tolist(), records.counts_d2.tolist(),
-        records.expected_d1.tolist(), records.expected_d2.tolist())))
+    rows = np.concatenate([records for _, records in scans])
+    dcav = np.repeat([float(d) / MHZ for d, _ in scans], [len(r) for _, r in scans])
+    write_csv(path, SCAN_COLUMNS, (rows["delta_probe"] / MHZ, dcav, rows["counts_d1"],
+                                   rows["counts_d2"], rows["expected_d1"], rows["expected_d2"]))
 
 
 def _count(text):
@@ -197,18 +198,26 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
     write_json(path, meta)
 
 
-def read_scan_sidecar(path):
-    """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged."""
+def read_scan_sidecar(path, scans=()):
+    """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged.
+
+    scans, read_scan_csv's groups, are checked against the plan: an
+    expected count above flux * dwell * efficiency of its detector
+    (times the emission scale on D2), by more than NORM_MARGIN relative,
+    cannot come from the model, and raises ValueError naming the sidecar.
+    """
     with open(path) as fh:
         try:
             meta = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"sidecar {path} is not valid JSON: {err}") from None
     try:
-        plan, corr = meta["plan"], meta["corrections"]
-        if any(isinstance(v, bool) for v in [*plan.values(), *corr.values()]):
+        plan, corr, scale = meta["plan"], meta["corrections"], meta["emission_scale"]
+        if any(isinstance(v, bool) for v in [*plan.values(), *corr.values(), scale]):
             raise ValueError("true or false where a number belongs")
-        return ScanPlan(
+        if not 0 < scale < np.inf:
+            raise ValueError("emission_scale must be positive and finite")
+        plan = ScanPlan(
             delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
             probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
             photon_flux=plan["photon_flux_per_s"],
@@ -216,7 +225,8 @@ def read_scan_sidecar(path):
             efficiency_d1=plan["efficiency_d1"],
             efficiency_d2=plan["efficiency_d2"],
             rng_seed=plan["rng_seed"],
-        ), Corrections(
+        )
+        corr = Corrections(
             averaging_nodes=corr["averaging_nodes"], side_weight=corr["side_weight"],
             side_shift=corr["side_shift_MHz"] * MHZ, jitter_fwhm=corr["jitter_fwhm_MHz"] * MHZ,
             jitter_nodes=corr["jitter_nodes"])
@@ -224,3 +234,11 @@ def read_scan_sidecar(path):
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed sidecar ({err})") from None
+    flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
+    for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
+                        ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):
+        worst = max((records[name].max() for _, records in scans), default=0.0)
+        if worst > bound:
+            raise ValueError(f"{path}: its flux, dwell and efficiencies allow {name} up to "
+                             f"{bound:.6g} per point, and the scan reaches {worst:.6g}")
+    return plan, corr

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -387,20 +388,65 @@ def test_pulse_huge_cooperativity_names_the_medium(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("carrier", ("1e9", "1e80", "1e3"))
+@pytest.mark.parametrize("carrier", ("1e9", "-1e9", "1e80", "1e3", "-1e3"))
 def test_pulse_carrier_past_the_optical_frequency_names_the_medium(tmp_path, capsys, carrier):
     # 1e9 MHz is 1 PHz, past the 352 THz of the 852 nm line (1e80 overflowed
-    # chi); 1 GHz is an ordinary detuning
+    # chi); 1 GHz is an ordinary detuning.  -1e9 is a value, not a flag
     out = tmp_path / "pulse.json"
     code = main(["pulse", "--tp-us", "1.73", "--carrier-mhz", carrier, "--out", str(out)])
     err = capsys.readouterr().err
-    if carrier == "1e3":
+    if abs(float(carrier)) == 1e3:
         assert code == 0
         assert all(np.isfinite(v) for v in json.loads(out.read_text()).values())
         return
     assert code == 2 and not out.exists()
     assert f"--carrier-mhz {float(carrier):g}" in err and "optical frequency" in err
     assert "--span-factor" not in err
+
+
+def test_negative_exponent_values_parse_as_numbers(tmp_path):
+    # argparse took -2e0 for a flag ("expected one argument"); the same
+    # values written without an exponent give the same files
+    def run(*argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--points", "5", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert run("spectrum", "--scan-from", "-4e0") == run("spectrum", "--scan-from", "-4")
+    assert run("spectrum", "--delta-cavity-mhz", "-.5e1") == run(
+        "spectrum", "--delta-cavity-mhz", "-5")
+    prefix = str(tmp_path / "scan")
+    assert main(["synth", "--delta-cavity-mhz", "0.5", "-2e0", "--scan-from", "-4e0",
+                 "--points", "5", "--out", prefix]) == 0
+    header, rows = _read_csv(prefix + ".csv")
+    assert [row[1] for row in rows] == ["0.5"] * 5 + ["-2.0"] * 5
+    assert rows[0][0] == "-4.0"
+
+
+def test_sidecar_normalisation_beyond_the_counts_returns_2(tmp_path, capsys):
+    # a dwell edited from 20000 to 1 us: the expected counts are 2e4 times
+    # what the plan allows, which used to reach the fitter and exit 3
+    prefix = tmp_path / "scan"
+    assert main(["synth", "--jitter", "--delta-cavity-mhz", "0.5", "--points", "41",
+                 "--scan-from", "-3", "--scan-to", "3", "--flux", "1e6",
+                 "--dwell-us", "20000", "--seed", "1", "--out", str(prefix)]) == 0
+    sidecar = tmp_path / "scan.json"
+    doc = json.loads(sidecar.read_text())
+    fit = ["fit", "--model", "vit", "--input", str(prefix) + ".csv",
+           "--out", str(tmp_path / "fit.json")]
+    for part, key, value in (("plan", "dwell_us", 1.0), ("plan", "efficiency_d2", 1e-3),
+                             (None, "emission_scale", 1e-3)):
+        edited = copy.deepcopy(doc)
+        (edited[part] if part else edited)[key] = value
+        sidecar.write_text(json.dumps(edited))
+        assert main(fit) == 2
+        err = capsys.readouterr().err
+        assert "scan.json" in err and "expected_d" in err
+    assert not (tmp_path / "fit.json").exists()
+    # a larger normalisation is no contradiction: counts may fall short of it
+    doc["emission_scale"] = 2.0
+    sidecar.write_text(json.dumps(doc))
+    assert main(fit) == 0
 
 
 def test_fit_uses_the_sidecar_corrections(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from conftest import STIFF_GAMMA
 from vitlab.core import (
@@ -54,6 +55,46 @@ def test_susceptibility_rejects_negative_eta(cfg):
         susceptibility(cfg, -0.5, Detunings(0.0, 0.0))
     with pytest.raises(ValueError):
         susceptibility(cfg, np.array([1.0, -0.5]), Detunings(0.0, 0.0))
+
+
+def _textbook_susceptibility(cfg, eta, det):
+    """The closed form as written, -(OD/kL) num/den with a complex numerator."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 1:
+        eta = eta[:, None]
+    dt, dc = det.normalized(cfg)
+    num = dt - (eta - dt * dc) * dc - 1j * (eta + 1.0 + dc * dc)
+    den = (eta + 1.0 - dt * dc) ** 2 + (dt + dc) ** 2
+    return -(cfg.od / cfg.kl) * num / den
+
+
+MHZ_VALUES = st.floats(-200.0, 200.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data(), layout=st.sampled_from(("scalar", "row", "column", "grid")),
+       n=st.integers(1, 6), m=st.integers(1, 4))
+def test_susceptibility_matches_textbook_form(cfg, data, layout, n, m):
+    # real arithmetic against the complex one, for a scalar point, a row of
+    # probe detunings, and members as a (member, 1) column or a full grid
+    mhz = 2e6 * np.pi
+    etas = st.floats(0.0, 1e4)
+    if layout == "scalar":
+        eta = data.draw(etas)
+        det = Detunings(data.draw(MHZ_VALUES) * mhz, data.draw(MHZ_VALUES) * mhz)
+    else:
+        grid = np.array(data.draw(st.lists(MHZ_VALUES, min_size=n, max_size=n))) * mhz
+        if layout == "row":
+            eta, dcav = data.draw(etas), data.draw(MHZ_VALUES) * mhz
+        else:
+            eta = np.array(data.draw(st.lists(etas, min_size=m, max_size=m)))
+            cols = n if layout == "grid" else 1
+            dcav = np.array(data.draw(st.lists(MHZ_VALUES, min_size=m * cols,
+                                               max_size=m * cols))).reshape(m, cols) * mhz
+        det = Detunings(grid, dcav)
+    got, want = susceptibility(cfg, eta, det), _textbook_susceptibility(cfg, eta, det)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_susceptibility_broadcasts_member_column(cfg):

@@ -1,5 +1,5 @@
-"""Property tests of the input boundary: the one CSV reader, the config
-schema, the scan sidecar and the pulse grid flags.
+"""Property tests of the input boundary: the one CSV reader and writer,
+the config schema, the scan sidecar and the pulse grid flags.
 
 The contract at every boundary is "a correct result, or a ValueError
 that names the file (and line), the config key or the flags at fault".
@@ -13,11 +13,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vitlab.cli import main
-from vitlab.config import KNOWN_KEYS, packaged_defaults, read_csv, validate_config
+from vitlab.config import (CSV_BLOCK_ROWS, KNOWN_KEYS, packaged_defaults, read_csv,
+                           validate_config, write_csv)
 from vitlab.spatial import Corrections
 from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
 
@@ -94,6 +96,40 @@ def test_read_csv_returns_floats_or_names_the_fault(csv_path, table, columns):
         return
     assert header[:len(columns)] == columns and rows and not bad
     assert got == [[float(c) for c in row] for row in rows]
+
+
+# signed zeros, subnormals, 1e16 (repr switches to an exponent there) and non-finite
+FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-310, 1e16, -1e16, 9007199254740993.0, math.nan, math.inf,
+     -math.inf]))
+INT_CELLS = st.integers(-2**63, 2**63 - 1)
+
+
+@pytest.mark.parametrize("n_rows", (0, 1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                    CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7))
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data(), kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4))
+def test_write_csv_bytes_match_csv_writer(csv_path, n_rows, data, kinds):
+    # a few drawn cells repeated to each column's length: a row count off
+    # the block size costs no large draw
+    columns = []
+    for k, kind in enumerate(kinds):
+        cells = FLOAT_CELLS if kind == "float" else INT_CELLS
+        pool = data.draw(st.lists(cells, min_size=1, max_size=20), label=f"pool {k}")
+        values = [pool[(i * (k + 1)) % len(pool)] for i in range(n_rows)]
+        as_array = data.draw(st.booleans(), label=f"array {k}")
+        columns.append(np.array(values, dtype=float if kind == "float" else np.int64)
+                       if as_array else tuple(values))
+    header = [f"c{k}" for k in range(len(kinds))]
+    write_csv(csv_path, header, columns)
+    want = _text([header, *zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                                 for c in columns])])
+    assert csv_path.read_bytes() == want.encode()
+
+
+def test_write_csv_needs_equal_columns(csv_path):
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_csv(csv_path, ["a", "b"], ([1.0, 2.0], [1.0]))
 
 
 SCAN_ROW = ["0.5", "0.0", "12", "3", "11.5", "2.5"]

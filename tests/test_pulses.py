@@ -244,9 +244,9 @@ def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
 
     def transfer(omega):
         assert len(omega) < pulse.n
-        for w, _, _, t in ensemble_transfer(cfg, 5.0, Detunings(carrier + omega, 0.0), corr):
+        for w, _, _, chi in ensemble_transfer(cfg, 5.0, Detunings(carrier + omega, 0.0), corr):
             sizes.append(len(w))
-            yield w, t
+            yield w, transfer_amplitude(chi, cfg)
 
     res = run_pulse_ensemble(pulse, transfer)
     assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 32
@@ -268,7 +268,8 @@ def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
     def transfer(omega):
         support.append(len(omega))
         det = Detunings(omega, 0.0)
-        return ((w, t) for w, _, _, t in ensemble_transfer(medium, ETA_EFF_0, det, corr))
+        return ((w, transfer_amplitude(chi, medium))
+                for w, _, _, chi in ensemble_transfer(medium, ETA_EFF_0, det, corr))
 
     res = run_pulse_ensemble(pulse, transfer)
     # the Gaussian's lobe of 71 bins plus the four band edges, not the round-off

@@ -6,6 +6,7 @@ from vitlab.config import MHZ, corrections, model_cooperativity
 from vitlab.core import (
     Detunings,
     coupling_from_cooperativity,
+    transfer_amplitude,
     transmission,
 )
 from vitlab.oracle import (
@@ -233,7 +234,8 @@ def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
     omega = 2 * np.pi * np.fft.fftfreq(1024, 4e-9)
     det = Detunings(carrier + omega, 0.0)
     for eta in ETAS:
-        blocks = [(w, t) for w, _, _, t in ensemble_transfer(cfg, eta, det, corr)]
+        blocks = [(w, transfer_amplitude(chi, cfg))
+                  for w, _, _, chi in ensemble_transfer(cfg, eta, det, corr)]
         assert [len(w) for w, _ in blocks] == [4] * 8
         assert all(t.shape == (4, 1024) for _, t in blocks)
         summed = sum(w @ np.abs(t) ** 2 for w, t in blocks)
