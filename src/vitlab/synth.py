@@ -198,7 +198,7 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
     write_json(path, meta)
 
 
-def read_scan_sidecar(path, scans=()):
+def read_scan_sidecar(path, scans):
     """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged.
 
     scans, read_scan_csv's groups, are checked against the plan: an

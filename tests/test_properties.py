@@ -242,11 +242,13 @@ def scan(tmp_path_factory):
     return prefix.with_suffix(".csv"), sidecar, json.loads(sidecar.read_text())
 
 
-# what a hand-edited sidecar may hold in place of a value
+# what a hand-edited sidecar may hold in place of a value; the positive
+# fractions make flux, dwell or an efficiency smaller than the scan's counts allow
 SIDECAR_VALUES = st.one_of(
     st.text(max_size=3), st.lists(st.floats(-10.0, 10.0), max_size=2), st.none(), st.booleans(),
     st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.integers(max_value=-1), st.floats(max_value=-1e-3, allow_infinity=False))
+    st.integers(max_value=-1), st.floats(max_value=-1e-3, allow_infinity=False),
+    st.floats(1e-6, 1.0))
 
 
 @settings(SETTINGS, max_examples=100)
@@ -271,7 +273,7 @@ def test_sidecar_reads_or_names_the_file(scan, data):
         text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
     sidecar.write_text(text)
     try:
-        plan, corr = read_scan_sidecar(sidecar)
+        plan, corr = read_scan_sidecar(sidecar, read_scan_csv(csv_path))
     except ValueError as err:
         assert str(sidecar) in str(err)
         refused = True

@@ -189,7 +189,8 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     path = tmp_path / "scan.json"
     corr = corrections(conf, average=True, side=True, jitter=True)
     write_scan_sidecar(path, plan, cfg, 3.4, corr)
-    back, back_corr = read_scan_sidecar(path)
+    # no scan: only the parsing is under test here
+    back, back_corr = read_scan_sidecar(path, ())
     # 0.6 MHz side shift and 0.2 MHz jitter come back as the same doubles
     assert back_corr == corr
     # the sidecar holds MHz and us, so the rad/s and s values come back
@@ -211,10 +212,10 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     del doc["plan"]["dwell_us"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="scan.json.*'dwell_us'"):
-        read_scan_sidecar(path)
+        read_scan_sidecar(path, ())
     doc["plan"]["dwell_us"] = -1.0
     for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}', '{"plan": ',
                  json.dumps(doc), *bad):
         path.write_text(text)
         with pytest.raises(ValueError, match="scan.json"):
-            read_scan_sidecar(path)
+            read_scan_sidecar(path, ())
