@@ -8,7 +8,7 @@ the analytic model with the realistic correction stack.
 import numpy as np
 
 from vitlab.config import MHZ, corrections, load_config, physical_config
-from vitlab.core import Detunings, transmission
+from vitlab.core import transmission
 from vitlab.recipes import ETA_EFF_0, transparency_curve
 from vitlab.spatial import corrected_spectrum, effective_cooperativity
 
@@ -28,6 +28,6 @@ grid = np.linspace(-4.0, 4.0, 17) * MHZ
 eta = effective_cooperativity(ETA_EFF_0, 4)
 print(" delta/2pi (MHz)   corrected   ideal")
 for d in grid:
-    tc = corrected_spectrum(cfg, eta, Detunings(d, 0.0), corr)[0]
-    ti = transmission(cfg, eta, Detunings(d, 0.0))
+    tc = corrected_spectrum(cfg, eta, d, 0.0, corr)[0]
+    ti = transmission(cfg, eta, d, 0.0)
     print(f"{d / MHZ:15.2f}   {tc:.4f}      {ti:.4f}")

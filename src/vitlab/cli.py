@@ -22,7 +22,7 @@ import numpy as np
 from vitlab import config as cfgmod
 from vitlab import recipes
 from vitlab.config import MHZ, write_csv, write_json
-from vitlab.core import Detunings, group_delay_analytic, resonant_transmission
+from vitlab.core import group_delay_analytic, resonant_transmission
 from vitlab.errors import BandCoverageError, ConvergenceError
 from vitlab.fitting import VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
@@ -115,8 +115,8 @@ def _write_spectrum_csv(path, grid, trans, emis):
 def cmd_spectrum(args):
     conf, cfg, eta, corr = _setup(args)
     grid = _probe_grid(args)
-    det = Detunings(grid, args.delta_cavity_mhz * MHZ)
-    trans, emis = corrected_spectrum(cfg, eta, det, corr, args.emission_scale)
+    trans, emis = corrected_spectrum(cfg, eta, grid, args.delta_cavity_mhz * MHZ, corr,
+                                     args.emission_scale)
     _write_spectrum_csv(args.out, grid, trans, emis)
     return 0
 
@@ -170,11 +170,12 @@ def _read_plain_spectrum(path):
     return Spectrum(delta_probe=rows[:, 0] * MHZ, transmission=rows[:, 1], emission=e)
 
 
-def _read_input(path, args, flag_corrections):
+def _read_input(path, args, cfg, flag_corrections):
     """(source, corrections, [(delta_cavity, Spectrum)]) of a scan or spectrum CSV.
 
     A scan fits with its sidecar's corrections (a flag they lack is an
-    error) and names the sidecar; a spectrum fits with flag_corrections.
+    error, and so are constants other than cfg's) and names the sidecar;
+    a spectrum fits with flag_corrections.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
@@ -185,7 +186,7 @@ def _read_input(path, args, flag_corrections):
                                          _read_plain_spectrum(path))]
     scans = read_scan_csv(path)
     sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
-    plan, corr = read_scan_sidecar(sidecar, scans)
+    plan, corr = read_scan_sidecar(sidecar, scans, cfg)
     for flag, field in (("average", "averaging_nodes"), ("side", "side_weight"),
                         ("jitter", "jitter_fwhm")):
         if getattr(args, flag) and not getattr(corr, field):
@@ -216,7 +217,7 @@ def cmd_fit(args):
         write_json(args.out, fit.to_json_dict())
         return 0
 
-    inputs = [_read_input(path, args, flags) for path in args.input]
+    inputs = [_read_input(path, args, cfg, flags) for path in args.input]
     source, corr, _ = inputs[0]
     for other, other_corr, _ in inputs[1:]:
         if other_corr != corr:

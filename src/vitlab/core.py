@@ -72,43 +72,12 @@ class CavityGeometry:
             raise ValueError("geometry fields must be positive")
 
 
-@dataclass(frozen=True)
-class Detunings:
-    """Probe-atom detuning Delta and cavity-atom detuning delta (rad/s).
+def _chi(cfg, eta, dt, dc):
+    """The closed form in the normalized detunings Dt and dc (see susceptibility).
 
-    Scalars or equal-shape arrays are both fine; all model functions
-    broadcast.
+    eta, dt and dc broadcast against each other; evaluated in real
+    arithmetic, with Re and Im sharing the scale (OD/kL)/den.
     """
-
-    delta_probe: object
-    delta_cavity: object
-
-    def normalized(self, cfg):
-        """Return (Dt, dc) = (2*Delta/gamma, 2*(Delta - delta)/kappa)."""
-        dp = np.asarray(self.delta_probe, dtype=float)
-        dc = np.asarray(self.delta_cavity, dtype=float)
-        return 2.0 * dp / cfg.gamma, 2.0 * (dp - dc) / cfg.kappa
-
-
-def susceptibility(cfg, eta, det):
-    """Linear weak-probe susceptibility of the coupled ensemble.
-
-    chi = -(OD/kL) * [Dt - (eta - Dt*dc)*dc - i*(eta + 1 + dc^2)]
-          / [(eta + 1 - Dt*dc)^2 + (Dt + dc)^2]
-
-    eta is the cooperativity; eta = 0 gives the bare two-level response.
-    A 1-d array of cooperativities (one per ensemble member) is taken as
-    a (member, 1) column, so it broadcasts against detunings of shape
-    (point,) or (member, point).  Returns a complex ndarray, or a complex
-    scalar for scalar inputs.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if (eta < 0).any():
-        raise ValueError("cooperativity must be nonnegative")
-    if eta.ndim == 1:
-        eta = eta[:, None]
-    dt, dc = det.normalized(cfg)
-    # real arithmetic throughout: Re and Im share the scale (OD/kL)/den
     dtdc = dt * dc
     scale = (cfg.od / cfg.kl) / ((eta + 1.0 - dtdc) ** 2 + (dt + dc) ** 2)
     chi = np.empty(np.shape(scale), dtype=complex)
@@ -117,14 +86,38 @@ def susceptibility(cfg, eta, det):
     return chi[()]
 
 
+def susceptibility(cfg, eta, delta_probe, delta_cavity):
+    """Linear weak-probe susceptibility of the coupled ensemble.
+
+    chi = -(OD/kL) * [Dt - (eta - Dt*dc)*dc - i*(eta + 1 + dc^2)]
+          / [(eta + 1 - Dt*dc)^2 + (Dt + dc)^2]
+
+    eta is the cooperativity; eta = 0 gives the bare two-level response.
+    The detunings are scalars or arrays that broadcast together.  A 1-d
+    array of cooperativities (one per ensemble member) is taken as a
+    (member, 1) column, so it broadcasts against detunings of shape
+    (point,) or (member, point).  Returns a complex ndarray, or a complex
+    scalar for scalar inputs.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if (eta < 0).any():
+        raise ValueError("cooperativity must be nonnegative")
+    if eta.ndim == 1:
+        eta = eta[:, None]
+    dp = np.asarray(delta_probe, dtype=float)
+    dt = 2.0 * dp / cfg.gamma
+    dc = 2.0 * (dp - np.asarray(delta_cavity, dtype=float)) / cfg.kappa
+    return _chi(cfg, eta, dt, dc)
+
+
 def transfer_amplitude(chi, cfg):
     """Amplitude transfer function t = exp(i k L chi / 2) of a susceptibility array."""
     return np.exp(0.5j * cfg.kl * chi)
 
 
-def transmission(cfg, eta, det):
+def transmission(cfg, eta, delta_probe, delta_cavity):
     """Power transmission |t|^2 = exp(-k L Im chi) through the ensemble."""
-    return np.exp(-cfg.kl * susceptibility(cfg, eta, det).imag)
+    return np.exp(-cfg.kl * susceptibility(cfg, eta, delta_probe, delta_cavity).imag)
 
 
 def cooperativity_geometric(geom):
@@ -177,8 +170,7 @@ def group_delay_numeric(cfg, eta, step=None, tol=5e-3):
         step = cfg.kappa / 100.0
 
     def phase(delta):
-        det = Detunings(delta, 0.0)
-        return np.angle(transfer_amplitude(susceptibility(cfg, eta, det), cfg))
+        return np.angle(transfer_amplitude(susceptibility(cfg, eta, delta, 0.0), cfg))
 
     def diff5(h):
         return (phase(-2 * h) - 8 * phase(-h) + 8 * phase(h) - phase(2 * h)) / (12.0 * h)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from vitlab.config import MHZ
-from vitlab.core import Detunings
 from vitlab.errors import RankDeficientError
 from vitlab.spatial import IDEAL, corrected_spectrum
 
@@ -169,7 +168,7 @@ def fit_lorentzian(spectrum, on="absorbance"):
     medium is exactly Lorentzian with FWHM equal to the atomic
     linewidth; on="transmission" fits the raw dip instead (its width is
     not the atomic linewidth unless the medium is optically thin).
-    Detunings are handled in MHz, so the fitted fwhm is already in MHz.
+    The detunings are handled in MHz, so the fitted fwhm is already in MHz.
     Returns FitResult with parameters (center_mhz, fwhm_mhz, depth,
     baseline).
     """
@@ -218,10 +217,8 @@ def fit_lorentzian(spectrum, on="absorbance"):
 
 def _vit_model(cfg, grid, dcav, p, corrections):
     cfg_fit = replace(cfg, od=p["od"])
-    det = Detunings(
-        grid + p["probe_offset_mhz"] * MHZ, dcav + p["cavity_offset_mhz"] * MHZ
-    )
-    return corrected_spectrum(cfg_fit, p["eta_eff"], det, corrections, p["scale_d2"])
+    return corrected_spectrum(cfg_fit, p["eta_eff"], grid + p["probe_offset_mhz"] * MHZ,
+                              dcav + p["cavity_offset_mhz"] * MHZ, corrections, p["scale_d2"])
 
 
 def _initial_guess(datasets, cfg):

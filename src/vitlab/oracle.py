@@ -53,14 +53,14 @@ class AmplitudeState:
     c_g: object
 
 
-def steady_state_amplitudes(cfg, drive, det):
+def steady_state_amplitudes(cfg, drive, delta_probe, delta_cavity):
     """Solve the 2x2 steady-state system for (c_e, c_g).
 
     Vectorizes over detuning arrays by stacking one small linear system
     per grid point; no closed-form simplification is used anywhere.
     """
-    dp = np.asarray(det.delta_probe, dtype=float)
-    dc = np.asarray(det.delta_cavity, dtype=float)
+    dp = np.asarray(delta_probe, dtype=float)
+    dc = np.asarray(delta_cavity, dtype=float)
     dp, dc = np.broadcast_arrays(dp, dc)
     shape = dp.shape
 
@@ -79,7 +79,7 @@ def steady_state_amplitudes(cfg, drive, det):
     return AmplitudeState(c_e, c_g)
 
 
-def susceptibility_from_oracle(cfg, drive, det):
+def susceptibility_from_oracle(cfg, drive, delta_probe, delta_cavity):
     """Susceptibility from the amplitude solver alone.
 
     The amplitude equations above use the e^{+i omega t} convention; the
@@ -90,7 +90,7 @@ def susceptibility_from_oracle(cfg, drive, det):
     """
     if drive.omega_p == 0:
         raise ValueError("omega_p must be nonzero to normalize the response")
-    state = steady_state_amplitudes(cfg, drive, det)
+    state = steady_state_amplitudes(cfg, drive, delta_probe, delta_cavity)
     scale = -cfg.gamma * cfg.od / cfg.kl
     return scale * np.conj(np.asarray(state.c_e) / drive.omega_p)
 

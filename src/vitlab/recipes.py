@@ -13,8 +13,7 @@ import numpy as np
 
 from vitlab import config as cfgmod
 from vitlab.config import MHZ
-from vitlab.core import (TWO_PI, Detunings, group_delay_analytic, group_velocity,
-                         transfer_amplitude)
+from vitlab.core import TWO_PI, group_delay_analytic, group_velocity, transfer_amplitude
 from vitlab.errors import BandCoverageError
 from vitlab.fitting import (extract_transparency, fit_linear_weighted, fit_vit_spectra,
                             ratio_with_error, value_error_doc)
@@ -52,7 +51,7 @@ def fig2(conf, cfg):
     eta = cfgmod.model_cooperativity(conf)
     corr = cfgmod.corrections(conf, average=True, side=True, jitter=True)
     grid, panels = fig2_detunings(cfg)
-    spectra = {name: corrected_spectrum(cfg, eta, Detunings(grid, dcav), corr)
+    spectra = {name: corrected_spectrum(cfg, eta, grid, dcav, corr)
                for name, dcav in panels.items()}
     params = {"eta": eta, "od": cfg.od,
               "delta_cavity_MHz": {k: v / MHZ for k, v in panels.items()},
@@ -76,7 +75,7 @@ def pulse_ensemble(cfg, eta, pulse, corrections, carrier=0.0):
         raise ValueError("the carrier detuning puts the band past the optical frequency")
     return run_pulse_ensemble(pulse, lambda omega: (
         (w, transfer_amplitude(chi, cfg)) for w, _, _, chi in
-        ensemble_transfer(cfg, eta, Detunings(carrier + omega, 0.0), corrections)))
+        ensemble_transfer(cfg, eta, carrier + omega, 0.0, corrections)))
 
 
 def fig3(conf, cfg):
@@ -148,7 +147,7 @@ def transparency_curve(conf, cfg, n_c_values):
     rows = []
     for n_c in n_c_values:
         eta = effective_cooperativity(ETA_EFF_0, n_c)
-        t_prime = float(corrected_spectrum(cfg, eta, Detunings(0.0, 0.0), corr)[0])
+        t_prime = float(corrected_spectrum(cfg, eta, 0.0, 0.0, corr)[0])
         rows.append((n_c, eta, t_prime, extract_transparency(t_prime, cfg.od)[0]))
     return rows
 

@@ -29,7 +29,7 @@ from operator import index
 
 import numpy as np
 
-from vitlab.core import Detunings, susceptibility
+from vitlab.core import _chi
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -64,23 +64,6 @@ def effective_cooperativity(eta_eff_0, n_c):
     if n_c < 0:
         raise ValueError("n_c must be nonnegative")
     return eta_eff_0 * (n_c + 1.0)
-
-
-def composite_susceptibility(cfg, eta, det, corrections):
-    """Main plus side-channel susceptibility with the total resonant OD conserved.
-
-    The side channel carries od * side_weight/(1 + side_weight), the main
-    channel the rest, so the wide-scan integrated absorption is unchanged;
-    chi is linear in od, so that is (chi(det) + w chi(det_side)) / (1 + w).
-    Both share the coupling eta; the side channel's two-photon resonance
-    is displaced by side_shift.  eta broadcasts as in core.susceptibility.
-    """
-    w = corrections.side_weight
-    if w == 0.0:
-        return susceptibility(cfg, eta, det)
-    det_side = Detunings(det.delta_probe,
-                         np.asarray(det.delta_cavity) + corrections.side_shift)
-    return (susceptibility(cfg, eta, det) + w * susceptibility(cfg, eta, det_side)) / (1.0 + w)
 
 
 def jitter_quadrature(sigma, nodes=16):
@@ -141,32 +124,45 @@ class Corrections:
 IDEAL = Corrections()
 
 
-def ensemble_transfer(cfg, eta_max, det, corrections=IDEAL):
+def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL):
     """Susceptibilities of the ensemble members, in blocks.
 
-    Yields (weights, etas, det_m, chi) per block of about BLOCK_POINTS
+    Yields (weights, etas, dc, chi) per block of about BLOCK_POINTS
     member x point elements (at least one member): the block's member
-    weights and cooperativities, its Detunings of shape (member, point)
-    (the broadcast detunings flattened, each row's cavity detuning
-    shifted by the member's jitter offset) and the composite
-    susceptibility of the same shape.  A member's intensity transmission
-    is exp(-k L Im chi), its transfer amplitude
+    weights and cooperativities, the main channel's normalized cavity
+    detuning dc = 2 (Delta - delta - offset)/kappa (offset the member's
+    jitter offset) and the members' susceptibility, both of shape
+    (member, point) over the broadcast detunings flattened.  The side
+    channel, its two-photon resonance displaced by side_shift, takes
+    w/(1 + w) of the od (w = side_weight), so the total od is conserved
+    and chi = (chi_main + w chi_side)/(1 + w).  A member's intensity
+    transmission is exp(-k L Im chi), its transfer amplitude
     core.transfer_amplitude(chi, cfg).  This is the only place
     Corrections.members is turned into susceptibilities.
     """
+    if eta_max < 0:
+        raise ValueError("cooperativity must be nonnegative")
     etas, offsets, weights = corrections.members(eta_max)
-    dp, dcav = np.broadcast_arrays(np.asarray(det.delta_probe, dtype=float),
-                                   np.asarray(det.delta_cavity, dtype=float))
+    dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
+                                   np.asarray(delta_cavity, dtype=float))
     dp, dcav = dp.ravel(), dcav.ravel()
+    dt = 2.0 * dp / cfg.gamma
+    w, shift = corrections.side_weight, corrections.side_shift
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
     for lo in range(0, len(etas), step):
         block = slice(lo, lo + step)
-        det_m = Detunings(dp, dcav + offsets[block, None])
-        yield (weights[block], etas[block], det_m,
-               composite_susceptibility(cfg, etas[block], det_m, corrections))
+        eta, dcav_m = etas[block, None], dcav + offsets[block, None]
+        dc = 2.0 * (dp - dcav_m) / cfg.kappa
+        chi = _chi(cfg, eta, dt, dc)
+        if w:
+            # from the raw detunings, as a lone channel at delta + shift would get it
+            dc_side = 2.0 * (dp - (dcav_m + shift)) / cfg.kappa
+            chi = (chi + w * _chi(cfg, eta, dt, dc_side)) / (1.0 + w)
+        yield weights[block], etas[block], dc, chi
 
 
-def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0):
+def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,
+                       emission_scale=1.0):
     """Transmission and resonator-emission spectra with the full correction stack.
 
     Returns (transmission, emission), each the intensity-level average
@@ -175,21 +171,21 @@ def corrected_spectrum(cfg, eta_max, det, corrections=IDEAL, emission_scale=1.0)
     fraction by the branching ratio of the main two-photon channel,
     beta = eta/(eta + 1 + dc^2) with dc the member's normalized cavity
     detuning (the closed form of the amplitude equations in
-    vitlab.oracle), and by emission_scale.  A non-finite susceptibility
-    (overflow) raises ValueError.
+    vitlab.oracle), and by emission_scale.  A negative cooperativity,
+    or a non-finite susceptibility (overflow), raises ValueError.
     """
     if not 0 < emission_scale < np.inf:
         raise ValueError("emission_scale must be positive and finite")
-    shape = np.broadcast_shapes(np.shape(det.delta_probe), np.shape(det.delta_cavity))
+    shape = np.broadcast_shapes(np.shape(delta_probe), np.shape(delta_cavity))
     trans = emis = 0.0
-    for weights, etas, det_m, chi in ensemble_transfer(cfg, eta_max, det, corrections):
+    for weights, etas, dc, chi in ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity,
+                                                    corrections):
         # Re chi alone can overflow (eta 1e308); a finite chi keeps t2 and beta in [0, 1]
         if not np.isfinite(chi).all():
             raise ValueError(f"cooperativity {eta_max:g} gives a non-finite spectrum")
         # |exp(i k L chi / 2)|^2: the phase Re chi is never needed
         t2 = np.exp(-cfg.kl * chi.imag)
         eta = etas[:, None]
-        dc = det_m.normalized(cfg)[1]
         trans = trans + weights @ t2
         emis = emis + weights @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
     return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]

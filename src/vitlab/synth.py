@@ -24,7 +24,6 @@ from operator import index
 import numpy as np
 
 from vitlab.config import MHZ, read_csv, write_csv, write_json
-from vitlab.core import Detunings
 from vitlab.spatial import IDEAL, Corrections, corrected_spectrum
 
 
@@ -34,6 +33,8 @@ SCAN_COLUMNS = ("delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
                 "expected_d1", "expected_d2")
 # relative slack of read_scan_sidecar's check of expected counts against the plan
 NORM_MARGIN = 1e-9
+# the sidecar's physics entries that must match the fit's config
+PHYSICS_KEYS = ("gamma_MHz", "kappa_MHz", "wavelength_um", "length_um")
 # the columns of one scan's record array (probe detuning in rad/s)
 RECORD_FIELDS = "delta_probe,counts_d1,counts_d2,expected_d1,expected_d2"
 
@@ -99,8 +100,8 @@ def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
     grid = np.asarray(plan.probe_grid, dtype=float)
     out = []
     for i, dcav in enumerate(plan.delta_cavity_list):
-        det = Detunings(grid, float(dcav))
-        trans, emis = corrected_spectrum(cfg, eta, det, corrections, emission_scale)
+        trans, emis = corrected_spectrum(cfg, eta, grid, float(dcav), corrections,
+                                         emission_scale)
         e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
         e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * emis
         if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
@@ -165,6 +166,13 @@ def read_scan_csv(path):
     return [(float(dcav[first[k]]) * MHZ, records[group == k]) for k in np.argsort(first)]
 
 
+def _physics(cfg, eta):
+    """The sidecar's physics block: the constants in laboratory units, and eta."""
+    return {"gamma_MHz": cfg.gamma / MHZ, "kappa_MHz": cfg.kappa / MHZ,
+            "wavelength_um": cfg.wavelength * 1e6, "od": cfg.od,
+            "length_um": cfg.length * 1e6, "eta": eta}
+
+
 def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1.0):
     """JSON sidecar recording everything needed to regenerate a scan."""
     meta = {
@@ -177,14 +185,7 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
             "efficiency_d2": plan.efficiency_d2,
             "rng_seed": plan.rng_seed,
         },
-        "physics": {
-            "gamma_MHz": cfg.gamma / MHZ,
-            "kappa_MHz": cfg.kappa / MHZ,
-            "wavelength_um": cfg.wavelength * 1e6,
-            "od": cfg.od,
-            "length_um": cfg.length * 1e6,
-            "eta": eta,
-        },
+        "physics": _physics(cfg, eta),
         "corrections": {
             "averaging_nodes": corrections.averaging_nodes,
             "side_weight": corrections.side_weight,
@@ -198,13 +199,17 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
     write_json(path, meta)
 
 
-def read_scan_sidecar(path, scans):
+def read_scan_sidecar(path, scans, cfg):
     """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged.
 
     scans, read_scan_csv's groups, are checked against the plan: an
     expected count above flux * dwell * efficiency of its detector
     (times the emission scale on D2), by more than NORM_MARGIN relative,
     cannot come from the model, and raises ValueError naming the sidecar.
+    The recorded linewidths, wavelength and length must equal cfg's,
+    written as write_scan_sidecar writes them (od and eta are what a fit
+    estimates, so they are not compared); a mismatch raises ValueError
+    naming the sidecar, the key and both values.
     """
     with open(path) as fh:
         try:
@@ -213,6 +218,7 @@ def read_scan_sidecar(path, scans):
             raise ValueError(f"sidecar {path} is not valid JSON: {err}") from None
     try:
         plan, corr, scale = meta["plan"], meta["corrections"], meta["emission_scale"]
+        recorded = {key: meta["physics"][key] for key in PHYSICS_KEYS}
         if any(isinstance(v, bool) for v in [*plan.values(), *corr.values(), scale]):
             raise ValueError("true or false where a number belongs")
         if not 0 < scale < np.inf:
@@ -234,6 +240,11 @@ def read_scan_sidecar(path, scans):
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
     except (AttributeError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed sidecar ({err})") from None
+    expected = _physics(cfg, None)
+    for key in PHYSICS_KEYS:
+        if recorded[key] != expected[key]:
+            raise ValueError(f"{path}: the scan was made with {key} {recorded[key]!r}, "
+                             f"and the config gives {expected[key]!r}")
     flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
                         ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):

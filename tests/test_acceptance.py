@@ -13,7 +13,6 @@ from conftest import STIFF_GAMMA
 from vitlab.config import MHZ
 from vitlab.core import (
     CavityGeometry,
-    Detunings,
     cooperativity_geometric,
     coupling_from_cooperativity,
     group_delay_analytic,
@@ -63,11 +62,10 @@ def test_criterion_01_geometric_cooperativity(report):
 def test_criterion_02_resonant_transmission_identity(report, cfg):
     rng = np.random.default_rng(2024)
     worst = 0.0
-    det = Detunings(0.0, 0.0)
     for _ in range(1000):
         od = rng.uniform(0.0, 3.0)
         eta = rng.uniform(0.0, 20.0)
-        got = transmission(replace(cfg, od=od), eta, det)
+        got = transmission(replace(cfg, od=od), eta, 0.0, 0.0)
         want = np.exp(-od / (eta + 1.0))
         worst = max(worst, abs(got - want) / want)
     report(2, "|t(0,0)|^2 = exp(-OD/(eta+1)), 1000 draws", worst < 1e-12,
@@ -76,12 +74,11 @@ def test_criterion_02_resonant_transmission_identity(report, cfg):
 
 def test_criterion_03_oracle_equivalence(report, cfg):
     dp, dc = np.meshgrid(_grid_mhz(), _grid_mhz(), indexing="ij")
-    det = Detunings(dp, dc)
     worst = 0.0
     for eta in (0.1, 1.0, 3.4, 7.2):
         g = coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma)
-        chi_o = susceptibility_from_oracle(cfg, DriveSpec(omega_p=0.3, g=g), det)
-        chi_c = susceptibility(cfg, eta, det)
+        chi_o = susceptibility_from_oracle(cfg, DriveSpec(omega_p=0.3, g=g), dp, dc)
+        chi_c = susceptibility(cfg, eta, dp, dc)
         worst = max(worst, float(np.max(np.abs(chi_o - chi_c) / np.abs(chi_c))))
     report(3, "amplitude-solver susceptibility matches closed form",
            worst < 1e-10, f"worst rel dev = {worst:.2e} on 100x100 x 4 etas")
@@ -89,7 +86,7 @@ def test_criterion_03_oracle_equivalence(report, cfg):
 
 def test_criterion_04_two_level_limit(report, cfg):
     delta = _grid_mhz(n=10_000)
-    chi = susceptibility(cfg, 0.0, Detunings(delta, 0.0))
+    chi = susceptibility(cfg, 0.0, delta, 0.0)
     dt = 2.0 * delta / cfg.gamma
     ref = -(cfg.od / cfg.kl) * (dt - 1j) / (1.0 + dt**2)
     worst = float(np.max(np.abs(chi - ref) / np.abs(ref)))
@@ -146,8 +143,7 @@ def test_criterion_08_branching_ratio(report, cfg):
     worst = 0.0
     for eta in (0.1, 1.0, 7.2):
         g = coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma)
-        state = steady_state_amplitudes(cfg, DriveSpec(omega_p=0.2, g=g),
-                                        Detunings(0.0, 0.0))
+        state = steady_state_amplitudes(cfg, DriveSpec(omega_p=0.2, g=g), 0.0, 0.0)
         worst = max(worst, abs(branching_ratio(state, cfg) - eta / (eta + 1.0)))
     report(8, "resonant branching ratio eta/(eta+1)", worst < 1e-12,
            f"worst abs dev = {worst:.2e}")
@@ -223,7 +219,7 @@ def test_criterion_11_transparency_endpoints(report, cfg, conf):
 
 def test_criterion_12_linewidth_fit(report, cfg):
     grid = np.linspace(-12.0, 12.0, 401) * MHZ
-    t = transmission(cfg, 0.0, Detunings(grid, 0.0))
+    t = transmission(cfg, 0.0, grid, 0.0)
     fit = fit_lorentzian(Spectrum(grid, t))
     fwhm = fit.value("fwhm_mhz")
     rel = abs(fwhm - 5.20) / 5.20

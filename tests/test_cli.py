@@ -7,7 +7,7 @@ import pytest
 
 from vitlab import recipes
 from vitlab.cli import main
-from vitlab.config import ENV_VAR
+from vitlab.config import ENV_VAR, packaged_defaults
 
 
 def _read_csv(path):
@@ -447,6 +447,48 @@ def test_sidecar_normalisation_beyond_the_counts_returns_2(tmp_path, capsys):
     doc["emission_scale"] = 2.0
     sidecar.write_text(json.dumps(doc))
     assert main(fit) == 0
+
+
+def test_fit_config_contradicting_the_sidecar_returns_2(tmp_path, capsys):
+    # the scan is made with the packaged constants; a fit under other
+    # linewidths would estimate eta_eff against the wrong model
+    scan = _synth(tmp_path / "scan", "0.5", "1")
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"gamma_MHz": 3.0, "kappa_MHz": 0.5}))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--input", scan, "--config", str(other),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scan.json" in err and "gamma_MHz 5.2" in err and "gives 3.0" in err
+    assert not out.exists()
+    other.write_text(json.dumps({"length_um": 21.0}))
+    assert main(["fit", "--model", "vit", "--input", scan, "--config", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "scan.json" in err and "length_um 20.0" in err and "gives 21.0" in err
+    # a sidecar without its physics block names the missing key
+    sidecar = tmp_path / "scan.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({k: v for k, v in doc.items() if k != "physics"}))
+    assert main(["fit", "--model", "vit", "--input", scan]) == 2
+    err = capsys.readouterr().err
+    assert "scan.json" in err and "'physics'" in err
+
+
+def test_fit_default_config_matches_the_sidecar(tmp_path):
+    # the packaged constants, given as a file, match the sidecar bit for
+    # bit and fit to the same bytes; od is estimated, so another od fits too
+    scan = _synth(tmp_path / "scan", "0.5", "1")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--input", scan, "--out", str(out)]) == 0
+    bare = out.read_bytes()
+    conf = tmp_path / "defaults.json"
+    conf.write_text(json.dumps(packaged_defaults()))
+    assert main(["fit", "--model", "vit", "--input", scan, "--config", str(conf),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == bare
+    conf.write_text(json.dumps({"od": 0.9}))
+    assert main(["fit", "--model", "vit", "--input", scan, "--config", str(conf),
+                 "--out", str(out)]) == 0
 
 
 def test_fit_uses_the_sidecar_corrections(tmp_path, capsys):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import STIFF_GAMMA
 from vitlab.core import (
     CavityGeometry,
-    Detunings,
     PhysicalConfig,
+    _chi,
     cooperativity_geometric,
     coupling_from_cooperativity,
     group_delay_analytic,
@@ -52,17 +52,18 @@ def test_cooperativity_coupling_round_trip(cfg):
 
 def test_susceptibility_rejects_negative_eta(cfg):
     with pytest.raises(ValueError):
-        susceptibility(cfg, -0.5, Detunings(0.0, 0.0))
+        susceptibility(cfg, -0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
-        susceptibility(cfg, np.array([1.0, -0.5]), Detunings(0.0, 0.0))
+        susceptibility(cfg, np.array([1.0, -0.5]), 0.0, 0.0)
 
 
-def _textbook_susceptibility(cfg, eta, det):
+def _textbook_susceptibility(cfg, eta, dp, dcav):
     """The closed form as written, -(OD/kL) num/den with a complex numerator."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 1:
         eta = eta[:, None]
-    dt, dc = det.normalized(cfg)
+    dp = np.asarray(dp, dtype=float)
+    dt, dc = 2.0 * dp / cfg.gamma, 2.0 * (dp - np.asarray(dcav, dtype=float)) / cfg.kappa
     num = dt - (eta - dt * dc) * dc - 1j * (eta + 1.0 + dc * dc)
     den = (eta + 1.0 - dt * dc) ** 2 + (dt + dc) ** 2
     return -(cfg.od / cfg.kl) * num / den
@@ -81,7 +82,7 @@ def test_susceptibility_matches_textbook_form(cfg, data, layout, n, m):
     etas = st.floats(0.0, 1e4)
     if layout == "scalar":
         eta = data.draw(etas)
-        det = Detunings(data.draw(MHZ_VALUES) * mhz, data.draw(MHZ_VALUES) * mhz)
+        det = (data.draw(MHZ_VALUES) * mhz, data.draw(MHZ_VALUES) * mhz)
     else:
         grid = np.array(data.draw(st.lists(MHZ_VALUES, min_size=n, max_size=n))) * mhz
         if layout == "row":
@@ -91,8 +92,8 @@ def test_susceptibility_matches_textbook_form(cfg, data, layout, n, m):
             cols = n if layout == "grid" else 1
             dcav = np.array(data.draw(st.lists(MHZ_VALUES, min_size=m * cols,
                                                max_size=m * cols))).reshape(m, cols) * mhz
-        det = Detunings(grid, dcav)
-    got, want = susceptibility(cfg, eta, det), _textbook_susceptibility(cfg, eta, det)
+        det = (grid, dcav)
+    got, want = susceptibility(cfg, eta, *det), _textbook_susceptibility(cfg, eta, *det)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -102,12 +103,12 @@ def test_susceptibility_broadcasts_member_column(cfg):
     etas = np.array([0.0, 3.4, 37.4])
     grid = np.linspace(-2, 2, 7) * cfg.gamma
     offsets = np.array([[0.0], [0.1], [-0.2]]) * cfg.kappa
-    rows = susceptibility(cfg, etas, Detunings(grid, offsets))
+    rows = susceptibility(cfg, etas, grid, offsets)
     assert rows.shape == (3, 7)
     for m, eta in enumerate(etas):
-        one = susceptibility(cfg, eta, Detunings(grid, offsets[m, 0]))
+        one = susceptibility(cfg, eta, grid, offsets[m, 0])
         assert np.array_equal(rows[m], one)
-    assert susceptibility(cfg, etas, Detunings(grid, 0.0)).shape == (3, 7)
+    assert susceptibility(cfg, etas, grid, 0.0).shape == (3, 7)
 
 
 def test_resonant_transmission_identity(cfg):
@@ -116,31 +117,30 @@ def test_resonant_transmission_identity(cfg):
         od = rng.uniform(0.0, 3.0)
         eta = rng.uniform(0.0, 20.0)
         c = replace(cfg, od=od)
-        got = transmission(c, eta, Detunings(0.0, 0.0))
+        got = transmission(c, eta, 0.0, 0.0)
         assert np.isclose(got, np.exp(-od / (eta + 1.0)), rtol=1e-13, atol=0)
         assert np.isclose(resonant_transmission(od, eta), got, rtol=1e-13, atol=0)
 
 
 def test_two_level_limit(cfg):
     delta = np.linspace(-10, 10, 401) * cfg.gamma
-    chi = susceptibility(cfg, 0.0, Detunings(delta, 0.0))
+    chi = susceptibility(cfg, 0.0, delta, 0.0)
     dt = 2.0 * delta / cfg.gamma
     ref = -(cfg.od / cfg.kl) * (dt - 1j) / (1.0 + dt**2)
     assert np.max(np.abs(chi - ref) / np.abs(ref)) < 1e-13
 
 
 def test_transfer_amplitude_is_exponential(cfg):
-    det = Detunings(0.3 * cfg.gamma, -0.1 * cfg.gamma)
-    chi = susceptibility(cfg, 2.0, det)
+    chi = susceptibility(cfg, 2.0, 0.3 * cfg.gamma, -0.1 * cfg.gamma)
     t = transfer_amplitude(chi, cfg)
     assert np.isclose(t, np.exp(0.5j * cfg.kl * chi), rtol=1e-14)
 
 
 def test_detuning_normalization(cfg):
-    det = Detunings(0.7 * cfg.gamma, 0.2 * cfg.gamma)
-    dt, dc = det.normalized(cfg)
-    assert np.isclose(dt, 1.4, rtol=1e-12)
-    assert np.isclose(dc, 2.0 * (0.7 - 0.2) * cfg.gamma / cfg.kappa, rtol=1e-12)
+    # susceptibility hands the kernel Dt = 2 Delta/gamma, dc = 2 (Delta - delta)/kappa
+    chi = susceptibility(cfg, 2.0, 0.7 * cfg.gamma, 0.2 * cfg.gamma)
+    want = _chi(cfg, 2.0, 1.4, 2.0 * (0.7 - 0.2) * cfg.gamma / cfg.kappa)
+    assert np.isclose(chi, want, rtol=1e-12, atol=0)
 
 
 def test_group_delay_matches_exact_slope(cfg):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vitlab.config import MHZ, write_json
-from vitlab.core import Detunings, transmission
+from vitlab.core import transmission
 from vitlab.errors import RankDeficientError
 from vitlab.fitting import (
     damped_least_squares,
@@ -87,7 +87,7 @@ def test_lorentzian_shape():
 
 
 def test_fit_lorentzian_noiseless_two_level(cfg):
-    t = transmission(cfg, 0.0, Detunings(GRID, 0.0))
+    t = transmission(cfg, 0.0, GRID, 0.0)
     fit = fit_lorentzian(Spectrum(GRID, t))
     assert fit.converged
     assert abs(fit.value("fwhm_mhz") - 5.2) / 5.2 < 1e-6
@@ -98,7 +98,7 @@ def test_fit_lorentzian_noiseless_two_level(cfg):
 def test_fit_lorentzian_raw_transmission_is_broader(cfg):
     # e^{-L(x)} has wider wings than 1 - L(x): fitting raw transmission
     # overestimates the linewidth, which is why absorbance is the default
-    t = transmission(cfg, 0.0, Detunings(GRID, 0.0))
+    t = transmission(cfg, 0.0, GRID, 0.0)
     raw = fit_lorentzian(Spectrum(GRID, t), on="transmission")
     assert raw.value("fwhm_mhz") > 5.4
 
@@ -114,7 +114,7 @@ def test_fit_lorentzian_against_scipy(cfg):
     from scipy.optimize import curve_fit
 
     rng = np.random.default_rng(4)
-    t = transmission(cfg, 0.0, Detunings(GRID, 0.0))
+    t = transmission(cfg, 0.0, GRID, 0.0)
     noisy = np.clip(t + rng.normal(0, 0.005, t.shape), 1e-6, None)
     sigma = np.full_like(t, 0.005)
     spec = Spectrum(GRID, noisy, None, sigma, None)

@@ -253,7 +253,7 @@ SIDECAR_VALUES = st.one_of(
 
 @settings(SETTINGS, max_examples=100)
 @given(data=st.data())
-def test_sidecar_reads_or_names_the_file(scan, data):
+def test_sidecar_reads_or_names_the_file(scan, cfg, data):
     # keys deleted, values replaced at any level, the text truncated: the
     # reader returns a plan and corrections or names the sidecar, and a fit
     # of the scan exits 0 or 2 naming the sidecar, never with a traceback
@@ -273,7 +273,7 @@ def test_sidecar_reads_or_names_the_file(scan, data):
         text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
     sidecar.write_text(text)
     try:
-        plan, corr = read_scan_sidecar(sidecar, read_scan_csv(csv_path))
+        plan, corr = read_scan_sidecar(sidecar, read_scan_csv(csv_path), cfg)
     except ValueError as err:
         assert str(sidecar) in str(err)
         refused = True

@@ -5,7 +5,6 @@ from dataclasses import replace
 from conftest import STIFF_GAMMA
 from vitlab.config import MHZ, corrections
 from vitlab.core import (
-    Detunings,
     group_delay_analytic,
     resonant_transmission,
     susceptibility,
@@ -20,7 +19,7 @@ from vitlab.pulses import (
     write_trace_csv,
 )
 from vitlab.recipes import ETA_EFF_0, MEASURED_OD, PULSE_FWHM_US, pulse_ensemble
-from vitlab.spatial import IDEAL, composite_susceptibility, ensemble_transfer
+from vitlab.spatial import IDEAL, ensemble_transfer
 
 
 def _one_member(pulse, row):
@@ -31,17 +30,22 @@ def _one_member(pulse, row):
 
 def _vit_row(cfg, eta, omega):
     """Single-coupling transfer values on omega, resonator on resonance."""
-    return transfer_amplitude(susceptibility(cfg, eta, Detunings(omega, 0.0)), cfg)
+    return transfer_amplitude(susceptibility(cfg, eta, omega, 0.0), cfg)
 
 
 def _full_band_intensity(cfg, eta, pulse, corr, carrier=0.0):
-    """Ensemble intensity from a loop of plain numpy FFTs over every bin, one member at a time."""
+    """Ensemble intensity from a loop of plain numpy FFTs over every bin, one member at a time.
+
+    Each member's side channel is added by hand, (chi + w chi_side)/(1 + w).
+    """
     spectrum = np.fft.ifft(pulse.samples)
     want = np.zeros(pulse.n)
+    dp, w = carrier + pulse.omega, corr.side_weight
     for eta_m, off, wt in zip(*corr.members(eta)):
-        det = Detunings(carrier + pulse.omega, off)
-        row = transfer_amplitude(composite_susceptibility(cfg, eta_m, det, corr), cfg)
-        want += wt * np.abs(np.fft.fft(spectrum * row)) ** 2
+        chi = susceptibility(cfg, eta_m, dp, off)
+        if w:
+            chi = (chi + w * susceptibility(cfg, eta_m, dp, off + corr.side_shift)) / (1.0 + w)
+        want += wt * np.abs(np.fft.fft(spectrum * transfer_amplitude(chi, cfg))) ** 2
     return want
 
 
@@ -244,7 +248,7 @@ def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
 
     def transfer(omega):
         assert len(omega) < pulse.n
-        for w, _, _, chi in ensemble_transfer(cfg, 5.0, Detunings(carrier + omega, 0.0), corr):
+        for w, _, _, chi in ensemble_transfer(cfg, 5.0, carrier + omega, 0.0, corr):
             sizes.append(len(w))
             yield w, transfer_amplitude(chi, cfg)
 
@@ -267,9 +271,8 @@ def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
 
     def transfer(omega):
         support.append(len(omega))
-        det = Detunings(omega, 0.0)
         return ((w, transfer_amplitude(chi, medium))
-                for w, _, _, chi in ensemble_transfer(medium, ETA_EFF_0, det, corr))
+                for w, _, _, chi in ensemble_transfer(medium, ETA_EFF_0, omega, 0.0, corr))
 
     res = run_pulse_ensemble(pulse, transfer)
     # the Gaussian's lobe of 71 bins plus the four band edges, not the round-off

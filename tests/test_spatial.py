@@ -3,24 +3,19 @@ import pytest
 from dataclasses import replace
 
 from vitlab.config import MHZ, corrections, model_cooperativity
-from vitlab.core import (
-    Detunings,
-    coupling_from_cooperativity,
-    transfer_amplitude,
-    transmission,
-)
+from vitlab.core import coupling_from_cooperativity, transfer_amplitude, transmission
 from vitlab.oracle import (
     DriveSpec,
     branching_ratio,
     steady_state_amplitudes,
     susceptibility_from_oracle,
 )
-from vitlab.recipes import fig2_detunings, transparency_curve
+from vitlab.pulses import make_gaussian_pulse
+from vitlab.recipes import fig2_detunings, pulse_ensemble, transparency_curve
 from vitlab.spatial import (
     IDEAL,
     Corrections,
     SIGMA_PER_FWHM,
-    composite_susceptibility,
     corrected_spectrum,
     effective_cooperativity,
     ensemble_transfer,
@@ -60,11 +55,18 @@ def test_distribution_validation():
 def test_averaging_lowers_transparency(cfg):
     # nodes of the standing wave absorb like bare atoms, so the averaged
     # dip at two-photon resonance is deeper than the antinode-only one
-    det = Detunings(0.0, 0.0)
-    ideal = corrected_spectrum(cfg, 5.0, det, IDEAL)[0]
-    avg = corrected_spectrum(cfg, 5.0, det, Corrections(averaging_nodes=64))[0]
+    ideal = corrected_spectrum(cfg, 5.0, 0.0, 0.0, IDEAL)[0]
+    avg = corrected_spectrum(cfg, 5.0, 0.0, 0.0, Corrections(averaging_nodes=64))[0]
     assert avg < ideal
-    assert avg > transmission(cfg, 0.0, det)
+    assert avg > transmission(cfg, 0.0, 0.0, 0.0)
+
+
+def test_negative_cooperativity_is_refused(cfg):
+    # averaging off, so only the ensemble's own check stands in the way
+    with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+        corrected_spectrum(cfg, -1.0, np.linspace(-4, 4, 9) * MHZ, 0.0, IDEAL)
+    with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+        pulse_ensemble(cfg, -1.0, make_gaussian_pulse(1e-6, n_samples=2**10), IDEAL)
 
 
 # the packaged defaults' side channel: a quarter of the main od, 0.6 MHz away
@@ -74,20 +76,24 @@ SIDE = Corrections(side_weight=0.25, side_shift=0.6 * MHZ)
 def test_side_weight_conserves_optical_depth(cfg):
     # far off resonance both channels absorb in their 1/delta^2 tails;
     # splitting od must not change the total wing absorbance
-    far = Detunings(2000.0 * cfg.gamma, 0.0)
-    t_plain = corrected_spectrum(cfg, 5.0, far, IDEAL)[0]
-    t_side = corrected_spectrum(cfg, 5.0, far, SIDE)[0]
+    far = 2000.0 * cfg.gamma
+    t_plain = corrected_spectrum(cfg, 5.0, far, 0.0, IDEAL)[0]
+    t_side = corrected_spectrum(cfg, 5.0, far, 0.0, SIDE)[0]
     assert np.isclose(np.log(t_plain), np.log(t_side), rtol=1e-6)
 
 
 def test_side_weight_shifts_absorption(cfg):
-    det = Detunings(0.0, 0.0)
-    chi_plain = composite_susceptibility(cfg, 5.0, det, IDEAL)
-    chi_split = composite_susceptibility(cfg, 5.0, det, SIDE)
+    def chi(corr):
+        # the one member's one block, on double resonance
+        (_, _, _, block), = ensemble_transfer(cfg, 5.0, 0.0, 0.0, corr)
+        assert block.shape == (1, 1)
+        return block[0, 0]
+
+    chi_plain, chi_split = chi(IDEAL), chi(SIDE)
     # the shifted channel leaks absorption into the window
     assert chi_split.imag > chi_plain.imag
     # zero weight is off, whatever the shift
-    off = composite_susceptibility(cfg, 5.0, det, replace(SIDE, side_weight=0.0))
+    off = chi(replace(SIDE, side_weight=0.0))
     assert off == chi_plain
 
 
@@ -116,18 +122,15 @@ def test_jitter_quadrature_is_normal():
 
 
 def test_jitter_zero_width_identity(cfg):
-    det = Detunings(np.linspace(-2, 2, 21) * MHZ, 0.0)
-    t0 = corrected_spectrum(cfg, 5.0, det, IDEAL)[0]
-    t1 = corrected_spectrum(cfg, 5.0, det, Corrections(jitter_fwhm=0.0))[0]
+    grid = np.linspace(-2, 2, 21) * MHZ
+    t0 = corrected_spectrum(cfg, 5.0, grid, 0.0, IDEAL)[0]
+    t1 = corrected_spectrum(cfg, 5.0, grid, 0.0, Corrections(jitter_fwhm=0.0))[0]
     assert np.allclose(t0, t1, rtol=1e-14)
 
 
 def test_jitter_softens_the_window(cfg):
-    det = Detunings(0.0, 0.0)
-    sharp = corrected_spectrum(cfg, 5.0, det, IDEAL)[0]
-    fuzzy = corrected_spectrum(
-        cfg, 5.0, det, Corrections(jitter_fwhm=0.2 * MHZ)
-    )[0]
+    sharp = corrected_spectrum(cfg, 5.0, 0.0, 0.0, IDEAL)[0]
+    fuzzy = corrected_spectrum(cfg, 5.0, 0.0, 0.0, Corrections(jitter_fwhm=0.2 * MHZ))[0]
     assert fuzzy < sharp
 
 
@@ -161,8 +164,7 @@ def test_corrections_factory_roundtrip():
 
 
 def test_corrected_spectrum_channels(cfg):
-    det = Detunings(np.linspace(-4, 4, 81) * MHZ, 0.0)
-    trans, emis = corrected_spectrum(cfg, 5.0, det,
+    trans, emis = corrected_spectrum(cfg, 5.0, np.linspace(-4, 4, 81) * MHZ, 0.0,
                                      Corrections(averaging_nodes=16))
     assert trans.shape == emis.shape == (81,)
     assert np.all((trans > 0) & (trans <= 1))
@@ -183,23 +185,22 @@ def test_measured_regime_transparency_endpoints(conf, cfg):
 ETAS = (0.0, 3.4, 37.4)
 
 
-def _oracle_spectrum(cfg, eta_max, det, corr, scale):
+def _oracle_spectrum(cfg, eta_max, dp, dcav, corr, scale):
     """Per-member reference: the amplitude solver's chi on each channel and its
     branching ratio, summed one member at a time."""
     trans = emis = 0.0
     for eta, off, w in zip(*corr.members(eta_max)):
         drive = DriveSpec(1.0, coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma))
-        det_m = Detunings(det.delta_probe, np.asarray(det.delta_cavity) + off)
+        dcav_m = np.asarray(dcav) + off
         if corr.side_weight == 0:
-            chi = susceptibility_from_oracle(cfg, drive, det_m)
+            chi = susceptibility_from_oracle(cfg, drive, dp, dcav_m)
         else:
             od_main = cfg.od / (1.0 + corr.side_weight)
-            det_s = Detunings(det.delta_probe, det_m.delta_cavity + corr.side_shift)
-            chi = (susceptibility_from_oracle(replace(cfg, od=od_main), drive, det_m)
+            chi = (susceptibility_from_oracle(replace(cfg, od=od_main), drive, dp, dcav_m)
                    + susceptibility_from_oracle(replace(cfg, od=cfg.od - od_main),
-                                                drive, det_s))
+                                                drive, dp, dcav_m + corr.side_shift))
         t2 = np.exp(-cfg.kl * np.imag(chi))
-        beta = branching_ratio(steady_state_amplitudes(cfg, drive, det_m), cfg)
+        beta = branching_ratio(steady_state_amplitudes(cfg, drive, dp, dcav_m), cfg)
         trans = trans + w * t2
         emis = emis + w * (1.0 - t2) * beta
     return trans, scale * emis
@@ -212,13 +213,13 @@ def test_corrected_spectrum_matches_oracle_loop(cfg, conf, average, side, jitter
     corr = replace(corrections(conf, average=average, side=side, jitter=jitter),
                    averaging_nodes=6, jitter_nodes=4)
     # 1001 points split the members into blocks of four (BLOCK_POINTS 4096)
-    dets = (Detunings(np.linspace(-4, 4, 1001) * MHZ, 0.5 * MHZ),
-            Detunings(0.3 * MHZ, -2.2 * MHZ),
-            Detunings(np.linspace(-4, 4, 5) * MHZ, 1000.0 * cfg.gamma))
+    dets = ((np.linspace(-4, 4, 1001) * MHZ, 0.5 * MHZ),
+            (0.3 * MHZ, -2.2 * MHZ),
+            (np.linspace(-4, 4, 5) * MHZ, 1000.0 * cfg.gamma))
     for eta in ETAS:
-        for det in dets:
-            trans, emis = corrected_spectrum(cfg, eta, det, corr, 0.7)
-            ref_t, ref_e = _oracle_spectrum(cfg, eta, det, corr, 0.7)
+        for dp, dcav in dets:
+            trans, emis = corrected_spectrum(cfg, eta, dp, dcav, corr, 0.7)
+            ref_t, ref_e = _oracle_spectrum(cfg, eta, dp, dcav, corr, 0.7)
             assert np.shape(trans) == np.shape(emis) == np.shape(ref_t)
             assert np.max(np.abs(trans - ref_t)) < 1e-12
             assert np.max(np.abs(emis - ref_e)) < 1e-12
@@ -232,14 +233,13 @@ def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
                    averaging_nodes=8, jitter_nodes=4)
     carrier = 0.4 * MHZ
     omega = 2 * np.pi * np.fft.fftfreq(1024, 4e-9)
-    det = Detunings(carrier + omega, 0.0)
     for eta in ETAS:
         blocks = [(w, transfer_amplitude(chi, cfg))
-                  for w, _, _, chi in ensemble_transfer(cfg, eta, det, corr)]
+                  for w, _, _, chi in ensemble_transfer(cfg, eta, carrier + omega, 0.0, corr)]
         assert [len(w) for w, _ in blocks] == [4] * 8
         assert all(t.shape == (4, 1024) for _, t in blocks)
         summed = sum(w @ np.abs(t) ** 2 for w, t in blocks)
-        want = [corrected_spectrum(cfg, eta, Detunings(carrier + w, 0.0), corr)[0]
+        want = [corrected_spectrum(cfg, eta, carrier + w, 0.0, corr)[0]
                 for w in omega[::16]]
         assert np.max(np.abs(summed[::16] - want)) < 1e-14
 
@@ -251,7 +251,7 @@ def test_quadrature_convergence_fig2_panels(cfg, conf):
 
     def panels(**nodes):
         corr = replace(corrections(conf, average=True, side=True, jitter=True), **nodes)
-        return np.array([corrected_spectrum(cfg, eta, Detunings(grid, d), corr)
+        return np.array([corrected_spectrum(cfg, eta, grid, d, corr)
                          for d in dcavs.values()])
 
     base = panels()

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from vitlab.config import MHZ, corrections
-from vitlab.core import Detunings, transmission
+from vitlab.core import transmission
 from vitlab.spatial import IDEAL, Corrections
 from vitlab.synth import (
     ScanPlan,
@@ -74,7 +74,7 @@ def test_expected_counts_match_model(cfg):
     plan = _plan()
     recs = generate_scan(cfg, 3.4, plan)[0][1]
     norm = plan.photon_flux * plan.dwell
-    t = transmission(cfg, 3.4, Detunings(np.asarray(GRID), 0.0))
+    t = transmission(cfg, 3.4, np.asarray(GRID), 0.0)
     assert np.allclose(recs.expected_d1, norm * t, rtol=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     corr = corrections(conf, average=True, side=True, jitter=True)
     write_scan_sidecar(path, plan, cfg, 3.4, corr)
     # no scan: only the parsing is under test here
-    back, back_corr = read_scan_sidecar(path, ())
+    back, back_corr = read_scan_sidecar(path, (), cfg)
     # 0.6 MHz side shift and 0.2 MHz jitter come back as the same doubles
     assert back_corr == corr
     # the sidecar holds MHz and us, so the rad/s and s values come back
@@ -205,17 +205,25 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     doc = json.loads(path.read_text())
     # serialized now: the edits of doc below would reach these shallow copies.
     # Corrections a Corrections cannot hold (fractional nodes, weight above
-    # 1), and true or false, which Python would read as the numbers 1 and 0
+    # 1), true or false, which Python would read as the numbers 1 and 0, and
+    # constants other than the config's
     bad = [json.dumps(dict(doc, **{part: dict(doc[part], **fields)})) for part, fields in (
         ("corrections", {"averaging_nodes": 64.0}), ("corrections", {"side_weight": 2.0}),
-        ("corrections", {"averaging_nodes": True}), ("plan", {"dwell_us": True}))]
+        ("corrections", {"averaging_nodes": True}), ("plan", {"dwell_us": True}),
+        ("physics", {"kappa_MHz": 0.5}), ("physics", {"length_um": "20"}))]
+    # od and eta are what a fit estimates, so they may differ
+    path.write_text(json.dumps(dict(doc, physics=dict(doc["physics"], od=0.9, eta=1.0))))
+    assert read_scan_sidecar(path, (), cfg)[1] == corr
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != "physics"}))
+    with pytest.raises(ValueError, match="scan.json.*'physics'"):
+        read_scan_sidecar(path, (), cfg)
     del doc["plan"]["dwell_us"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="scan.json.*'dwell_us'"):
-        read_scan_sidecar(path, ())
+        read_scan_sidecar(path, (), cfg)
     doc["plan"]["dwell_us"] = -1.0
     for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}', '{"plan": ',
                  json.dumps(doc), *bad):
         path.write_text(text)
         with pytest.raises(ValueError, match="scan.json"):
-            read_scan_sidecar(path, ())
+            read_scan_sidecar(path, (), cfg)
