@@ -72,20 +72,6 @@ class CavityGeometry:
             raise ValueError("geometry fields must be positive")
 
 
-def _chi(cfg, eta, dt, dc):
-    """The closed form in the normalized detunings Dt and dc (see susceptibility).
-
-    eta, dt and dc broadcast against each other; evaluated in real
-    arithmetic, with Re and Im sharing the scale (OD/kL)/den.
-    """
-    dtdc = dt * dc
-    scale = (cfg.od / cfg.kl) / ((eta + 1.0 - dtdc) ** 2 + (dt + dc) ** 2)
-    chi = np.empty(np.shape(scale), dtype=complex)
-    chi.real = scale * ((eta - dtdc) * dc - dt)
-    chi.imag = scale * (eta + 1.0 + dc * dc)
-    return chi[()]
-
-
 def susceptibility(cfg, eta, delta_probe, delta_cavity):
     """Linear weak-probe susceptibility of the coupled ensemble.
 
@@ -107,7 +93,13 @@ def susceptibility(cfg, eta, delta_probe, delta_cavity):
     dp = np.asarray(delta_probe, dtype=float)
     dt = 2.0 * dp / cfg.gamma
     dc = 2.0 * (dp - np.asarray(delta_cavity, dtype=float)) / cfg.kappa
-    return _chi(cfg, eta, dt, dc)
+    # real arithmetic throughout: Re and Im share the scale (OD/kL)/den
+    dtdc = dt * dc
+    scale = (cfg.od / cfg.kl) / ((eta + 1.0 - dtdc) ** 2 + (dt + dc) ** 2)
+    chi = np.empty(np.shape(scale), dtype=complex)
+    chi.real = scale * ((eta - dtdc) * dc - dt)
+    chi.imag = scale * (eta + 1.0 + dc * dc)
+    return chi[()]
 
 
 def transfer_amplitude(chi, cfg):

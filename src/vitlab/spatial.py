@@ -29,7 +29,7 @@ from operator import index
 
 import numpy as np
 
-from vitlab.core import _chi
+from vitlab.core import susceptibility
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -140,25 +140,19 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     core.transfer_amplitude(chi, cfg).  This is the only place
     Corrections.members is turned into susceptibilities.
     """
-    if eta_max < 0:
-        raise ValueError("cooperativity must be nonnegative")
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
                                    np.asarray(delta_cavity, dtype=float))
     dp, dcav = dp.ravel(), dcav.ravel()
-    dt = 2.0 * dp / cfg.gamma
     w, shift = corrections.side_weight, corrections.side_shift
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
     for lo in range(0, len(etas), step):
         block = slice(lo, lo + step)
-        eta, dcav_m = etas[block, None], dcav + offsets[block, None]
-        dc = 2.0 * (dp - dcav_m) / cfg.kappa
-        chi = _chi(cfg, eta, dt, dc)
+        dcav_m = dcav + offsets[block, None]
+        chi = susceptibility(cfg, etas[block], dp, dcav_m)
         if w:
-            # from the raw detunings, as a lone channel at delta + shift would get it
-            dc_side = 2.0 * (dp - (dcav_m + shift)) / cfg.kappa
-            chi = (chi + w * _chi(cfg, eta, dt, dc_side)) / (1.0 + w)
-        yield weights[block], etas[block], dc, chi
+            chi = (chi + w * susceptibility(cfg, etas[block], dp, dcav_m + shift)) / (1.0 + w)
+        yield weights[block], etas[block], 2.0 * (dp - dcav_m) / cfg.kappa, chi
 
 
 def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,

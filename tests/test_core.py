@@ -7,7 +7,6 @@ from conftest import STIFF_GAMMA
 from vitlab.core import (
     CavityGeometry,
     PhysicalConfig,
-    _chi,
     cooperativity_geometric,
     coupling_from_cooperativity,
     group_delay_analytic,
@@ -137,9 +136,11 @@ def test_transfer_amplitude_is_exponential(cfg):
 
 
 def test_detuning_normalization(cfg):
-    # susceptibility hands the kernel Dt = 2 Delta/gamma, dc = 2 (Delta - delta)/kappa
-    chi = susceptibility(cfg, 2.0, 0.7 * cfg.gamma, 0.2 * cfg.gamma)
-    want = _chi(cfg, 2.0, 1.4, 2.0 * (0.7 - 0.2) * cfg.gamma / cfg.kappa)
+    # the closed form sees Dt = 2 Delta/gamma and dc = 2 (Delta - delta)/kappa
+    eta, dt, dc = 2.0, 1.4, 2.0 * (0.7 - 0.2) * cfg.gamma / cfg.kappa
+    want = -(cfg.od / cfg.kl) * (dt - (eta - dt * dc) * dc - 1j * (eta + 1.0 + dc * dc)) / (
+        (eta + 1.0 - dt * dc) ** 2 + (dt + dc) ** 2)
+    chi = susceptibility(cfg, eta, 0.7 * cfg.gamma, 0.2 * cfg.gamma)
     assert np.isclose(chi, want, rtol=1e-12, atol=0)
 
 

@@ -62,7 +62,7 @@ def test_averaging_lowers_transparency(cfg):
 
 
 def test_negative_cooperativity_is_refused(cfg):
-    # averaging off, so only the ensemble's own check stands in the way
+    # averaging off: no standing-wave quadrature checks eta_max on the way to chi
     with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
         corrected_spectrum(cfg, -1.0, np.linspace(-4, 4, 9) * MHZ, 0.0, IDEAL)
     with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
