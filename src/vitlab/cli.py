@@ -213,7 +213,10 @@ def cmd_fit(args):
                 raise ValueError(f"--model linear needs columns x, y, sigma, "
                                  f"and {path} has {table.shape[1]}")
         x, y, sigma = np.vstack([table[:, :3] for table in tables]).T
-        fit = fit_linear_weighted(x, y, sigma)
+        try:
+            fit = fit_linear_weighted(x, y, sigma)
+        except ValueError as err:
+            raise ValueError(f"--input {' '.join(args.input)}: {err}") from None
         write_json(args.out, fit.to_json_dict())
         return 0
 
@@ -231,7 +234,10 @@ def cmd_fit(args):
         raise ValueError(f"--model lorentzian fits one line: --input {' '.join(args.input)} "
                          f"holds {len(datasets)} spectra, one per file and resonator detuning")
     else:
-        fit = fit_lorentzian(datasets[0][1], on=args.on)
+        try:
+            fit = fit_lorentzian(datasets[0][1], on=args.on)
+        except ValueError as err:
+            raise ValueError(f"{args.input[0]}: {err}") from None
 
     write_json(args.out, fit.to_json_dict())
     return 0 if fit.converged else 3

@@ -143,7 +143,10 @@ def load_config(path=None):
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"config file {path} is not valid JSON: {err}") from err
-    return validate_config(doc)
+    try:
+        return validate_config(doc)
+    except ValueError as err:
+        raise ValueError(f"config file {path}: {err}") from None
 
 
 def physical_config(conf):

@@ -118,13 +118,6 @@ def cooperativity_geometric(geom):
     return 24.0 * geom.finesse / (np.pi * k * k * geom.waist * geom.waist)
 
 
-def coupling_from_cooperativity(eta, kappa, gamma):
-    """Atom-resonator coupling g = sqrt(eta kappa gamma) / 2, from eta = 4 g^2 / (kappa gamma)."""
-    if eta < 0 or kappa <= 0 or gamma <= 0:
-        raise ValueError("eta must be nonnegative, kappa and gamma positive")
-    return 0.5 * np.sqrt(eta * kappa * gamma)
-
-
 def resonant_transmission(od, eta):
     """Power transmission on double resonance, exp(-OD/(eta+1))."""
     if od < 0 or eta < 0:

@@ -260,7 +260,7 @@ def _divisor(sigma, grid):
 
 
 def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
-                    fixed=None, corrections=IDEAL, max_iter=200):
+                    fixed=None, corrections=IDEAL):
     """Joint fit of the coupled-ensemble model over spectra and channels.
 
     datasets: list of (delta_cavity, Spectrum); every spectrum's
@@ -307,7 +307,7 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
         return np.concatenate(chunks)
 
     p0 = [base[name] for name in free]
-    return damped_least_squares(residual, p0, free, max_iter=max_iter)
+    return damped_least_squares(residual, p0, free)
 
 
 def fit_linear_weighted(x, y, sigma):

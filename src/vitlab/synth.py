@@ -205,7 +205,9 @@ def read_scan_sidecar(path, scans, cfg):
     scans, read_scan_csv's groups, are checked against the plan: an
     expected count above flux * dwell * efficiency of its detector
     (times the emission scale on D2), by more than NORM_MARGIN relative,
-    cannot come from the model, and raises ValueError naming the sidecar.
+    cannot come from the model, and raises ValueError naming the sidecar;
+    so does a zero flux * dwell * efficiency, which leaves nothing to
+    normalise the counts by.
     The recorded linewidths, wavelength and length must equal cfg's,
     written as write_scan_sidecar writes them (od and eta are what a fit
     estimates, so they are not compared); a mismatch raises ValueError
@@ -248,6 +250,9 @@ def read_scan_sidecar(path, scans, cfg):
     flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
                         ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):
+        if bound == 0:
+            raise ValueError(f"{path}: its flux, dwell and efficiency give detector "
+                             f"{name[-2:].upper()} no counts; cannot form a spectrum")
         worst = max((records[name].max() for _, records in scans), default=0.0)
         if worst > bound:
             raise ValueError(f"{path}: its flux, dwell and efficiencies allow {name} up to "

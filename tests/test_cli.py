@@ -271,6 +271,56 @@ def test_non_finite_config_returns_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", (("[1, 2]", "JSON object"),
+                                           ('{"od": ', "not valid JSON")))
+def test_bad_config_names_the_file(tmp_path, capsys, text, message):
+    conf = tmp_path / "c.json"
+    conf.write_text(text)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "c.json" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", (["spectrum"], ["synth", "--delta-cavity-mhz", "0"]))
+def test_single_point_grid_names_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--points", "1", "--out", str(out)]) == 2
+    assert "--points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_fit_lorentzian_short_scan_names_the_file(tmp_path, capsys):
+    prefix = str(tmp_path / "s5")
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "5", "--out", prefix]) == 0
+    assert main(["fit", "--model", "lorentzian", "--input", prefix + ".csv"]) == 2
+    err = capsys.readouterr().err
+    assert "s5.csv" in err and "at least 8 points" in err
+
+
+@pytest.mark.parametrize("rows, message", (("3,13.6,0.1\n", "at least 2 points"),
+                                           ("3,13.6,0.1\n5,20.4,0\n", "sigmas must be positive")))
+def test_fit_linear_bad_rows_name_the_file(tmp_path, capsys, rows, message):
+    data = tmp_path / "one.csv"
+    data.write_text("n_c,eta_eff,eta_eff_err\n" + rows)
+    assert main(["fit", "--model", "linear", "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "one.csv" in err and message in err
+
+
+@pytest.mark.parametrize("flag, detector", (("--flux", "D1"), ("--eff2", "D2")))
+def test_fit_zero_normalisation_names_the_sidecar(tmp_path, capsys, flag, detector):
+    prefix = str(tmp_path / "z")
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11", flag, "0",
+                 "--out", prefix]) == 0
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--input", prefix + ".csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "z.json" in err and f"detector {detector}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
 @pytest.mark.parametrize("text", (
     "",

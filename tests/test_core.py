@@ -8,7 +8,6 @@ from vitlab.core import (
     CavityGeometry,
     PhysicalConfig,
     cooperativity_geometric,
-    coupling_from_cooperativity,
     group_delay_analytic,
     group_delay_numeric,
     group_velocity,
@@ -41,12 +40,6 @@ def test_geometric_cooperativity_value(geom):
     expected = 24.0 * geom.finesse / (np.pi * k**2 * geom.waist**2)
     assert np.isclose(cooperativity_geometric(geom), expected, rtol=1e-12)
     assert abs(cooperativity_geometric(geom) - 7.2241) < 1e-3
-
-
-def test_cooperativity_coupling_round_trip(cfg):
-    for eta in (0.1, 1.0, 3.4, 7.2):
-        g = coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma)
-        assert np.isclose(4.0 * g * g / (cfg.kappa * cfg.gamma), eta, rtol=1e-14)
 
 
 def test_susceptibility_rejects_negative_eta(cfg):

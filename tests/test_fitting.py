@@ -69,6 +69,16 @@ def test_damped_least_squares_monotone():
     assert fit.residual_norm <= min(costs) + 1e-12
 
 
+def test_damped_least_squares_out_of_iterations_is_not_converged():
+    def resid(p):
+        return np.array([np.exp(p[0]) - 2.0, 10.0 * (p[1] - p[0] ** 2)])
+
+    assert damped_least_squares(resid, np.array([2.0, -2.0]), ("a", "b")).iterations > 1
+    fit = damped_least_squares(resid, np.array([2.0, -2.0]), ("a", "b"), max_iter=1)
+    assert not fit.converged
+    assert fit.iterations == 1
+
+
 def test_rank_deficiency_names_parameter():
     def resid(p):
         return np.array([p[0] - 1.0, p[0] - 2.0, 0.0 * p[1]])

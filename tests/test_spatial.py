@@ -3,13 +3,8 @@ import pytest
 from dataclasses import replace
 
 from vitlab.config import MHZ, corrections, model_cooperativity
-from vitlab.core import coupling_from_cooperativity, transfer_amplitude, transmission
-from vitlab.oracle import (
-    DriveSpec,
-    branching_ratio,
-    steady_state_amplitudes,
-    susceptibility_from_oracle,
-)
+from vitlab.core import transfer_amplitude, transmission
+from vitlab.oracle import branching_ratio, susceptibility_from_oracle
 from vitlab.pulses import make_gaussian_pulse
 from vitlab.recipes import fig2_detunings, pulse_ensemble, transparency_curve
 from vitlab.spatial import (
@@ -190,17 +185,16 @@ def _oracle_spectrum(cfg, eta_max, dp, dcav, corr, scale):
     branching ratio, summed one member at a time."""
     trans = emis = 0.0
     for eta, off, w in zip(*corr.members(eta_max)):
-        drive = DriveSpec(1.0, coupling_from_cooperativity(eta, cfg.kappa, cfg.gamma))
         dcav_m = np.asarray(dcav) + off
         if corr.side_weight == 0:
-            chi = susceptibility_from_oracle(cfg, drive, dp, dcav_m)
+            chi = susceptibility_from_oracle(cfg, eta, dp, dcav_m)
         else:
             od_main = cfg.od / (1.0 + corr.side_weight)
-            chi = (susceptibility_from_oracle(replace(cfg, od=od_main), drive, dp, dcav_m)
+            chi = (susceptibility_from_oracle(replace(cfg, od=od_main), eta, dp, dcav_m)
                    + susceptibility_from_oracle(replace(cfg, od=cfg.od - od_main),
-                                                drive, dp, dcav_m + corr.side_shift))
+                                                eta, dp, dcav_m + corr.side_shift))
         t2 = np.exp(-cfg.kl * np.imag(chi))
-        beta = branching_ratio(steady_state_amplitudes(cfg, drive, dp, dcav_m), cfg)
+        beta = branching_ratio(cfg, eta, dp, dcav_m)
         trans = trans + w * t2
         emis = emis + w * (1.0 - t2) * beta
     return trans, scale * emis
