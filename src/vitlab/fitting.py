@@ -4,15 +4,17 @@ weighted linear regression, and transparency extraction.
 The nonlinear solver is a small damped (Levenberg-style) least-squares
 loop written here rather than imported, because two behaviors are load
 bearing for this package and must be guaranteed, not assumed: a step is
-accepted only if it lowers the weighted residual norm, and a rank
-deficient Jacobian aborts the fit naming the parameter that cannot be
-identified.  Jacobians are forward finite differences with relative
-step 1e-6; fit parameters are therefore kept order-one (detuning
-offsets are expressed in MHz, not rad/s).
+accepted only if it stays in the model's domain and lowers the weighted
+residual norm, and a rank deficient Jacobian aborts the fit naming the
+parameter that cannot be identified.  Jacobians are forward finite
+differences with relative step 1e-6; fit parameters are therefore kept
+order-one (detuning offsets are expressed in MHz, not rad/s).
 
-Weights come from Poisson counting: sigma = sqrt(counts) with a floor
-of one count.  Parameter covariances are (J^T J)^{-1} at the optimum
-with J the weighted Jacobian.
+A residual is (model - data) / sigma with the Spectrum's own sigmas,
+positive and finite by construction (Poisson for scans: sqrt(counts)
+with a floor of one count); a channel without sigmas weighs each point
+1.  Parameter covariances are (J^T J)^{-1} at the optimum with J the
+weighted Jacobian.
 """
 
 from dataclasses import dataclass, replace
@@ -77,67 +79,69 @@ class LinearFit:
         }
 
 
-def _jacobian(residual_fn, p, r0, rel_step=1e-6):
+def _jacobian(residual_fn, p, r0):
     jac = np.empty((len(r0), len(p)))
     for i in range(len(p)):
-        h = rel_step * max(abs(p[i]), 1.0)
+        h = 1e-6 * max(abs(p[i]), 1.0)
         q = p.copy()
         q[i] += h
         jac[:, i] = (residual_fn(q) - r0) / h
     return jac
 
 
-def _check_rank(jac, names, threshold=1e-10):
+def _check_rank(jac, names):
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s[0] == 0 or s[-1] / s[0] < threshold:
+    if s[0] == 0 or s[-1] / s[0] < 1e-10:
         offender = names[int(np.argmax(np.abs(vt[-1])))]
         raise RankDeficientError(offender)
 
 
-def damped_least_squares(residual_fn, p0, names, max_iter=200, ftol=1e-12, lam0=1e-3):
+def damped_least_squares(residual_fn, p0, names, max_iter=200):
     """Minimize sum residual_fn(p)^2 with adaptive damping.
 
-    Only descending steps are ever accepted; the damping parameter
-    grows until a step descends or the search stalls at the optimum.
-    Returns a FitResult whose converged flag is honest: max_iter
-    exhaustion leaves it False.
+    residual_fn(p) is a float vector, or None outside the model's domain,
+    which may bound parameters from below only: the forward-difference
+    Jacobian (step 1e-6 max(|p_i|, 1)) steps up from accepted points.  A
+    p0 outside raises ValueError.  A trial step is accepted only if it is
+    inside and descends; else the damping (from 1e-3) grows 8-fold, and
+    an accepted step shrinks it 4-fold, to no less than 1e-12.  Converged
+    means a step gained under 1e-12 relative, or none descends below
+    damping 1e14; max_iter exhaustion leaves it False.  Singular values
+    spanning over 1e10 raise RankDeficientError naming a parameter.
     """
     p = np.asarray(p0, dtype=float).copy()
     names = tuple(names)
-    r = np.asarray(residual_fn(p), dtype=float)
+    r = residual_fn(p)
+    if r is None:
+        raise ValueError(f"the fit starts outside the model's domain, at "
+                         f"{dict(zip(names, p.tolist()))}")
     cost = float(r @ r)
-    lam = lam0
+    lam = 1e-3
     converged = False
     iterations = 0
-    jac = None
 
     for iterations in range(1, max_iter + 1):
         jac = _jacobian(residual_fn, p, r)
         _check_rank(jac, names)
         jtj = jac.T @ jac
         g = jac.T @ r
-        stepped = False
         while lam < 1e14:
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g)
             except np.linalg.LinAlgError:
                 lam *= 8.0
                 continue
-            r_new = np.asarray(residual_fn(p + delta), dtype=float)
-            cost_new = float(r_new @ r_new)
+            r_new = residual_fn(p + delta)
+            cost_new = np.inf if r_new is None else float(r_new @ r_new)
             if cost_new < cost:
-                improvement = (cost - cost_new) / max(cost, 1e-300)
+                converged = (cost - cost_new) / max(cost, 1e-300) < 1e-12
                 p, r, cost = p + delta, r_new, cost_new
                 lam = max(lam / 4.0, 1e-12)
-                stepped = True
-                if improvement < ftol:
-                    converged = True
                 break
             lam *= 8.0
-        if not stepped:
+        else:
             # no descending step exists at machine precision: at an optimum
             converged = True
-            break
         if converged:
             break
 
@@ -172,28 +176,20 @@ def fit_lorentzian(spectrum, on="absorbance"):
     Returns FitResult with parameters (center_mhz, fwhm_mhz, depth,
     baseline).
     """
-    x = np.asarray(spectrum.delta_probe, dtype=float) / MHZ
-    t = np.asarray(spectrum.transmission, dtype=float)
+    x = spectrum.delta_probe / MHZ
+    y = t = spectrum.transmission
+    sigma = spectrum.sigma_transmission
     if len(x) < 8:
         raise ValueError("need at least 8 points across the line")
     if on == "absorbance":
         safe_t = np.maximum(t, 1e-12)
         y = -np.log(safe_t)
-        sigma = (
-            np.asarray(spectrum.sigma_transmission, dtype=float) / safe_t
-            if spectrum.sigma_transmission is not None
-            else np.ones_like(y)
-        )
-    elif on == "transmission":
-        y = t
-        sigma = (
-            np.asarray(spectrum.sigma_transmission, dtype=float)
-            if spectrum.sigma_transmission is not None
-            else np.ones_like(y)
-        )
-    else:
+        if sigma is not None:
+            sigma = sigma / safe_t
+    elif on != "transmission":
         raise ValueError("on must be 'absorbance' or 'transmission'")
-    sigma = np.where(sigma > 0, sigma, 1.0)
+    if sigma is None:
+        sigma = 1.0
 
     lo, hi = float(np.min(y)), float(np.max(y))
     if on == "absorbance":
@@ -230,33 +226,21 @@ def _initial_guess(datasets, cfg):
     resonance, scale_d2 by matching the emission peak.
     """
     dcav0, spec0 = datasets[0]
-    grid = np.asarray(spec0.delta_probe, dtype=float)
-    t = np.clip(np.asarray(spec0.transmission, dtype=float), 1e-6, None)
+    grid = spec0.delta_probe
+    t = np.clip(spec0.transmission, 1e-6, None)
     i_min = int(np.argmin(t))
     dt_norm = 2.0 * grid[i_min] / cfg.gamma
     od0 = float(np.clip(-np.log(t[i_min]) * (1.0 + dt_norm**2), 1e-3, 10.0))
     i_res = int(np.argmin(np.abs(grid - dcav0)))
     t_res = float(np.clip(t[i_res], 1e-6, 1.0 - 1e-9))
     eta0 = float(np.clip(od0 / max(-np.log(t_res), 1e-9) - 1.0, 0.05, 1e3))
-    scale0 = 1.0
+    guess = {"eta_eff": eta0, "od": od0, "scale_d2": 1.0,
+             "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
     if spec0.emission is not None:
-        model = _vit_model(
-            cfg, grid, dcav0,
-            {"eta_eff": eta0, "od": od0, "scale_d2": 1.0,
-             "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0},
-            IDEAL,
-        )[1]
-        peak = float(np.max(model))
+        peak = float(np.max(_vit_model(cfg, grid, dcav0, guess, IDEAL)[1]))
         if peak > 0:
-            scale0 = float(np.clip(np.max(spec0.emission) / peak, 1e-3, 1e6))
-    return {"eta_eff": eta0, "od": od0, "scale_d2": scale0,
-            "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
-
-
-def _divisor(sigma, grid):
-    """A channel's residual divisor: its sigmas, 1 where one is missing or nonpositive."""
-    sigma = np.ones_like(grid) if sigma is None else np.asarray(sigma, dtype=float)
-    return np.where(sigma > 0, sigma, 1.0)
+            guess["scale_d2"] = float(np.clip(np.max(spec0.emission) / peak, 1e-3, 1e6))
+    return guess
 
 
 def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
@@ -265,9 +249,12 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
 
     datasets: list of (delta_cavity, Spectrum); every spectrum's
     transmission channel enters the residual, and the emission channel
-    too when present.  free names parameters from VIT_PARAMS, each
-    once (an unknown or repeated name raises ValueError); the rest
-    stay at their initial values (overridable through fixed).
+    too when present, each weighed by its sigmas (1 without).  free
+    names parameters from VIT_PARAMS, each once (an unknown or repeated
+    name raises ValueError); the rest stay at their initial values
+    (overridable through fixed).  The model's domain is eta_eff >= 0,
+    od >= 0 and scale_d2 > 0: steps beyond it are rejected, and a start
+    outside it (through fixed) raises ValueError.
 
     probe_offset_mhz and cavity_offset_mhz are axis calibrations: the
     correction added to the recorded detunings to recover the true ones,
@@ -284,26 +271,18 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
     if fixed:
         base.update(fixed)
 
-    grids = [np.asarray(s.delta_probe, dtype=float) for _, s in datasets]
-    sigmas = [(_divisor(s.sigma_transmission, g), _divisor(s.sigma_emission, g))
-              for (_, s), g in zip(datasets, grids)]
-    total_len = sum(
-        len(g) * (2 if s.emission is not None else 1)
-        for (_, s), g in zip(datasets, grids)
-    )
-
     def residual(pvec):
         p = dict(base)
         p.update({name: pvec[i] for i, name in enumerate(free)})
         if p["eta_eff"] < 0 or p["od"] < 0 or p["scale_d2"] <= 0:
-            # barrier: reflect unphysical trials back with a large penalty
-            return np.full(total_len, 1e6)
+            return None
         chunks = []
-        for (dcav, spec), grid, (st, se) in zip(datasets, grids, sigmas):
-            trans, emis = _vit_model(cfg, grid, dcav, p, corrections)
-            chunks.append((trans - spec.transmission) / st)
-            if spec.emission is not None:
-                chunks.append((emis - spec.emission) / se)
+        for dcav, spec in datasets:
+            model = _vit_model(cfg, spec.delta_probe, dcav, p, corrections)
+            for m, data, sigma in zip(model, (spec.transmission, spec.emission),
+                                      (spec.sigma_transmission, spec.sigma_emission)):
+                if data is not None:
+                    chunks.append((m - data) / (1.0 if sigma is None else sigma))
         return np.concatenate(chunks)
 
     p0 = [base[name] for name in free]

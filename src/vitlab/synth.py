@@ -18,7 +18,7 @@ carrying the plan, the physical constants and the seed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import index
 
 import numpy as np
@@ -75,13 +75,27 @@ class ScanPlan:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Normalized spectra on a probe-detuning grid, with optional sigmas."""
+    """Normalized spectra on a probe-detuning grid, with optional sigmas.
+
+    Given fields are stored as float arrays; a given sigma that is not
+    positive and finite raises ValueError naming the field.
+    """
 
     delta_probe: object
     transmission: object
     emission: object = None
     sigma_transmission: object = None
     sigma_emission: object = None
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=float)
+            if field.name.startswith("sigma") and not np.all((value > 0) & (value < np.inf)):
+                raise ValueError(f"{field.name} must be positive and finite")
+            object.__setattr__(self, field.name, value)
 
 
 def _point_rng(seed, scan_index, point_index):
@@ -122,20 +136,24 @@ def spectrum_from_records(records, plan):
     """Counts to normalized two-channel spectrum with Poisson sigmas.
 
     Count variance uses a floor of one count so zero-count points keep
-    a finite weight.
+    a finite weight.  A D2 the plan gives no counts is an absent channel
+    (emission None); D1 must have counts.
     """
     norm1 = plan.photon_flux * plan.dwell * plan.efficiency_d1
     norm2 = plan.photon_flux * plan.dwell * plan.efficiency_d2
-    if norm1 <= 0 or norm2 <= 0:
-        raise ValueError("plan normalization is zero; cannot form a spectrum")
+    if norm1 == 0:
+        raise ValueError("plan normalization of D1 is zero; cannot form a spectrum")
     c1 = records.counts_d1.astype(float)
-    c2 = records.counts_d2.astype(float)
+    emission = sigma_emission = None
+    if norm2 > 0:
+        c2 = records.counts_d2.astype(float)
+        emission, sigma_emission = c2 / norm2, np.sqrt(np.maximum(c2, 1.0)) / norm2
     return Spectrum(
         delta_probe=records.delta_probe.copy(),
         transmission=c1 / norm1,
-        emission=c2 / norm2,
+        emission=emission,
         sigma_transmission=np.sqrt(np.maximum(c1, 1.0)) / norm1,
-        sigma_emission=np.sqrt(np.maximum(c2, 1.0)) / norm2,
+        sigma_emission=sigma_emission,
     )
 
 
@@ -206,8 +224,8 @@ def read_scan_sidecar(path, scans, cfg):
     expected count above flux * dwell * efficiency of its detector
     (times the emission scale on D2), by more than NORM_MARGIN relative,
     cannot come from the model, and raises ValueError naming the sidecar;
-    so does a zero flux * dwell * efficiency, which leaves nothing to
-    normalise the counts by.
+    so does a zero flux * dwell * efficiency_d1, which leaves nothing to
+    normalise D1 by (a zero on D2 makes a scan without emission).
     The recorded linewidths, wavelength and length must equal cfg's,
     written as write_scan_sidecar writes them (od and eta are what a fit
     estimates, so they are not compared); a mismatch raises ValueError
@@ -248,11 +266,11 @@ def read_scan_sidecar(path, scans, cfg):
             raise ValueError(f"{path}: the scan was made with {key} {recorded[key]!r}, "
                              f"and the config gives {expected[key]!r}")
     flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
+    if flux_dwell * plan.efficiency_d1 == 0:
+        raise ValueError(f"{path}: its flux, dwell and efficiency give detector D1 no counts; "
+                         "cannot form a spectrum")
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
                         ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):
-        if bound == 0:
-            raise ValueError(f"{path}: its flux, dwell and efficiency give detector "
-                             f"{name[-2:].upper()} no counts; cannot form a spectrum")
         worst = max((records[name].max() for _, records in scans), default=0.0)
         if worst > bound:
             raise ValueError(f"{path}: its flux, dwell and efficiencies allow {name} up to "

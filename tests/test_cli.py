@@ -309,7 +309,7 @@ def test_fit_linear_bad_rows_name_the_file(tmp_path, capsys, rows, message):
     assert "one.csv" in err and message in err
 
 
-@pytest.mark.parametrize("flag, detector", (("--flux", "D1"), ("--eff2", "D2")))
+@pytest.mark.parametrize("flag, detector", (("--flux", "D1"),))
 def test_fit_zero_normalisation_names_the_sidecar(tmp_path, capsys, flag, detector):
     prefix = str(tmp_path / "z")
     assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11", flag, "0",
@@ -319,6 +319,19 @@ def test_fit_zero_normalisation_names_the_sidecar(tmp_path, capsys, flag, detect
     err = capsys.readouterr().err
     assert "z.json" in err and f"detector {detector}" in err
     assert not out.exists()
+
+
+def test_fit_d1_only_scan(tmp_path, capsys):
+    # --eff2 0 records no emission: fits of the transmission alone work, and
+    # scale_d2, which only the emission fixes, is not identifiable
+    prefix = str(tmp_path / "d1")
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "41", "--eff2", "0",
+                 "--out", prefix]) == 0
+    fit = ["fit", "--input", prefix + ".csv", "--out", str(tmp_path / "fit.json")]
+    assert main(fit + ["--model", "lorentzian"]) == 0
+    assert main(fit + ["--model", "vit", "--free", "eta_eff,od"]) == 0
+    assert main(fit + ["--model", "vit"]) == 3
+    assert "parameter 'scale_d2' is not identifiable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
@@ -484,8 +497,9 @@ def test_sidecar_normalisation_beyond_the_counts_returns_2(tmp_path, capsys):
     doc = json.loads(sidecar.read_text())
     fit = ["fit", "--model", "vit", "--input", str(prefix) + ".csv",
            "--out", str(tmp_path / "fit.json")]
+    # efficiency_d2 0 makes a scan without emission, which these counts contradict
     for part, key, value in (("plan", "dwell_us", 1.0), ("plan", "efficiency_d2", 1e-3),
-                             (None, "emission_scale", 1e-3)):
+                             ("plan", "efficiency_d2", 0.0), (None, "emission_scale", 1e-3)):
         edited = copy.deepcopy(doc)
         (edited[part] if part else edited)[key] = value
         sidecar.write_text(json.dumps(edited))

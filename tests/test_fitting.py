@@ -18,7 +18,7 @@ from vitlab.fitting import (
 )
 from vitlab.recipes import RESONATOR_DETUNINGS_MHZ
 from vitlab.spatial import Corrections
-from vitlab.synth import ScanPlan, Spectrum, generate_scan, spectrum_from_records
+from vitlab.synth import ScanPlan, Spectrum, generate_scan
 
 GRID = np.linspace(-4e6, 4e6, 81) * 2 * np.pi
 
@@ -77,6 +77,24 @@ def test_damped_least_squares_out_of_iterations_is_not_converged():
     fit = damped_least_squares(resid, np.array([2.0, -2.0]), ("a", "b"), max_iter=1)
     assert not fit.converged
     assert fit.iterations == 1
+
+
+def test_damped_least_squares_stays_in_the_domain():
+    # the unconstrained optimum a = -1 lies outside the domain a >= 0
+    outside = []
+
+    def resid(p):
+        if p[0] < 0:
+            outside.append(p[0])
+            return None
+        return np.array([p[0] + 1.0, 0.5 * p[0] + 0.5])
+
+    fit = damped_least_squares(resid, np.array([3.0]), ("a",))
+    assert outside  # trial steps crossed the bound and were rejected
+    assert fit.converged
+    assert 0.0 <= fit.value("a") < 1e-3
+    with pytest.raises(ValueError, match="outside the model's domain"):
+        damped_least_squares(resid, np.array([-0.5]), ("a",))
 
 
 def test_rank_deficiency_names_parameter():
@@ -184,6 +202,22 @@ def test_vit_round_trip_with_corrections(cfg):
     # fitting the same data without the averaging misattributes eta
     naive = fit_vit_spectra(datasets, cfg)
     assert abs(naive.value("eta_eff") - 5.0) / 5.0 > 0.01
+
+
+@pytest.mark.parametrize("field", ("sigma_transmission", "sigma_emission"))
+@pytest.mark.parametrize("bad", (0.0, -1.0, np.nan, np.inf))
+def test_spectrum_refuses_a_sigma_that_is_not_positive_and_finite(field, bad):
+    sigma = np.full(81, 0.01)
+    sigma[40] = bad
+    with pytest.raises(ValueError, match=field):
+        Spectrum(GRID, np.ones(81), np.ones(81), **{field: sigma})
+    assert getattr(Spectrum(GRID, np.ones(81), np.ones(81), **{field: None}), field) is None
+
+
+def test_vit_start_outside_the_domain_raises(cfg):
+    datasets = _clean_datasets(cfg, 5.0, (0.0,))
+    with pytest.raises(ValueError, match="'od': -1.0"):
+        fit_vit_spectra(datasets, cfg, fixed={"od": -1.0})
 
 
 def test_vit_flat_data_rank_deficient(cfg):

@@ -6,10 +6,9 @@ from dataclasses import replace
 
 from vitlab.config import MHZ, corrections
 from vitlab.core import transmission
-from vitlab.spatial import IDEAL, Corrections
+from vitlab.spatial import Corrections
 from vitlab.synth import (
     ScanPlan,
-    Spectrum,
     generate_scan,
     read_scan_csv,
     read_scan_sidecar,
