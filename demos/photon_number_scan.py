@@ -9,7 +9,7 @@ eta_eff = slope * (n_c + intercept/slope). For the full-size version see
 import argparse
 
 from vitlab.config import corrections, load_config, physical_config
-from vitlab.fitting import format_value_error
+from vitlab.fitting import format_value_error, line_ratio
 from vitlab.recipes import calibration_line, photon_number_scan
 from vitlab.spatial import effective_cooperativity
 
@@ -28,9 +28,9 @@ for n_c, eta, err in rows:
           f"{format_value_error(eta, err)}")
 
 line = calibration_line(rows)
-ratio, ratio_err = line.ratio
+ratio, ratio_err = line_ratio(line)
 print()
-print(f"slope          {format_value_error(line.slope, line.slope_err)}  (truth 3.4)")
-print(f"intercept      {format_value_error(line.intercept, line.intercept_err)}  (truth 3.4)")
+for name in ("slope", "intercept"):
+    print(f"{name:<15}{format_value_error(line.value(name), line.error(name))}  (truth 3.4)")
 print(f"intercept/slope {format_value_error(ratio, ratio_err)}  (truth 1; "
       "the n_c -> n_c + 1 vacuum offset)")

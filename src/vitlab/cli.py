@@ -24,7 +24,8 @@ from vitlab import recipes
 from vitlab.config import MHZ, write_csv, write_json
 from vitlab.core import group_delay_analytic, resonant_transmission
 from vitlab.errors import BandCoverageError, ConvergenceError
-from vitlab.fitting import VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra
+from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra,
+                            line_json_dict)
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
 from vitlab.spatial import corrected_spectrum
 from vitlab.synth import (
@@ -217,7 +218,7 @@ def cmd_fit(args):
             fit = fit_linear_weighted(x, y, sigma)
         except ValueError as err:
             raise ValueError(f"--input {' '.join(args.input)}: {err}") from None
-        write_json(args.out, fit.to_json_dict())
+        write_json(args.out, line_json_dict(fit))
         return 0
 
     inputs = [_read_input(path, args, cfg, flags) for path in args.input]

@@ -13,8 +13,8 @@ order-one (detuning offsets are expressed in MHz, not rad/s).
 A residual is (model - data) / sigma with the Spectrum's own sigmas,
 positive and finite by construction (Poisson for scans: sqrt(counts)
 with a floor of one count); a channel without sigmas weighs each point
-1.  Parameter covariances are (J^T J)^{-1} at the optimum with J the
-weighted Jacobian.
+1.  Every fit returns a FitResult; parameter covariances are
+(J^T J)^{-1} at the optimum with J the weighted Jacobian.
 """
 
 from dataclasses import dataclass, replace
@@ -52,30 +52,6 @@ class FitResult:
             "residual_norm": self.residual_norm,
             "converged": self.converged,
             "iterations": self.iterations,
-        }
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    slope: float
-    intercept: float
-    slope_err: float
-    intercept_err: float
-    chi2: float
-    cov_slope_intercept: float = 0.0
-
-    @property
-    def ratio(self):
-        """intercept/slope and its error, the slope-intercept covariance included."""
-        return ratio_with_error(self.intercept, self.intercept_err, self.slope,
-                                self.slope_err, self.cov_slope_intercept)
-
-    def to_json_dict(self):
-        return {
-            "slope": {"value": self.slope, "error": self.slope_err},
-            "intercept": {"value": self.intercept, "error": self.intercept_err},
-            "chi2": self.chi2,
-            "ratio_intercept_slope": value_error_doc(*self.ratio),
         }
 
 
@@ -292,9 +268,10 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
 def fit_linear_weighted(x, y, sigma):
     """Weighted straight-line fit by the closed-form normal equations.
 
-    Returns LinearFit with parameter errors from the inverse normal
-    matrix; multiplying every sigma by a constant leaves slope and
-    intercept untouched and rescales chi2 by its inverse square.
+    Returns a FitResult over ("slope", "intercept"): covariance the
+    inverse normal matrix, residual_norm the weighted chi^2, converged
+    after 0 iterations.  Multiplying every sigma by a constant leaves
+    slope and intercept untouched and rescales chi^2 by its inverse square.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -312,15 +289,21 @@ def fit_linear_weighted(x, y, sigma):
         raise RankDeficientError("slope", "abscissa values are degenerate")
     m = (s * sxy - sx * sy) / d
     b = (sxx * sy - sx * sxy) / d
-    chi2 = float((w * (y - m * x - b) ** 2).sum())
-    return LinearFit(
-        slope=float(m),
-        intercept=float(b),
-        slope_err=float(np.sqrt(s / d)),
-        intercept_err=float(np.sqrt(sxx / d)),
-        chi2=chi2,
-        cov_slope_intercept=float(-sx / d),
-    )
+    return FitResult(names=("slope", "intercept"), values=np.array([m, b]),
+                     covariance=np.array([[s, -sx], [-sx, sxx]]) / d,
+                     residual_norm=float((w * (y - m * x - b) ** 2).sum()),
+                     converged=True, iterations=0)
+
+
+def line_ratio(fit):
+    """intercept/slope of a fit_linear_weighted result and its error, covariance included."""
+    return ratio_with_error(fit.value("intercept"), fit.error("intercept"),
+                            fit.value("slope"), fit.error("slope"), fit.covariance[0, 1])
+
+
+def line_json_dict(fit):
+    """A line fit's JSON document: its to_json_dict() plus ratio_intercept_slope."""
+    return dict(fit.to_json_dict(), ratio_intercept_slope=value_error_doc(*line_ratio(fit)))
 
 
 def ratio_with_error(b, b_err, m, m_err, cov=0.0):

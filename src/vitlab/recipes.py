@@ -16,7 +16,7 @@ from vitlab.config import MHZ
 from vitlab.core import TWO_PI, group_delay_analytic, group_velocity, transfer_amplitude
 from vitlab.errors import BandCoverageError
 from vitlab.fitting import (extract_transparency, fit_linear_weighted, fit_vit_spectra,
-                            ratio_with_error, value_error_doc)
+                            line_json_dict, ratio_with_error, value_error_doc)
 from vitlab.pulses import make_gaussian_pulse, run_pulse_ensemble
 from vitlab.spatial import corrected_spectrum, effective_cooperativity, ensemble_transfer
 from vitlab.synth import ScanPlan, generate_scan, spectrum_from_records
@@ -128,8 +128,9 @@ def photon_number_scan(cfg, eta_eff_0, n_c_values, corrections, seed):
 def calibration_line(rows):
     """Weighted line eta_eff = slope n_c + intercept through the rows with n_c > 2.
 
-    Its intercept/slope ratio (LinearFit.ratio) measures the vacuum
-    offset of n_c -> n_c + 1, which is 1 in the model.
+    A FitResult over ("slope", "intercept"); its intercept/slope ratio
+    (fitting.line_ratio) measures the vacuum offset of n_c -> n_c + 1,
+    which is 1 in the model.
     """
     kept = [r for r in rows if r[0] > 2]
     return fit_linear_weighted([r[0] for r in kept], [r[1] for r in kept],
@@ -165,8 +166,7 @@ def fig4(conf, cfg, seed):
     n_c_values = list(range(2, 23, 2))
     rows = photon_number_scan(cfg, eta_model, n_c_values,
                               cfgmod.corrections(conf, average=True), seed)
-    line = calibration_line(rows).to_json_dict()
-    line["model_prediction"] = eta_model
+    line = dict(line_json_dict(calibration_line(rows)), model_prediction=eta_model)
     line["reported_reference_ratio"] = value_error_doc(
         *ratio_with_error(*PUBLISHED_INTERCEPT, *PUBLISHED_SLOPE))
     curve = [(n_c, theta) for n_c, _, _, theta in transparency_curve(conf, cfg, range(11))]

@@ -14,13 +14,12 @@ Four effects are modeled, each switchable:
 
 Averaging and jitter together define the correction ensemble: one
 member per coupling class x jitter offset, each with a weight.
-Corrections.members enumerates it once, and ensemble_transfer turns
+Corrections.members alone enumerates it, and ensemble_transfer turns
 the members into susceptibilities block by block; corrected_spectrum
 and the pulse ensemble (vitlab.pulses.run_pulse_ensemble, through
-recipes.pulse_ensemble) consume those blocks.
-
-Everything here is a pure function; quadrature node/weight choices are
-deterministic so results never depend on evaluation order.
+recipes.pulse_ensemble) consume those blocks.  The nodes are fixed
+quadrature rules, so results never depend on evaluation order, and a
+negative cooperativity is refused by core.susceptibility alone.
 """
 
 from dataclasses import dataclass
@@ -39,22 +38,20 @@ BLOCK_POINTS = 4096
 
 
 @lru_cache(maxsize=8)
-def _unit_standing_wave(nodes):
-    """Read-only Gauss-Legendre (cos^2(kz), weights) over a quarter period."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    cos2, w = np.cos((x + 1.0) * (np.pi / 4.0)) ** 2, w / w.sum()
-    cos2.flags.writeable = w.flags.writeable = False
-    return cos2, w
+def _unit_rule(kind, nodes):
+    """Read-only unit (nodes, weights), the weights summing to 1.
 
-
-def standing_wave_distribution(eta_max, nodes=64):
-    """Gauss-Legendre (etas, weights) of eta_max cos^2(kz) over a quarter period."""
-    if eta_max < 0:
-        raise ValueError("eta_max must be nonnegative")
-    if nodes < 1:
-        raise ValueError("need at least one node")
-    cos2, w = _unit_standing_wave(nodes)
-    return eta_max * cos2, w.copy()
+    kind "cos2": the Gauss-Legendre cos^2(kz) classes over a quarter
+    period; "normal": the Gauss-Hermite abscissae.
+    """
+    if kind == "cos2":
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        x = np.cos((x + 1.0) * (np.pi / 4.0)) ** 2
+    else:
+        x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def effective_cooperativity(eta_eff_0, n_c):
@@ -64,16 +61,6 @@ def effective_cooperativity(eta_eff_0, n_c):
     if n_c < 0:
         raise ValueError("n_c must be nonnegative")
     return eta_eff_0 * (n_c + 1.0)
-
-
-def jitter_quadrature(sigma, nodes=16):
-    """Gauss-Hermite offsets and weights for an rms frequency jitter sigma."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
-        return np.zeros(1), np.ones(1)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    return np.sqrt(2.0) * sigma * x, w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -111,13 +98,17 @@ class Corrections:
         max(averaging_nodes, 1) classes (eta_max alone when averaging is
         off) times the jitter nodes (one zero offset when jitter_fwhm
         is 0).  offsets shift the cavity detuning (rad/s); the weights
-        sum to 1.
+        sum to 1.  The only place nodes are made: cached unit rules,
+        scaled here; core.susceptibility refuses a negative eta_max.
         """
+        etas, wz = np.array([float(eta_max)]), np.ones(1)
         if self.averaging_nodes:
-            etas, wz = standing_wave_distribution(eta_max, self.averaging_nodes)
-        else:
-            etas, wz = np.array([float(eta_max)]), np.ones(1)
-        offs, wj = jitter_quadrature(self.jitter_fwhm * SIGMA_PER_FWHM, self.jitter_nodes)
+            cos2, wz = _unit_rule("cos2", self.averaging_nodes)
+            etas = eta_max * cos2
+        offs, wj = np.zeros(1), np.ones(1)
+        if self.jitter_fwhm:
+            x, wj = _unit_rule("normal", self.jitter_nodes)
+            offs = np.sqrt(2.0) * (self.jitter_fwhm * SIGMA_PER_FWHM) * x
         return np.repeat(etas, len(offs)), np.tile(offs, len(etas)), np.outer(wz, wj).ravel()
 
 

@@ -220,7 +220,10 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
 def read_scan_sidecar(path, scans, cfg):
     """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged.
 
-    scans, read_scan_csv's groups, are checked against the plan: an
+    scans, read_scan_csv's groups, are checked against the plan: their
+    resonator detunings must be the plan's set, and each group's probe
+    detunings the plan's grid, tiled as often as the plan lists that
+    detuning (read_scan_csv merges repeats), double for double; an
     expected count above flux * dwell * efficiency of its detector
     (times the emission scale on D2), by more than NORM_MARGIN relative,
     cannot come from the model, and raises ValueError naming the sidecar;
@@ -265,6 +268,12 @@ def read_scan_sidecar(path, scans, cfg):
         if recorded[key] != expected[key]:
             raise ValueError(f"{path}: the scan was made with {key} {recorded[key]!r}, "
                              f"and the config gives {expected[key]!r}")
+    grid, dcavs = np.asarray(plan.probe_grid), plan.delta_cavity_list
+    if len(scans) != len(set(dcavs)) or not all(
+            np.array_equal(records.delta_probe, np.tile(grid, dcavs.count(dcav)))
+            for dcav, records in scans):
+        raise ValueError(f"{path}: its plan's resonator detunings and probe grid "
+                         "are not the scan's")
     flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
     if flux_dwell * plan.efficiency_d1 == 0:
         raise ValueError(f"{path}: its flux, dwell and efficiency give detector D1 no counts; "

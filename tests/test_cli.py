@@ -102,8 +102,10 @@ def test_fit_linear_command(tmp_path):
     assert main(["fit", "--model", "linear", "--input", str(data),
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["slope"]["value"] == pytest.approx(3.4, rel=1e-9)
+    assert doc["params"]["slope"]["value"] == pytest.approx(3.4, rel=1e-9)
     assert doc["ratio_intercept_slope"]["value"] == pytest.approx(1.0, rel=1e-9)
+    # a closed-form fit: converged, without iterating
+    assert doc["converged"] is True and doc["iterations"] == 0
 
 
 @pytest.mark.parametrize("flag", ("--average", "--side", "--jitter"))
@@ -217,7 +219,8 @@ def test_fit_linear_pools_inputs(tmp_path):
 
     a, b, both = write("a.csv", rows[:5]), write("b.csv", rows[5:]), write("all.csv", rows)
     assert fit(a, b) == fit(both)
-    assert fit(a, b)["slope"]["value"] != pytest.approx(fit(a)["slope"]["value"], rel=1e-6)
+    assert (fit(a, b)["params"]["slope"]["value"]
+            != pytest.approx(fit(a)["params"]["slope"]["value"], rel=1e-6))
 
 
 def test_fit_linear_reads_three_columns_per_file(tmp_path, capsys):
@@ -511,6 +514,34 @@ def test_sidecar_normalisation_beyond_the_counts_returns_2(tmp_path, capsys):
     doc["emission_scale"] = 2.0
     sidecar.write_text(json.dumps(doc))
     assert main(fit) == 0
+
+
+def test_fit_sidecar_of_another_scan_returns_2(tmp_path, capsys):
+    # a sidecar is read with its own scan: another plan's detunings or
+    # grid would fit the wrong spectrum and exit 0
+    scan = _synth(tmp_path / "a", "0", "1")
+    assert main(["synth", "--delta-cavity-mhz", "0.5", "--points", "81", "--flux", "2e6",
+                 "--seed", "3", "--out", str(tmp_path / "b")]) == 0
+    # the same detuning and range, one point more
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "42", "--scan-from", "-3",
+                 "--scan-to", "3", "--out", str(tmp_path / "c")]) == 0
+    out = tmp_path / "fit.json"
+    for other in ("b.json", "c.json"):
+        assert main(["fit", "--model", "vit", "--input", scan,
+                     "--sidecar", str(tmp_path / other), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert other in err and "probe grid" in err
+    assert not out.exists()
+    assert main(["fit", "--model", "vit", "--input", scan, "--out", str(out)]) == 0
+
+
+def test_fit_scan_with_a_repeated_detuning(tmp_path):
+    # read_scan_csv merges the repeats into one group on the grid twice
+    prefix = str(tmp_path / "r")
+    assert main(["synth", "--delta-cavity-mhz", "0", "0.5", "0", "--points", "41",
+                 "--out", prefix]) == 0
+    assert main(["fit", "--model", "vit", "--input", prefix + ".csv",
+                 "--out", str(tmp_path / "fit.json")]) == 0
 
 
 def test_fit_config_contradicting_the_sidecar_returns_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from vitlab.fitting import (
     fit_lorentzian,
     fit_vit_spectra,
     format_value_error,
+    line_ratio,
     lorentzian,
     ratio_with_error,
 )
@@ -241,18 +242,18 @@ def test_linear_fit_exact_line():
     x = np.arange(2.0, 23.0, 2.0)
     y = 3.4 * (x + 1.0)
     fit = fit_linear_weighted(x, y, np.full_like(x, 1e-6))
-    assert np.isclose(fit.slope, 3.4, rtol=1e-10)
-    assert np.isclose(fit.intercept, 3.4, rtol=1e-10)
-    r, _ = ratio_with_error(fit.intercept, fit.intercept_err,
-                            fit.slope, fit.slope_err, fit.cov_slope_intercept)
+    assert np.isclose(fit.value("slope"), 3.4, rtol=1e-10)
+    assert np.isclose(fit.value("intercept"), 3.4, rtol=1e-10)
+    r, _ = line_ratio(fit)
     assert np.isclose(r, 1.0, rtol=1e-10)
+    assert fit.converged and fit.iterations == 0
 
 
 def test_linear_fit_two_points_interpolates():
     fit = fit_linear_weighted([0.0, 1.0], [1.0, 3.0], [0.5, 0.5])
-    assert np.isclose(fit.slope, 2.0, rtol=1e-12)
-    assert np.isclose(fit.intercept, 1.0, rtol=1e-12)
-    assert fit.chi2 < 1e-20
+    assert np.isclose(fit.value("slope"), 2.0, rtol=1e-12)
+    assert np.isclose(fit.value("intercept"), 1.0, rtol=1e-12)
+    assert fit.residual_norm < 1e-20
 
 
 def test_linear_fit_sigma_scale_invariance():
@@ -262,9 +263,9 @@ def test_linear_fit_sigma_scale_invariance():
     s = np.full_like(x, 0.3)
     a = fit_linear_weighted(x, y, s)
     b = fit_linear_weighted(x, y, 10.0 * s)
-    assert np.isclose(a.slope, b.slope, rtol=1e-12)
-    assert np.isclose(a.intercept, b.intercept, rtol=1e-12)
-    assert np.isclose(a.chi2, 100.0 * b.chi2, rtol=1e-9)
+    assert np.isclose(a.value("slope"), b.value("slope"), rtol=1e-12)
+    assert np.isclose(a.value("intercept"), b.value("intercept"), rtol=1e-12)
+    assert np.isclose(a.residual_norm, 100.0 * b.residual_norm, rtol=1e-9)
 
 
 def test_linear_fit_degenerate_abscissa():
@@ -281,12 +282,12 @@ def test_linear_fit_against_numpy_cov():
     # reference: generalized least squares via lstsq on whitened design
     a = np.stack([x / sig, 1.0 / sig], axis=1)
     coef, *_ = np.linalg.lstsq(a, y / sig, rcond=None)
-    assert np.isclose(fit.slope, coef[0], rtol=1e-10)
-    assert np.isclose(fit.intercept, coef[1], rtol=1e-10)
+    assert np.isclose(fit.value("slope"), coef[0], rtol=1e-10)
+    assert np.isclose(fit.value("intercept"), coef[1], rtol=1e-10)
     cov = np.linalg.inv(a.T @ a)
-    assert np.isclose(fit.slope_err, np.sqrt(cov[0, 0]), rtol=1e-10)
-    assert np.isclose(fit.intercept_err, np.sqrt(cov[1, 1]), rtol=1e-10)
-    assert np.isclose(fit.cov_slope_intercept, cov[0, 1], rtol=1e-10)
+    assert np.isclose(fit.error("slope"), np.sqrt(cov[0, 0]), rtol=1e-10)
+    assert np.isclose(fit.error("intercept"), np.sqrt(cov[1, 1]), rtol=1e-10)
+    assert np.isclose(fit.covariance[0, 1], cov[0, 1], rtol=1e-10)
 
 
 def test_ratio_error_propagation():

@@ -14,13 +14,11 @@ from vitlab.spatial import (
     corrected_spectrum,
     effective_cooperativity,
     ensemble_transfer,
-    jitter_quadrature,
-    standing_wave_distribution,
 )
 
 
-def test_standing_wave_distribution_moments():
-    e, w = standing_wave_distribution(4.0, nodes=64)
+def test_members_standing_wave_moments():
+    e, _, w = Corrections(averaging_nodes=64).members(4.0)
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
     assert np.all(e >= 0) and np.all(e <= 4.0)
     # mean of cos^2 over a quarter period is 1/2
@@ -29,22 +27,16 @@ def test_standing_wave_distribution_moments():
     assert np.isclose((w * e**2).sum(), 16.0 * 3.0 / 8.0, rtol=1e-10)
 
 
-def test_standing_wave_distribution_returns_fresh_arrays():
-    # the unit nodes are cached; writing to one result must not reach the next
-    e, w = standing_wave_distribution(4.0, nodes=8)
-    ref = np.polynomial.legendre.leggauss(8)[1]
-    e[:] = -1.0
-    w[:] = -1.0
-    e2, w2 = standing_wave_distribution(4.0, nodes=8)
-    assert np.all(e2 >= 0)
-    assert np.array_equal(w2, ref / ref.sum())
-
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        standing_wave_distribution(-1.0)
-    with pytest.raises(ValueError):
-        standing_wave_distribution(4.0, nodes=0)
+def test_members_returns_fresh_arrays():
+    # the unit rules are cached; writing to one result must not reach the next
+    corr = Corrections(averaging_nodes=8, jitter_fwhm=1.0, jitter_nodes=4)
+    wz = np.polynomial.legendre.leggauss(8)[1]
+    wj = np.polynomial.hermite.hermgauss(4)[1]
+    for a in corr.members(4.0):
+        a[:] = -1.0
+    e2, o2, w2 = corr.members(4.0)
+    assert np.all(e2 >= 0) and len(set(o2)) == 4
+    assert np.array_equal(w2, np.outer(wz / wz.sum(), wj / wj.sum()).ravel())
 
 
 def test_averaging_lowers_transparency(cfg):
@@ -57,11 +49,13 @@ def test_averaging_lowers_transparency(cfg):
 
 
 def test_negative_cooperativity_is_refused(cfg):
-    # averaging off: no standing-wave quadrature checks eta_max on the way to chi
-    with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
-        corrected_spectrum(cfg, -1.0, np.linspace(-4, 4, 9) * MHZ, 0.0, IDEAL)
-    with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
-        pulse_ensemble(cfg, -1.0, make_gaussian_pulse(1e-6, n_samples=2**10), IDEAL)
+    # core.susceptibility alone refuses it, with averaging on or off
+    pulse = make_gaussian_pulse(1e-6, n_samples=2**10)
+    for corr in (IDEAL, Corrections(averaging_nodes=8, jitter_fwhm=0.2 * MHZ)):
+        with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+            corrected_spectrum(cfg, -1.0, np.linspace(-4, 4, 9) * MHZ, 0.0, corr)
+        with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+            pulse_ensemble(cfg, -1.0, pulse, corr)
 
 
 # the packaged defaults' side channel: a quarter of the main od, 0.6 MHz away
@@ -108,8 +102,8 @@ def test_corrections_validation(fields, error):
         Corrections(**fields)
 
 
-def test_jitter_quadrature_is_normal():
-    off, w = jitter_quadrature(sigma=1.0, nodes=16)
+def test_members_jitter_is_normal():
+    _, off, w = Corrections(jitter_fwhm=1.0 / SIGMA_PER_FWHM, jitter_nodes=16).members(4.0)
     assert np.isclose(np.sum(w), 1.0, atol=1e-12)
     assert np.isclose(np.sum(w * off), 0.0, atol=1e-12)
     assert np.isclose(np.sum(w * off**2), 1.0, rtol=1e-12)
@@ -141,8 +135,10 @@ def test_corrections_factory_roundtrip():
     etas, offs, w = c.members(5.0)
     assert len(etas) == len(offs) == len(w) == 32 * c.jitter_nodes
     # classes major, jitter offsets minor, weights the outer product
-    cetas, cwts = standing_wave_distribution(5.0, 32)
-    joffs, jwts = jitter_quadrature(0.2 * MHZ * SIGMA_PER_FWHM, c.jitter_nodes)
+    z, cwts = np.polynomial.legendre.leggauss(32)
+    cetas, cwts = 5.0 * np.cos((z + 1.0) * (np.pi / 4.0)) ** 2, cwts / cwts.sum()
+    x, jwts = np.polynomial.hermite.hermgauss(c.jitter_nodes)
+    joffs, jwts = np.sqrt(2.0) * (0.2 * MHZ * SIGMA_PER_FWHM) * x, jwts / jwts.sum()
     assert np.array_equal(etas.reshape(32, -1)[:, 0], cetas)
     assert np.all(etas.reshape(32, -1) == etas.reshape(32, -1)[:, :1])
     assert np.array_equal(offs.reshape(32, -1), np.tile(joffs, (32, 1)))

@@ -188,8 +188,14 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     path = tmp_path / "scan.json"
     corr = corrections(conf, average=True, side=True, jitter=True)
     write_scan_sidecar(path, plan, cfg, 3.4, corr)
-    # no scan: only the parsing is under test here
-    back, back_corr = read_scan_sidecar(path, (), cfg)
+    # the plan's own scan, read back as a fit reads it
+    write_scan_csv(tmp_path / "scan.csv", generate_scan(cfg, 3.4, plan, corr))
+    scans = read_scan_csv(tmp_path / "scan.csv")
+    back, back_corr = read_scan_sidecar(path, scans, cfg)
+    # another scan is refused: a detuning missing, or a probe grid cut short
+    for other in ((), scans[:2], [(d, r[:-1]) for d, r in scans]):
+        with pytest.raises(ValueError, match="scan.json.*probe grid"):
+            read_scan_sidecar(path, other, cfg)
     # 0.6 MHz side shift and 0.2 MHz jitter come back as the same doubles
     assert back_corr == corr
     # the sidecar holds MHz and us, so the rad/s and s values come back
@@ -212,17 +218,17 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
         ("physics", {"kappa_MHz": 0.5}), ("physics", {"length_um": "20"}))]
     # od and eta are what a fit estimates, so they may differ
     path.write_text(json.dumps(dict(doc, physics=dict(doc["physics"], od=0.9, eta=1.0))))
-    assert read_scan_sidecar(path, (), cfg)[1] == corr
+    assert read_scan_sidecar(path, scans, cfg)[1] == corr
     path.write_text(json.dumps({k: v for k, v in doc.items() if k != "physics"}))
     with pytest.raises(ValueError, match="scan.json.*'physics'"):
-        read_scan_sidecar(path, (), cfg)
+        read_scan_sidecar(path, scans, cfg)
     del doc["plan"]["dwell_us"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="scan.json.*'dwell_us'"):
-        read_scan_sidecar(path, (), cfg)
+        read_scan_sidecar(path, scans, cfg)
     doc["plan"]["dwell_us"] = -1.0
     for text in ('{"plan": []}', '[1]', '{"plan": {"delta_cavity_MHz": "x"}}', '{"plan": ',
                  json.dumps(doc), *bad):
         path.write_text(text)
         with pytest.raises(ValueError, match="scan.json"):
-            read_scan_sidecar(path, (), cfg)
+            read_scan_sidecar(path, scans, cfg)
