@@ -9,8 +9,6 @@ Exit codes: 0 success, 2 configuration or validation problem,
 """
 
 import argparse
-import csv
-import json
 import math
 import os
 import re
@@ -29,6 +27,7 @@ from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
 from vitlab.spatial import corrected_spectrum
 from vitlab.synth import (
+    SCAN_COLUMNS,
     ScanPlan,
     generate_scan,
     read_scan_csv,
@@ -165,26 +164,25 @@ def cmd_synth(args):
     return 0
 
 
-def _read_plain_spectrum(path):
-    rows = np.array(cfgmod.read_csv(path, ("delta_probe_MHz", "transmission")))
-    e = rows[:, 2] if rows.shape[1] > 2 else None
-    return Spectrum(delta_probe=rows[:, 0] * MHZ, transmission=rows[:, 1], emission=e)
-
-
 def _read_input(path, args, cfg, flag_corrections):
     """(source, corrections, [(delta_cavity, Spectrum)]) of a scan or spectrum CSV.
 
-    A scan fits with its sidecar's corrections (a flag they lack is an
-    error, and so are constants other than cfg's) and names the sidecar;
-    a spectrum fits with flag_corrections.
+    A file opening with a scan header's first two names, as write_csv
+    writes them, is a scan: it fits with its sidecar's corrections (a
+    flag they lack is an error, and so are constants other than cfg's)
+    and names the sidecar.  Any other is a spectrum, fitted with
+    flag_corrections; config.read_csv decodes both.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-    if header[1:2] != ["delta_cavity_MHz"]:
+    prefix = (",".join(SCAN_COLUMNS[:2]) + ",").encode()
+    with open(path, "rb") as fh:
+        is_scan = fh.read(len(prefix)) == prefix
+    if not is_scan:
         if args.sidecar is not None:
             raise ValueError(f"--sidecar goes with a scan CSV, and {path} is not one")
+        rows = np.array(cfgmod.read_csv(path, ("delta_probe_MHz", "transmission")))
+        e = rows[:, 2] if rows.shape[1] > 2 else None
         return path, flag_corrections, [(args.delta_cavity_mhz * MHZ,
-                                         _read_plain_spectrum(path))]
+                                         Spectrum(rows[:, 0] * MHZ, rows[:, 1], e))]
     scans = read_scan_csv(path)
     sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
     plan, corr = read_scan_sidecar(sidecar, scans, cfg)
@@ -353,7 +351,7 @@ def main(argv=None):
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,8 @@ rejected outright rather than silently ignored.
 
 Resolution order for the default document: explicit path argument,
 then the VIT_LAB_CONFIG environment variable, then the packaged file.
-read_csv reads every scan, spectrum, trace and line CSV; write_csv and
-write_json write every CSV and JSON file.
+read_json and read_csv read every outside file, each naming it in its
+ValueError; write_csv and write_json write every CSV and JSON file.
 """
 
 import csv
@@ -36,22 +36,23 @@ KNOWN_KEYS = set(_POSITIVE) | set(_NONNEGATIVE) | set(_UNIT_INTERVAL)
 
 
 def read_csv(path, columns=(), types=()):
-    """The data rows of a CSV file whose header starts with columns.
+    """The data rows of a UTF-8 CSV file whose header starts with columns.
 
     Every row must hold as many cells as the header, each a finite
     float; for each (i, read) pair in types, cell i is read by
-    read(cell) instead.  Another header, a row of another width, a cell
-    that does not parse or is not finite, or no data row at all raises
-    ValueError naming the file (and the line).
+    read(cell) instead.  Anything else (another header or row width, a
+    cell that does not parse or is not finite, a csv.Error, a byte that
+    is not UTF-8) or no data row raises ValueError naming the file, and
+    the line of a faulty data row.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:len(columns)] != list(columns):
-            raise ValueError(f"{path}: expected a header starting {','.join(columns)}")
-        for row in reader:
-            try:
+        try:
+            header = next(reader, [])
+            if header[:len(columns)] != list(columns):
+                raise ValueError(f"expected a header starting {','.join(columns)}")
+            for row in reader:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} columns, found {len(row)}")
                 values = list(map(float, row))
@@ -59,12 +60,24 @@ def read_csv(path, columns=(), types=()):
                     raise ValueError("values must be finite")
                 for i, read in types:
                     values[i] = read(row[i])
-            except ValueError as err:
-                raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
-            rows.append(values)
+                rows.append(values)
+        except UnicodeDecodeError as err:  # text decodes in chunks: no line to name
+            raise ValueError(f"{path} is not UTF-8 text ({err.reason})") from None
+        except (ValueError, csv.Error) as err:
+            line = f", line {reader.line_num}" if reader.line_num > 1 else ""
+            raise ValueError(f"{path}{line}: {err}") from None
     if not rows:
         raise ValueError(f"{path} has no data rows")
     return rows
+
+
+def read_json(path):
+    """The JSON document in path; ValueError naming the file unless it is UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise ValueError(f"{path} is not valid JSON: {err}") from None
 
 
 def _output(path, newline=None):
@@ -116,7 +129,7 @@ def validate_config(doc):
             raise ValueError(f"unknown config key '{key}'")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"config key '{key}' must be a number")
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # ints compare exactly: 10**400 is beyond
             raise ValueError(f"config key '{key}' must be finite")
     merged = packaged_defaults()
     merged.update(doc)
@@ -138,11 +151,7 @@ def load_config(path=None):
         path = os.environ.get(ENV_VAR)
     if path is None:
         return validate_config({})
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"config file {path} is not valid JSON: {err}") from err
+    doc = read_json(path)
     try:
         return validate_config(doc)
     except ValueError as err:

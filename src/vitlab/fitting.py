@@ -219,18 +219,16 @@ def _initial_guess(datasets, cfg):
     return guess
 
 
-def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
-                    fixed=None, corrections=IDEAL):
+def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), corrections=IDEAL):
     """Joint fit of the coupled-ensemble model over spectra and channels.
 
     datasets: list of (delta_cavity, Spectrum); every spectrum's
     transmission channel enters the residual, and the emission channel
     too when present, each weighed by its sigmas (1 without).  free
-    names parameters from VIT_PARAMS, each once (an unknown or repeated
-    name raises ValueError); the rest stay at their initial values
-    (overridable through fixed).  The model's domain is eta_eff >= 0,
-    od >= 0 and scale_d2 > 0: steps beyond it are rejected, and a start
-    outside it (through fixed) raises ValueError.
+    names parameters from VIT_PARAMS, each once and always eta_eff (else
+    ValueError); they start from _initial_guess, and the rest are held
+    at cfg.od, a scale_d2 of 1 and zero offsets.  The model's domain is
+    eta_eff >= 0, od >= 0 and scale_d2 > 0: steps beyond it are rejected.
 
     probe_offset_mhz and cavity_offset_mhz are axis calibrations: the
     correction added to the recorded detunings to recover the true ones,
@@ -243,9 +241,11 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"),
             raise ValueError(f"unknown parameter '{name}'")
         if free.count(name) > 1:
             raise ValueError(f"parameter '{name}' is listed more than once in free")
-    base = _initial_guess(datasets, cfg)
-    if fixed:
-        base.update(fixed)
+    if "eta_eff" not in free:
+        raise ValueError("free must include eta_eff, which no config value holds")
+    guess = _initial_guess(datasets, cfg)
+    held = {"od": cfg.od, "scale_d2": 1.0, "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
+    base = {name: guess[name] if name in free else held[name] for name in VIT_PARAMS}
 
     def residual(pvec):
         p = dict(base)

@@ -19,14 +19,15 @@ components (analysis via numpy ifft, synthesis via fft), so a medium
 t(omega) = e^{i omega tau} shifts the pulse later by tau, and the group
 delay is + d(arg t)/d omega, matching vitlab.core.group_delay_numeric.
 
-Traces are read and written as CSV with columns time_us, re, im.
+Traces are written as CSV with columns time_us, re, im, an output
+format that vitlab itself never reads back.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from vitlab.config import read_csv, write_csv
+from vitlab.config import write_csv
 from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
@@ -197,16 +198,3 @@ def write_trace_csv(path, pulse):
     s = np.asarray(pulse.samples)
     write_csv(path, TRACE_COLUMNS, (pulse.times * 1e6, s.real, s.imag))
 
-
-def read_trace_csv(path):
-    """Read a pulse trace written by write_trace_csv."""
-    rows = np.array(read_csv(path, TRACE_COLUMNS))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: a trace needs at least two samples")
-    t = rows[:, 0] * 1e-6
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0):
-        raise ValueError("trace grid is not uniform")
-    samples = rows[:, 1].astype(complex)
-    samples.imag = rows[:, 2]
-    return SampledPulse(t0=t[0], dt=float(dt[0]), samples=samples)

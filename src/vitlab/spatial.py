@@ -35,6 +35,7 @@ SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # member x point elements evaluated at once by ensemble_transfer; larger
 # blocks buy no speed and raise the peak memory of a wide ensemble
 BLOCK_POINTS = 4096
+MAX_NODES = 1024  # largest node count of a rule: leggauss(n) builds an n x n matrix
 
 
 @lru_cache(maxsize=8)
@@ -68,13 +69,14 @@ class Corrections:
     """Which apparatus corrections to apply, and their knobs.
 
     averaging_nodes: 0 disables standing-wave averaging, otherwise the
-        Gauss-Legendre node count (64 is plenty; doubling it moves the
-        fig2 spectra by < 1e-12).
+        Gauss-Legendre node count, at most MAX_NODES (64 is plenty;
+        doubling it moves the fig2 spectra by < 1e-12).
     side_weight: Zeeman-shifted side channel's od over the main's, in [0, 1], 0 off.
     side_shift: the side channel's two-photon shift (rad/s).
     jitter_fwhm: FWHM of the resonator frequency jitter (rad/s), 0 off.
-    jitter_nodes: Gauss-Hermite node count (doubling 16 moves the fig2
-        spectra by < 1e-5).
+    jitter_nodes: Gauss-Hermite node count, at most MAX_NODES (doubling
+        16 moves the fig2 spectra by < 1e-5).
+    The three other fields are stored as floats once checked.
     """
 
     averaging_nodes: int = 0
@@ -86,10 +88,13 @@ class Corrections:
     def __post_init__(self):
         if not 0.0 <= self.side_weight <= 1.0:
             raise ValueError("side-channel weight must lie in [0, 1]")
-        if index(self.averaging_nodes) < 0 or index(self.jitter_nodes) < 1:
-            raise ValueError("averaging_nodes must be >= 0 and jitter_nodes >= 1")
+        if not (0 <= index(self.averaging_nodes) <= MAX_NODES
+                and 1 <= index(self.jitter_nodes) <= MAX_NODES):
+            raise ValueError(f"node counts must be 1..{MAX_NODES}, or 0 for averaging_nodes")
         if not (abs(self.side_shift) < np.inf and 0.0 <= self.jitter_fwhm < np.inf):
             raise ValueError("side_shift must be finite, jitter_fwhm nonnegative and finite")
+        for name in ("side_weight", "side_shift", "jitter_fwhm"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def members(self, eta_max):
         """The correction ensemble as flat arrays (etas, offsets, weights).

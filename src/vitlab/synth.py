@@ -17,13 +17,12 @@ counts_d1, counts_d2, expected_d1, expected_d2, plus a JSON sidecar
 carrying the plan, the physical constants and the seed.
 """
 
-import json
 from dataclasses import dataclass, fields
 from operator import index
 
 import numpy as np
 
-from vitlab.config import MHZ, read_csv, write_csv, write_json
+from vitlab.config import MHZ, read_csv, read_json, write_csv, write_json
 from vitlab.spatial import IDEAL, Corrections, corrected_spectrum
 
 
@@ -49,6 +48,7 @@ class ScanPlan:
     dwell: integration time per grid point (s)
     efficiency_d1, efficiency_d2: detection efficiencies in [0, 1]
     rng_seed: nonnegative integer
+    The flux, dwell and efficiencies are stored as floats once checked.
     """
 
     delta_cavity_list: tuple
@@ -71,6 +71,8 @@ class ScanPlan:
                 raise ValueError("efficiencies must lie in [0, 1]")
         if index(self.rng_seed) < 0:
             raise ValueError("rng_seed must be a nonnegative integer")
+        for name in ("photon_flux", "dwell", "efficiency_d1", "efficiency_d2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,7 @@ def read_scan_sidecar(path, scans, cfg):
     estimates, so they are not compared); a mismatch raises ValueError
     naming the sidecar, the key and both values.
     """
-    with open(path) as fh:
-        try:
-            meta = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValueError(f"sidecar {path} is not valid JSON: {err}") from None
+    meta = read_json(path)
     try:
         plan, corr, scale = meta["plan"], meta["corrections"], meta["emission_scale"]
         recorded = {key: meta["physics"][key] for key in PHYSICS_KEYS}
@@ -246,6 +244,7 @@ def read_scan_sidecar(path, scans, cfg):
             raise ValueError("true or false where a number belongs")
         if not 0 < scale < np.inf:
             raise ValueError("emission_scale must be positive and finite")
+        scale = float(scale)
         plan = ScanPlan(
             delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
             probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
@@ -261,7 +260,7 @@ def read_scan_sidecar(path, scans, cfg):
             jitter_nodes=corr["jitter_nodes"])
     except KeyError as err:
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: malformed sidecar ({err})") from None
     expected = _physics(cfg, None)
     for key in PHYSICS_KEYS:

@@ -264,7 +264,8 @@ def test_pulse_grid_errors_name_the_flags(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}'))
+@pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}',
+                                  pytest.param('{"od": 1' + "0" * 400 + "}", id="10**400")))
 def test_non_finite_config_returns_2(tmp_path, capsys, text):
     conf = tmp_path / "conf.json"
     conf.write_text(text)
@@ -274,11 +275,14 @@ def test_non_finite_config_returns_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, message", (("[1, 2]", "JSON object"),
-                                           ('{"od": ', "not valid JSON")))
+@pytest.mark.parametrize("text, message", ((b"[1, 2]", "JSON object"),
+                                           (b'{"od": ', "not valid JSON"),
+                                           (b'{"od": 0.4}\xff', "not valid JSON"),
+                                           pytest.param(b"[" * 10**5, "not valid JSON",
+                                                        id="nested-10**5")))
 def test_bad_config_names_the_file(tmp_path, capsys, text, message):
     conf = tmp_path / "c.json"
-    conf.write_text(text)
+    conf.write_bytes(text)
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--config", str(conf), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -364,6 +368,51 @@ def test_bad_row_returns_2(tmp_path, capsys, model, text):
     assert "data.csv, line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
+@pytest.mark.parametrize("text", (
+    b"delta_probe_MHz,transmission\xff,cavity_emission\n0.1,0.5,0.2\n",
+    b"delta_probe_MHz,transmission,cavity_emission\n0.1,0.5\xff,0.2\n",
+), ids=("header", "row"))
+def test_input_not_utf8_names_the_file(tmp_path, capsys, model, text):
+    # decoding runs ahead of the parser, so the message names no line
+    data = tmp_path / "data.csv"
+    data.write_bytes(text)
+    assert main(["fit", "--model", model, "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "data.csv is not UTF-8 text" in err and "line" not in err
+
+
+@pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
+@pytest.mark.parametrize("line", (1, 2))
+def test_cell_beyond_the_field_limit_names_the_file(tmp_path, capsys, model, line):
+    # the csv module refuses a cell over 131072 characters
+    lines = ["delta_probe_MHz,transmission,cavity_emission", "0.1,0.5,0.2"]
+    lines[line - 1] += "," + "1" * 131073
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--model", model, "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "data.csv" in err and "field larger than field limit" in err
+    assert ("data.csv, line 2:" in err) == (line == 2)
+
+
+def test_fit_holds_what_is_not_free_at_the_config(tmp_path, capsys):
+    # od held at the config's 0.4, not at a guess from the data, leaves
+    # scale_d2 at its truth of 1; eta_eff, which no config holds, is always free
+    prefix = str(tmp_path / "run")
+    assert main(["synth", "--delta-cavity-mhz", "0.5", "-2.2", "2.8", "--points", "201",
+                 "--flux", "1e6", "--dwell-us", "50000", "--seed", "7", "--out", prefix]) == 0
+    out = tmp_path / "fit.json"
+    fit = ["fit", "--model", "vit", "--input", prefix + ".csv", "--out", str(out)]
+    assert main(fit + ["--free", "eta_eff,scale_d2"]) == 0
+    scale = json.loads(out.read_text())["params"]["scale_d2"]
+    assert abs(scale["value"] - 1.0) < 3 * scale["error"]
+    out.unlink()
+    assert main(fit + ["--free", "od"]) == 2
+    assert "eta_eff" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sidecar_missing_key_returns_2(tmp_path, capsys):
     prefix = tmp_path / "scan"
     assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11",
@@ -386,6 +435,27 @@ def test_sidecar_not_json_names_the_file(tmp_path, capsys, content):
     assert main(["fit", "--model", "vit", "--input", str(prefix) + ".csv"]) == 2
     err = capsys.readouterr().err
     assert "run.json" in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("part, key, value", (
+    ("plan", "photon_flux_per_s", 10**400), ("plan", "dwell_us", 10**400),
+    (None, "emission_scale", 10**400), ("corrections", "side_shift_MHz", 10**400),
+    ("corrections", "averaging_nodes", 10**30), ("corrections", "jitter_nodes", 10**30),
+    ("corrections", "averaging_nodes", 1025),
+), ids=("flux", "dwell", "emission_scale", "side_shift", "averaging_nodes", "jitter_nodes",
+        "averaging_nodes_1025"))
+def test_sidecar_number_beyond_range_names_the_file(tmp_path, capsys, part, key, value):
+    # only values refused before any allocation: a node count that passed
+    # would build a count x count matrix
+    prefix = tmp_path / "run"
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11",
+                 "--seed", "5", "--out", str(prefix)]) == 0
+    sidecar = tmp_path / "run.json"
+    doc = json.loads(sidecar.read_text())
+    (doc[part] if part else doc)[key] = value
+    sidecar.write_text(json.dumps(doc))
+    assert main(["fit", "--model", "vit", "--input", str(prefix) + ".csv"]) == 2
+    assert "run.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", (

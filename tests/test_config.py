@@ -33,7 +33,8 @@ def test_validate_rejects_bad_types():
         validate_config({"od": "0.4"})
     with pytest.raises(ValueError):
         validate_config({"od": True})
-    for value in (float("nan"), float("inf"), float("-inf")):
+    # an integer beyond the largest double is not finite either
+    for value in (float("nan"), float("inf"), float("-inf"), 10**400, -10**400):
         with pytest.raises(ValueError, match="'od' must be finite"):
             validate_config({"od": value})
 

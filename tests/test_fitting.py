@@ -188,11 +188,13 @@ def test_vit_round_trip_with_offsets_in_data(cfg):
 
 
 def test_vit_fixed_parameters(cfg):
+    # the truths are the config's od (0.4) and a scale of 1, where they are held
     datasets = _clean_datasets(cfg, 5.0, (0.0,))
-    fit = fit_vit_spectra(datasets, cfg, free=("eta_eff",),
-                          fixed={"od": 0.4, "scale_d2": 1.0})
+    fit = fit_vit_spectra(datasets, cfg, free=("eta_eff",))
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
     assert fit.names == ("eta_eff",)
+    with pytest.raises(ValueError, match="eta_eff"):
+        fit_vit_spectra(datasets, cfg, free=("od", "scale_d2"))
 
 
 def test_vit_round_trip_with_corrections(cfg):
@@ -215,12 +217,6 @@ def test_spectrum_refuses_a_sigma_that_is_not_positive_and_finite(field, bad):
     assert getattr(Spectrum(GRID, np.ones(81), np.ones(81), **{field: None}), field) is None
 
 
-def test_vit_start_outside_the_domain_raises(cfg):
-    datasets = _clean_datasets(cfg, 5.0, (0.0,))
-    with pytest.raises(ValueError, match="'od': -1.0"):
-        fit_vit_spectra(datasets, cfg, fixed={"od": -1.0})
-
-
 def test_vit_flat_data_rank_deficient(cfg):
     flat = Spectrum(GRID, np.ones(81), None, np.full(81, 0.01), None)
     with pytest.raises(RankDeficientError) as err:
@@ -233,8 +229,7 @@ def test_vit_transmission_only_dataset(cfg):
     d, s = datasets[0]
     no_d2 = Spectrum(s.delta_probe, s.transmission, None,
                      s.sigma_transmission, None)
-    fit = fit_vit_spectra([(d, no_d2)], cfg, free=("eta_eff", "od"),
-                          fixed={"scale_d2": 1.0})
+    fit = fit_vit_spectra([(d, no_d2)], cfg, free=("eta_eff", "od"))
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
 
 

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import STIFF_GAMMA
-from vitlab.config import MHZ, corrections
+from vitlab.config import MHZ, corrections, read_csv
 from vitlab.core import (
     group_delay_analytic,
     resonant_transmission,
@@ -12,9 +12,9 @@ from vitlab.core import (
 )
 from vitlab.errors import BandCoverageError
 from vitlab.pulses import (
+    TRACE_COLUMNS,
     SampledPulse,
     make_gaussian_pulse,
-    read_trace_csv,
     run_pulse_ensemble,
     write_trace_csv,
 )
@@ -365,28 +365,12 @@ def test_ensemble_band_guard_per_row(cfg):
 
 
 def test_trace_round_trip(tmp_path):
+    # the trace is an output format: its cells read back as the exact doubles
     pulse = make_gaussian_pulse(1.73e-6, n_samples=2**10,
                                 span=16 * 1.73e-6)
     out = _one_member(pulse, lambda w: np.exp(1j * w * 30e-9 - (w * 4e-8) ** 2)).output
     path = tmp_path / "trace.csv"
     write_trace_csv(path, out)
-    back = read_trace_csv(path)
-    assert back.n == out.n
-    assert np.isclose(back.dt, out.dt, rtol=1e-12)
-    assert np.allclose(np.asarray(back.samples), np.asarray(out.samples),
-                       rtol=0, atol=1e-15)
-
-
-def test_trace_reader_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(bad)
-    for text in ("", "time_us,re,im\n"):
-        bad.write_text(text)
-        with pytest.raises(ValueError, match="bad.csv"):
-            read_trace_csv(bad)
-    for row in ("0.1,1.0", "0.1,abc,0.0", "0.1,1.0,0.0,2.0", "0.1,inf,0.0"):
-        bad.write_text("time_us,re,im\n0.0,1.0,0.0\n" + row + "\n")
-        with pytest.raises(ValueError, match="bad.csv, line 3"):
-            read_trace_csv(bad)
+    time_us, re, im = np.array(read_csv(path, TRACE_COLUMNS)).T
+    assert np.array_equal(time_us, out.times * 1e6)
+    assert np.array_equal(re, out.samples.real) and np.array_equal(im, out.samples.imag)

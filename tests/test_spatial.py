@@ -96,10 +96,20 @@ def test_side_weight_shifts_absorption(cfg):
     ({"side_shift": float("inf")}, ValueError),
     ({"jitter_fwhm": -1.0}, ValueError),
     ({"jitter_fwhm": float("nan")}, ValueError),
+    # refused before leggauss or hermgauss builds a count x count matrix
+    ({"averaging_nodes": 1025}, ValueError),
+    ({"averaging_nodes": 10**30}, ValueError),
+    ({"jitter_nodes": 10**30}, ValueError),
+    ({"side_shift": 10**400}, OverflowError),
 ))
 def test_corrections_validation(fields, error):
     with pytest.raises(error):
         Corrections(**fields)
+
+
+def test_corrections_store_floats():
+    corr = Corrections(side_weight=1, side_shift=2, jitter_fwhm=3)
+    assert [type(v) for v in (corr.side_weight, corr.side_shift, corr.jitter_fwhm)] == [float] * 3
 
 
 def test_members_jitter_is_normal():

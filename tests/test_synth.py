@@ -43,6 +43,10 @@ def test_plan_validation():
     for seed in (np.nan, 1.0):
         with pytest.raises(TypeError):
             _plan(seed=seed)
+    # the float fields are stored as floats, and an integer beyond a double's range fails
+    assert type(_plan(flux=10**6, dwell=1).dwell) is float
+    with pytest.raises(OverflowError):
+        _plan(flux=10**400)
 
 
 def test_counts_beyond_poisson_range_rejected(cfg):
