@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vitlab.errors import ConvergenceError
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -72,34 +70,39 @@ class CavityGeometry:
             raise ValueError("geometry fields must be positive")
 
 
+def _factors(cfg, delta_probe, delta_cavity):
+    """p = 1 - i Dt and q = 1/(1 - i dc), at the detunings' broadcast shape."""
+    dp = np.asarray(delta_probe, dtype=float)
+    return (1.0 - (2j / cfg.gamma) * dp,
+            1.0 / (1.0 - (2j / cfg.kappa) * (dp - np.asarray(delta_cavity, dtype=float))))
+
+
 def susceptibility(cfg, eta, delta_probe, delta_cavity):
     """Linear weak-probe susceptibility of the coupled ensemble.
 
-    chi = -(OD/kL) * [Dt - (eta - Dt*dc)*dc - i*(eta + 1 + dc^2)]
-          / [(eta + 1 - Dt*dc)^2 + (Dt + dc)^2]
+    chi = (OD/kL) (dc + i)/(eta + z) with z = (1 - i Dt)(1 - i dc): a
+    Moebius map of eta, evaluated divided through by 1 - i dc as
+    chi = i (OD/kL)/(p + eta q), p = 1 - i Dt, q = 1/(1 - i dc).  No
+    product of two detunings is formed, so chi is finite, with
+    Im chi >= 0, for every finite eta and detuning.
 
     eta is the cooperativity; eta = 0 gives the bare two-level response.
     The detunings are scalars or arrays that broadcast together.  A 1-d
     array of cooperativities (one per ensemble member) is taken as a
     (member, 1) column, so it broadcasts against detunings of shape
-    (point,) or (member, point).  Returns a complex ndarray, or a complex
-    scalar for scalar inputs.
+    (point,): p and q are formed once per point, and each member-point
+    costs one multiply, one add and one divide.  Returns a complex
+    ndarray, or a complex scalar for scalar inputs.
     """
     eta = np.asarray(eta, dtype=float)
     if (eta < 0).any():
         raise ValueError("cooperativity must be nonnegative")
     if eta.ndim == 1:
         eta = eta[:, None]
-    dp = np.asarray(delta_probe, dtype=float)
-    dt = 2.0 * dp / cfg.gamma
-    dc = 2.0 * (dp - np.asarray(delta_cavity, dtype=float)) / cfg.kappa
-    # real arithmetic throughout: Re and Im share the scale (OD/kL)/den
-    dtdc = dt * dc
-    scale = (cfg.od / cfg.kl) / ((eta + 1.0 - dtdc) ** 2 + (dt + dc) ** 2)
-    chi = np.empty(np.shape(scale), dtype=complex)
-    chi.real = scale * ((eta - dtdc) * dc - dt)
-    chi.imag = scale * (eta + 1.0 + dc * dc)
-    return chi[()]
+    p, q = _factors(cfg, delta_probe, delta_cavity)
+    w = np.asarray(eta * q)
+    w += p
+    return np.divide(1j * cfg.od / cfg.kl, w, out=w)[()]
 
 
 def transfer_amplitude(chi, cfg):
@@ -138,36 +141,24 @@ def group_delay_analytic(od, kappa, eta):
     return (od / kappa) * eta / ((eta + 1.0) * (eta + 1.0))
 
 
-def group_delay_numeric(cfg, eta, step=None, tol=5e-3):
-    """Group delay d(arg t)/dDelta at double resonance by finite differences.
+def group_delay(cfg, eta, delta_probe, delta_cavity):
+    """Group delay d(arg t)/dDelta = (kL/2) Re dchi/dDelta, in closed form.
 
     The probe frequency scans while the resonator stays put, so the
-    two-photon detuning scans too (delta_cavity is held at 0).  Uses a
-    5-point central difference at step h and h/2 with one Richardson
-    extrapolation; raises ConvergenceError when the two estimates
-    disagree by more than tol relative.
-
-    Note this is the exact local slope.  It contains the small
-    anomalous-dispersion contribution of the bare atomic line, so it
-    approaches group_delay_analytic only when kappa/gamma << eta.
+    two-photon detuning scans too.  With w = p + eta q the denominator
+    of susceptibility, dp/dDelta = -2i/gamma and dq/dDelta = (2i/kappa) q^2,
+    so tau = OD Re[(eta q^2/kappa - 1/gamma) / w^2]; eta and the detunings
+    broadcast together.  This exact local slope, (OD/kappa) (eta -
+    kappa/gamma)/(eta + 1)^2 on double resonance, holds the small
+    anomalous dispersion of the bare atomic line, so it approaches
+    group_delay_analytic only when kappa/gamma << eta.
     """
-    if step is None:
-        step = cfg.kappa / 100.0
-
-    def phase(delta):
-        return np.angle(transfer_amplitude(susceptibility(cfg, eta, delta, 0.0), cfg))
-
-    def diff5(h):
-        return (phase(-2 * h) - 8 * phase(-h) + 8 * phase(h) - phase(2 * h)) / (12.0 * h)
-
-    d1 = diff5(step)
-    d2 = diff5(step / 2.0)
-    extrap = (16.0 * d2 - d1) / 15.0
-    if extrap != 0.0 and abs(d2 - d1) > tol * abs(extrap):
-        raise ConvergenceError(
-            f"group delay did not converge: {d1:.6e} vs {d2:.6e} at step {step:.3e}"
-        )
-    return extrap
+    eta = np.asarray(eta, dtype=float)
+    if (eta < 0).any():
+        raise ValueError("cooperativity must be nonnegative")
+    p, q = _factors(cfg, delta_probe, delta_cavity)
+    u = 1.0 / (p + eta * q)  # |u| <= 1: u^2 cannot overflow where w^2 would
+    return (cfg.od * ((eta * q * q / cfg.kappa - 1.0 / cfg.gamma) * u * u).real)[()]
 
 
 def group_velocity(delay, path_length):

@@ -17,7 +17,7 @@ end, where delays wrap.
 Sign convention: the envelope is synthesized as sum of e^{-i omega t}
 components (analysis via numpy ifft, synthesis via fft), so a medium
 t(omega) = e^{i omega tau} shifts the pulse later by tau, and the group
-delay is + d(arg t)/d omega, matching vitlab.core.group_delay_numeric.
+delay is + d(arg t)/d omega, matching vitlab.core.group_delay.
 
 Traces are written as CSV with columns time_us, re, im, an output
 format that vitlab itself never reads back.

@@ -68,7 +68,7 @@ def delays(result):
 
 def pulse_ensemble(cfg, eta, pulse, corrections, carrier=0.0):
     """The correction ensemble's PropagationResult, the resonator at zero detuning."""
-    # chi is an envelope model, and overflows long before a band this wide
+    # chi is an envelope model, which does not hold for a band this wide
     if 2.0 * SPEED_OF_LIGHT * pulse.dt < cfg.wavelength:
         raise BandCoverageError("grid too fine: its band reaches the optical carrier")
     if abs(carrier) + np.pi / pulse.dt >= TWO_PI * SPEED_OF_LIGHT / cfg.wavelength:

@@ -14,15 +14,17 @@ Four effects are modeled, each switchable:
 
 Averaging and jitter together define the correction ensemble: one
 member per coupling class x jitter offset, each with a weight.
-Corrections.members alone enumerates it, and ensemble_transfer turns
-the members into susceptibilities block by block; corrected_spectrum
+Corrections.members alone enumerates it, as classes, offsets and a
+class x offset weight table; ensemble_transfer turns the members into
+susceptibilities in offset-major blocks (one jitter offset, a chunk of
+classes), the side channel taking its share of the od; corrected_spectrum
 and the pulse ensemble (vitlab.pulses.run_pulse_ensemble, through
 recipes.pulse_ensemble) consume those blocks.  The nodes are fixed
 quadrature rules, so results never depend on evaluation order, and a
 negative cooperativity is refused by core.susceptibility alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import index
 
@@ -97,14 +99,14 @@ class Corrections:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def members(self, eta_max):
-        """The correction ensemble as flat arrays (etas, offsets, weights).
+        """The correction ensemble as (etas, offsets, weights).
 
-        One member per coupling class x jitter offset, classes major:
-        max(averaging_nodes, 1) classes (eta_max alone when averaging is
-        off) times the jitter nodes (one zero offset when jitter_fwhm
-        is 0).  offsets shift the cavity detuning (rad/s); the weights
-        sum to 1.  The only place nodes are made: cached unit rules,
-        scaled here; core.susceptibility refuses a negative eta_max.
+        One member per coupling class x jitter offset: the classes etas,
+        max(averaging_nodes, 1) of them (eta_max alone when averaging is
+        off), the jitter offsets (one zero offset when jitter_fwhm is 0)
+        in rad/s of cavity detuning, and weights[c, j] of member (etas[c],
+        offsets[j]), summing to 1.  The only place nodes are made: cached
+        unit rules, scaled here; core.susceptibility refuses a negative eta_max.
         """
         etas, wz = np.array([float(eta_max)]), np.ones(1)
         if self.averaging_nodes:
@@ -114,7 +116,7 @@ class Corrections:
         if self.jitter_fwhm:
             x, wj = _unit_rule("normal", self.jitter_nodes)
             offs = np.sqrt(2.0) * (self.jitter_fwhm * SIGMA_PER_FWHM) * x
-        return np.repeat(etas, len(offs)), np.tile(offs, len(etas)), np.outer(wz, wj).ravel()
+        return etas, offs, np.outer(wz, wj)
 
 
 IDEAL = Corrections()
@@ -123,32 +125,35 @@ IDEAL = Corrections()
 def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL):
     """Susceptibilities of the ensemble members, in blocks.
 
-    Yields (weights, etas, dc, chi) per block of about BLOCK_POINTS
-    member x point elements (at least one member): the block's member
+    Offset-major: each block is one jitter offset and a chunk of coupling
+    classes of about BLOCK_POINTS member x point elements (at least one
+    class).  Yields (weights, etas, dc, chi) per block: the block's member
     weights and cooperativities, the main channel's normalized cavity
-    detuning dc = 2 (Delta - delta - offset)/kappa (offset the member's
-    jitter offset) and the members' susceptibility, both of shape
-    (member, point) over the broadcast detunings flattened.  The side
-    channel, its two-photon resonance displaced by side_shift, takes
-    w/(1 + w) of the od (w = side_weight), so the total od is conserved
-    and chi = (chi_main + w chi_side)/(1 + w).  A member's intensity
-    transmission is exp(-k L Im chi), its transfer amplitude
-    core.transfer_amplitude(chi, cfg).  This is the only place
-    Corrections.members is turned into susceptibilities.
+    detuning dc = 2 (Delta - delta - offset)/kappa as a (point,) row, and
+    the members' susceptibility of shape (member, point), over the
+    broadcast detunings flattened.  The side channel, its two-photon
+    resonance displaced by side_shift, takes w/(1 + w) of the od (w =
+    side_weight), so the total od is conserved and chi = chi_main +
+    chi_side.  A member's intensity transmission is exp(-k L Im chi), its
+    transfer amplitude core.transfer_amplitude(chi, cfg).  This is the
+    only place Corrections.members is turned into susceptibilities.
     """
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
                                    np.asarray(delta_cavity, dtype=float))
     dp, dcav = dp.ravel(), dcav.ravel()
-    w, shift = corrections.side_weight, corrections.side_shift
+    main = replace(cfg, od=cfg.od / (1.0 + corrections.side_weight))
+    side = replace(cfg, od=cfg.od - main.od)
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
-    for lo in range(0, len(etas), step):
-        block = slice(lo, lo + step)
-        dcav_m = dcav + offsets[block, None]
-        chi = susceptibility(cfg, etas[block], dp, dcav_m)
-        if w:
-            chi = (chi + w * susceptibility(cfg, etas[block], dp, dcav_m + shift)) / (1.0 + w)
-        yield weights[block], etas[block], 2.0 * (dp - dcav_m) / cfg.kappa, chi
+    for j, offset in enumerate(offsets):
+        dcav_j = dcav + offset
+        dc = 2.0 * (dp - dcav_j) / cfg.kappa
+        for lo in range(0, len(etas), step):
+            block = slice(lo, lo + step)
+            chi = susceptibility(main, etas[block], dp, dcav_j)
+            if corrections.side_weight:
+                chi += susceptibility(side, etas[block], dp, dcav_j + corrections.side_shift)
+            yield weights[block, j], etas[block], dc, chi
 
 
 def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,
@@ -159,10 +164,10 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
     of the ensemble members (ensemble_transfer), with the shape of the
     broadcast detunings.  The emission channel multiplies the absorbed
     fraction by the branching ratio of the main two-photon channel,
-    beta = eta/(eta + 1 + dc^2) with dc the member's normalized cavity
+    beta = eta/(eta + 1 + dc^2) with dc the block's normalized cavity
     detuning (the closed form of the amplitude equations in
-    vitlab.oracle), and by emission_scale.  A negative cooperativity,
-    or a non-finite susceptibility (overflow), raises ValueError.
+    vitlab.oracle), and by emission_scale.  A negative cooperativity, or
+    a non-finite chi (an infinite or nan eta), raises ValueError.
     """
     if not 0 < emission_scale < np.inf:
         raise ValueError("emission_scale must be positive and finite")
@@ -170,12 +175,15 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
     trans = emis = 0.0
     for weights, etas, dc, chi in ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity,
                                                     corrections):
-        # Re chi alone can overflow (eta 1e308); a finite chi keeps t2 and beta in [0, 1]
+        # chi is finite for every finite eta; a finite chi keeps t2 and beta in [0, 1]
         if not np.isfinite(chi).all():
             raise ValueError(f"cooperativity {eta_max:g} gives a non-finite spectrum")
         # |exp(i k L chi / 2)|^2: the phase Re chi is never needed
         t2 = np.exp(-cfg.kl * chi.imag)
+        # 1 + dc^2 overflows to inf only far off resonance, where beta is 0
+        with np.errstate(over="ignore"):
+            s = 1.0 + dc * dc
         eta = etas[:, None]
         trans = trans + weights @ t2
-        emis = emis + weights @ ((1.0 - t2) * (eta / (eta + 1.0 + dc * dc)))
+        emis = emis + weights @ ((1.0 - t2) * (eta / (eta + s)))
     return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]

@@ -169,15 +169,16 @@ def write_scan_csv(path, scans):
 
 def _count(text):
     value = int(text)
-    if value < 0:
-        raise ValueError(f"counts must be nonnegative, got {value}")
+    # above 2**53 a count is no longer an exact double (nor always an int64)
+    if not 0 <= value <= 2**53:
+        raise ValueError(f"counts must be integers in [0, 2**53], got {value}")
     return value
 
 
 def read_scan_csv(path):
     """Read a scan CSV back into (delta_cavity, records) groups, in file order.
 
-    Count cells must be nonnegative integers.
+    Count cells must be integers in [0, 2**53].
     """
     rows = read_csv(path, SCAN_COLUMNS, ((2, _count), (3, _count)))
     dp, dcav, c1, c2, e1, e2 = map(np.array, list(zip(*rows))[:len(SCAN_COLUMNS)])

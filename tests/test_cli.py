@@ -504,23 +504,23 @@ def test_synth_flux_beyond_counts_returns_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_spectrum_huge_cooperativity_returns_2(tmp_path, capsys):
+def test_spectrum_huge_cooperativity_is_transparent(tmp_path):
+    # eta -> infinity: the medium stops absorbing and emits nothing, with no
+    # overflow on the way (pytest turns any warning into an error)
     out = tmp_path / "spec.csv"
-    with pytest.warns(RuntimeWarning):
-        assert main(["spectrum", "--eta", "1e308", "--points", "3", "--out", str(out)]) == 2
-    assert "cooperativity 1e+308" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["spectrum", "--eta", "1e308", "--points", "3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert [row[1:] for row in rows] == [["1.0", "0.0"]] * 3
 
 
-def test_pulse_huge_cooperativity_names_the_medium(tmp_path, capsys):
-    # an overflowing transfer function is the medium's fault, not the grid's
+def test_pulse_huge_cooperativity_passes_the_pulse_unchanged(tmp_path):
     out = tmp_path / "pulse.json"
-    with pytest.warns(RuntimeWarning):
-        assert main(["pulse", "--tp-us", "1.73", "--eta", "1e308", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "--eta 1e+308" in err and "finite" in err
-    assert "--span-factor" not in err and "--samples" not in err
-    assert not out.exists()
+    assert main(["pulse", "--tp-us", "1.73", "--eta", "1e308", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert abs(doc["energy_transmission"] - 1.0) < 1e-15
+    assert doc["delay_peak_ns"] == doc["tau_max_analytic_ns"] == 0.0
+    assert abs(doc["delay_centroid_ns"]) < 1e-9
+    assert doc["resonant_transmission_analytic"] == 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -603,6 +603,19 @@ def test_fit_sidecar_of_another_scan_returns_2(tmp_path, capsys):
         assert other in err and "probe grid" in err
     assert not out.exists()
     assert main(["fit", "--model", "vit", "--input", scan, "--out", str(out)]) == 0
+
+
+def test_fit_scan_count_past_a_double_returns_2(tmp_path, capsys):
+    scan = _synth(tmp_path / "a", "0", "1")
+    with open(scan) as fh:
+        lines = fh.readlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:2] + [str(2**53 + 1)] + cells[3:])
+    with open(scan, "w") as fh:
+        fh.writelines(lines)
+    assert main(["fit", "--model", "vit", "--input", scan,
+                 "--out", str(tmp_path / "fit.json")]) == 2
+    assert "a.csv, line 3" in capsys.readouterr().err
 
 
 def test_fit_scan_with_a_repeated_detuning(tmp_path):

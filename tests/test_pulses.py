@@ -41,7 +41,9 @@ def _full_band_intensity(cfg, eta, pulse, corr, carrier=0.0):
     spectrum = np.fft.ifft(pulse.samples)
     want = np.zeros(pulse.n)
     dp, w = carrier + pulse.omega, corr.side_weight
-    for eta_m, off, wt in zip(*corr.members(eta)):
+    etas, offs, weights = corr.members(eta)
+    for (c, j), wt in np.ndenumerate(weights):
+        eta_m, off = etas[c], offs[j]
         chi = susceptibility(cfg, eta_m, dp, off)
         if w:
             chi = (chi + w * susceptibility(cfg, eta_m, dp, off + corr.side_shift)) / (1.0 + w)

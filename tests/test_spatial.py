@@ -8,6 +8,7 @@ from vitlab.oracle import branching_ratio, susceptibility_from_oracle
 from vitlab.pulses import make_gaussian_pulse
 from vitlab.recipes import fig2_detunings, pulse_ensemble, transparency_curve
 from vitlab.spatial import (
+    BLOCK_POINTS,
     IDEAL,
     Corrections,
     SIGMA_PER_FWHM,
@@ -19,6 +20,8 @@ from vitlab.spatial import (
 
 def test_members_standing_wave_moments():
     e, _, w = Corrections(averaging_nodes=64).members(4.0)
+    assert w.shape == (64, 1)
+    w = w[:, 0]
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
     assert np.all(e >= 0) and np.all(e <= 4.0)
     # mean of cos^2 over a quarter period is 1/2
@@ -36,7 +39,7 @@ def test_members_returns_fresh_arrays():
         a[:] = -1.0
     e2, o2, w2 = corr.members(4.0)
     assert np.all(e2 >= 0) and len(set(o2)) == 4
-    assert np.array_equal(w2, np.outer(wz / wz.sum(), wj / wj.sum()).ravel())
+    assert np.array_equal(w2, np.outer(wz / wz.sum(), wj / wj.sum()))
 
 
 def test_averaging_lowers_transparency(cfg):
@@ -113,7 +116,7 @@ def test_corrections_store_floats():
 
 
 def test_members_jitter_is_normal():
-    _, off, w = Corrections(jitter_fwhm=1.0 / SIGMA_PER_FWHM, jitter_nodes=16).members(4.0)
+    _, off, (w,) = Corrections(jitter_fwhm=1.0 / SIGMA_PER_FWHM, jitter_nodes=16).members(4.0)
     assert np.isclose(np.sum(w), 1.0, atol=1e-12)
     assert np.isclose(np.sum(w * off), 0.0, atol=1e-12)
     assert np.isclose(np.sum(w * off**2), 1.0, rtol=1e-12)
@@ -143,25 +146,24 @@ def test_effective_cooperativity_ladder():
 def test_corrections_factory_roundtrip():
     c = replace(SIDE, averaging_nodes=32, jitter_fwhm=0.2 * MHZ)
     etas, offs, w = c.members(5.0)
-    assert len(etas) == len(offs) == len(w) == 32 * c.jitter_nodes
-    # classes major, jitter offsets minor, weights the outer product
+    assert etas.shape == (32,) and offs.shape == (c.jitter_nodes,)
+    # classes by jitter offsets, weights the outer product
     z, cwts = np.polynomial.legendre.leggauss(32)
     cetas, cwts = 5.0 * np.cos((z + 1.0) * (np.pi / 4.0)) ** 2, cwts / cwts.sum()
     x, jwts = np.polynomial.hermite.hermgauss(c.jitter_nodes)
     joffs, jwts = np.sqrt(2.0) * (0.2 * MHZ * SIGMA_PER_FWHM) * x, jwts / jwts.sum()
-    assert np.array_equal(etas.reshape(32, -1)[:, 0], cetas)
-    assert np.all(etas.reshape(32, -1) == etas.reshape(32, -1)[:, :1])
-    assert np.array_equal(offs.reshape(32, -1), np.tile(joffs, (32, 1)))
-    assert np.array_equal(w.reshape(32, -1), np.outer(cwts, jwts))
+    assert np.array_equal(etas, cetas)
+    assert np.array_equal(offs, joffs)
+    assert np.array_equal(w, np.outer(cwts, jwts))
     assert np.isclose(w.sum(), 1.0, atol=1e-12)
     assert np.isclose(np.sqrt(np.sum(w * offs**2)), 0.2 * MHZ * SIGMA_PER_FWHM,
                       rtol=1e-10)
     # IDEAL collapses to a single member at eta_max with no offset
-    assert [a.tolist() for a in IDEAL.members(5.0)] == [[5.0], [0.0], [1.0]]
+    assert [a.tolist() for a in IDEAL.members(5.0)] == [[5.0], [0.0], [[1.0]]]
     # one correction alone keeps the other axis at a single node
-    assert len(Corrections(averaging_nodes=8).members(5.0)[0]) == 8
-    etas, offs, _ = Corrections(jitter_fwhm=0.2 * MHZ, jitter_nodes=4).members(5.0)
-    assert etas.tolist() == [5.0] * 4 and len(set(offs)) == 4
+    assert Corrections(averaging_nodes=8).members(5.0)[2].shape == (8, 1)
+    etas, offs, w = Corrections(jitter_fwhm=0.2 * MHZ, jitter_nodes=4).members(5.0)
+    assert etas.tolist() == [5.0] and len(set(offs)) == 4 and w.shape == (1, 4)
 
 
 def test_corrected_spectrum_channels(cfg):
@@ -190,8 +192,9 @@ def _oracle_spectrum(cfg, eta_max, dp, dcav, corr, scale):
     """Per-member reference: the amplitude solver's chi on each channel and its
     branching ratio, summed one member at a time."""
     trans = emis = 0.0
-    for eta, off, w in zip(*corr.members(eta_max)):
-        dcav_m = np.asarray(dcav) + off
+    etas, offs, weights = corr.members(eta_max)
+    for (c, j), w in np.ndenumerate(weights):
+        eta, dcav_m = etas[c], np.asarray(dcav) + offs[j]
         if corr.side_weight == 0:
             chi = susceptibility_from_oracle(cfg, eta, dp, dcav_m)
         else:
@@ -223,6 +226,30 @@ def test_corrected_spectrum_matches_oracle_loop(cfg, conf, average, side, jitter
             assert np.shape(trans) == np.shape(emis) == np.shape(ref_t)
             assert np.max(np.abs(trans - ref_t)) < 1e-12
             assert np.max(np.abs(emis - ref_e)) < 1e-12
+
+
+@pytest.mark.parametrize("points", (1, 1001, 5000))
+def test_ensemble_blocks_cover_every_member_once(cfg, points):
+    # each block is one jitter offset and a chunk of classes (7 classes in
+    # one chunk, in chunks of 4 and 3, or one by one): every (class, offset)
+    # member comes out once with its weight, and only a lone class may
+    # exceed BLOCK_POINTS
+    corr = Corrections(averaging_nodes=7, jitter_fwhm=0.2 * MHZ, jitter_nodes=5,
+                       side_weight=0.25, side_shift=0.6 * MHZ)
+    etas, offs, weights = corr.members(5.0)
+    dp, dcav = np.linspace(-4, 4, points) * MHZ, 0.3 * MHZ
+    seen = np.zeros(weights.shape, dtype=int)
+    for w, e, dc, chi in ensemble_transfer(cfg, 5.0, dp, dcav, corr):
+        assert dc.shape == (points,) and chi.shape == (len(e), points)
+        assert len(e) == 1 or chi.size <= BLOCK_POINTS
+        # the block's offset, read back from its dc row
+        j, = np.flatnonzero(np.isclose(offs, dp[0] - dcav - 0.5 * cfg.kappa * dc[0],
+                                       rtol=0, atol=1.0))
+        assert np.allclose(dp - dcav - 0.5 * cfg.kappa * dc, offs[j], rtol=0, atol=1.0)
+        c = [int(np.flatnonzero(etas == eta)[0]) for eta in e]
+        assert np.array_equal(w, weights[c, j])
+        seen[c, j] += 1
+    assert np.all(seen == 1)
 
 
 def test_pulse_blocks_match_corrected_spectrum(cfg, conf):

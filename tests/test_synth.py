@@ -8,6 +8,7 @@ from vitlab.config import MHZ, corrections
 from vitlab.core import transmission
 from vitlab.spatial import Corrections
 from vitlab.synth import (
+    SCAN_COLUMNS,
     ScanPlan,
     generate_scan,
     read_scan_csv,
@@ -183,6 +184,19 @@ def test_scan_reader_rejects_garbage(tmp_path):
         bad.write_text(header + good + row + "\n")
         with pytest.raises(ValueError, match="bad.csv, line 3"):
             read_scan_csv(bad)
+
+
+def test_scan_counts_are_exact_doubles(tmp_path):
+    # 2**53 is the largest count a double holds exactly; one more is refused
+    path = tmp_path / "big.csv"
+    header = ",".join(SCAN_COLUMNS) + "\n"
+    path.write_text(header + f"0.0,0.0,{2**53},1,5.0,1.0\n")
+    [(_, records)] = read_scan_csv(path)
+    assert records.counts_d1.dtype == np.int64 and records.counts_d1[0] == 2**53
+    for count in (2**53 + 1, 10**19, 10**30):
+        path.write_text(header + "0.0,0.0,5,1,5.0,1.0\n" + f"0.1,0.0,5,{count},5.0,1.0\n")
+        with pytest.raises(ValueError, match=f"big.csv, line 3: .*got {count}"):
+            read_scan_csv(path)
 
 
 def test_sidecar_round_trip(tmp_path, cfg, conf):
