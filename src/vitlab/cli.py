@@ -5,7 +5,7 @@ vitlab.config), takes frequencies in MHz and times in us on its flags,
 and writes CSV or JSON only; plotting is someone else's job.
 
 Exit codes: 0 success, 2 configuration or validation problem,
-3 numerical non-convergence.
+3 a fit that does not converge or cannot identify a parameter.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from vitlab import config as cfgmod
 from vitlab import recipes
 from vitlab.config import MHZ, write_csv, write_json
 from vitlab.core import group_delay_analytic, resonant_transmission
-from vitlab.errors import BandCoverageError, ConvergenceError
+from vitlab.errors import BandCoverageError, RankDeficientError
 from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra,
                             line_json_dict)
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
@@ -348,7 +348,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as err:
+    except RankDeficientError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as err:

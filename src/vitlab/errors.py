@@ -1,11 +1,7 @@
 """Exception types shared across the package."""
 
 
-class ConvergenceError(RuntimeError):
-    """A numerical routine failed to converge to its stated tolerance."""
-
-
-class RankDeficientError(ConvergenceError):
+class RankDeficientError(RuntimeError):
     """Least-squares design matrix is rank deficient.
 
     Carries the name of the parameter that is not identifiable.

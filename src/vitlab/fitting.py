@@ -1,14 +1,14 @@
 """Least-squares estimation: line fits, full two-channel model fits,
 weighted linear regression, and transparency extraction.
 
-The nonlinear solver is a small damped (Levenberg-style) least-squares
-loop written here rather than imported, because two behaviors are load
-bearing for this package and must be guaranteed, not assumed: a step is
-accepted only if it stays in the model's domain and lowers the weighted
-residual norm, and a rank deficient Jacobian aborts the fit naming the
-parameter that cannot be identified.  Jacobians are forward finite
-differences with relative step 1e-6; fit parameters are therefore kept
-order-one (detuning offsets are expressed in MHz, not rad/s).
+The nonlinear solver is projected Levenberg-Marquardt (Kanzow et al.,
+J. Comput. Appl. Math. 172 (2004) 375), written here because two
+behaviors are load bearing and must be guaranteed, not assumed: a step,
+projected onto the lower bounds (VIT_PARAMS for the model fit), is
+accepted only if it lowers the weighted residual norm, and a rank
+deficient final Jacobian fails the fit naming the unidentifiable
+parameter.  Jacobians are forward differences with relative step 1e-6;
+fit parameters are therefore kept order-one (offsets in MHz, not rad/s).
 
 A residual is (model - data) / sigma with the Spectrum's own sigmas,
 positive and finite by construction (Poisson for scans: sqrt(counts)
@@ -25,7 +25,9 @@ from vitlab.config import MHZ
 from vitlab.errors import RankDeficientError
 from vitlab.spatial import IDEAL, corrected_spectrum
 
-VIT_PARAMS = ("eta_eff", "od", "scale_d2", "probe_offset_mhz", "cavity_offset_mhz")
+# the model fit's parameters and their lower bounds; corrected_spectrum needs scale_d2 > 0
+VIT_PARAMS = {"eta_eff": 0.0, "od": 0.0, "scale_d2": np.nextafter(0.0, 1.0),
+              "probe_offset_mhz": -np.inf, "cavity_offset_mhz": -np.inf}
 
 
 @dataclass(frozen=True)
@@ -65,32 +67,26 @@ def _jacobian(residual_fn, p, r0):
     return jac
 
 
-def _check_rank(jac, names):
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s[0] == 0 or s[-1] / s[0] < 1e-10:
-        offender = names[int(np.argmax(np.abs(vt[-1])))]
-        raise RankDeficientError(offender)
+def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
+    """Minimize sum residual_fn(p)^2 over p >= lower with adaptive damping.
 
-
-def damped_least_squares(residual_fn, p0, names, max_iter=200):
-    """Minimize sum residual_fn(p)^2 with adaptive damping.
-
-    residual_fn(p) is a float vector, or None outside the model's domain,
-    which may bound parameters from below only: the forward-difference
-    Jacobian (step 1e-6 max(|p_i|, 1)) steps up from accepted points.  A
-    p0 outside raises ValueError.  A trial step is accepted only if it is
-    inside and descends; else the damping (from 1e-3) grows 8-fold, and
-    an accepted step shrinks it 4-fold, to no less than 1e-12.  Converged
-    means a step gained under 1e-12 relative, or none descends below
-    damping 1e14; max_iter exhaustion leaves it False.  Singular values
-    spanning over 1e10 raise RankDeficientError naming a parameter.
+    lower holds a bound per parameter (-inf for none, the default); a p0
+    below it raises ValueError.  Each iteration holds the parameters at
+    their bound with a positive gradient, and those with a zero Jacobian
+    column, solves for the rest and projects the trial onto the bounds.
+    A trial that does not descend grows the damping (from 1e-3) 8-fold,
+    an accepted one shrinks it 4-fold, to no less than 1e-12.  Converged
+    means a step gained under 1e-12 relative, none descends below damping
+    1e14, or all are held; not after max_iter.  Singular values of the
+    final Jacobian spanning over 1e10 raise RankDeficientError.
     """
     p = np.asarray(p0, dtype=float).copy()
     names = tuple(names)
-    r = residual_fn(p)
-    if r is None:
-        raise ValueError(f"the fit starts outside the model's domain, at "
+    lower = np.full(len(p), -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    if np.any(p < lower):
+        raise ValueError(f"the fit starts below its lower bounds, at "
                          f"{dict(zip(names, p.tolist()))}")
+    r = residual_fn(p)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
@@ -98,31 +94,38 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200):
 
     for iterations in range(1, max_iter + 1):
         jac = _jacobian(residual_fn, p, r)
-        _check_rank(jac, names)
         jtj = jac.T @ jac
         g = jac.T @ r
-        while lam < 1e14:
+        # hold what descent pushes past its bound, and what the data do not inform here
+        move = ((p > lower) | (g <= 0)) & (np.diag(jtj) > 0)
+        jtj = jtj[np.ix_(move, move)]
+        delta = np.zeros_like(p)
+        while lam < 1e14 and move.any():
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g)
+                delta[move] = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g[move])
             except np.linalg.LinAlgError:
                 lam *= 8.0
                 continue
-            r_new = residual_fn(p + delta)
-            cost_new = np.inf if r_new is None else float(r_new @ r_new)
+            trial = np.maximum(p + delta, lower)
+            r_new = residual_fn(trial)
+            cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 converged = (cost - cost_new) / max(cost, 1e-300) < 1e-12
-                p, r, cost = p + delta, r_new, cost_new
+                p, r, cost = trial, r_new, cost_new
                 lam = max(lam / 4.0, 1e-12)
                 break
             lam *= 8.0
         else:
-            # no descending step exists at machine precision: at an optimum
+            # no descending step exists at machine precision, or none can move: at an optimum
             converged = True
         if converged:
             break
 
     jac = _jacobian(residual_fn, p, r)
-    _check_rank(jac, names)
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    if s[0] == 0 or s[-1] / s[0] < 1e-10:
+        offender = names[int(np.argmax(np.abs(vt[-1])))]
+        raise RankDeficientError(offender)
     cov = np.linalg.inv(jac.T @ jac)
     cov = 0.5 * (cov + cov.T)
     return FitResult(
@@ -227,8 +230,8 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), correctio
     too when present, each weighed by its sigmas (1 without).  free
     names parameters from VIT_PARAMS, each once and always eta_eff (else
     ValueError); they start from _initial_guess, and the rest are held
-    at cfg.od, a scale_d2 of 1 and zero offsets.  The model's domain is
-    eta_eff >= 0, od >= 0 and scale_d2 > 0: steps beyond it are rejected.
+    at cfg.od, a scale_d2 of 1 and zero offsets.  The solver keeps the
+    free parameters at or above their VIT_PARAMS lower bounds.
 
     probe_offset_mhz and cavity_offset_mhz are axis calibrations: the
     correction added to the recorded detunings to recover the true ones,
@@ -250,8 +253,6 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), correctio
     def residual(pvec):
         p = dict(base)
         p.update({name: pvec[i] for i, name in enumerate(free)})
-        if p["eta_eff"] < 0 or p["od"] < 0 or p["scale_d2"] <= 0:
-            return None
         chunks = []
         for dcav, spec in datasets:
             model = _vit_model(cfg, spec.delta_probe, dcav, p, corrections)
@@ -262,7 +263,7 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), correctio
         return np.concatenate(chunks)
 
     p0 = [base[name] for name in free]
-    return damped_least_squares(residual, p0, free)
+    return damped_least_squares(residual, p0, free, lower=[VIT_PARAMS[n] for n in free])
 
 
 def fit_linear_weighted(x, y, sigma):

@@ -231,7 +231,10 @@ def read_scan_sidecar(path, scans, cfg):
     (times the emission scale on D2), by more than NORM_MARGIN relative,
     cannot come from the model, and raises ValueError naming the sidecar;
     so does a zero flux * dwell * efficiency_d1, which leaves nothing to
-    normalise D1 by (a zero on D2 makes a scan without emission).
+    normalise D1 by (a zero on D2 makes a scan without emission), a
+    negative expected count, and an observed count above e + 50 sqrt(e)
+    + 50 with e its expected count, which a Poisson draw reaches with
+    probability below 1e-150 (Chernoff bound), whatever e.
     The recorded linewidths, wavelength and length must equal cfg's,
     written as write_scan_sidecar writes them (od and eta are what a fit
     estimates, so they are not compared); a mismatch raises ValueError
@@ -284,4 +287,17 @@ def read_scan_sidecar(path, scans, cfg):
         if worst > bound:
             raise ValueError(f"{path}: its flux, dwell and efficiencies allow {name} up to "
                              f"{bound:.6g} per point, and the scan reaches {worst:.6g}")
+    for _, records in scans:
+        for counts, name in (("counts_d1", "expected_d1"), ("counts_d2", "expected_d2")):
+            e = records[name]
+            if e.min() < 0:
+                raise ValueError(f"{path}: the scan's {name} reaches {e.min():.6g}, below zero")
+            bound = e + 50.0 * np.sqrt(e) + 50.0
+            over = np.flatnonzero(records[counts] > bound)
+            if over.size:
+                i = over[0]
+                raise ValueError(f"{path}: its plan cannot produce {counts} "
+                                 f"{records[counts][i]} at probe detuning "
+                                 f"{records.delta_probe[i] / MHZ:.6g} MHz, where {name} "
+                                 f"is {e[i]:.6g} (at most {bound[i]:.6g})")
     return plan, corr

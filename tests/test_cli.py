@@ -1,13 +1,15 @@
 import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from vitlab import recipes
+from vitlab import fitting, recipes
 from vitlab.cli import main
 from vitlab.config import ENV_VAR, packaged_defaults
+from vitlab.spatial import corrected_spectrum
 
 
 def _read_csv(path):
@@ -341,6 +343,49 @@ def test_fit_d1_only_scan(tmp_path, capsys):
     assert "parameter 'scale_d2' is not identifiable" in capsys.readouterr().err
 
 
+def test_fit_d1_only_scan_reaches_the_bound(tmp_path):
+    # truth eta 0: eta_eff ends on its bound and od still moves to the
+    # optimum, which an od grid at eta 0 puts at 0.42519 with cost 198.36825
+    prefix = str(tmp_path / "d1")
+    assert main(["synth", "--eta", "0", "--delta-cavity-mhz", "0", "--points", "201",
+                 "--flux", "1e5", "--dwell-us", "2000", "--eff2", "0", "--seed", "7",
+                 "--out", prefix]) == 0
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--free", "eta_eff,od", "--input", prefix + ".csv",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["eta_eff"]["value"] == 0.0
+    assert abs(doc["params"]["od"]["value"] - 0.42519) < 1e-4
+    assert doc["residual_norm"] <= 198.3683
+    assert doc["converged"] and doc["iterations"] < 10
+
+
+def test_fit_path_through_the_bound(tmp_path, monkeypatch):
+    # the second step lands on eta_eff = 0, where the emission and with it
+    # the scale_d2 column vanish: the fit holds scale_d2 there and goes on
+    # to the interior optimum instead of calling scale_d2 unidentifiable
+    prefix = str(tmp_path / "low")
+    assert main(["synth", "--eta", "0.02", "--delta-cavity-mhz", "0", "--points", "201",
+                 "--flux", "1e5", "--dwell-us", "2000", "--seed", "3", "--out", prefix]) == 0
+    etas = []
+
+    def spy(cfg, eta, *args):
+        etas.append(eta)
+        return corrected_spectrum(cfg, eta, *args)
+
+    monkeypatch.setattr(fitting, "corrected_spectrum", spy)
+    out = tmp_path / "fit.json"
+    fit = ["fit", "--model", "vit", "--input", prefix + ".csv", "--out", str(out)]
+    assert main(fit) == 0
+    assert 0.0 in etas
+    params = json.loads(out.read_text())["params"]
+    assert abs(params["eta_eff"]["value"] - 0.058371) < 1e-5
+    assert abs(params["scale_d2"]["value"] - 0.21931) < 1e-4
+    assert main(fit + ["--free", "eta_eff,od"]) == 0
+    eta = json.loads(out.read_text())["params"]["eta_eff"]
+    assert abs(eta["value"] - 0.0128) < 1e-4 and abs(eta["error"] - 0.0141) < 1e-4
+
+
 @pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
 @pytest.mark.parametrize("text", (
     "",
@@ -616,6 +661,28 @@ def test_fit_scan_count_past_a_double_returns_2(tmp_path, capsys):
     assert main(["fit", "--model", "vit", "--input", scan,
                  "--out", str(tmp_path / "fit.json")]) == 2
     assert "a.csv, line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("excess, code", ((0, 0), (1, 2), (None, 2)))
+def test_fit_count_beyond_the_plan_returns_2(tmp_path, capsys, excess, code):
+    # an observed count above e + 50 sqrt(e) + 50, e its expected count, is
+    # out of reach of a Poisson draw; excess None writes 2**53
+    prefix = str(tmp_path / "a")
+    assert main(["synth", "--delta-cavity-mhz", "0.5", "-2.2", "2.8", "--points", "201",
+                 "--flux", "1e6", "--dwell-us", "50000", "--seed", "7", "--out", prefix]) == 0
+    with open(prefix + ".csv") as fh:
+        lines = fh.readlines()
+    cells = lines[2].split(",")
+    e = float(cells[4])
+    count = 2**53 if excess is None else math.floor(e + 50.0 * math.sqrt(e) + 50.0) + excess
+    lines[2] = ",".join(cells[:2] + [str(count)] + cells[3:])
+    with open(prefix + ".csv", "w") as fh:
+        fh.writelines(lines)
+    assert main(["fit", "--model", "vit", "--input", prefix + ".csv",
+                 "--out", str(tmp_path / "fit.json")]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "a.json" in err and f"counts_d1 {count} " in err
 
 
 def test_fit_scan_with_a_repeated_detuning(tmp_path):

@@ -81,21 +81,31 @@ def test_damped_least_squares_out_of_iterations_is_not_converged():
 
 
 def test_damped_least_squares_stays_in_the_domain():
-    # the unconstrained optimum a = -1 lies outside the domain a >= 0
-    outside = []
+    # the unconstrained optimum a = -1 lies below the bound a >= 0
+    seen = []
 
     def resid(p):
-        if p[0] < 0:
-            outside.append(p[0])
-            return None
+        seen.append(p[0])
         return np.array([p[0] + 1.0, 0.5 * p[0] + 0.5])
 
-    fit = damped_least_squares(resid, np.array([3.0]), ("a",))
-    assert outside  # trial steps crossed the bound and were rejected
+    fit = damped_least_squares(resid, np.array([3.0]), ("a",), lower=[0.0])
+    assert min(seen) >= 0.0
     assert fit.converged
-    assert 0.0 <= fit.value("a") < 1e-3
-    with pytest.raises(ValueError, match="outside the model's domain"):
-        damped_least_squares(resid, np.array([-0.5]), ("a",))
+    assert fit.value("a") == 0.0
+    # held at its bound, a cannot move: the fit stops instead of damping on
+    assert len(seen) < 10
+    with pytest.raises(ValueError, match="below its lower bounds"):
+        damped_least_squares(resid, np.array([-0.5]), ("a",), lower=[0.0])
+
+
+def test_damped_least_squares_frees_the_others_at_a_bound():
+    # a stops at its bound a >= 0 and b still reaches its optimum
+    def resid(p):
+        return np.array([p[0] + 1.0, p[1] - 2.0])
+
+    fit = damped_least_squares(resid, np.array([3.0, 0.0]), ("a", "b"), lower=[0.0, -np.inf])
+    assert fit.converged
+    assert np.allclose(fit.values, [0.0, 2.0], rtol=0.0, atol=1e-9)
 
 
 def test_rank_deficiency_names_parameter():

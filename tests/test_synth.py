@@ -250,3 +250,22 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
         path.write_text(text)
         with pytest.raises(ValueError, match="scan.json"):
             read_scan_sidecar(path, scans, cfg)
+
+
+def test_sidecar_refuses_counts_the_plan_cannot_produce(tmp_path, cfg):
+    plan = _plan(seed=2)
+    path = tmp_path / "scan.json"
+    write_scan_sidecar(path, plan, cfg, 3.4)
+    [(dcav, records)] = generate_scan(cfg, 3.4, plan)
+    e = records.expected_d2[5]
+    ceiling = int(np.floor(e + 50.0 * np.sqrt(e) + 50.0))
+    for name, value, message in (("counts_d2", ceiling, None),
+                                 ("counts_d2", ceiling + 1, f"counts_d2 {ceiling + 1} "),
+                                 ("expected_d1", -1.0, "expected_d1 reaches -1, below zero")):
+        edited = records.copy()
+        edited[name][5] = value
+        if message is None:
+            read_scan_sidecar(path, [(dcav, edited)], cfg)
+        else:
+            with pytest.raises(ValueError, match=f"scan.json: .*{message}"):
+                read_scan_sidecar(path, [(dcav, edited)], cfg)
