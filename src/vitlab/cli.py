@@ -19,7 +19,7 @@ import numpy as np
 
 from vitlab import config as cfgmod
 from vitlab import recipes
-from vitlab.config import MHZ, write_csv, write_json
+from vitlab.config import MAX_DETUNING_MHZ, MHZ, write_csv, write_json
 from vitlab.core import group_delay_analytic, resonant_transmission
 from vitlab.errors import BandCoverageError, RankDeficientError
 from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra,
@@ -49,12 +49,22 @@ def _number(kind, ok=lambda v: True, parse=float):
     return number
 
 
+# the largest grids the CLI makes: 2**20 points under the full correction
+# stack already take minutes (CHANGES.md records the cost at each bound), and
+# far larger grids die in numpy's allocator with a traceback
+MAX_POINTS = 2**20
+MAX_SAMPLES = 2**22
+
 FINITE = _number("a finite number")
 POSITIVE = _number("a positive finite number", lambda v: v > 0)
 NONNEGATIVE = _number("a nonnegative finite number", lambda v: v >= 0)
 FRACTION = _number("a number in [0, 1]", lambda v: 0 <= v <= 1)
 SEED = _number("a nonnegative integer", lambda v: v >= 0, int)
-POWER_OF_TWO = _number("a power of two", lambda v: v > 0 and v & (v - 1) == 0, int)
+DETUNING = _number(f"a number of MHz within +-{MAX_DETUNING_MHZ:g}",
+                   lambda v: abs(v) <= MAX_DETUNING_MHZ)
+POINTS = _number(f"an integer from 2 to {MAX_POINTS}", lambda v: 2 <= v <= MAX_POINTS, int)
+SAMPLES = _number(f"a power of two up to {MAX_SAMPLES}",
+                  lambda v: 0 < v <= MAX_SAMPLES and v & (v - 1) == 0, int)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,8 +112,6 @@ def _setup(args):
 def _probe_grid(args):
     if args.scan_to <= args.scan_from:
         raise ValueError("--scan-to must exceed --scan-from")
-    if args.points < 2:
-        raise ValueError("--points must be at least 2")
     return np.linspace(args.scan_from * MHZ, args.scan_to * MHZ, args.points)
 
 
@@ -282,10 +290,10 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="deterministic two-channel spectrum CSV")
     _add_common(p)
-    p.add_argument("--delta-cavity-mhz", type=FINITE, default=0.0)
-    p.add_argument("--scan-from", type=FINITE, default=-8.0, help="MHz")
-    p.add_argument("--scan-to", type=FINITE, default=8.0, help="MHz")
-    p.add_argument("--points", type=int, default=161)
+    p.add_argument("--delta-cavity-mhz", type=DETUNING, default=0.0)
+    p.add_argument("--scan-from", type=DETUNING, default=-8.0, help="MHz")
+    p.add_argument("--scan-to", type=DETUNING, default=8.0, help="MHz")
+    p.add_argument("--points", type=POINTS, default=161)
     p.add_argument("--emission-scale", type=POSITIVE, default=1.0)
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_spectrum)
@@ -295,7 +303,7 @@ def build_parser():
     p.add_argument("--tp-us", type=POSITIVE, required=True, help="intensity FWHM, us")
     p.add_argument("--od", type=NONNEGATIVE, default=None, help="override config od")
     p.add_argument("--carrier-mhz", type=FINITE, default=0.0)
-    p.add_argument("--samples", type=POWER_OF_TWO, default=2**14)
+    p.add_argument("--samples", type=SAMPLES, default=2**14)
     p.add_argument("--span-factor", type=POSITIVE, default=16.0)
     p.add_argument("--trace", help="also write the output envelope CSV here")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
@@ -303,10 +311,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="Poisson-noise photon-counting scan")
     _add_common(p)
-    p.add_argument("--delta-cavity-mhz", type=FINITE, nargs="+", required=True)
-    p.add_argument("--scan-from", type=FINITE, default=-8.0)
-    p.add_argument("--scan-to", type=FINITE, default=8.0)
-    p.add_argument("--points", type=int, default=81)
+    p.add_argument("--delta-cavity-mhz", type=DETUNING, nargs="+", required=True)
+    p.add_argument("--scan-from", type=DETUNING, default=-8.0)
+    p.add_argument("--scan-to", type=DETUNING, default=8.0)
+    p.add_argument("--points", type=POINTS, default=81)
     p.add_argument("--flux", type=NONNEGATIVE, default=1e6, help="photons per second")
     p.add_argument("--dwell-us", type=POSITIVE, default=1000.0)
     p.add_argument("--eff1", type=FRACTION, default=1.0)
@@ -328,7 +336,7 @@ def build_parser():
                    help=f"comma list from {','.join(VIT_PARAMS)}")
     p.add_argument("--on", choices=("absorbance", "transmission"),
                    default="absorbance", help="lorentzian fit domain")
-    p.add_argument("--delta-cavity-mhz", type=FINITE, default=0.0,
+    p.add_argument("--delta-cavity-mhz", type=DETUNING, default=0.0,
                    help="resonator detuning for plain spectrum inputs")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_fit)

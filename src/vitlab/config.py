@@ -14,17 +14,20 @@ ValueError; write_csv and write_json write every CSV and JSON file.
 
 import csv
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext
 from importlib import resources
 from itertools import chain
+from operator import le
 
 from vitlab.core import CavityGeometry, PhysicalConfig, TWO_PI, cooperativity_geometric
 from vitlab.spatial import Corrections
 
 MHZ = TWO_PI * 1e6    # MHz -> rad/s: the only unit constant, the rest are powers of ten
+# the largest detuning read from outside (flags, *_MHz cells): past about
+# 1.4e301 MHz a difference of two detunings overflows
+MAX_DETUNING_MHZ = 1e300
 
 ENV_VAR = "VIT_LAB_CONFIG"
 
@@ -39,11 +42,12 @@ def read_csv(path, columns=(), types=()):
     """The data rows of a UTF-8 CSV file whose header starts with columns.
 
     Every row must hold as many cells as the header, each a finite
-    float; for each (i, read) pair in types, cell i is read by
-    read(cell) instead.  Anything else (another header or row width, a
-    cell that does not parse or is not finite, a csv.Error, a byte that
-    is not UTF-8) or no data row raises ValueError naming the file, and
-    the line of a faulty data row.
+    float, within +-MAX_DETUNING_MHZ in a column whose name ends in
+    _MHz; for each (i, read) pair in types, cell i is read by read(cell)
+    instead.  Anything else (another header or row width, a cell that
+    does not parse or is out of range, a csv.Error, a byte that is not
+    UTF-8) or no data row raises ValueError naming the file, and the
+    line of a faulty data row.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -52,12 +56,15 @@ def read_csv(path, columns=(), types=()):
             header = next(reader, [])
             if header[:len(columns)] != list(columns):
                 raise ValueError(f"expected a header starting {','.join(columns)}")
+            limits = [MAX_DETUNING_MHZ if name.endswith("_MHz") else sys.float_info.max
+                      for name in header]
             for row in reader:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} columns, found {len(row)}")
                 values = list(map(float, row))
-                if not all(map(math.isfinite, values)):
-                    raise ValueError("values must be finite")
+                if not all(map(le, map(abs, values), limits)):
+                    raise ValueError(f"values must be finite, and within "
+                                     f"+-{MAX_DETUNING_MHZ:g} in the *_MHz columns")
                 for i, read in types:
                     values[i] = read(row[i])
                 rows.append(values)
@@ -133,11 +140,14 @@ def validate_config(doc):
             raise ValueError(f"config key '{key}' must be finite")
     merged = packaged_defaults()
     merged.update(doc)
-    for key in _POSITIVE:
-        if merged[key] <= 0:
-            raise ValueError(f"config key '{key}' must be positive")
-    for key in _NONNEGATIVE:
-        if merged[key] < 0:
+    for key, value in merged.items():
+        # checked in SI: 1e303 MHz is an infinite rate, 1e-320 um a zero length
+        si = value * (MHZ if key.endswith("_MHz") else 1e-6 if key.endswith("_um") else 1)
+        if not abs(si) <= sys.float_info.max:
+            raise ValueError(f"config key '{key}' must be finite in SI units (rad/s, m)")
+        if key in _POSITIVE and not si > 0:
+            raise ValueError(f"config key '{key}' must be positive, in SI units (rad/s, m) too")
+        if key in _NONNEGATIVE and si < 0:
             raise ValueError(f"config key '{key}' must be nonnegative")
     for key in _UNIT_INTERVAL:
         if not 0 <= merged[key] <= 1:

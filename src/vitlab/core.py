@@ -24,13 +24,13 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Ensemble and resonator constants.
+    """Ensemble and resonator constants, each finite, as is k L.
 
-    gamma: atomic FWHM linewidth (rad/s)
-    kappa: resonator FWHM linewidth (rad/s)
-    wavelength: probe wavelength (m)
-    od: resonant optical depth of the ensemble
-    length: ensemble length L (m)
+    gamma: atomic FWHM linewidth (rad/s), positive
+    kappa: resonator FWHM linewidth (rad/s), positive
+    wavelength: probe wavelength (m), positive
+    od: resonant optical depth of the ensemble, nonnegative
+    length: ensemble length L (m), positive
     """
 
     gamma: float
@@ -40,12 +40,14 @@ class PhysicalConfig:
     length: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.kappa <= 0:
-            raise ValueError("linewidths must be positive")
-        if self.wavelength <= 0 or self.length <= 0:
-            raise ValueError("wavelength and length must be positive")
-        if self.od < 0:
-            raise ValueError("optical depth must be nonnegative")
+        if not (0 < self.gamma < np.inf and 0 < self.kappa < np.inf):
+            raise ValueError("linewidths must be positive and finite")
+        if not (0 < self.wavelength < np.inf and 0 < self.length < np.inf):
+            raise ValueError("wavelength and length must be positive and finite")
+        if not 0 <= self.od < np.inf:
+            raise ValueError("optical depth must be nonnegative and finite")
+        if not self.kl < np.inf:
+            raise ValueError("k L = 2 pi length/wavelength must be finite")
 
     @property
     def wavenumber(self):

@@ -13,15 +13,14 @@ Four effects are modeled, each switchable:
     cavity detuning and applied as a Gauss-Hermite quadrature.
 
 Averaging and jitter together define the correction ensemble: one
-member per coupling class x jitter offset, each with a weight.
-Corrections.members alone enumerates it, as classes, offsets and a
-class x offset weight table; ensemble_transfer turns the members into
+member per coupling class x jitter offset, each with a weight, which
+Corrections.members alone enumerates.  ensemble_transfer turns it into
 susceptibilities in offset-major blocks (one jitter offset, a chunk of
-classes), the side channel taking its share of the od; corrected_spectrum
-and the pulse ensemble (vitlab.pulses.run_pulse_ensemble, through
-recipes.pulse_ensemble) consume those blocks.  The nodes are fixed
-quadrature rules, so results never depend on evaluation order, and a
-negative cooperativity is refused by core.susceptibility alone.
+classes), each with core's cavity factor q = 1/(1 - i dc), the side
+channel taking its share of the od; corrected_spectrum and the pulse
+ensemble (recipes.pulse_ensemble) consume those blocks.  The nodes are
+fixed quadrature rules, so results never depend on evaluation order,
+and a negative cooperativity is refused by core.susceptibility alone.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ from operator import index
 
 import numpy as np
 
-from vitlab.core import susceptibility
+from vitlab.core import _factors, susceptibility
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -127,16 +126,15 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
 
     Offset-major: each block is one jitter offset and a chunk of coupling
     classes of about BLOCK_POINTS member x point elements (at least one
-    class).  Yields (weights, etas, dc, chi) per block: the block's member
-    weights and cooperativities, the main channel's normalized cavity
-    detuning dc = 2 (Delta - delta - offset)/kappa as a (point,) row, and
-    the members' susceptibility of shape (member, point), over the
-    broadcast detunings flattened.  The side channel, its two-photon
-    resonance displaced by side_shift, takes w/(1 + w) of the od (w =
-    side_weight), so the total od is conserved and chi = chi_main +
-    chi_side.  A member's intensity transmission is exp(-k L Im chi), its
-    transfer amplitude core.transfer_amplitude(chi, cfg).  This is the
-    only place Corrections.members is turned into susceptibilities.
+    class).  Yields (weights, etas, q, chi) per block: the block's member
+    weights and cooperativities, the main channel's cavity factor q =
+    1/(1 - i dc) of core.susceptibility as a (point,) row, and the
+    members' susceptibility of shape (member, point), over the broadcast
+    detunings flattened.  The side channel, its two-photon resonance
+    displaced by side_shift, takes w/(1 + w) of the od (w = side_weight),
+    so the total od is conserved and chi = chi_main + chi_side.  Members
+    transmit exp(-k L Im chi) in intensity and core.transfer_amplitude(chi,
+    cfg) in amplitude.  Only here are Corrections.members made susceptibilities.
     """
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
@@ -147,13 +145,13 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
     for j, offset in enumerate(offsets):
         dcav_j = dcav + offset
-        dc = 2.0 * (dp - dcav_j) / cfg.kappa
+        _, q = _factors(cfg, dp, dcav_j)
         for lo in range(0, len(etas), step):
             block = slice(lo, lo + step)
             chi = susceptibility(main, etas[block], dp, dcav_j)
             if corrections.side_weight:
                 chi += susceptibility(side, etas[block], dp, dcav_j + corrections.side_shift)
-            yield weights[block, j], etas[block], dc, chi
+            yield weights[block, j], etas[block], q, chi
 
 
 def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,
@@ -164,26 +162,27 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
     of the ensemble members (ensemble_transfer), with the shape of the
     broadcast detunings.  The emission channel multiplies the absorbed
     fraction by the branching ratio of the main two-photon channel,
-    beta = eta/(eta + 1 + dc^2) with dc the block's normalized cavity
-    detuning (the closed form of the amplitude equations in
-    vitlab.oracle), and by emission_scale.  A negative cooperativity, or
-    a non-finite chi (an infinite or nan eta), raises ValueError.
+    beta = g/(1 + g) = eta/(eta + 1 + dc^2) with g = eta |q|^2 <= eta (the
+    closed form of the amplitude equations in vitlab.oracle), and by
+    emission_scale.  A negative cooperativity, a non-finite eta_max or
+    detuning, or a Delta - delta beyond a double's range raises ValueError.
     """
     if not 0 < emission_scale < np.inf:
         raise ValueError("emission_scale must be positive and finite")
+    for name, value in (("eta_max", eta_max), ("delta_probe", delta_probe),
+                        ("delta_cavity", delta_cavity)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     shape = np.broadcast_shapes(np.shape(delta_probe), np.shape(delta_cavity))
     trans = emis = 0.0
-    for weights, etas, dc, chi in ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity,
-                                                    corrections):
-        # chi is finite for every finite eta; a finite chi keeps t2 and beta in [0, 1]
-        if not np.isfinite(chi).all():
-            raise ValueError(f"cooperativity {eta_max:g} gives a non-finite spectrum")
+    for weights, etas, q, chi in ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity,
+                                                   corrections):
         # |exp(i k L chi / 2)|^2: the phase Re chi is never needed
         t2 = np.exp(-cfg.kl * chi.imag)
-        # 1 + dc^2 overflows to inf only far off resonance, where beta is 0
-        with np.errstate(over="ignore"):
-            s = 1.0 + dc * dc
-        eta = etas[:, None]
+        g = etas[:, None] * (q.real * q.real + q.imag * q.imag)
         trans = trans + weights @ t2
-        emis = emis + weights @ ((1.0 - t2) * (eta / (eta + s)))
+        emis = emis + weights @ ((1.0 - t2) * (g / (1.0 + g)))
+    # each lies in [0, 1] unless Delta - delta overflowed
+    if not np.isfinite(trans + emis).all():
+        raise ValueError("Delta - delta beyond a double's range gives a non-finite spectrum")
     return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]

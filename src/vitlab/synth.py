@@ -221,7 +221,12 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
 
 
 def read_scan_sidecar(path, scans, cfg):
-    """The (ScanPlan, Corrections) recorded by write_scan_sidecar, doubles unchanged.
+    """The (ScanPlan, Corrections) recorded by write_scan_sidecar.
+
+    Values the sidecar holds in SI come back as the same doubles; those
+    it holds in MHz or us (frequencies, dwell) pass one unit conversion
+    each way and may come back one ulp off (about a tenth of frequencies,
+    a third of dwells).
 
     scans, read_scan_csv's groups, are checked against the plan: their
     resonator detunings must be the plan's set, and each group's probe

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from vitlab import fitting, recipes
-from vitlab.cli import main
-from vitlab.config import ENV_VAR, packaged_defaults
+from vitlab.cli import MAX_POINTS, MAX_SAMPLES, build_parser, main
+from vitlab.config import ENV_VAR, MAX_DETUNING_MHZ, packaged_defaults
 from vitlab.spatial import corrected_spectrum
 
 
@@ -267,13 +267,18 @@ def test_pulse_grid_errors_name_the_flags(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}',
-                                  pytest.param('{"od": 1' + "0" * 400 + "}", id="10**400")))
+                                  pytest.param('{"od": 1' + "0" * 400 + "}", id="10**400"),
+                                  # finite in MHz, infinite in rad/s
+                                  '{"gamma_MHz": 1e303}', '{"side_shift_MHz": 1e303}'))
 def test_non_finite_config_returns_2(tmp_path, capsys, text):
     conf = tmp_path / "conf.json"
     conf.write_text(text)
     out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--config", str(conf), "--out", str(out)]) == 2
-    assert "'od'" in capsys.readouterr().err
+    assert main(["spectrum", "--side", "--config", str(conf), "--out", str(out)]) == 2
+    key, = json.loads(text)
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "conf.json" in err
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -290,14 +295,6 @@ def test_bad_config_names_the_file(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert "c.json" in err and message in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", (["spectrum"], ["synth", "--delta-cavity-mhz", "0"]))
-def test_single_point_grid_names_the_flag(tmp_path, capsys, command):
-    out = tmp_path / "out"
-    assert main([*command, "--points", "1", "--out", str(out)]) == 2
-    assert "--points" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
 
 
 def test_fit_lorentzian_short_scan_names_the_file(tmp_path, capsys):
@@ -405,12 +402,18 @@ def test_empty_input_returns_2(tmp_path, capsys, model, text):
     "delta_probe_MHz,transmission,cavity_emission\n0.1,0.5\n",
     "delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,expected_d1,expected_d2\n"
     "0.1,0.0,5\n",
+    # detunings past +-1e300 MHz: a fit of these exited 2 blaming the cooperativity
+    pytest.param("delta_probe_MHz,transmission,cavity_emission\n"
+                 + "".join(f"{k}e303,0.5,0.2\n" for k in range(1, 10)), id="spectrum-1e303-MHz"),
+    pytest.param("delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,expected_d1,expected_d2\n"
+                 "0.1,-1e301,5,5,5,5\n", id="scan-1e301-MHz"),
 ))
 def test_bad_row_returns_2(tmp_path, capsys, model, text):
     data = tmp_path / "data.csv"
     data.write_text(text)
     assert main(["fit", "--model", model, "--input", str(data)]) == 2
-    assert "data.csv, line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data.csv, line 2" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("model", ("vit", "lorentzian", "linear"))
@@ -513,14 +516,52 @@ def test_sidecar_number_beyond_range_names_the_file(tmp_path, capsys, part, key,
     (["pulse", "--tp-us", "1.73", "--eta", "nan"], "--eta"),
     (["synth", "--delta-cavity-mhz", "0", "--seed", "-1"], "--seed"),
     (["pulse", "--tp-us", "1.73", "--samples", "1000"], "--samples"),
+    # a grid needs two points, and the sizes are bounded: numpy died allocating these
+    (["spectrum", "--points", "1"], "--points"),
+    (["synth", "--delta-cavity-mhz", "0", "--points", "1"], "--points"),
+    (["spectrum", "--points", "1000000000000"], "--points"),
+    (["synth", "--delta-cavity-mhz", "0", "--points", str(MAX_POINTS + 1)], "--points"),
+    (["pulse", "--tp-us", "1", "--samples", "1099511627776"], "--samples"),
+    (["pulse", "--tp-us", "1", "--samples", str(2 * MAX_SAMPLES)], "--samples"),
+    # detunings past +-1e300 MHz: their difference overflowed
+    (["spectrum", "--scan-from", "-1e302", "--scan-to", "1e302"], "--scan-from"),
+    (["spectrum", "--scan-to", "1.1e300"], "--scan-to"),
+    (["spectrum", "--delta-cavity-mhz", "-1e301"], "--delta-cavity-mhz"),
+    (["synth", "--delta-cavity-mhz", "0", "1e301"], "--delta-cavity-mhz"),
+    (["fit", "--model", "vit", "--input", "s.csv", "--delta-cavity-mhz", "1e301"],
+     "--delta-cavity-mhz"),
 ))
 def test_non_finite_flag_exits_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err and "Warning" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_flag_bounds_are_inclusive():
+    parser = build_parser()
+    args = parser.parse_args(["spectrum", "--points", str(MAX_POINTS), "--scan-from",
+                              f"-{MAX_DETUNING_MHZ}", "--delta-cavity-mhz", f"{MAX_DETUNING_MHZ}"])
+    assert (args.points, args.scan_from, args.delta_cavity_mhz) == (
+        MAX_POINTS, -MAX_DETUNING_MHZ, MAX_DETUNING_MHZ)
+    args = parser.parse_args(["pulse", "--tp-us", "1", "--samples", str(MAX_SAMPLES)])
+    assert args.samples == MAX_SAMPLES
+
+
+def test_detunings_at_the_bound_are_transparent(tmp_path):
+    # Delta - delta reaches 2e300 MHz with every correction on: T = 1 and no
+    # emission, with no overflow on the way (pytest turns warnings into errors)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--scan-from", "-1e300", "--scan-to", "1e300",
+                 "--delta-cavity-mhz", "-1e300", "--points", "3", "--average", "--side",
+                 "--jitter", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    trans, emis = np.array(rows, dtype=float)[:, 1:].T
+    assert abs(trans[[0, 2]] - 1.0).max() < 1e-15 and emis[0] == emis[2] == 0.0
 
 
 def test_reproduce_failure_leaves_no_directory(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,31 @@ def test_validate_range_checks():
         validate_config({"f_eg": 1.5})
     with pytest.raises(ValueError):
         validate_config({"jitter_fwhm_MHz": -0.1})
+
+
+@pytest.mark.parametrize("key, bad, good, message", (
+    ("gamma_MHz", 1e303, 1e300, "finite"),
+    ("kappa_MHz", 3e302, 1e300, "finite"),
+    ("side_shift_MHz", 1e303, 1e300, "finite"),
+    ("jitter_fwhm_MHz", 1e303, 1e300, "finite"),
+    ("wavelength_um", 1e-320, 1e-300, "positive"),
+    ("length_um", 5e-324, 1e-300, "positive"),
+))
+def test_validate_checks_the_si_value(key, bad, good, message):
+    # bad is finite and positive in laboratory units, but not in rad/s or m
+    with pytest.raises(ValueError, match=f"'{key}' must be {message}.* in SI units"):
+        validate_config({key: bad})
+    assert validate_config({key: good})[key] == good
+
+
+@pytest.mark.parametrize("fields", [
+    *({name: bad} for name in ("gamma", "kappa", "wavelength", "od", "length")
+      for bad in (np.inf, np.nan)),
+    {"wavelength": 1e-306, "length": 1e294},  # k L is 2 pi 1e600
+], ids=str)
+def test_physical_config_refuses_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="finite"):
+        replace(physical_config(packaged_defaults()), **fields)
 
 
 def test_partial_override_merges_defaults():

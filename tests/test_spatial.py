@@ -1,6 +1,8 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from vitlab.config import MHZ, corrections, model_cooperativity
 from vitlab.core import transfer_amplitude, transmission
@@ -239,10 +241,11 @@ def test_ensemble_blocks_cover_every_member_once(cfg, points):
     etas, offs, weights = corr.members(5.0)
     dp, dcav = np.linspace(-4, 4, points) * MHZ, 0.3 * MHZ
     seen = np.zeros(weights.shape, dtype=int)
-    for w, e, dc, chi in ensemble_transfer(cfg, 5.0, dp, dcav, corr):
-        assert dc.shape == (points,) and chi.shape == (len(e), points)
+    for w, e, q, chi in ensemble_transfer(cfg, 5.0, dp, dcav, corr):
+        assert q.shape == (points,) and chi.shape == (len(e), points)
         assert len(e) == 1 or chi.size <= BLOCK_POINTS
-        # the block's offset, read back from its dc row
+        # the block's offset, read back from its q row: q = 1/(1 - i dc)
+        dc = -(1.0 / q).imag
         j, = np.flatnonzero(np.isclose(offs, dp[0] - dcav - 0.5 * cfg.kappa * dc[0],
                                        rtol=0, atol=1.0))
         assert np.allclose(dp - dcav - 0.5 * cfg.kappa * dc, offs[j], rtol=0, atol=1.0)
@@ -250,6 +253,29 @@ def test_ensemble_blocks_cover_every_member_once(cfg, points):
         assert np.array_equal(w, weights[c, j])
         seen[c, j] += 1
     assert np.all(seen == 1)
+
+
+def test_far_detunings_are_transparent_without_overflow(cfg, conf):
+    # 1 + dc^2 overflowed here (|q|^2 = 1/(1 + dc^2) cannot); the probe
+    # detunings stay finite, and so does Delta - delta with the resonator at 0
+    corr = corrections(conf, average=True, side=True, jitter=True)
+    dp = np.array([-1.7e308, -1e308, 1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trans, emis = corrected_spectrum(cfg, model_cooperativity(conf), dp, 0.0, corr)
+    assert np.max(np.abs(trans - 1.0)) < 1e-15 and np.all(emis == 0.0)
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+@pytest.mark.parametrize("name", ("eta_max", "delta_probe", "delta_cavity"))
+def test_non_finite_input_is_named_before_any_warning(cfg, name, bad):
+    args = {"eta_max": 5.0, "delta_probe": np.linspace(-4, 4, 9) * MHZ, "delta_cavity": 0.0}
+    args[name] = bad if name != "delta_probe" else np.append(args[name], bad)
+    corr = Corrections(averaging_nodes=8, jitter_fwhm=0.2 * MHZ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            corrected_spectrum(cfg, corrections=corr, **args)
 
 
 def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
