@@ -152,6 +152,15 @@ def validate_config(doc):
     for key in _UNIT_INTERVAL:
         if not 0 <= merged[key] <= 1:
             raise ValueError(f"config key '{key}' must lie in [0, 1]")
+    # every key is in range; two values derived from several can still overflow
+    try:
+        physical_config(merged)  # of its checks, only k L's can fail here
+    except ValueError:
+        raise ValueError("config keys 'wavelength_um' and 'length_um' give a non-finite "
+                         "k L = 2 pi length/wavelength") from None
+    if not model_cooperativity(merged) <= sys.float_info.max:
+        raise ValueError("config keys 'finesse', 'waist_um' and 'wavelength_um' give a "
+                         "non-finite cooperativity 24 F/(pi k^2 w^2)")
     return merged
 
 

@@ -118,9 +118,10 @@ def transmission(cfg, eta, delta_probe, delta_cavity):
 
 
 def cooperativity_geometric(geom):
-    """Single-atom cooperativity from resonator geometry, 24 F / (pi k^2 w^2)."""
+    """Single-atom cooperativity from resonator geometry, 24 F / (pi k^2 w^2), or inf."""
     k = TWO_PI / geom.wavelength
-    return 24.0 * geom.finesse / (np.pi * k * k * geom.waist * geom.waist)
+    denominator = np.pi * k * k * geom.waist * geom.waist
+    return 24.0 * geom.finesse / denominator if denominator else np.inf
 
 
 def resonant_transmission(od, eta):

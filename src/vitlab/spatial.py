@@ -19,8 +19,9 @@ susceptibilities in offset-major blocks (one jitter offset, a chunk of
 classes), each with core's cavity factor q = 1/(1 - i dc), the side
 channel taking its share of the od; corrected_spectrum and the pulse
 ensemble (recipes.pulse_ensemble) consume those blocks.  The nodes are
-fixed quadrature rules, so results never depend on evaluation order,
-and a negative cooperativity is refused by core.susceptibility alone.
+fixed quadrature rules, the standing wave's sized to eta_max, so results
+never depend on evaluation order, and a negative cooperativity is
+refused by core.susceptibility alone.
 """
 
 from dataclasses import dataclass, replace
@@ -39,7 +40,7 @@ BLOCK_POINTS = 4096
 MAX_NODES = 1024  # largest node count of a rule: leggauss(n) builds an n x n matrix
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)  # every 8-node rung up to 64, and the jitter rule
 def _unit_rule(kind, nodes):
     """Read-only unit (nodes, weights), the weights summing to 1.
 
@@ -70,8 +71,9 @@ class Corrections:
     """Which apparatus corrections to apply, and their knobs.
 
     averaging_nodes: 0 disables standing-wave averaging, otherwise the
-        Gauss-Legendre node count, at most MAX_NODES (64 is plenty;
-        doubling it moves the fig2 spectra by < 1e-12).
+        cap on the Gauss-Legendre node count, at most MAX_NODES; members
+        sizes the rule below it by eta_max (with the config's cap of 64,
+        fig2's spectra at eta_max 1e3 lie within 2e-8 of 256 nodes).
     side_weight: Zeeman-shifted side channel's od over the main's, in [0, 1], 0 off.
     side_shift: the side channel's two-photon shift (rad/s).
     jitter_fwhm: FWHM of the resonator frequency jitter (rad/s), 0 off.
@@ -101,15 +103,20 @@ class Corrections:
         """The correction ensemble as (etas, offsets, weights).
 
         One member per coupling class x jitter offset: the classes etas,
-        max(averaging_nodes, 1) of them (eta_max alone when averaging is
-        off), the jitter offsets (one zero offset when jitter_fwhm is 0)
-        in rad/s of cavity detuning, and weights[c, j] of member (etas[c],
-        offsets[j]), summing to 1.  The only place nodes are made: cached
-        unit rules, scaled here; core.susceptibility refuses a negative eta_max.
+        min(averaging_nodes, 8 ceil(1 + sqrt(eta_max))) of them (eta_max
+        alone when averaging is off), the jitter offsets (one zero offset
+        when jitter_fwhm is 0) in rad/s of cavity detuning, and weights[c, j]
+        of member (etas[c], offsets[j]), summing to 1.  The only place
+        nodes are made: cached unit rules, scaled here; core.susceptibility
+        refuses a negative eta_max.
         """
         etas, wz = np.array([float(eta_max)]), np.ones(1)
         if self.averaging_nodes:
-            cos2, wz = _unit_rule("cos2", self.averaging_nodes)
+            # the pole eta cos^2 = -z, |z| >= 1, lies ~1/sqrt(eta) off the
+            # interval and sets Gauss-Legendre's rate (Trefethen, SIAM Rev. 50
+            # (2008) 67); max() leaves a negative eta_max, unwarned, to core
+            rungs = np.ceil(1.0 + np.sqrt(max(eta_max, 0.0)))
+            cos2, wz = _unit_rule("cos2", int(min(self.averaging_nodes, 8 * rungs)))
             etas = eta_max * cos2
         offs, wj = np.zeros(1), np.ones(1)
         if self.jitter_fwhm:
@@ -160,12 +167,13 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
 
     Returns (transmission, emission), each the intensity-level average
     of the ensemble members (ensemble_transfer), with the shape of the
-    broadcast detunings.  The emission channel multiplies the absorbed
-    fraction by the branching ratio of the main two-photon channel,
-    beta = g/(1 + g) = eta/(eta + 1 + dc^2) with g = eta |q|^2 <= eta (the
-    closed form of the amplitude equations in vitlab.oracle), and by
-    emission_scale.  A negative cooperativity, a non-finite eta_max or
-    detuning, or a Delta - delta beyond a double's range raises ValueError.
+    broadcast detunings; the transmission is at most 1.  The emission
+    channel multiplies the absorbed fraction by the branching ratio of the
+    main two-photon channel, beta = g/(1 + g) = eta/(eta + 1 + dc^2) with
+    g = eta |q|^2 <= eta (the closed form of the amplitude equations in
+    vitlab.oracle), and by emission_scale.  A negative cooperativity, a
+    non-finite eta_max or detuning, or a Delta - delta beyond a double's
+    range raises ValueError.
     """
     if not 0 < emission_scale < np.inf:
         raise ValueError("emission_scale must be positive and finite")
@@ -185,4 +193,6 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
     # each lies in [0, 1] unless Delta - delta overflowed
     if not np.isfinite(trans + emis).all():
         raise ValueError("Delta - delta beyond a double's range gives a non-finite spectrum")
+    # the weights sum to 1 only to rounding: a transparent medium may read 1 + 2e-16
+    np.minimum(trans, 1.0, out=trans)
     return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]

@@ -282,6 +282,21 @@ def test_non_finite_config_returns_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, keys", (
+    ({"finesse": 1e300, "waist_um": 1e-100}, ("finesse", "waist_um", "wavelength_um")),
+    ({"waist_um": 1e-200}, ("finesse", "waist_um", "wavelength_um")),  # pi k^2 w^2 is 0
+    ({"wavelength_um": 1e-300, "length_um": 1e300}, ("wavelength_um", "length_um")),
+), ids=("cooperativity", "cooperativity-underflow", "kL"))
+def test_config_whose_derived_value_overflows_returns_2(tmp_path, capsys, doc, keys):
+    # every key is in range, but a value derived from several is not
+    conf = tmp_path / "derived.json"
+    conf.write_text(json.dumps(doc))
+    assert main(["spectrum", "--config", str(conf), "--points", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "derived.json" in err and all(f"'{key}'" in err for key in keys)
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("text, message", ((b"[1, 2]", "JSON object"),
                                            (b'{"od": ', "not valid JSON"),
                                            (b'{"od": 0.4}\xff', "not valid JSON"),

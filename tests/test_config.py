@@ -64,6 +64,18 @@ def test_validate_checks_the_si_value(key, bad, good, message):
     assert validate_config({key: good})[key] == good
 
 
+@pytest.mark.parametrize("doc, message", (
+    ({"finesse": 1e300, "waist_um": 1e-100}, "'finesse', 'waist_um' and 'wavelength_um'"),
+    ({"wavelength_um": 1e-300, "length_um": 1e300}, "'wavelength_um' and 'length_um'"),
+))
+def test_validate_refuses_a_non_finite_derived_value(doc, message):
+    with pytest.raises(ValueError, match=f"{message} give a non-finite"):
+        validate_config(doc)
+    # each value alone is fine
+    for key, value in doc.items():
+        validate_config({key: value})
+
+
 @pytest.mark.parametrize("fields", [
     *({name: bad} for name in ("gamma", "kappa", "wavelength", "od", "length")
       for bad in (np.inf, np.nan)),

@@ -39,6 +39,8 @@ def test_geometric_cooperativity_value(geom):
     expected = 24.0 * geom.finesse / (np.pi * k**2 * geom.waist**2)
     assert np.isclose(cooperativity_geometric(geom), expected, rtol=1e-12)
     assert abs(cooperativity_geometric(geom) - 7.2241) < 1e-3
+    # k w underflows pi k^2 w^2 to 0: the cooperativity is infinite, not an exception
+    assert cooperativity_geometric(replace(geom, waist=1e-210)) == np.inf
 
 
 def test_susceptibility_rejects_negative_eta(cfg):

@@ -195,7 +195,10 @@ def test_validate_config_merges_or_names_the_key(numbers, wild):
         merged = validate_config(doc)
     except ValueError as err:
         named = re.findall(r"'([^']*)'", str(err))
-        assert named and named[0] in faulty
+        if "give a non-finite" in str(err):  # k L or the cooperativity overflowed
+            assert not faulty and set(named) & set(doc)
+        else:
+            assert named and named[0] in faulty
         return
     assert not faulty
     assert merged == {**packaged_defaults(), **doc}

@@ -1,9 +1,12 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vitlab import spatial
 from vitlab.config import MHZ, corrections, model_cooperativity
 from vitlab.core import transfer_amplitude, transmission
 from vitlab.oracle import branching_ratio, susceptibility_from_oracle
@@ -20,9 +23,17 @@ from vitlab.spatial import (
 )
 
 
+def _at_nodes(n):
+    """Patch the standing-wave rule to n nodes whatever eta_max: the unsized rule."""
+    rule = spatial._unit_rule
+    return mock.patch.object(spatial, "_unit_rule",
+                             lambda kind, nodes: rule(kind, n if kind == "cos2" else nodes))
+
+
 def test_members_standing_wave_moments():
+    # eta_max 4 takes 8 ceil(1 + 2) = 24 of the cap's 64 nodes
     e, _, w = Corrections(averaging_nodes=64).members(4.0)
-    assert w.shape == (64, 1)
+    assert w.shape == (24, 1)
     w = w[:, 0]
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
     assert np.all(e >= 0) and np.all(e <= 4.0)
@@ -44,6 +55,25 @@ def test_members_returns_fresh_arrays():
     assert np.array_equal(w2, np.outer(wz / wz.sum(), wj / wj.sum()))
 
 
+@pytest.mark.parametrize("cap, eta_max, classes", (
+    (64, 0.0, 8), (64, 1.0, 16), (64, 3.3953, 24), (64, 50.0, 64), (64, 1e3, 64),
+    (8, 5.0, 8),  # a cap below the rule wins
+))
+def test_members_sized_to_the_cooperativity(cap, eta_max, classes):
+    etas, _, w = Corrections(averaging_nodes=cap, jitter_fwhm=1.0, jitter_nodes=4).members(eta_max)
+    assert etas.shape == (classes,) and w.shape == (classes, 4)
+
+
+def test_every_rung_stays_cached():
+    # a fit whose eta crosses a rung never rebuilds a rule
+    corr = Corrections(averaging_nodes=64, jitter_fwhm=1.0)
+    spatial._unit_rule.cache_clear()
+    for _ in range(2):
+        for eta_max in (m * m for m in range(9)):
+            corr.members(eta_max)
+    assert spatial._unit_rule.cache_info().misses == 9
+
+
 def test_averaging_lowers_transparency(cfg):
     # nodes of the standing wave absorb like bare atoms, so the averaged
     # dip at two-photon resonance is deeper than the antinode-only one
@@ -54,13 +84,17 @@ def test_averaging_lowers_transparency(cfg):
 
 
 def test_negative_cooperativity_is_refused(cfg):
-    # core.susceptibility alone refuses it, with averaging on or off
+    # core.susceptibility alone refuses it, with averaging on or off, and
+    # sizing the rule to it warns of nothing first
     pulse = make_gaussian_pulse(1e-6, n_samples=2**10)
-    for corr in (IDEAL, Corrections(averaging_nodes=8, jitter_fwhm=0.2 * MHZ)):
-        with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
-            corrected_spectrum(cfg, -1.0, np.linspace(-4, 4, 9) * MHZ, 0.0, corr)
-        with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
-            pulse_ensemble(cfg, -1.0, pulse, corr)
+    for corr in (IDEAL, Corrections(averaging_nodes=8, jitter_fwhm=0.2 * MHZ),
+                 Corrections(averaging_nodes=64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+                corrected_spectrum(cfg, -1.0, np.linspace(-4, 4, 9) * MHZ, 0.0, corr)
+            with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+                pulse_ensemble(cfg, -1.0, pulse, corr)
 
 
 # the packaged defaults' side channel: a quarter of the main od, 0.6 MHz away
@@ -266,6 +300,32 @@ def test_far_detunings_are_transparent_without_overflow(cfg, conf):
     assert np.max(np.abs(trans - 1.0)) < 1e-15 and np.all(emis == 0.0)
 
 
+def test_transmission_never_exceeds_one(cfg, conf):
+    # far from resonance every member transmits 1, and the weights sum to
+    # 1 + 2e-16 in the order the blocks add them
+    corr = corrections(conf, average=True, side=True, jitter=True)
+    dp = np.array([-1e300, 1e300])
+    for eta in np.logspace(-3, 3, 201):
+        trans, emis = corrected_spectrum(cfg, eta, dp, 0.0, corr)
+        assert np.all(trans <= 1.0) and np.all(emis >= 0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(eta=st.floats(0.0, 1e3), od=st.floats(0.0, 50.0),
+       dp=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+       dcav=st.floats(-20.0, 20.0), switches=st.tuples(st.booleans(), st.booleans(),
+                                                      st.booleans()))
+def test_sized_rule_matches_the_cap(cfg, conf, eta, od, dp, dcav, switches):
+    # dp in units of gamma, dcav of kappa; the sized rule keeps the cap's
+    # spectra to rounding, with every correction combination
+    cfg = replace(cfg, od=od)
+    args = (eta, np.array(dp) * cfg.gamma, dcav * cfg.kappa, corrections(conf, *switches))
+    sized = corrected_spectrum(cfg, *args)
+    with _at_nodes(64):
+        cap = corrected_spectrum(cfg, *args)
+    assert np.max(np.abs(np.subtract(sized, cap))) < 1e-14
+
+
 @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
 @pytest.mark.parametrize("name", ("eta_max", "delta_probe", "delta_cavity"))
 def test_non_finite_input_is_named_before_any_warning(cfg, name, bad):
@@ -309,4 +369,5 @@ def test_quadrature_convergence_fig2_panels(cfg, conf):
 
     base = panels()
     assert np.max(np.abs(panels(jitter_nodes=32) - base)) < 1e-5
-    assert np.max(np.abs(panels(averaging_nodes=128) - base)) < 1e-12
+    with _at_nodes(128):  # the rule sized to eta takes 24 nodes here
+        assert np.max(np.abs(panels() - base)) < 1e-12
