@@ -31,15 +31,14 @@ plan = ScanPlan(
     rng_seed=args.seed,
 )
 
-scans = generate_scan(cfg, eta_true, plan)
-total = sum(int(recs.counts_d1.sum() + recs.counts_d2.sum()) for _, recs in scans)
-print(f"generated {len(scans)} scans x {len(plan.probe_grid)} points, "
+records = generate_scan(cfg, eta_true, plan)
+total = int(records.counts_d1.sum() + records.counts_d2.sum())
+print(f"generated {len(plan.delta_cavity_list)} scans x {len(plan.probe_grid)} points, "
       f"{total} photons detected")
 
-datasets = [(d, spectrum_from_records(recs, plan)) for d, recs in scans]
-fit = fit_vit_spectra(datasets, cfg)
+fit = fit_vit_spectra([spectrum_from_records(records, plan)], cfg)
 
-n_pts = sum(2 * len(s.delta_probe) for _, s in datasets)
+n_pts = 2 * len(records)
 print(f"converged: {fit.converged} after {fit.iterations} iterations, "
       f"chi2/dof = {fit.residual_norm / (n_pts - 3):.3f}")
 print(f"truth      eta_eff = {eta_true}, od = {cfg.od}")

@@ -26,17 +26,9 @@ from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit
                             line_json_dict)
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
 from vitlab.spatial import corrected_spectrum
-from vitlab.synth import (
-    SCAN_COLUMNS,
-    ScanPlan,
-    generate_scan,
-    read_scan_csv,
-    read_scan_sidecar,
-    spectrum_from_records,
-    write_scan_csv,
-    write_scan_sidecar,
-    Spectrum,
-)
+from vitlab.synth import (SCAN_COLUMNS, ScanPlan, Spectrum, generate_scan, read_scan_csv,
+                          read_scan_sidecar, spectrum_from_records, write_scan_csv,
+                          write_scan_sidecar)
 
 
 def _number(kind, ok=lambda v: True, parse=float):
@@ -65,6 +57,9 @@ DETUNING = _number(f"a number of MHz within +-{MAX_DETUNING_MHZ:g}",
 POINTS = _number(f"an integer from 2 to {MAX_POINTS}", lambda v: 2 <= v <= MAX_POINTS, int)
 SAMPLES = _number(f"a power of two up to {MAX_SAMPLES}",
                   lambda v: 0 < v <= MAX_SAMPLES and v & (v - 1) == 0, int)
+
+# what vitlab spectrum writes; a spectrum input has the first two, and the third if any
+SPECTRUM_COLUMNS = ("delta_probe_MHz", "transmission", "cavity_emission")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,9 +98,7 @@ def _setup(args):
     eta = args.eta
     if eta is None:
         eta = cfgmod.model_cooperativity(conf)
-    corr = cfgmod.corrections(
-        conf, average=args.average, side=args.side, jitter=args.jitter
-    )
+    corr = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
     return conf, cfg, eta, corr
 
 
@@ -115,17 +108,12 @@ def _probe_grid(args):
     return np.linspace(args.scan_from * MHZ, args.scan_to * MHZ, args.points)
 
 
-def _write_spectrum_csv(path, grid, trans, emis):
-    write_csv(path, ["delta_probe_MHz", "transmission", "cavity_emission"],
-              (grid / MHZ, trans, emis))
-
-
 def cmd_spectrum(args):
     conf, cfg, eta, corr = _setup(args)
     grid = _probe_grid(args)
     trans, emis = corrected_spectrum(cfg, eta, grid, args.delta_cavity_mhz * MHZ, corr,
                                      args.emission_scale)
-    _write_spectrum_csv(args.out, grid, trans, emis)
+    write_csv(args.out, SPECTRUM_COLUMNS, (grid / MHZ, trans, emis))
     return 0
 
 
@@ -157,49 +145,50 @@ def cmd_pulse(args):
 def cmd_synth(args):
     conf, cfg, eta, corr = _setup(args)
     grid = _probe_grid(args)
-    plan = ScanPlan(
-        delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
-        probe_grid=tuple(grid),
-        photon_flux=args.flux,
-        dwell=args.dwell_us * 1e-6,
-        efficiency_d1=args.eff1,
-        efficiency_d2=args.eff2,
-        rng_seed=args.seed,
-    )
-    scans = generate_scan(cfg, eta, plan, corr, args.emission_scale)
-    write_scan_csv(args.out + ".csv", scans)
+    plan = ScanPlan(delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
+                    probe_grid=tuple(grid), photon_flux=args.flux, dwell=args.dwell_us * 1e-6,
+                    efficiency_d1=args.eff1, efficiency_d2=args.eff2, rng_seed=args.seed)
+    records = generate_scan(cfg, eta, plan, corr, args.emission_scale)
+    write_scan_csv(args.out + ".csv", records)
     write_scan_sidecar(args.out + ".json", plan, cfg, eta, corr, args.emission_scale)
     return 0
 
 
 def _read_input(path, args, cfg, flag_corrections):
-    """(source, corrections, [(delta_cavity, Spectrum)]) of a scan or spectrum CSV.
+    """(source, corrections, Spectrum) of a scan or spectrum CSV.
 
-    A file opening with a scan header's first two names, as write_csv
-    writes them, is a scan: it fits with its sidecar's corrections (a
-    flag they lack is an error, and so are constants other than cfg's)
-    and names the sidecar.  Any other is a spectrum, fitted with
-    flag_corrections; config.read_csv decodes both.
+    The header's names are compared as write_csv writes them.  A file
+    whose first two are a scan's is a scan: it fits with its sidecar's
+    corrections (a flag they lack is an error, and so are constants other
+    than cfg's, and --delta-cavity-mhz) and names the sidecar.  Any other
+    is a spectrum at --delta-cavity-mhz (default 0), fitted with
+    flag_corrections; a third column must be its cavity_emission.
+    config.read_csv decodes both.
     """
-    prefix = (",".join(SCAN_COLUMNS[:2]) + ",").encode()
     with open(path, "rb") as fh:
-        is_scan = fh.read(len(prefix)) == prefix
-    if not is_scan:
+        names = fh.readline(4096).decode("utf-8", "replace").rstrip("\r\n").split(",")
+    if names[:2] != list(SCAN_COLUMNS[:2]):
         if args.sidecar is not None:
             raise ValueError(f"--sidecar goes with a scan CSV, and {path} is not one")
-        rows = np.array(cfgmod.read_csv(path, ("delta_probe_MHz", "transmission")))
+        rows = np.array(cfgmod.read_csv(path, SPECTRUM_COLUMNS[:2]))
+        if rows.shape[1] > 2 and names[2] != SPECTRUM_COLUMNS[2]:
+            raise ValueError(f"{path}: its third column is {names[2]!r}, and a spectrum's "
+                             f"third column is {SPECTRUM_COLUMNS[2]}")
+        dcav = 0.0 if args.delta_cavity_mhz is None else args.delta_cavity_mhz * MHZ
         e = rows[:, 2] if rows.shape[1] > 2 else None
-        return path, flag_corrections, [(args.delta_cavity_mhz * MHZ,
-                                         Spectrum(rows[:, 0] * MHZ, rows[:, 1], e))]
-    scans = read_scan_csv(path)
+        return path, flag_corrections, Spectrum(rows[:, 0] * MHZ, rows[:, 1], e,
+                                                delta_cavity=dcav)
+    if args.delta_cavity_mhz is not None:
+        raise ValueError(f"--delta-cavity-mhz goes with a spectrum CSV, and {path} is a scan, "
+                         "whose rows carry their resonator detunings")
+    records = read_scan_csv(path)
     sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
-    plan, corr = read_scan_sidecar(sidecar, scans, cfg)
+    plan, corr = read_scan_sidecar(sidecar, records, cfg)
     for flag, field in (("average", "averaging_nodes"), ("side", "side_weight"),
                         ("jitter", "jitter_fwhm")):
         if getattr(args, flag) and not getattr(corr, field):
             raise ValueError(f"--{flag} is given, but {sidecar} records the scan without it")
-    return sidecar, corr, [(dcav, spectrum_from_records(records, plan))
-                           for dcav, records in scans]
+    return sidecar, corr, spectrum_from_records(records, plan)
 
 
 def cmd_fit(args):
@@ -210,10 +199,15 @@ def cmd_fit(args):
         raise ValueError("--sidecar needs a single --input; "
                          "each scan otherwise reads its own sidecar")
 
+    # the flags a model does not read, given when not at their default of None or False
+    vit_only = ("average", "side", "jitter", "free", "delta_cavity_mhz")
+    unread = {"linear": ("sidecar", "on", *vit_only), "lorentzian": vit_only, "vit": ("on",)}
+    for flag in unread[args.model]:
+        if getattr(args, flag) is not None and getattr(args, flag) is not False:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to a {args.model} "
+                             f"fit of {' '.join(args.input)}")
+
     if args.model == "linear":
-        for flag in ("sidecar", "average", "side", "jitter"):
-            if getattr(args, flag):
-                raise ValueError(f"--{flag} does not apply to the line file {args.input[0]}")
         tables = [np.array(cfgmod.read_csv(path)) for path in args.input]
         for path, table in zip(args.input, tables):
             if table.shape[1] < 3:
@@ -233,16 +227,17 @@ def cmd_fit(args):
         if other_corr != corr:
             raise ValueError(f"{source} and {other} hold different corrections; "
                              "a joint fit needs one set")
-    datasets = [d for _, _, data in inputs for d in data]
+    spectra = [spectrum for _, _, spectrum in inputs]
     if args.model == "vit":
-        fit = fit_vit_spectra(datasets, cfg, free=tuple(args.free.split(",")),
-                              corrections=corr)
-    elif len(datasets) > 1:
-        raise ValueError(f"--model lorentzian fits one line: --input {' '.join(args.input)} "
-                         f"holds {len(datasets)} spectra, one per file and resonator detuning")
+        free = ("eta_eff", "od", "scale_d2") if args.free is None else tuple(args.free.split(","))
+        fit = fit_vit_spectra(spectra, cfg, free=free, corrections=corr)
     else:
+        lines = sum(len(np.unique(spectrum.delta_cavity)) for spectrum in spectra)
+        if lines > 1:
+            raise ValueError(f"--model lorentzian fits one line: --input {' '.join(args.input)} "
+                             f"holds {lines} spectra, one per file and resonator detuning")
         try:
-            fit = fit_lorentzian(datasets[0][1], on=args.on)
+            fit = fit_lorentzian(spectra[0], on=args.on or "absorbance")
         except ValueError as err:
             raise ValueError(f"{args.input[0]}: {err}") from None
 
@@ -264,7 +259,7 @@ def cmd_reproduce(args):
     if args.figure == "fig2":
         grid, spectra, params = recipes.fig2(conf, cfg)
         for name, (trans, emis) in spectra.items():
-            _write_spectrum_csv(path(name), grid, trans, emis)
+            write_csv(path(name), SPECTRUM_COLUMNS, (grid / MHZ, trans, emis))
     elif args.figure == "fig3":
         pulse, results, summary, params = recipes.fig3(conf, cfg)
         write_trace_csv(path("fig3_input.csv"), pulse)
@@ -332,12 +327,12 @@ def build_parser():
                         "pools their rows, lorentzian takes one")
     p.add_argument("--sidecar",
                    help="scan sidecar JSON for a single input (default: input .json)")
-    p.add_argument("--free", default="eta_eff,od,scale_d2",
-                   help=f"comma list from {','.join(VIT_PARAMS)}")
+    p.add_argument("--free", help=f"vit: comma list from {','.join(VIT_PARAMS)} "
+                                  "(default eta_eff,od,scale_d2)")
     p.add_argument("--on", choices=("absorbance", "transmission"),
-                   default="absorbance", help="lorentzian fit domain")
-    p.add_argument("--delta-cavity-mhz", type=DETUNING, default=0.0,
-                   help="resonator detuning for plain spectrum inputs")
+                   help="lorentzian fit domain (default absorbance)")
+    p.add_argument("--delta-cavity-mhz", type=DETUNING,
+                   help="vit: resonator detuning of plain spectrum inputs (default 0)")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_fit)
 

@@ -190,55 +190,58 @@ def fit_lorentzian(spectrum, on="absorbance"):
     )
 
 
-def _vit_model(cfg, grid, dcav, p, corrections):
-    cfg_fit = replace(cfg, od=p["od"])
-    return corrected_spectrum(cfg_fit, p["eta_eff"], grid + p["probe_offset_mhz"] * MHZ,
-                              dcav + p["cavity_offset_mhz"] * MHZ, corrections, p["scale_d2"])
+def _vit_model(cfg, spec, p, corrections):
+    return corrected_spectrum(replace(cfg, od=p["od"]), p["eta_eff"],
+                              spec.delta_probe + p["probe_offset_mhz"] * MHZ,
+                              spec.delta_cavity + p["cavity_offset_mhz"] * MHZ, corrections,
+                              p["scale_d2"])
 
 
-def _initial_guess(datasets, cfg):
-    """Deterministic starting point.
+def _initial_guess(spec, cfg):
+    """Deterministic starting point from one spectrum.
 
     od from the deepest transmission point (wing formula with the local
     normalized detuning), eta_eff by inverting the on-resonance
     transmission exp(-od/(eta+1)) at the point nearest two-photon
-    resonance, scale_d2 by matching the emission peak.
+    resonance (each against its own resonator detuning), scale_d2 by
+    matching the emission peak.
     """
-    dcav0, spec0 = datasets[0]
-    grid = spec0.delta_probe
-    t = np.clip(spec0.transmission, 1e-6, None)
+    grid = spec.delta_probe
+    t = np.clip(spec.transmission, 1e-6, None)
     i_min = int(np.argmin(t))
     dt_norm = 2.0 * grid[i_min] / cfg.gamma
     od0 = float(np.clip(-np.log(t[i_min]) * (1.0 + dt_norm**2), 1e-3, 10.0))
-    i_res = int(np.argmin(np.abs(grid - dcav0)))
+    i_res = int(np.argmin(np.abs(grid - spec.delta_cavity)))
     t_res = float(np.clip(t[i_res], 1e-6, 1.0 - 1e-9))
     eta0 = float(np.clip(od0 / max(-np.log(t_res), 1e-9) - 1.0, 0.05, 1e3))
     guess = {"eta_eff": eta0, "od": od0, "scale_d2": 1.0,
              "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
-    if spec0.emission is not None:
-        peak = float(np.max(_vit_model(cfg, grid, dcav0, guess, IDEAL)[1]))
+    if spec.emission is not None:
+        peak = float(np.max(_vit_model(cfg, spec, guess, IDEAL)[1]))
         if peak > 0:
-            guess["scale_d2"] = float(np.clip(np.max(spec0.emission) / peak, 1e-3, 1e6))
+            guess["scale_d2"] = float(np.clip(np.max(spec.emission) / peak, 1e-3, 1e6))
     return guess
 
 
-def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), corrections=IDEAL):
+def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2"), corrections=IDEAL):
     """Joint fit of the coupled-ensemble model over spectra and channels.
 
-    datasets: list of (delta_cavity, Spectrum); every spectrum's
+    spectra: list of Spectrum, each point at its own resonator detuning
+    (a scan's spectrum holds all of its detunings); every spectrum's
     transmission channel enters the residual, and the emission channel
-    too when present, each weighed by its sigmas (1 without).  free
-    names parameters from VIT_PARAMS, each once and always eta_eff (else
-    ValueError); they start from _initial_guess, and the rest are held
-    at cfg.od, a scale_d2 of 1 and zero offsets.  The solver keeps the
-    free parameters at or above their VIT_PARAMS lower bounds.
+    too when present, each weighed by its sigmas (1 without); a residual
+    evaluates the model once per spectrum.  free names parameters from
+    VIT_PARAMS, each once and always eta_eff (else ValueError); they
+    start from _initial_guess of the first spectrum, and the rest are
+    held at cfg.od, a scale_d2 of 1 and zero offsets.  The solver keeps
+    the free parameters at or above their VIT_PARAMS lower bounds.
 
     probe_offset_mhz and cavity_offset_mhz are axis calibrations: the
     correction added to the recorded detunings to recover the true ones,
     so data whose axis reads 0.3 MHz high fits to an offset of -0.3.
     """
-    if not datasets:
-        raise ValueError("need at least one dataset")
+    if not spectra:
+        raise ValueError("need at least one spectrum")
     for name in free:
         if name not in VIT_PARAMS:
             raise ValueError(f"unknown parameter '{name}'")
@@ -246,7 +249,7 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), correctio
             raise ValueError(f"parameter '{name}' is listed more than once in free")
     if "eta_eff" not in free:
         raise ValueError("free must include eta_eff, which no config value holds")
-    guess = _initial_guess(datasets, cfg)
+    guess = _initial_guess(spectra[0], cfg)
     held = {"od": cfg.od, "scale_d2": 1.0, "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
     base = {name: guess[name] if name in free else held[name] for name in VIT_PARAMS}
 
@@ -254,8 +257,8 @@ def fit_vit_spectra(datasets, cfg, free=("eta_eff", "od", "scale_d2"), correctio
         p = dict(base)
         p.update({name: pvec[i] for i, name in enumerate(free)})
         chunks = []
-        for dcav, spec in datasets:
-            model = _vit_model(cfg, spec.delta_probe, dcav, p, corrections)
+        for spec in spectra:
+            model = _vit_model(cfg, spec, p, corrections)
             for m, data, sigma in zip(model, (spec.transmission, spec.emission),
                                       (spec.sigma_transmission, spec.sigma_emission)):
                 if data is not None:

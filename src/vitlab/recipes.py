@@ -118,9 +118,9 @@ def photon_number_scan(cfg, eta_eff_0, n_c_values, corrections, seed):
     for i, n_c in enumerate(n_c_values):
         plan = ScanPlan(delta_cavity_list=(0.0,), probe_grid=grid,
                         photon_flux=2.0e6, dwell=20e-3, rng_seed=seed + i)
-        scans = generate_scan(cfg, effective_cooperativity(eta_eff_0, n_c), plan, corrections)
-        datasets = [(d, spectrum_from_records(r, plan)) for d, r in scans]
-        fit = fit_vit_spectra(datasets, cfg, corrections=corrections)
+        records = generate_scan(cfg, effective_cooperativity(eta_eff_0, n_c), plan, corrections)
+        fit = fit_vit_spectra([spectrum_from_records(records, plan)], cfg,
+                              corrections=corrections)
         rows.append((n_c, fit.value("eta_eff"), fit.error("eta_eff")))
     return rows
 

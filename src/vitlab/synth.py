@@ -4,7 +4,8 @@ A scan steps the probe detuning across a grid for each of several
 resonator detunings and records counts on two detectors: D1 behind the
 ensemble (transmission) and D2 on the resonator output (emission).
 Expected counts are flux * dwell * efficiency * model; observed counts
-are Poisson draws.
+are Poisson draws.  In memory a scan is one record array (RECORD_FIELDS,
+detunings in rad/s), one row per point, as the CSV holds it.
 
 Noise streams are derived per grid point from
 numpy.random.SeedSequence([seed, scan_index, point_index]) feeding
@@ -13,8 +14,9 @@ or in parallel, and the scheme is explicit enough to reproduce outside
 this package.
 
 File format: CSV with columns delta_probe_MHz, delta_cavity_MHz,
-counts_d1, counts_d2, expected_d1, expected_d2, plus a JSON sidecar
-carrying the plan, the physical constants and the seed.
+counts_d1, counts_d2, expected_d1, expected_d2, one row per point with
+resonator detunings major, plus a JSON sidecar carrying the plan, the
+physical constants and the seed.
 """
 
 from dataclasses import dataclass, fields
@@ -34,8 +36,8 @@ SCAN_COLUMNS = ("delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
 NORM_MARGIN = 1e-9
 # the sidecar's physics entries that must match the fit's config
 PHYSICS_KEYS = ("gamma_MHz", "kappa_MHz", "wavelength_um", "length_um")
-# the columns of one scan's record array (probe detuning in rad/s)
-RECORD_FIELDS = "delta_probe,counts_d1,counts_d2,expected_d1,expected_d2"
+# the columns of a scan's record array, SCAN_COLUMNS with the detunings in rad/s
+RECORD_FIELDS = "delta_probe,delta_cavity,counts_d1,counts_d2,expected_d1,expected_d2"
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,12 @@ class ScanPlan:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Normalized spectra on a probe-detuning grid, with optional sigmas.
+    """Normalized spectra on probe detunings, with optional sigmas.
 
-    Given fields are stored as float arrays; a given sigma that is not
-    positive and finite raises ValueError naming the field.
+    delta_cavity is each point's resonator detuning, or one for every
+    point (rad/s, default 0).  Given fields are stored as float arrays;
+    a given sigma that is not positive and finite raises ValueError
+    naming the field.
     """
 
     delta_probe: object
@@ -88,6 +92,7 @@ class Spectrum:
     emission: object = None
     sigma_transmission: object = None
     sigma_emission: object = None
+    delta_cavity: object = 0.0
 
     def __post_init__(self):
         for field in fields(self):
@@ -100,38 +105,30 @@ class Spectrum:
             object.__setattr__(self, field.name, value)
 
 
-def _point_rng(seed, scan_index, point_index):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, scan_index, point_index]))
-    )
-
-
 def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
     """Generate counts for every (resonator detuning, probe detuning) point.
 
-    Returns a list of (delta_cavity, records) in plan order, records a
-    numpy record array with the RECORD_FIELDS columns, one row per probe
-    detuning.  Identical (cfg, eta, plan) always produce identical records.
+    Returns a numpy record array with the RECORD_FIELDS columns, one row
+    per point, resonator detunings major: row k is probe detuning
+    k % len(grid) at resonator detuning k // len(grid), in plan order.
+    Identical (cfg, eta, plan) always produce identical records.
     """
     grid = np.asarray(plan.probe_grid, dtype=float)
-    out = []
-    for i, dcav in enumerate(plan.delta_cavity_list):
-        trans, emis = corrected_spectrum(cfg, eta, grid, float(dcav), corrections,
-                                         emission_scale)
-        e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
-        e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * emis
-        if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
-            raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
-                             "lower the photon flux, dwell or emission scale")
-        c1 = np.empty(len(grid), dtype=np.int64)
-        c2 = np.empty(len(grid), dtype=np.int64)
-        for j in range(len(grid)):
-            rng = _point_rng(plan.rng_seed, i, j)
-            c1[j] = rng.poisson(e1[j])
-            c2[j] = rng.poisson(e2[j])
-        out.append((float(dcav), np.rec.fromarrays((grid, c1, c2, e1, e2),
-                                                   names=RECORD_FIELDS)))
-    return out
+    dp = np.tile(grid, len(plan.delta_cavity_list))
+    dc = np.repeat(np.asarray(plan.delta_cavity_list, dtype=float), len(grid))
+    trans, emis = corrected_spectrum(cfg, eta, dp, dc, corrections, emission_scale)
+    e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
+    e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * emis
+    if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
+        raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
+                         "lower the photon flux, dwell or emission scale")
+    c1, c2 = np.empty((2, len(dp)), dtype=np.int64)
+    for k in range(len(dp)):
+        scan, point = divmod(k, len(grid))
+        rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, scan, point]))
+        c1[k] = rng.poisson(e1[k])
+        c2[k] = rng.poisson(e2[k])
+    return np.rec.fromarrays((dp, dc, c1, c2, e1, e2), names=RECORD_FIELDS)
 
 
 def spectrum_from_records(records, plan):
@@ -156,15 +153,15 @@ def spectrum_from_records(records, plan):
         emission=emission,
         sigma_transmission=np.sqrt(np.maximum(c1, 1.0)) / norm1,
         sigma_emission=sigma_emission,
+        delta_cavity=records.delta_cavity.copy(),
     )
 
 
-def write_scan_csv(path, scans):
-    """Write generate_scan output; detunings go out in MHz."""
-    rows = np.concatenate([records for _, records in scans])
-    dcav = np.repeat([float(d) / MHZ for d, _ in scans], [len(r) for _, r in scans])
-    write_csv(path, SCAN_COLUMNS, (rows["delta_probe"] / MHZ, dcav, rows["counts_d1"],
-                                   rows["counts_d2"], rows["expected_d1"], rows["expected_d2"]))
+def write_scan_csv(path, records):
+    """Write generate_scan's records, one row each; detunings go out in MHz."""
+    write_csv(path, SCAN_COLUMNS, (records.delta_probe / MHZ, records.delta_cavity / MHZ,
+                                   records.counts_d1, records.counts_d2,
+                                   records.expected_d1, records.expected_d2))
 
 
 def _count(text):
@@ -176,15 +173,13 @@ def _count(text):
 
 
 def read_scan_csv(path):
-    """Read a scan CSV back into (delta_cavity, records) groups, in file order.
+    """Read a scan CSV back into generate_scan's record array, rows in file order.
 
     Count cells must be integers in [0, 2**53].
     """
     rows = read_csv(path, SCAN_COLUMNS, ((2, _count), (3, _count)))
     dp, dcav, c1, c2, e1, e2 = map(np.array, list(zip(*rows))[:len(SCAN_COLUMNS)])
-    records = np.rec.fromarrays((dp * MHZ, c1, c2, e1, e2), names=RECORD_FIELDS)
-    _, first, group = np.unique(dcav, return_index=True, return_inverse=True)
-    return [(float(dcav[first[k]]) * MHZ, records[group == k]) for k in np.argsort(first)]
+    return np.rec.fromarrays((dp * MHZ, dcav * MHZ, c1, c2, e1, e2), names=RECORD_FIELDS)
 
 
 def _physics(cfg, eta):
@@ -220,7 +215,7 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
     write_json(path, meta)
 
 
-def read_scan_sidecar(path, scans, cfg):
+def read_scan_sidecar(path, records, cfg):
     """The (ScanPlan, Corrections) recorded by write_scan_sidecar.
 
     Values the sidecar holds in SI come back as the same doubles; those
@@ -228,13 +223,12 @@ def read_scan_sidecar(path, scans, cfg):
     each way and may come back one ulp off (about a tenth of frequencies,
     a third of dwells).
 
-    scans, read_scan_csv's groups, are checked against the plan: their
-    resonator detunings must be the plan's set, and each group's probe
-    detunings the plan's grid, tiled as often as the plan lists that
-    detuning (read_scan_csv merges repeats), double for double; an
-    expected count above flux * dwell * efficiency of its detector
-    (times the emission scale on D2), by more than NORM_MARGIN relative,
-    cannot come from the model, and raises ValueError naming the sidecar;
+    records, read_scan_csv's, are checked against the plan: their
+    detuning columns must be those generate_scan makes of it, row for
+    row and double for double; an expected count above flux * dwell *
+    efficiency of its detector (times the emission scale on D2), by more
+    than NORM_MARGIN relative, cannot come from the model, and raises
+    ValueError naming the sidecar;
     so does a zero flux * dwell * efficiency_d1, which leaves nothing to
     normalise D1 by (a zero on D2 makes a scan without emission), a
     negative expected count, and an observed count above e + 50 sqrt(e)
@@ -277,9 +271,8 @@ def read_scan_sidecar(path, scans, cfg):
             raise ValueError(f"{path}: the scan was made with {key} {recorded[key]!r}, "
                              f"and the config gives {expected[key]!r}")
     grid, dcavs = np.asarray(plan.probe_grid), plan.delta_cavity_list
-    if len(scans) != len(set(dcavs)) or not all(
-            np.array_equal(records.delta_probe, np.tile(grid, dcavs.count(dcav)))
-            for dcav, records in scans):
+    if not (np.array_equal(records.delta_probe, np.tile(grid, len(dcavs)))
+            and np.array_equal(records.delta_cavity, np.repeat(dcavs, len(grid)))):
         raise ValueError(f"{path}: its plan's resonator detunings and probe grid "
                          "are not the scan's")
     flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
@@ -288,21 +281,20 @@ def read_scan_sidecar(path, scans, cfg):
                          "cannot form a spectrum")
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
                         ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):
-        worst = max((records[name].max() for _, records in scans), default=0.0)
+        worst = records[name].max()
         if worst > bound:
             raise ValueError(f"{path}: its flux, dwell and efficiencies allow {name} up to "
                              f"{bound:.6g} per point, and the scan reaches {worst:.6g}")
-    for _, records in scans:
-        for counts, name in (("counts_d1", "expected_d1"), ("counts_d2", "expected_d2")):
-            e = records[name]
-            if e.min() < 0:
-                raise ValueError(f"{path}: the scan's {name} reaches {e.min():.6g}, below zero")
-            bound = e + 50.0 * np.sqrt(e) + 50.0
-            over = np.flatnonzero(records[counts] > bound)
-            if over.size:
-                i = over[0]
-                raise ValueError(f"{path}: its plan cannot produce {counts} "
-                                 f"{records[counts][i]} at probe detuning "
-                                 f"{records.delta_probe[i] / MHZ:.6g} MHz, where {name} "
-                                 f"is {e[i]:.6g} (at most {bound[i]:.6g})")
+    for counts, name in (("counts_d1", "expected_d1"), ("counts_d2", "expected_d2")):
+        e = records[name]
+        if e.min() < 0:
+            raise ValueError(f"{path}: the scan's {name} reaches {e.min():.6g}, below zero")
+        bound = e + 50.0 * np.sqrt(e) + 50.0
+        over = np.flatnonzero(records[counts] > bound)
+        if over.size:
+            i = over[0]
+            raise ValueError(f"{path}: its plan cannot produce {counts} {records[counts][i]} "
+                             f"at probe detuning {records.delta_probe[i] / MHZ:.6g} MHz and "
+                             f"resonator detuning {records.delta_cavity[i] / MHZ:.6g} MHz, "
+                             f"where {name} is {e[i]:.6g} (at most {bound[i]:.6g})")
     return plan, corr

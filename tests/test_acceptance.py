@@ -150,32 +150,27 @@ GRID81 = tuple(np.linspace(-4.0, 4.0, 81) * MHZ)
 DCAVS = tuple(d * MHZ for d in RESONATOR_DETUNINGS_MHZ)
 
 
-def _datasets(cfg, eta, plan, noiseless=False, corr=Corrections()):
-    scans = generate_scan(cfg, eta, plan, corr)
+def _spectra(cfg, eta, plan, noiseless=False, corr=Corrections()):
+    recs = generate_scan(cfg, eta, plan, corr)
+    if not noiseless:
+        return [spectrum_from_records(recs, plan)]
     norm = plan.photon_flux * plan.dwell
-    out = []
-    for d, recs in scans:
-        if noiseless:
-            spec = Spectrum(np.asarray(plan.probe_grid), recs.expected_d1 / norm,
-                            recs.expected_d2 / norm, np.full(len(recs), 1.0 / norm),
-                            np.full(len(recs), 1.0 / norm))
-        else:
-            spec = spectrum_from_records(recs, plan)
-        out.append((d, spec))
-    return out
+    sigma = np.full(len(recs), 1.0 / norm)
+    return [Spectrum(recs.delta_probe, recs.expected_d1 / norm, recs.expected_d2 / norm,
+                     sigma, sigma, recs.delta_cavity)]
 
 
 def test_criterion_09_fit_round_trip_and_coverage(report, cfg):
     plan = ScanPlan(delta_cavity_list=DCAVS, probe_grid=GRID81,
                     photon_flux=1e6, dwell=50e-3, rng_seed=0)
-    clean = _datasets(cfg, 5.0, plan, noiseless=True)
+    clean = _spectra(cfg, 5.0, plan, noiseless=True)
     fit = fit_vit_spectra(clean, cfg)
     eta_err = abs(fit.value("eta_eff") - 5.0) / 5.0
     od_err = abs(fit.value("od") - 0.4) / 0.4
 
     hits = 0
     for seed in range(100):
-        noisy = _datasets(cfg, 5.0, replace(plan, rng_seed=seed))
+        noisy = _spectra(cfg, 5.0, replace(plan, rng_seed=seed))
         f = fit_vit_spectra(noisy, cfg)
         if f.converged and abs(f.value("eta_eff") - 5.0) <= f.error("eta_eff"):
             hits += 1

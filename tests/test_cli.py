@@ -123,6 +123,81 @@ def test_fit_linear_rejects_correction_flags(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, argv", (
+    ("vit", ["--on", "transmission"]),
+    ("lorentzian", ["--free", "eta_eff"]),
+    ("lorentzian", ["--average"]),
+    ("lorentzian", ["--delta-cavity-mhz", "0"]),
+    ("linear", ["--free", "eta_eff,od"]),
+    ("linear", ["--on", "absorbance"]),
+    ("linear", ["--delta-cavity-mhz", "0.5"]),
+))
+def test_fit_refuses_flags_its_model_does_not_read(tmp_path, capsys, model, argv):
+    # each of these changed nothing in the fit; now it is an error, not ignored
+    data = tmp_path / "data.csv"
+    if model == "linear":
+        data.write_text("n_c,eta_eff,eta_eff_err\n3,13.6,0.1\n5,20.4,0.1\n7,27.2,0.1\n")
+    else:
+        assert main(["spectrum", "--points", "41", "--out", str(data)]) == 0
+    out = tmp_path / "fit.json"
+    fit = ["fit", "--model", model, "--input", str(data), "--out", str(out)]
+    assert main(fit + argv) == 2
+    err = capsys.readouterr().err
+    assert argv[0] in err and "data.csv" in err
+    assert not out.exists()
+    assert main(fit) == 0
+
+
+def test_fit_scan_refuses_a_resonator_detuning_flag(tmp_path, capsys):
+    # a scan's rows carry their resonator detunings; the flag is for spectra
+    scan = _synth(tmp_path / "scan", "0.5", "1")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--input", scan, "--delta-cavity-mhz", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--delta-cavity-mhz" in err and "scan.csv" in err
+    assert not out.exists()
+
+
+def test_fit_spectrum_at_its_resonator_detuning(tmp_path):
+    # a plain spectrum fits at --delta-cavity-mhz, 0 when it is not given
+    spec = tmp_path / "sp.csv"
+    assert main(["spectrum", "--delta-cavity-mhz", "0.5", "--points", "81", "--eta", "5",
+                 "--out", str(spec)]) == 0
+    out = tmp_path / "fit.json"
+
+    def eta(*argv):
+        assert main(["fit", "--model", "vit", "--input", str(spec), "--out", str(out),
+                     *argv]) == 0
+        return json.loads(out.read_text())["params"]["eta_eff"]["value"]
+
+    assert eta("--delta-cavity-mhz", "0.5") == pytest.approx(5.0, rel=1e-6)
+    assert abs(eta() - 5.0) > 0.01
+
+
+@pytest.mark.parametrize("model", ("vit", "lorentzian"))
+def test_spectrum_third_column_is_the_emission(tmp_path, capsys, model):
+    # a third column fitted as cavity emission whatever its name; a sigma
+    # column so fitted gave a wrong fit and exit 0
+    spec = tmp_path / "sp.csv"
+    assert main(["spectrum", "--points", "41", "--out", str(spec)]) == 0
+    header, body = spec.read_text().split("\n", 1)
+    out = tmp_path / "fit.json"
+    fit = ["fit", "--model", model, "--out", str(out), "--input"]
+    bad = tmp_path / "sigma.csv"
+    bad.write_text(header.replace("cavity_emission", "sigma") + "\n" + body)
+    assert main(fit + [str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma.csv" in err and "'sigma'" in err and "cavity_emission" in err
+    assert not out.exists()
+    # the column under its own name, and no third column (nor scale_d2), fit
+    assert main(fit + [str(spec)]) == 0
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                            for line in spec.read_text().splitlines()))
+    assert main(fit + [str(bare)] + (["--free", "eta_eff,od"] if model == "vit" else [])) == 0
+
+
 def test_env_config_changes_defaults(tmp_path, monkeypatch):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"od": 2.0}))
@@ -742,12 +817,30 @@ def test_fit_count_beyond_the_plan_returns_2(tmp_path, capsys, excess, code):
 
 
 def test_fit_scan_with_a_repeated_detuning(tmp_path):
-    # read_scan_csv merges the repeats into one group on the grid twice
+    # the plan lists 0 twice: the scan holds its rows twice, in plan order
     prefix = str(tmp_path / "r")
     assert main(["synth", "--delta-cavity-mhz", "0", "0.5", "0", "--points", "41",
                  "--out", prefix]) == 0
     assert main(["fit", "--model", "vit", "--input", prefix + ".csv",
                  "--out", str(tmp_path / "fit.json")]) == 0
+
+
+def test_fit_scan_with_reordered_rows_names_the_sidecar(tmp_path, capsys):
+    # the plan fixes each row's place: the same rows with the resonator
+    # detunings swapped are another scan, whose noise streams are not these
+    prefix = str(tmp_path / "a")
+    assert main(["synth", "--delta-cavity-mhz", "0.5", "-2.2", "--points", "41",
+                 "--out", prefix]) == 0
+    with open(prefix + ".csv") as fh:
+        header, *rows = fh.readlines()
+    with open(prefix + ".csv", "w") as fh:
+        fh.writelines([header, *rows[41:], *rows[:41]])
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--input", prefix + ".csv",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "a.json" in err and "probe grid" in err
+    assert not out.exists()
 
 
 def test_fit_config_contradicting_the_sidecar_returns_2(tmp_path, capsys):

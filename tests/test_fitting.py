@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,22 +25,17 @@ from vitlab.synth import ScanPlan, Spectrum, generate_scan
 GRID = np.linspace(-4e6, 4e6, 81) * 2 * np.pi
 
 
-def _clean_datasets(cfg, eta, dcavs, corrections=None, od=None):
-    """Noiseless spectra straight from the generator expectations."""
-    from dataclasses import replace
-
+def _clean_spectrum(cfg, eta, dcavs, corrections=None, od=None):
+    """A noiseless scan's spectrum, straight from the generator expectations."""
     c = replace(cfg, od=od) if od is not None else cfg
     plan = ScanPlan(delta_cavity_list=tuple(dcavs), probe_grid=tuple(GRID),
                     photon_flux=1e6, dwell=1e-2, rng_seed=0)
     corr = corrections if corrections is not None else Corrections()
-    scans = generate_scan(c, eta, plan, corr)
+    recs = generate_scan(c, eta, plan, corr)
     norm = plan.photon_flux * plan.dwell
-    out = []
-    for d, recs in scans:
-        out.append((d, Spectrum(GRID.copy(), recs.expected_d1 / norm,
-                                recs.expected_d2 / norm, np.full(len(recs), 1.0 / norm),
-                                np.full(len(recs), 1.0 / norm))))
-    return out
+    sigma = np.full(len(recs), 1.0 / norm)
+    return Spectrum(recs.delta_probe, recs.expected_d1 / norm, recs.expected_d2 / norm,
+                    sigma, sigma, recs.delta_cavity)
 
 
 def test_damped_least_squares_quadratic():
@@ -171,9 +167,9 @@ def test_fit_lorentzian_against_scipy(cfg):
 
 
 def test_vit_round_trip_all_free(cfg):
-    datasets = _clean_datasets(cfg, 5.0, [d * MHZ for d in RESONATOR_DETUNINGS_MHZ])
+    spectrum = _clean_spectrum(cfg, 5.0, [d * MHZ for d in RESONATOR_DETUNINGS_MHZ])
     fit = fit_vit_spectra(
-        datasets, cfg,
+        [spectrum], cfg,
         free=("eta_eff", "od", "scale_d2", "probe_offset_mhz", "cavity_offset_mhz"),
     )
     assert fit.converged
@@ -187,11 +183,9 @@ def test_vit_round_trip_all_free(cfg):
 def test_vit_round_trip_with_offsets_in_data(cfg):
     # data axis reads 0.3 MHz high; the fitted calibration is the
     # correction back to the true axis, hence -0.3
-    datasets = _clean_datasets(cfg, 5.0, (0.5 * MHZ,))
-    d, s = datasets[0]
-    shifted = Spectrum(s.delta_probe + 0.3 * MHZ, s.transmission, s.emission,
-                       s.sigma_transmission, s.sigma_emission)
-    fit = fit_vit_spectra([(d, shifted)], cfg,
+    s = _clean_spectrum(cfg, 5.0, (0.5 * MHZ,))
+    shifted = replace(s, delta_probe=s.delta_probe + 0.3 * MHZ)
+    fit = fit_vit_spectra([shifted], cfg,
                           free=("eta_eff", "od", "scale_d2", "probe_offset_mhz"))
     assert abs(fit.value("probe_offset_mhz") + 0.3) < 1e-3
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
@@ -199,21 +193,21 @@ def test_vit_round_trip_with_offsets_in_data(cfg):
 
 def test_vit_fixed_parameters(cfg):
     # the truths are the config's od (0.4) and a scale of 1, where they are held
-    datasets = _clean_datasets(cfg, 5.0, (0.0,))
-    fit = fit_vit_spectra(datasets, cfg, free=("eta_eff",))
+    spectra = [_clean_spectrum(cfg, 5.0, (0.0,))]
+    fit = fit_vit_spectra(spectra, cfg, free=("eta_eff",))
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
     assert fit.names == ("eta_eff",)
     with pytest.raises(ValueError, match="eta_eff"):
-        fit_vit_spectra(datasets, cfg, free=("od", "scale_d2"))
+        fit_vit_spectra(spectra, cfg, free=("od", "scale_d2"))
 
 
 def test_vit_round_trip_with_corrections(cfg):
     corr = Corrections(averaging_nodes=32)
-    datasets = _clean_datasets(cfg, 5.0, (0.0,), corrections=corr)
-    fit = fit_vit_spectra(datasets, cfg, corrections=corr)
+    spectra = [_clean_spectrum(cfg, 5.0, (0.0,), corrections=corr)]
+    fit = fit_vit_spectra(spectra, cfg, corrections=corr)
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
     # fitting the same data without the averaging misattributes eta
-    naive = fit_vit_spectra(datasets, cfg)
+    naive = fit_vit_spectra(spectra, cfg)
     assert abs(naive.value("eta_eff") - 5.0) / 5.0 > 0.01
 
 
@@ -230,16 +224,14 @@ def test_spectrum_refuses_a_sigma_that_is_not_positive_and_finite(field, bad):
 def test_vit_flat_data_rank_deficient(cfg):
     flat = Spectrum(GRID, np.ones(81), None, np.full(81, 0.01), None)
     with pytest.raises(RankDeficientError) as err:
-        fit_vit_spectra([(0.0, flat)], cfg, free=("eta_eff", "od"))
+        fit_vit_spectra([flat], cfg, free=("eta_eff", "od"))
     assert err.value.parameter in ("eta_eff", "od")
 
 
 def test_vit_transmission_only_dataset(cfg):
-    datasets = _clean_datasets(cfg, 5.0, (0.0,))
-    d, s = datasets[0]
-    no_d2 = Spectrum(s.delta_probe, s.transmission, None,
-                     s.sigma_transmission, None)
-    fit = fit_vit_spectra([(d, no_d2)], cfg, free=("eta_eff", "od"))
+    s = _clean_spectrum(cfg, 5.0, (0.0,))
+    no_d2 = replace(s, emission=None, sigma_emission=None)
+    fit = fit_vit_spectra([no_d2], cfg, free=("eta_eff", "od"))
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
 
 
@@ -332,8 +324,7 @@ def test_extract_transparency():
 
 
 def test_fit_json_writer(tmp_path, cfg):
-    datasets = _clean_datasets(cfg, 5.0, (0.0,))
-    fit = fit_vit_spectra(datasets, cfg)
+    fit = fit_vit_spectra([_clean_spectrum(cfg, 5.0, (0.0,))], cfg)
     path = tmp_path / "fit.json"
     write_json(path, fit.to_json_dict())
     doc = json.loads(path.read_text())
@@ -345,6 +336,5 @@ def test_fit_json_writer(tmp_path, cfg):
 @pytest.mark.parametrize("free, name", ((("eta_eff", "od", "eta_eff"), "'eta_eff'"),
                                         (("eta_eff", "eta"), "'eta'")))
 def test_fit_vit_rejects_bad_free(cfg, free, name):
-    datasets = _clean_datasets(cfg, 5.0, (0.0,))
     with pytest.raises(ValueError, match=name):
-        fit_vit_spectra(datasets, cfg, free=free)
+        fit_vit_spectra([_clean_spectrum(cfg, 5.0, (0.0,))], cfg, free=free)

@@ -154,7 +154,7 @@ def test_scan_reader_reads_nonnegative_integer_counts_only(csv_path, n_rows, dat
         with pytest.raises(ValueError, match=re.escape(f"{csv_path}, line {at + 2}:")):
             read_scan_csv(csv_path)
         return
-    [(_, records)] = read_scan_csv(csv_path)
+    records = read_scan_csv(csv_path)
     name = ("counts_d1", "counts_d2")[column - 2]
     assert getattr(records[at], name) == integer
     assert len(records) == n_rows

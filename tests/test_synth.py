@@ -8,6 +8,7 @@ from vitlab.config import MHZ, corrections
 from vitlab.core import transmission
 from vitlab.spatial import Corrections
 from vitlab.synth import (
+    RECORD_FIELDS,
     SCAN_COLUMNS,
     ScanPlan,
     generate_scan,
@@ -61,22 +62,20 @@ def test_counts_beyond_poisson_range_rejected(cfg):
 def test_determinism(cfg):
     a = generate_scan(cfg, 3.4, _plan(seed=42))
     b = generate_scan(cfg, 3.4, _plan(seed=42))
-    for (da, ra), (db, rb) in zip(a, b):
-        assert da == db
-        assert np.array_equal(ra, rb)
+    assert np.array_equal(a, b)
 
 
 def test_point_streams_independent(cfg):
     # neighbouring points draw from unrelated streams, and changing the
     # seed changes everything
-    recs = generate_scan(cfg, 3.4, _plan(seed=1))[0][1]
-    other = generate_scan(cfg, 3.4, _plan(seed=2))[0][1]
+    recs = generate_scan(cfg, 3.4, _plan(seed=1))
+    other = generate_scan(cfg, 3.4, _plan(seed=2))
     assert np.any(recs.counts_d1 != other.counts_d1)
 
 
 def test_expected_counts_match_model(cfg):
     plan = _plan()
-    recs = generate_scan(cfg, 3.4, plan)[0][1]
+    recs = generate_scan(cfg, 3.4, plan)
     norm = plan.photon_flux * plan.dwell
     t = transmission(cfg, 3.4, np.asarray(GRID), 0.0)
     assert np.allclose(recs.expected_d1, norm * t, rtol=1e-12)
@@ -89,7 +88,7 @@ def test_poisson_moments(cfg):
 
     def record(seed):
         plan = replace(_plan(seed=seed), probe_grid=(GRID[15],))
-        return generate_scan(cfg, 3.4, plan)[0][1][0]
+        return generate_scan(cfg, 3.4, plan)[0]
 
     lam = record(0).expected_d1
     for seed in range(n_rep):
@@ -103,22 +102,22 @@ def test_expected_d1_monotone_in_eta(cfg):
     plan = _plan()
     res = []
     for eta in (0.5, 1.0, 2.0, 4.0, 8.0):
-        recs = generate_scan(cfg, eta, plan)[0][1]
+        recs = generate_scan(cfg, eta, plan)
         res.append(recs[15].expected_d1)  # two-photon resonance point
     assert all(a < b for a, b in zip(res, res[1:]))
 
 
 def test_efficiencies_scale_expectations(cfg):
     plan = replace(_plan(), efficiency_d1=0.3, efficiency_d2=0.7)
-    full = generate_scan(cfg, 3.4, _plan())[0][1]
-    cut = generate_scan(cfg, 3.4, plan)[0][1]
+    full = generate_scan(cfg, 3.4, _plan())
+    cut = generate_scan(cfg, 3.4, plan)
     assert np.allclose(cut.expected_d1, 0.3 * full.expected_d1, rtol=1e-12)
     assert np.allclose(cut.expected_d2, 0.7 * full.expected_d2, rtol=1e-12)
 
 
 def test_spectrum_from_records_sigmas(cfg):
     plan = _plan()
-    recs = generate_scan(cfg, 3.4, plan)[0][1]
+    recs = generate_scan(cfg, 3.4, plan)
     spec = spectrum_from_records(recs, plan)
     norm = plan.photon_flux * plan.dwell
     assert np.all(spec.sigma_transmission >= 1.0 / norm)  # floor at 1 count
@@ -126,32 +125,38 @@ def test_spectrum_from_records_sigmas(cfg):
     assert np.isclose(spec.transmission[i], recs[i].counts_d1 / norm, rtol=1e-12)
 
 
-def test_scan_csv_round_trip(tmp_path, cfg):
-    plan = ScanPlan(delta_cavity_list=(0.0, 0.5 * MHZ), probe_grid=GRID,
+def test_scan_rows_follow_the_plan(cfg):
+    # resonator detunings major, each row drawn from SeedSequence([seed, scan, point])
+    plan = ScanPlan(delta_cavity_list=(0.5 * MHZ, -2.2 * MHZ, 0.5 * MHZ), probe_grid=GRID,
                     photon_flux=1e6, dwell=1e-3, rng_seed=9)
-    scans = generate_scan(cfg, 3.4, plan)
+    recs = generate_scan(cfg, 3.4, plan)
+    assert recs.dtype.names == tuple(RECORD_FIELDS.split(","))
+    assert np.array_equal(recs.delta_probe, np.tile(GRID, 3))
+    assert np.array_equal(recs.delta_cavity, np.repeat(plan.delta_cavity_list, len(GRID)))
+    for scan, point in ((0, 0), (1, 7), (2, 30)):
+        rec = recs[scan * len(GRID) + point]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([9, scan, point])))
+        assert (rec.counts_d1, rec.counts_d2) == (rng.poisson(rec.expected_d1),
+                                                  rng.poisson(rec.expected_d2))
+    # each resonator detuning's rows are the spectrum at that detuning alone
+    alone = generate_scan(cfg, 3.4, replace(plan, delta_cavity_list=(-2.2 * MHZ,)))
+    np.testing.assert_allclose(recs.expected_d1[len(GRID):2 * len(GRID)],
+                               alone.expected_d1, rtol=1e-15)
+
+
+def test_scan_csv_round_trip(tmp_path, cfg):
+    plan = ScanPlan(delta_cavity_list=(0.5 * MHZ, 0.0, -2.2 * MHZ), probe_grid=GRID,
+                    photon_flux=1e6, dwell=1e-3, rng_seed=9)
+    recs = generate_scan(cfg, 3.4, plan)
     path = tmp_path / "scan.csv"
-    write_scan_csv(path, scans)
+    write_scan_csv(path, recs)
     back = read_scan_csv(path)
-    assert len(back) == 2
-    for (d0, r0), (d1, r1) in zip(scans, back):
-        assert np.isclose(d0, d1, rtol=1e-12, atol=1.0)
-        assert r1.dtype.names == r0.dtype.names
-        assert np.array_equal(r0.counts_d1, r1.counts_d1)
-        assert np.array_equal(r0.counts_d2, r1.counts_d2)
-        assert np.allclose(r0.expected_d2, r1.expected_d2, rtol=1e-12)
-
-
-def test_scan_csv_groups_in_file_order(tmp_path):
-    path = tmp_path / "scan.csv"
-    path.write_text("delta_probe_MHz,delta_cavity_MHz,counts_d1,counts_d2,"
-                    "expected_d1,expected_d2\n"
-                    "0.0,1.0,1,2,1.5,2.5\n0.0,-1.0,3,4,3.5,4.5\n1.0,1.0,5,6,5.5,6.5\n")
-    (d_a, a), (d_b, b) = read_scan_csv(path)
-    assert (d_a, d_b) == (1.0 * MHZ, -1.0 * MHZ)
-    assert a.counts_d1.tolist() == [1, 5] and b.counts_d2.tolist() == [4]
-    assert a.delta_probe.tolist() == [0.0, MHZ]
-    assert a.expected_d2.tolist() == [2.5, 6.5]
+    assert back.dtype.names == recs.dtype.names
+    # the rows come back in their order, the detunings through MHz and back
+    for name in ("delta_probe", "delta_cavity"):
+        np.testing.assert_allclose(back[name], recs[name], rtol=1e-15, atol=1e-9)
+    for name in ("counts_d1", "counts_d2", "expected_d1", "expected_d2"):
+        assert np.array_equal(back[name], recs[name])
 
 
 def test_sidecar_contents(tmp_path, cfg):
@@ -191,7 +196,7 @@ def test_scan_counts_are_exact_doubles(tmp_path):
     path = tmp_path / "big.csv"
     header = ",".join(SCAN_COLUMNS) + "\n"
     path.write_text(header + f"0.0,0.0,{2**53},1,5.0,1.0\n")
-    [(_, records)] = read_scan_csv(path)
+    records = read_scan_csv(path)
     assert records.counts_d1.dtype == np.int64 and records.counts_d1[0] == 2**53
     for count in (2**53 + 1, 10**19, 10**30):
         path.write_text(header + "0.0,0.0,5,1,5.0,1.0\n" + f"0.1,0.0,5,{count},5.0,1.0\n")
@@ -210,8 +215,11 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
     write_scan_csv(tmp_path / "scan.csv", generate_scan(cfg, 3.4, plan, corr))
     scans = read_scan_csv(tmp_path / "scan.csv")
     back, back_corr = read_scan_sidecar(path, scans, cfg)
-    # another scan is refused: a detuning missing, or a probe grid cut short
-    for other in ((), scans[:2], [(d, r[:-1]) for d, r in scans]):
+    # another scan is refused: a detuning missing, a probe grid cut short,
+    # the rows in another order, or another resonator detuning
+    other_dcav = scans.copy()
+    other_dcav.delta_cavity[-1] = 2.8 * MHZ
+    for other in (scans[:2 * len(GRID)], scans[:-1], scans[::-1], other_dcav):
         with pytest.raises(ValueError, match="scan.json.*probe grid"):
             read_scan_sidecar(path, other, cfg)
     # 0.6 MHz side shift and 0.2 MHz jitter come back as the same doubles
@@ -256,7 +264,7 @@ def test_sidecar_refuses_counts_the_plan_cannot_produce(tmp_path, cfg):
     plan = _plan(seed=2)
     path = tmp_path / "scan.json"
     write_scan_sidecar(path, plan, cfg, 3.4)
-    [(dcav, records)] = generate_scan(cfg, 3.4, plan)
+    records = generate_scan(cfg, 3.4, plan)
     e = records.expected_d2[5]
     ceiling = int(np.floor(e + 50.0 * np.sqrt(e) + 50.0))
     for name, value, message in (("counts_d2", ceiling, None),
@@ -265,7 +273,7 @@ def test_sidecar_refuses_counts_the_plan_cannot_produce(tmp_path, cfg):
         edited = records.copy()
         edited[name][5] = value
         if message is None:
-            read_scan_sidecar(path, [(dcav, edited)], cfg)
+            read_scan_sidecar(path, edited, cfg)
         else:
             with pytest.raises(ValueError, match=f"scan.json: .*{message}"):
-                read_scan_sidecar(path, [(dcav, edited)], cfg)
+                read_scan_sidecar(path, edited, cfg)
