@@ -111,9 +111,8 @@ def _probe_grid(args):
 def cmd_spectrum(args):
     conf, cfg, eta, corr = _setup(args)
     grid = _probe_grid(args)
-    trans, emis = corrected_spectrum(cfg, eta, grid, args.delta_cavity_mhz * MHZ, corr,
-                                     args.emission_scale)
-    write_csv(args.out, SPECTRUM_COLUMNS, (grid / MHZ, trans, emis))
+    trans, emis = corrected_spectrum(cfg, eta, grid, args.delta_cavity_mhz * MHZ, corr)
+    write_csv(args.out, SPECTRUM_COLUMNS, (grid / MHZ, trans, args.emission_scale * emis))
     return 0
 
 
@@ -192,16 +191,14 @@ def _read_input(path, args, cfg, flag_corrections):
 
 
 def cmd_fit(args):
-    conf = cfgmod.load_config(args.config)
-    cfg = cfgmod.physical_config(conf)
-    flags = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
     if args.sidecar and len(args.input) > 1:
         raise ValueError("--sidecar needs a single --input; "
                          "each scan otherwise reads its own sidecar")
 
     # the flags a model does not read, given when not at their default of None or False
     vit_only = ("average", "side", "jitter", "free", "delta_cavity_mhz")
-    unread = {"linear": ("sidecar", "on", *vit_only), "lorentzian": vit_only, "vit": ("on",)}
+    unread = {"linear": ("config", "sidecar", "on", *vit_only), "lorentzian": vit_only,
+              "vit": ("on",)}
     for flag in unread[args.model]:
         if getattr(args, flag) is not None and getattr(args, flag) is not False:
             raise ValueError(f"--{flag.replace('_', '-')} does not apply to a {args.model} "
@@ -221,6 +218,9 @@ def cmd_fit(args):
         write_json(args.out, line_json_dict(fit))
         return 0
 
+    conf = cfgmod.load_config(args.config)
+    cfg = cfgmod.physical_config(conf)
+    flags = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
     inputs = [_read_input(path, args, cfg, flags) for path in args.input]
     source, corr, _ = inputs[0]
     for other, other_corr, _ in inputs[1:]:

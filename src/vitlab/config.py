@@ -147,6 +147,10 @@ def validate_config(doc):
             raise ValueError(f"config key '{key}' must be finite in SI units (rad/s, m)")
         if key in _POSITIVE and not si > 0:
             raise ValueError(f"config key '{key}' must be positive, in SI units (rad/s, m) too")
+        # core normalises detunings by 2/gamma and 2/kappa
+        if key in ("gamma_MHz", "kappa_MHz") and not 2.0 / si <= sys.float_info.max:
+            raise ValueError(f"config key '{key}' is so small that 2/{key[:-4]} overflows in SI "
+                             "units (s)")
         if key in _NONNEGATIVE and si < 0:
             raise ValueError(f"config key '{key}' must be nonnegative")
     for key in _UNIT_INTERVAL:

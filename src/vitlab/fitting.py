@@ -25,8 +25,8 @@ from vitlab.config import MHZ
 from vitlab.errors import RankDeficientError
 from vitlab.spatial import IDEAL, corrected_spectrum
 
-# the model fit's parameters and their lower bounds; corrected_spectrum needs scale_d2 > 0
-VIT_PARAMS = {"eta_eff": 0.0, "od": 0.0, "scale_d2": np.nextafter(0.0, 1.0),
+# the model fit's parameters and their lower bounds
+VIT_PARAMS = {"eta_eff": 0.0, "od": 0.0, "scale_d2": 0.0,
               "probe_offset_mhz": -np.inf, "cavity_offset_mhz": -np.inf}
 
 
@@ -191,10 +191,11 @@ def fit_lorentzian(spectrum, on="absorbance"):
 
 
 def _vit_model(cfg, spec, p, corrections):
-    return corrected_spectrum(replace(cfg, od=p["od"]), p["eta_eff"],
-                              spec.delta_probe + p["probe_offset_mhz"] * MHZ,
-                              spec.delta_cavity + p["cavity_offset_mhz"] * MHZ, corrections,
-                              p["scale_d2"])
+    trans, emis = corrected_spectrum(replace(cfg, od=p["od"]), p["eta_eff"],
+                                     spec.delta_probe + p["probe_offset_mhz"] * MHZ,
+                                     spec.delta_cavity + p["cavity_offset_mhz"] * MHZ,
+                                     corrections)
+    return trans, p["scale_d2"] * emis
 
 
 def _initial_guess(spec, cfg):

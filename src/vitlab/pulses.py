@@ -54,10 +54,11 @@ class SampledPulse:
             raise ValueError("sample count must be a power of two")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        object.__setattr__(self, "samples", s)
 
     @property
     def n(self):
-        return len(np.asarray(self.samples))
+        return len(self.samples)
 
     @property
     def times(self):
@@ -136,7 +137,7 @@ def run_pulse_ensemble(pulse, transfer):
     grid that fails a guard of the module docstring BandCoverageError.
     """
     n, h = pulse.n, pulse.n // 2
-    spectrum = np.fft.ifft(np.asarray(pulse.samples, dtype=complex))
+    spectrum = np.fft.ifft(pulse.samples.astype(complex, copy=False))
     magnitude = np.abs(spectrum)
     cols = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
     if len(cols) == 0:
@@ -147,7 +148,6 @@ def run_pulse_ensemble(pulse, transfer):
     # in fft order the band runs from index n/2 (most negative) up to n/2 - 1
     edge_index = [h, (h + 1) % n, h - 1, h - 2]
     coarse, total, members = np.zeros(nc), 0.0, 0
-    buf = np.empty((0, nc), dtype=complex)
     for weights, t in transfer(pulse.omega[np.concatenate((cols, edge_index))]):
         weights = np.asarray(weights, dtype=float)
         m = len(weights)
@@ -163,19 +163,14 @@ def run_pulse_ensemble(pulse, transfer):
         if np.any(np.abs(edges[:, 0::2] - edges[:, 1::2]) > EDGE_FLATNESS):
             raise BandCoverageError("transfer function varies at the grid edge; widen the band")
         rows = spectrum[cols] * t[:, :-4]
-        if m == 1:
-            field = np.zeros(n, dtype=complex)
-            field[cols] = rows[0]
-            np.fft.fft(field, out=field)
-        # one buffer of nc-sample rows, reused and transformed in place
-        out = buf[:m] if len(buf) >= m else (buf := np.empty((m, nc), dtype=complex))
-        out[:] = 0.0
+        out = np.zeros((m, nc), dtype=complex)
         out[:, cols % nc] = rows
         np.fft.fft(out, axis=-1, out=out)
         sq = np.square(out.view(float), out=out.view(float))
         coarse += (weights @ sq).reshape(-1, 2).sum(1)
         total += weights.sum()
         members += m
+        del out, sq  # freed before the next block's is made: one at a time
     if not np.isclose(total, 1.0, atol=1e-12):
         raise ValueError("weights must be nonnegative and sum to 1")
     intensity = coarse if nc == n else np.fft.irfft(np.fft.rfft(coarse), n) * (n / nc)
@@ -184,17 +179,20 @@ def run_pulse_ensemble(pulse, transfer):
         raise BandCoverageError("output reaches the ends of the time window; widen the span")
 
     t = pulse.times
-    iin = np.abs(np.asarray(pulse.samples)) ** 2
+    iin = np.abs(pulse.samples) ** 2
     centroid = _centroid(t, intensity) - _centroid(t, iin)
     peak = _peak(t, intensity) - _peak(t, iin)
     energy = float(intensity.sum() / iin.sum())
-    # interpolation can leave -1e-16 of the peak in the tails
-    field = field if members == 1 else np.sqrt(np.maximum(intensity, 0.0)).astype(complex)
+    if members == 1:
+        field = np.zeros(n, dtype=complex)
+        field[cols] = rows[0]
+        np.fft.fft(field, out=field)
+    else:  # interpolation can leave -1e-16 of the peak in the tails
+        field = np.sqrt(np.maximum(intensity, 0.0)).astype(complex)
     return PropagationResult(centroid, peak, energy, SampledPulse(pulse.t0, pulse.dt, field))
 
 
 def write_trace_csv(path, pulse):
     """Write a pulse trace as CSV columns time_us, re, im."""
-    s = np.asarray(pulse.samples)
-    write_csv(path, TRACE_COLUMNS, (pulse.times * 1e6, s.real, s.imag))
+    write_csv(path, TRACE_COLUMNS, (pulse.times * 1e6, pulse.samples.real, pulse.samples.imag))
 

@@ -161,22 +161,19 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
             yield weights[block, j], etas[block], q, chi
 
 
-def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,
-                       emission_scale=1.0):
+def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL):
     """Transmission and resonator-emission spectra with the full correction stack.
 
     Returns (transmission, emission), each the intensity-level average
     of the ensemble members (ensemble_transfer), with the shape of the
-    broadcast detunings; the transmission is at most 1.  The emission
-    channel multiplies the absorbed fraction by the branching ratio of the
+    broadcast detunings; the transmission is at most 1.  The emission is
+    the medium's: the absorbed fraction times the branching ratio of the
     main two-photon channel, beta = g/(1 + g) = eta/(eta + 1 + dc^2) with
     g = eta |q|^2 <= eta (the closed form of the amplitude equations in
-    vitlab.oracle), and by emission_scale.  A negative cooperativity, a
-    non-finite eta_max or detuning, or a Delta - delta beyond a double's
-    range raises ValueError.
+    vitlab.oracle); a detector's gain is its caller's to apply.  A
+    negative cooperativity, a non-finite eta_max or detuning, or a
+    Delta - delta beyond a double's range raises ValueError.
     """
-    if not 0 < emission_scale < np.inf:
-        raise ValueError("emission_scale must be positive and finite")
     for name, value in (("eta_max", eta_max), ("delta_probe", delta_probe),
                         ("delta_cavity", delta_cavity)):
         if not np.isfinite(value).all():
@@ -195,4 +192,4 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
         raise ValueError("Delta - delta beyond a double's range gives a non-finite spectrum")
     # the weights sum to 1 only to rounding: a transparent medium may read 1 + 2e-16
     np.minimum(trans, 1.0, out=trans)
-    return trans.reshape(shape)[()], emission_scale * emis.reshape(shape)[()]
+    return trans.reshape(shape)[()], emis.reshape(shape)[()]

@@ -34,6 +34,8 @@ SCAN_COLUMNS = ("delta_probe_MHz", "delta_cavity_MHz", "counts_d1", "counts_d2",
                 "expected_d1", "expected_d2")
 # relative slack of read_scan_sidecar's check of expected counts against the plan
 NORM_MARGIN = 1e-9
+# the least nonzero exposure flux * dwell * efficiency: a count up to 2**53 over it is finite
+MIN_EXPOSURE = 2.0**53 / np.finfo(float).max
 # the sidecar's physics entries that must match the fit's config
 PHYSICS_KEYS = ("gamma_MHz", "kappa_MHz", "wavelength_um", "length_um")
 # the columns of a scan's record array, SCAN_COLUMNS with the detunings in rad/s
@@ -111,14 +113,17 @@ def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
     Returns a numpy record array with the RECORD_FIELDS columns, one row
     per point, resonator detunings major: row k is probe detuning
     k % len(grid) at resonator detuning k // len(grid), in plan order.
-    Identical (cfg, eta, plan) always produce identical records.
+    Identical (cfg, eta, plan) always produce identical records.  D2 sees the
+    emission times emission_scale, positive and finite (else ValueError).
     """
+    if not 0 < emission_scale < np.inf:
+        raise ValueError("emission_scale must be positive and finite")
     grid = np.asarray(plan.probe_grid, dtype=float)
     dp = np.tile(grid, len(plan.delta_cavity_list))
     dc = np.repeat(np.asarray(plan.delta_cavity_list, dtype=float), len(grid))
-    trans, emis = corrected_spectrum(cfg, eta, dp, dc, corrections, emission_scale)
+    trans, emis = corrected_spectrum(cfg, eta, dp, dc, corrections)
     e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
-    e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * emis
+    e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (emission_scale * emis)
     if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
         raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
                          "lower the photon flux, dwell or emission scale")
@@ -229,8 +234,9 @@ def read_scan_sidecar(path, records, cfg):
     efficiency of its detector (times the emission scale on D2), by more
     than NORM_MARGIN relative, cannot come from the model, and raises
     ValueError naming the sidecar;
-    so does a zero flux * dwell * efficiency_d1, which leaves nothing to
-    normalise D1 by (a zero on D2 makes a scan without emission), a
+    so does a detector's exposure flux * dwell * efficiency that is
+    infinite or below MIN_EXPOSURE, where a count over it would overflow
+    (an exposure of 0 is allowed on D2 alone: a scan without emission), a
     negative expected count, and an observed count above e + 50 sqrt(e)
     + 50 with e its expected count, which a Poisson draw reaches with
     probability below 1e-150 (Chernoff bound), whatever e.
@@ -275,10 +281,15 @@ def read_scan_sidecar(path, records, cfg):
             and np.array_equal(records.delta_cavity, np.repeat(dcavs, len(grid)))):
         raise ValueError(f"{path}: its plan's resonator detunings and probe grid "
                          "are not the scan's")
-    flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
-    if flux_dwell * plan.efficiency_d1 == 0:
-        raise ValueError(f"{path}: its flux, dwell and efficiency give detector D1 no counts; "
-                         "cannot form a spectrum")
+    flux_dwell = plan.photon_flux * plan.dwell
+    for detector, eff, zero in (("D1", plan.efficiency_d1, ""),
+                                ("D2", plan.efficiency_d2, ", or 0 for a scan without emission")):
+        exposure = flux_dwell * eff
+        if not (MIN_EXPOSURE <= exposure < np.inf or exposure == 0 and zero):
+            raise ValueError(f"{path}: its flux, dwell and efficiency give detector {detector} "
+                             f"an exposure of {exposure:.6g}, which must be finite and at least "
+                             f"{MIN_EXPOSURE:.6g}{zero}")
+    flux_dwell = flux_dwell * (1.0 + NORM_MARGIN)
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
                         ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):
         worst = records[name].max()

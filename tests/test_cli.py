@@ -32,6 +32,19 @@ def test_spectrum_command(tmp_path):
     assert np.all((t > 0) & (t <= 1))
 
 
+def test_spectrum_emission_scale_multiplies_the_emission(tmp_path):
+    # the detector gain is applied to the medium's emission, and to nothing else
+    tables = []
+    for scale in ("1", "0.3"):
+        out = tmp_path / f"spec{scale}.csv"
+        assert main(["spectrum", "--average", "--points", "41", "--emission-scale", scale,
+                     "--out", str(out)]) == 0
+        tables.append(np.array(_read_csv(out)[1], dtype=float))
+    plain, scaled = tables
+    assert np.array_equal(scaled[:, :2], plain[:, :2])
+    assert np.array_equal(scaled[:, 2], 0.3 * plain[:, 2]) and plain[:, 2].max() > 0
+
+
 def test_spectrum_rejects_bad_range(capsys):
     assert main(["spectrum", "--scan-from", "3", "--scan-to", "1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -131,6 +144,7 @@ def test_fit_linear_rejects_correction_flags(tmp_path, capsys, flag):
     ("linear", ["--free", "eta_eff,od"]),
     ("linear", ["--on", "absorbance"]),
     ("linear", ["--delta-cavity-mhz", "0.5"]),
+    ("linear", ["--config", "conf.json"]),
 ))
 def test_fit_refuses_flags_its_model_does_not_read(tmp_path, capsys, model, argv):
     # each of these changed nothing in the fit; now it is an error, not ignored
@@ -196,6 +210,19 @@ def test_spectrum_third_column_is_the_emission(tmp_path, capsys, model):
     bare.write_text("".join(",".join(line.split(",")[:2]) + "\n"
                             for line in spec.read_text().splitlines()))
     assert main(fit + [str(bare)] + (["--free", "eta_eff,od"] if model == "vit" else [])) == 0
+
+
+def test_fit_linear_reads_no_config(tmp_path, capsys, monkeypatch):
+    # a line has no physics: a config it cannot read is no error, though a vit fit names it
+    conf = tmp_path / "bad.json"
+    conf.write_bytes(b"\xff")
+    monkeypatch.setenv(ENV_VAR, str(conf))
+    data = tmp_path / "line.csv"
+    data.write_text("n_c,eta_eff,eta_eff_err\n3,13.6,0.1\n5,20.4,0.1\n7,27.2,0.1\n")
+    assert main(["fit", "--model", "linear", "--input", str(data),
+                 "--out", str(tmp_path / "lin.json")]) == 0
+    assert main(["fit", "--model", "vit", "--input", str(data)]) == 2
+    assert "bad.json" in capsys.readouterr().err
 
 
 def test_env_config_changes_defaults(tmp_path, monkeypatch):
@@ -344,7 +371,9 @@ def test_pulse_grid_errors_name_the_flags(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}',
                                   pytest.param('{"od": 1' + "0" * 400 + "}", id="10**400"),
                                   # finite in MHz, infinite in rad/s
-                                  '{"gamma_MHz": 1e303}', '{"side_shift_MHz": 1e303}'))
+                                  '{"gamma_MHz": 1e303}', '{"side_shift_MHz": 1e303}',
+                                  # positive in rad/s, but 2/kappa and 2/gamma are infinite
+                                  '{"kappa_MHz": 5e-324}', '{"gamma_MHz": 5e-324}'))
 def test_non_finite_config_returns_2(tmp_path, capsys, text):
     conf = tmp_path / "conf.json"
     conf.write_text(text)
@@ -405,16 +434,33 @@ def test_fit_linear_bad_rows_name_the_file(tmp_path, capsys, rows, message):
     assert "one.csv" in err and message in err
 
 
-@pytest.mark.parametrize("flag, detector", (("--flux", "D1"),))
-def test_fit_zero_normalisation_names_the_sidecar(tmp_path, capsys, flag, detector):
+@pytest.mark.parametrize("flag, value, detector", (
+    ("--flux", "0", "D1"), ("--flux", "5e-324", "D1"), ("--eff1", "5e-324", "D1"),
+    ("--eff2", "5e-324", "D2")), ids=("--flux-D1", "--flux-5e-324-D1", "--eff1-5e-324-D1",
+                                      "--eff2-5e-324-D2"))
+def test_fit_zero_normalisation_names_the_sidecar(tmp_path, capsys, flag, value, detector):
+    # an exposure whose reciprocal overflows is no better than none
     prefix = str(tmp_path / "z")
-    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11", flag, "0",
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11", flag, value,
                  "--out", prefix]) == 0
     out = tmp_path / "fit.json"
     assert main(["fit", "--model", "vit", "--input", prefix + ".csv", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "z.json" in err and f"detector {detector}" in err
     assert not out.exists()
+
+
+def test_fit_infinite_exposure_names_the_sidecar(tmp_path, capsys):
+    # a flux and a dwell, each finite, whose product is not
+    prefix = str(tmp_path / "z")
+    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11", "--out", prefix]) == 0
+    sidecar = tmp_path / "z.json"
+    doc = json.loads(sidecar.read_text())
+    doc["plan"].update(photon_flux_per_s=1e300, dwell_us=1e300)
+    sidecar.write_text(json.dumps(doc))
+    assert main(["fit", "--model", "vit", "--input", prefix + ".csv"]) == 2
+    err = capsys.readouterr().err
+    assert "z.json" in err and "detector D1" in err and "inf" in err
 
 
 def test_fit_d1_only_scan(tmp_path, capsys):

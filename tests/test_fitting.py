@@ -180,6 +180,16 @@ def test_vit_round_trip_all_free(cfg):
     assert abs(fit.value("cavity_offset_mhz")) < 1e-4
 
 
+def test_vit_dark_resonator_fits_scale_d2_to_zero(cfg):
+    # a resonator that emits nothing: scale_d2 reaches its bound of 0, and
+    # the transmission alone still gives eta_eff
+    s = _clean_spectrum(cfg, 5.0, (0.0,))
+    fit = fit_vit_spectra([replace(s, emission=np.zeros_like(s.emission))], cfg,
+                          free=("eta_eff", "scale_d2"))
+    assert fit.converged and fit.value("scale_d2") == 0.0
+    assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-6
+
+
 def test_vit_round_trip_with_offsets_in_data(cfg):
     # data axis reads 0.3 MHz high; the fitted calibration is the
     # correction back to the true axis, hence -0.3

@@ -10,8 +10,8 @@ from vitlab.oracle import (
 from vitlab.spatial import IDEAL, corrected_spectrum
 
 
-def _emission(cfg, eta, dp, dcav, scale=1.0):
-    return corrected_spectrum(cfg, eta, dp, dcav, IDEAL, scale)[1]
+def _emission(cfg, eta, dp, dcav):
+    return corrected_spectrum(cfg, eta, dp, dcav, IDEAL)[1]
 
 
 @pytest.mark.parametrize("fn", (steady_state_amplitudes, susceptibility_from_oracle,
@@ -58,17 +58,12 @@ def test_emission_probability_shape(cfg):
     assert np.all(p >= 0) and np.all(p <= 1)
     # peaks at two-photon resonance
     assert np.argmax(p) == 40
-    # consistency: scale multiplies through
-    assert np.allclose(_emission(cfg, 3.4, delta, 0.0, scale=0.5),
-                       0.5 * p, rtol=1e-12)
 
 
 def test_emission_probability_vanishes_without_coupling(cfg):
     delta = np.linspace(-4e6, 4e6, 11) * 2 * np.pi
     p = _emission(cfg, 0.0, delta, 0.0)
     assert np.all(p == 0)
-    with pytest.raises(ValueError):
-        _emission(cfg, 3.4, 0.0, 0.0, scale=0.0)
 
 
 def test_emission_probability_on_resonance_value(cfg):

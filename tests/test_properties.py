@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vitlab.cli import main
-from vitlab.config import (CSV_BLOCK_ROWS, KNOWN_KEYS, packaged_defaults, read_csv,
+from vitlab.config import (CSV_BLOCK_ROWS, KNOWN_KEYS, MHZ, packaged_defaults, read_csv,
                            validate_config, write_csv)
 from vitlab.spatial import Corrections
 from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
@@ -175,8 +175,12 @@ def _in_range(key, value):
 
 def _fault(key, value):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return (key not in KNOWN_KEYS or not number or not math.isfinite(value)
-            or not _in_range(key, value))
+    if key not in KNOWN_KEYS or not number or not math.isfinite(value):
+        return True
+    # checked in SI (rad/s, m), where 2/gamma and 2/kappa must be finite too
+    si = value * (MHZ if key.endswith("_MHz") else 1e-6 if key.endswith("_um") else 1)
+    return not (math.isfinite(si) and _in_range(key, si)
+                and (key not in ("gamma_MHz", "kappa_MHz") or math.isfinite(2.0 / si)))
 
 
 @SETTINGS

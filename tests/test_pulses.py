@@ -197,6 +197,22 @@ def test_ensemble_single_member_matches_fft(cfg):
     assert np.max(np.abs(ens.output.samples - solo)) < 1e-13 * np.max(np.abs(solo))
 
 
+@pytest.mark.parametrize("jitter, transforms", ((False, 1), (True, 0)))
+def test_one_member_field_is_formed_once(cfg, conf, monkeypatch, jitter, transforms):
+    # only a one-member ensemble keeps its field, formed after the blocks:
+    # jitter alone makes 16 one-member blocks and no length-n transform
+    pulse = make_gaussian_pulse(PULSE_FWHM_US * 1e-6)
+    sizes, fft = [], np.fft.fft
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr("vitlab.pulses.np.fft.fft", spy)
+    pulse_ensemble(cfg, ETA_EFF_0, pulse, corrections(conf, jitter=jitter))
+    assert sizes and sizes.count(pulse.n) == transforms
+
+
 @pytest.mark.parametrize("tp, n", ((1.73e-6, 2**12), (20e-6, 2**14)))
 def test_ideal_ensemble_is_the_single_coupling_row(cfg, tp, n):
     # with no corrections the recipe's one ensemble_transfer row is the

@@ -59,6 +59,12 @@ def test_counts_beyond_poisson_range_rejected(cfg):
         generate_scan(cfg, 3.4, _plan(), emission_scale=1e30)
 
 
+@pytest.mark.parametrize("scale", (0.0, -1.0, np.inf, np.nan))
+def test_emission_scale_must_be_positive_and_finite(cfg, scale):
+    with pytest.raises(ValueError, match="emission_scale must be positive and finite"):
+        generate_scan(cfg, 3.4, _plan(), emission_scale=scale)
+
+
 def test_determinism(cfg):
     a = generate_scan(cfg, 3.4, _plan(seed=42))
     b = generate_scan(cfg, 3.4, _plan(seed=42))
