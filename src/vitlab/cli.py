@@ -183,7 +183,7 @@ def _read_input(path, args, cfg, flag_corrections):
     records = read_scan_csv(path)
     sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
     plan, corr = read_scan_sidecar(sidecar, records, cfg)
-    for flag, field in (("average", "averaging_nodes"), ("side", "side_weight"),
+    for flag, field in (("average", "average"), ("side", "side_weight"),
                         ("jitter", "jitter_fwhm")):
         if getattr(args, flag) and not getattr(corr, field):
             raise ValueError(f"--{flag} is given, but {sidecar} records the scan without it")

@@ -22,12 +22,18 @@ from itertools import chain
 from operator import le
 
 from vitlab.core import CavityGeometry, PhysicalConfig, TWO_PI, cooperativity_geometric
-from vitlab.spatial import Corrections
+from vitlab.spatial import JITTER_NODES, SIGMA_PER_FWHM, Corrections
 
 MHZ = TWO_PI * 1e6    # MHz -> rad/s: the only unit constant, the rest are powers of ten
-# the largest detuning read from outside (flags, *_MHz cells): past about
-# 1.4e301 MHz a difference of two detunings overflows
+# the largest detuning read from outside (flags, *_MHz keys and cells): past
+# about 1.4e301 MHz a difference of two detunings overflows
 MAX_DETUNING_MHZ = 1e300
+# the narrowest gamma_MHz and kappa_MHz, about 1.3e-7: core's 2 Delta/gamma and
+# 2 (Delta - delta)/kappa stay below 1e308 (room for rounding) with probe, resonator,
+# side shift and jitter FWHM at the bound, and the widest jitter offset: sqrt(2) sigma
+# times the largest of JITTER_NODES Hermite zeros, under sqrt(2 n + 1) (Szego): 3.45 FWHM
+MIN_LINEWIDTH_MHZ = 2.0 * MAX_DETUNING_MHZ / 1e308 * (
+    3.0 + (2.0 * (2 * JITTER_NODES + 1)) ** 0.5 * SIGMA_PER_FWHM)
 
 ENV_VAR = "VIT_LAB_CONFIG"
 
@@ -141,16 +147,16 @@ def validate_config(doc):
     merged = packaged_defaults()
     merged.update(doc)
     for key, value in merged.items():
-        # checked in SI: 1e303 MHz is an infinite rate, 1e-320 um a zero length
-        si = value * (MHZ if key.endswith("_MHz") else 1e-6 if key.endswith("_um") else 1)
-        if not abs(si) <= sys.float_info.max:
-            raise ValueError(f"config key '{key}' must be finite in SI units (rad/s, m)")
+        if key.endswith("_MHz") and not abs(value) <= MAX_DETUNING_MHZ:
+            raise ValueError(f"config key '{key}' must be finite and within "
+                             f"+-{MAX_DETUNING_MHZ:g} MHz")
+        # checked in SI: 1e-320 um is a zero length
+        si = value * 1e-6 if key.endswith("_um") else value
         if key in _POSITIVE and not si > 0:
-            raise ValueError(f"config key '{key}' must be positive, in SI units (rad/s, m) too")
-        # core normalises detunings by 2/gamma and 2/kappa
-        if key in ("gamma_MHz", "kappa_MHz") and not 2.0 / si <= sys.float_info.max:
-            raise ValueError(f"config key '{key}' is so small that 2/{key[:-4]} overflows in SI "
-                             "units (s)")
+            raise ValueError(f"config key '{key}' must be positive, in SI units (m) too")
+        if key in ("gamma_MHz", "kappa_MHz") and not value >= MIN_LINEWIDTH_MHZ:
+            raise ValueError(f"config key '{key}' must be at least {MIN_LINEWIDTH_MHZ:.3g} MHz: "
+                             "detunings divided by it must stay finite")
         if key in _NONNEGATIVE and si < 0:
             raise ValueError(f"config key '{key}' must be nonnegative")
     for key in _UNIT_INTERVAL:
@@ -158,10 +164,10 @@ def validate_config(doc):
             raise ValueError(f"config key '{key}' must lie in [0, 1]")
     # every key is in range; two values derived from several can still overflow
     try:
-        physical_config(merged)  # of its checks, only k L's can fail here
+        physical_config(merged)  # of its checks, only k L's and od/(k L)'s can fail here
     except ValueError:
-        raise ValueError("config keys 'wavelength_um' and 'length_um' give a non-finite "
-                         "k L = 2 pi length/wavelength") from None
+        raise ValueError("config keys 'od', 'wavelength_um' and 'length_um' give a non-finite "
+                         "k L = 2 pi length/wavelength or od/(k L), or k L = 0") from None
     if not model_cooperativity(merged) <= sys.float_info.max:
         raise ValueError("config keys 'finesse', 'waist_um' and 'wavelength_um' give a "
                          "non-finite cooperativity 24 F/(pi k^2 w^2)")
@@ -208,7 +214,7 @@ def model_cooperativity(conf):
 def corrections(conf, average=False, side=False, jitter=False):
     """Corrections from boolean switches plus config knobs; a switch off leaves 0s."""
     return Corrections(
-        averaging_nodes=64 if average else 0,
+        average=average,
         side_weight=conf["side_weight"] if side else 0.0,
         side_shift=conf["side_shift_MHz"] * MHZ if side else 0.0,
         jitter_fwhm=conf["jitter_fwhm_MHz"] * MHZ if jitter else 0.0,

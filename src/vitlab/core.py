@@ -24,7 +24,7 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Ensemble and resonator constants, each finite, as is k L.
+    """Ensemble and resonator constants, each finite, as are k L > 0 and od/(k L).
 
     gamma: atomic FWHM linewidth (rad/s), positive
     kappa: resonator FWHM linewidth (rad/s), positive
@@ -46,8 +46,9 @@ class PhysicalConfig:
             raise ValueError("wavelength and length must be positive and finite")
         if not 0 <= self.od < np.inf:
             raise ValueError("optical depth must be nonnegative and finite")
-        if not self.kl < np.inf:
-            raise ValueError("k L = 2 pi length/wavelength must be finite")
+        if not (0 < self.kl < np.inf and self.od / self.kl < np.inf):
+            raise ValueError("k L = 2 pi length/wavelength must be positive and finite, "
+                             "and od/(k L) finite")
 
     @property
     def wavenumber(self):
@@ -89,18 +90,15 @@ def susceptibility(cfg, eta, delta_probe, delta_cavity):
     Im chi >= 0, for every finite eta and detuning.
 
     eta is the cooperativity; eta = 0 gives the bare two-level response.
-    The detunings are scalars or arrays that broadcast together.  A 1-d
-    array of cooperativities (one per ensemble member) is taken as a
-    (member, 1) column, so it broadcasts against detunings of shape
-    (point,): p and q are formed once per point, and each member-point
-    costs one multiply, one add and one divide.  Returns a complex
-    ndarray, or a complex scalar for scalar inputs.
+    eta and the detunings are scalars or arrays that broadcast together,
+    as in group_delay: a (member, 1) column of cooperativities against
+    detunings of shape (point,) forms p and q once per point, and each
+    member-point costs one multiply, one add and one divide.  Returns a
+    complex ndarray, or a complex scalar for scalar inputs.
     """
     eta = np.asarray(eta, dtype=float)
     if (eta < 0).any():
         raise ValueError("cooperativity must be nonnegative")
-    if eta.ndim == 1:
-        eta = eta[:, None]
     p, q = _factors(cfg, delta_probe, delta_cavity)
     w = np.asarray(eta * q)
     w += p

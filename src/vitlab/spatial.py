@@ -26,7 +26,6 @@ refused by core.susceptibility alone.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import index
 
 import numpy as np
 
@@ -37,7 +36,10 @@ SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # member x point elements evaluated at once by ensemble_transfer; larger
 # blocks buy no speed and raise the peak memory of a wide ensemble
 BLOCK_POINTS = 4096
-MAX_NODES = 1024  # largest node count of a rule: leggauss(n) builds an n x n matrix
+# the standing wave's class cap and the jitter rule's nodes: at eta_max 1e3,
+# 256 classes move fig2's spectra by < 2e-8, and 32 nodes by < 1e-5
+MAX_CLASSES = 64
+JITTER_NODES = 16
 
 
 @lru_cache(maxsize=16)  # every 8-node rung up to 64, and the jitter rule
@@ -68,32 +70,27 @@ def effective_cooperativity(eta_eff_0, n_c):
 
 @dataclass(frozen=True)
 class Corrections:
-    """Which apparatus corrections to apply, and their knobs.
+    """Which apparatus corrections to apply.
 
-    averaging_nodes: 0 disables standing-wave averaging, otherwise the
-        cap on the Gauss-Legendre node count, at most MAX_NODES; members
-        sizes the rule below it by eta_max (with the config's cap of 64,
-        fig2's spectra at eta_max 1e3 lie within 2e-8 of 256 nodes).
+    average: average over the standing wave, in at most MAX_CLASSES
+        coupling classes (averaging_nodes), which members sizes by eta_max.
     side_weight: Zeeman-shifted side channel's od over the main's, in [0, 1], 0 off.
     side_shift: the side channel's two-photon shift (rad/s).
-    jitter_fwhm: FWHM of the resonator frequency jitter (rad/s), 0 off.
-    jitter_nodes: Gauss-Hermite node count, at most MAX_NODES (doubling
-        16 moves the fig2 spectra by < 1e-5).
+    jitter_fwhm: FWHM of the resonator frequency jitter (rad/s), 0 off,
+        taken in jitter_nodes Gauss-Hermite offsets.
     The three other fields are stored as floats once checked.
     """
 
-    averaging_nodes: int = 0
+    average: bool = False
     side_weight: float = 0.0
     side_shift: float = 0.0
     jitter_fwhm: float = 0.0
-    jitter_nodes: int = 16
+    jitter_nodes = JITTER_NODES  # constants read like fields, by members and sidecars
+    averaging_nodes = property(lambda self: MAX_CLASSES if self.average else 0)
 
     def __post_init__(self):
         if not 0.0 <= self.side_weight <= 1.0:
             raise ValueError("side-channel weight must lie in [0, 1]")
-        if not (0 <= index(self.averaging_nodes) <= MAX_NODES
-                and 1 <= index(self.jitter_nodes) <= MAX_NODES):
-            raise ValueError(f"node counts must be 1..{MAX_NODES}, or 0 for averaging_nodes")
         if not (abs(self.side_shift) < np.inf and 0.0 <= self.jitter_fwhm < np.inf):
             raise ValueError("side_shift must be finite, jitter_fwhm nonnegative and finite")
         for name in ("side_weight", "side_shift", "jitter_fwhm"):
@@ -103,12 +100,12 @@ class Corrections:
         """The correction ensemble as (etas, offsets, weights).
 
         One member per coupling class x jitter offset: the classes etas,
-        min(averaging_nodes, 8 ceil(1 + sqrt(eta_max))) of them (eta_max
-        alone when averaging is off), the jitter offsets (one zero offset
-        when jitter_fwhm is 0) in rad/s of cavity detuning, and weights[c, j]
-        of member (etas[c], offsets[j]), summing to 1.  The only place
-        nodes are made: cached unit rules, scaled here; core.susceptibility
-        refuses a negative eta_max.
+        min(averaging_nodes, 8 ceil(1 + sqrt(eta_max))) Gauss-Legendre
+        nodes of cos^2 (eta_max alone when averaging is off), the
+        jitter_nodes offsets (one zero offset when jitter_fwhm is 0) in
+        rad/s of cavity detuning, and weights[c, j] of member (etas[c],
+        offsets[j]), summing to 1.  The only place nodes are made: cached
+        unit rules, scaled here; core.susceptibility refuses a negative eta_max.
         """
         etas, wz = np.array([float(eta_max)]), np.ones(1)
         if self.averaging_nodes:
@@ -134,14 +131,15 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     Offset-major: each block is one jitter offset and a chunk of coupling
     classes of about BLOCK_POINTS member x point elements (at least one
     class).  Yields (weights, etas, q, chi) per block: the block's member
-    weights and cooperativities, the main channel's cavity factor q =
-    1/(1 - i dc) of core.susceptibility as a (point,) row, and the
-    members' susceptibility of shape (member, point), over the broadcast
-    detunings flattened.  The side channel, its two-photon resonance
-    displaced by side_shift, takes w/(1 + w) of the od (w = side_weight),
-    so the total od is conserved and chi = chi_main + chi_side.  Members
-    transmit exp(-k L Im chi) in intensity and core.transfer_amplitude(chi,
-    cfg) in amplitude.  Only here are Corrections.members made susceptibilities.
+    weights, its cooperativities as a (member, 1) column, the main
+    channel's cavity factor q = 1/(1 - i dc) of core.susceptibility as a
+    (point,) row, and the members' susceptibility of shape (member,
+    point), over the broadcast detunings flattened.  The side channel,
+    its two-photon resonance displaced by side_shift, takes w/(1 + w) of
+    the od (w = side_weight), so the total od is conserved and chi =
+    chi_main + chi_side.  Members transmit exp(-k L Im chi) in intensity
+    and core.transfer_amplitude(chi, cfg) in amplitude.  Only here are
+    Corrections.members made susceptibilities.
     """
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
@@ -154,11 +152,11 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
         dcav_j = dcav + offset
         _, q = _factors(cfg, dp, dcav_j)
         for lo in range(0, len(etas), step):
-            block = slice(lo, lo + step)
-            chi = susceptibility(main, etas[block], dp, dcav_j)
+            column = etas[lo:lo + step, None]
+            chi = susceptibility(main, column, dp, dcav_j)
             if corrections.side_weight:
-                chi += susceptibility(side, etas[block], dp, dcav_j + corrections.side_shift)
-            yield weights[block, j], etas[block], q, chi
+                chi += susceptibility(side, column, dp, dcav_j + corrections.side_shift)
+            yield weights[lo:lo + step, j], column, q, chi
 
 
 def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL):
@@ -184,7 +182,7 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
                                                    corrections):
         # |exp(i k L chi / 2)|^2: the phase Re chi is never needed
         t2 = np.exp(-cfg.kl * chi.imag)
-        g = etas[:, None] * (q.real * q.real + q.imag * q.imag)
+        g = etas * (q.real * q.real + q.imag * q.imag)
         trans = trans + weights @ t2
         emis = emis + weights @ ((1.0 - t2) * (g / (1.0 + g)))
     # each lies in [0, 1] unless Delta - delta overflowed

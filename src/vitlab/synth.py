@@ -25,7 +25,7 @@ from operator import index
 import numpy as np
 
 from vitlab.config import MHZ, read_csv, read_json, write_csv, write_json
-from vitlab.spatial import IDEAL, Corrections, corrected_spectrum
+from vitlab.spatial import IDEAL, JITTER_NODES, MAX_CLASSES, Corrections, corrected_spectrum
 
 
 # largest expected count per point drawn; numpy's Poisson sampler stops near 9e18
@@ -249,7 +249,9 @@ def read_scan_sidecar(path, records, cfg):
     try:
         plan, corr, scale = meta["plan"], meta["corrections"], meta["emission_scale"]
         recorded = {key: meta["physics"][key] for key in PHYSICS_KEYS}
-        if any(isinstance(v, bool) for v in [*plan.values(), *corr.values(), scale]):
+        numbers = [*plan.values(), *plan["delta_cavity_MHz"], *plan["probe_grid_MHz"],
+                   *corr.values(), scale]
+        if any(isinstance(v, bool) for v in numbers):
             raise ValueError("true or false where a number belongs")
         if not 0 < scale < np.inf:
             raise ValueError("emission_scale must be positive and finite")
@@ -263,10 +265,12 @@ def read_scan_sidecar(path, records, cfg):
             efficiency_d2=plan["efficiency_d2"],
             rng_seed=plan["rng_seed"],
         )
+        for key, ok in ("averaging_nodes", (0, MAX_CLASSES)), ("jitter_nodes", (JITTER_NODES,)):
+            if type(corr[key]) is not int or corr[key] not in ok:
+                raise ValueError(f"{key} must be {' or '.join(map(str, ok))}")
         corr = Corrections(
-            averaging_nodes=corr["averaging_nodes"], side_weight=corr["side_weight"],
-            side_shift=corr["side_shift_MHz"] * MHZ, jitter_fwhm=corr["jitter_fwhm_MHz"] * MHZ,
-            jitter_nodes=corr["jitter_nodes"])
+            average=corr["averaging_nodes"] > 0, side_weight=corr["side_weight"],
+            side_shift=corr["side_shift_MHz"] * MHZ, jitter_fwhm=corr["jitter_fwhm_MHz"] * MHZ)
     except KeyError as err:
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as err:

@@ -182,7 +182,7 @@ def test_criterion_09_fit_round_trip_and_coverage(report, cfg):
 
 def test_criterion_10_photon_number_pipeline(report, cfg):
     # truth eta_eff = 3.4 (n_c + 1): slope and intercept 3.4, ratio 1
-    rows = photon_number_scan(cfg, 3.4, range(2, 23), Corrections(averaging_nodes=64),
+    rows = photon_number_scan(cfg, 3.4, range(2, 23), Corrections(average=True),
                               seed=100)
     lf = calibration_line(rows)
     slope, slope_err = lf.value("slope"), lf.error("slope")

@@ -8,8 +8,8 @@ import pytest
 
 from vitlab import fitting, recipes
 from vitlab.cli import MAX_POINTS, MAX_SAMPLES, build_parser, main
-from vitlab.config import ENV_VAR, MAX_DETUNING_MHZ, packaged_defaults
-from vitlab.spatial import corrected_spectrum
+from vitlab.config import ENV_VAR, MAX_DETUNING_MHZ, MIN_LINEWIDTH_MHZ, packaged_defaults
+from vitlab.spatial import Corrections, corrected_spectrum
 
 
 def _read_csv(path):
@@ -370,9 +370,9 @@ def test_pulse_grid_errors_name_the_flags(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("text", ('{"od": NaN}', '{"od": Infinity}',
                                   pytest.param('{"od": 1' + "0" * 400 + "}", id="10**400"),
-                                  # finite in MHz, infinite in rad/s
+                                  # beyond the detunings' bound (infinite in rad/s)
                                   '{"gamma_MHz": 1e303}', '{"side_shift_MHz": 1e303}',
-                                  # positive in rad/s, but 2/kappa and 2/gamma are infinite
+                                  # below the linewidth floor: 2/kappa and 2/gamma are infinite
                                   '{"kappa_MHz": 5e-324}', '{"gamma_MHz": 5e-324}'))
 def test_non_finite_config_returns_2(tmp_path, capsys, text):
     conf = tmp_path / "conf.json"
@@ -390,7 +390,11 @@ def test_non_finite_config_returns_2(tmp_path, capsys, text):
     ({"finesse": 1e300, "waist_um": 1e-100}, ("finesse", "waist_um", "wavelength_um")),
     ({"waist_um": 1e-200}, ("finesse", "waist_um", "wavelength_um")),  # pi k^2 w^2 is 0
     ({"wavelength_um": 1e-300, "length_um": 1e300}, ("wavelength_um", "length_um")),
-), ids=("cooperativity", "cooperativity-underflow", "kL"))
+    # k L underflows to 0 (the wide waist keeps the cooperativity finite), or od/(k L) overflows
+    ({"wavelength_um": 6e166, "length_um": 1e-300, "waist_um": 1e300},
+     ("wavelength_um", "length_um")),
+    ({"od": 1e300, "length_um": 1e-300}, ("od", "length_um")),
+), ids=("cooperativity", "cooperativity-underflow", "kL", "kL-underflow", "od-over-kL"))
 def test_config_whose_derived_value_overflows_returns_2(tmp_path, capsys, doc, keys):
     # every key is in range, but a value derived from several is not
     conf = tmp_path / "derived.json"
@@ -698,6 +702,25 @@ def test_detunings_at_the_bound_are_transparent(tmp_path):
     _, rows = _read_csv(out)
     trans, emis = np.array(rows, dtype=float)[:, 1:].T
     assert abs(trans[[0, 2]] - 1.0).max() < 1e-15 and emis[0] == emis[2] == 0.0
+
+
+def test_narrowest_linewidths_keep_the_widest_detunings_finite(tmp_path):
+    # linewidths at the floor, the side shift and jitter FWHM at the bound,
+    # probe and resonator at either end: Delta - delta reaches 5.8e300 MHz,
+    # with no overflow on the way (pytest turns warnings into errors)
+    widest = Corrections(jitter_fwhm=1.0).members(0.0)[1].max()  # 2.82 FWHM
+    assert MIN_LINEWIDTH_MHZ > 2.0 * MAX_DETUNING_MHZ * (3.0 + widest) / np.finfo(float).max
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"gamma_MHz": MIN_LINEWIDTH_MHZ, "kappa_MHz": MIN_LINEWIDTH_MHZ,
+                                "side_shift_MHz": MAX_DETUNING_MHZ,
+                                "jitter_fwhm_MHz": MAX_DETUNING_MHZ}))
+    out = tmp_path / "spec.csv"
+    for dcav in ("-1e300", "1e300"):
+        assert main(["spectrum", "--config", str(conf), "--scan-from", "-1e300", "--scan-to",
+                     "1e300", "--delta-cavity-mhz", dcav, "--points", "3", "--average",
+                     "--side", "--jitter", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 def test_reproduce_failure_leaves_no_directory(tmp_path, capsys, monkeypatch):

@@ -53,8 +53,6 @@ def test_susceptibility_rejects_negative_eta(cfg):
 def _textbook_susceptibility(cfg, eta, dp, dcav):
     """The closed form as written, -(OD/kL) num/den with a complex numerator."""
     eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 1:
-        eta = eta[:, None]
     dp = np.asarray(dp, dtype=float)
     dt, dc = 2.0 * dp / cfg.gamma, 2.0 * (dp - np.asarray(dcav, dtype=float)) / cfg.kappa
     num = dt - (eta - dt * dc) * dc - 1j * (eta + 1.0 + dc * dc)
@@ -81,7 +79,7 @@ def test_susceptibility_matches_textbook_form(cfg, data, layout, n, m):
         if layout == "row":
             eta, dcav = data.draw(etas), data.draw(MHZ_VALUES) * mhz
         else:
-            eta = np.array(data.draw(st.lists(etas, min_size=m, max_size=m)))
+            eta = np.array(data.draw(st.lists(etas, min_size=m, max_size=m)))[:, None]
             cols = n if layout == "grid" else 1
             dcav = np.array(data.draw(st.lists(MHZ_VALUES, min_size=m * cols,
                                                max_size=m * cols))).reshape(m, cols) * mhz
@@ -100,22 +98,26 @@ def test_susceptibility_is_finite_and_passive(cfg, eta, probe, cavity):
     # detunings is formed and eta multiplies only |q| <= 1, so nothing
     # overflows (a warning fails the test) and the medium never amplifies
     mhz = 2e6 * np.pi
-    chi = susceptibility(cfg, eta, np.array(probe) * mhz, cavity * mhz)
+    chi = susceptibility(cfg, np.array(eta)[:, None], np.array(probe) * mhz, cavity * mhz)
     assert chi.shape == (len(eta), len(probe))
     assert np.all(np.isfinite(chi)) and np.all(chi.imag >= 0.0)
 
 
 def test_susceptibility_broadcasts_member_column(cfg):
-    # a 1-d eta is a (member, 1) column: row m equals the scalar call
+    # a (member, 1) eta column against a (point,) row: row m equals the scalar call
     etas = np.array([0.0, 3.4, 37.4])
     grid = np.linspace(-2, 2, 7) * cfg.gamma
     offsets = np.array([[0.0], [0.1], [-0.2]]) * cfg.kappa
-    rows = susceptibility(cfg, etas, grid, offsets)
+    rows = susceptibility(cfg, etas[:, None], grid, offsets)
     assert rows.shape == (3, 7)
     for m, eta in enumerate(etas):
         one = susceptibility(cfg, eta, grid, offsets[m, 0])
         assert np.array_equal(rows[m], one)
-    assert susceptibility(cfg, etas, grid, 0.0).shape == (3, 7)
+    assert susceptibility(cfg, etas[:, None], grid, 0.0).shape == (3, 7)
+    # numpy's rules, as in group_delay: a 1-d eta pairs with a point axis of its length
+    pointwise = susceptibility(cfg, etas, grid[:3], 0.0)
+    assert pointwise.shape == (3,)
+    assert np.array_equal(pointwise, np.diag(susceptibility(cfg, etas[:, None], grid[:3], 0.0)))
 
 
 def test_resonant_transmission_identity(cfg):

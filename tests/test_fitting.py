@@ -212,7 +212,7 @@ def test_vit_fixed_parameters(cfg):
 
 
 def test_vit_round_trip_with_corrections(cfg):
-    corr = Corrections(averaging_nodes=32)
+    corr = Corrections(average=True)  # 32 classes at eta_max 5
     spectra = [_clean_spectrum(cfg, 5.0, (0.0,), corrections=corr)]
     fit = fit_vit_spectra(spectra, cfg, corrections=corr)
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3

@@ -12,14 +12,16 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vitlab.cli import main
-from vitlab.config import (CSV_BLOCK_ROWS, KNOWN_KEYS, MHZ, packaged_defaults, read_csv,
-                           validate_config, write_csv)
+from vitlab.config import (CSV_BLOCK_ROWS, KNOWN_KEYS, MAX_DETUNING_MHZ, MHZ,
+                           MIN_LINEWIDTH_MHZ, packaged_defaults, read_csv, validate_config,
+                           write_csv)
 from vitlab.spatial import Corrections
 from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
 
@@ -177,10 +179,12 @@ def _fault(key, value):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if key not in KNOWN_KEYS or not number or not math.isfinite(value):
         return True
-    # checked in SI (rad/s, m), where 2/gamma and 2/kappa must be finite too
+    # frequencies within the detunings' bound and linewidths above the floor;
+    # the signs checked in SI (rad/s, m)
     si = value * (MHZ if key.endswith("_MHz") else 1e-6 if key.endswith("_um") else 1)
-    return not (math.isfinite(si) and _in_range(key, si)
-                and (key not in ("gamma_MHz", "kappa_MHz") or math.isfinite(2.0 / si)))
+    return not ((abs(value) <= MAX_DETUNING_MHZ or not key.endswith("_MHz"))
+                and _in_range(key, si)
+                and (value >= MIN_LINEWIDTH_MHZ or key not in ("gamma_MHz", "kappa_MHz")))
 
 
 @SETTINGS
@@ -296,3 +300,66 @@ def test_sidecar_reads_or_names_the_file(scan, cfg, data):
     assert code == (2 if refused else 0), err.getvalue()
     assert out.exists() == (code == 0)
     assert str(sidecar) in err.getvalue() or not refused
+
+
+
+# the extremes of a double, and values of a laboratory's order
+EXTREMES = (0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e308, math.nan, math.inf)
+# the far scan with every correction, its detunings at the flags' bound, and a small scan
+CONFIG_RUNS = (
+    ("spectrum", "--average", "--side", "--jitter", "--scan-from", "-1e300", "--scan-to",
+     "1e300", "--points", "3", "--out", "spectrum.csv"),
+    ("synth", "--average", "--side", "--jitter", "--delta-cavity-mhz", "0.5", "--points", "5",
+     "--out", "scan"),
+)
+
+
+def _numbers(node):
+    """Every float of a JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in _numbers(child)]
+    return [node] if isinstance(node, float) else []
+
+
+@pytest.fixture(scope="module")
+def config_run(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_run")
+
+
+@settings(SETTINGS, max_examples=200)
+@given(doc=st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)),
+                           st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 100.0)),
+                           max_size=2))
+# an overflow warning with exit 0, and an unnamed refusal after warnings
+@example(doc={"gamma_MHz": 1e-8})
+@example(doc={"kappa_MHz": 1e-300})
+@example(doc={"jitter_fwhm_MHz": 1e301})
+@example(doc={"side_shift_MHz": 2.8e301})
+def test_config_document_runs_or_names_the_key(config_run, doc):
+    # exit 0 with finite outputs, or exit 2 naming the config file or one of
+    # its keys; never a warning first
+    config = config_run / "config.json"
+    config.write_text(json.dumps(doc))
+    for argv in CONFIG_RUNS:
+        out = config_run / argv[-1]
+        outputs = [out] if out.suffix else [out.with_suffix(".csv"), out.with_suffix(".json")]
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv[:-1], str(out), "--config", str(config)])
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert str(config) in err.getvalue() or any(key in err.getvalue() for key in doc)
+            continue
+        for path in outputs:
+            text = path.read_text()
+            if path.suffix == ".json":
+                cells = _numbers(json.loads(text))
+            else:
+                cells = [float(c) for row in csv.reader(text.splitlines()[1:]) for c in row]
+            assert cells and all(map(math.isfinite, cells)), path

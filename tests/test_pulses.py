@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import STIFF_GAMMA
+from conftest import STIFF_GAMMA, at_nodes
 from vitlab.config import MHZ, corrections, read_csv
 from vitlab.core import (
     group_delay_analytic,
@@ -256,8 +256,7 @@ def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
     # blocks of several members on the pulse's spectral support against an
     # independent loop of plain numpy FFTs over every bin, one transfer row
     # per member: the witness that dropping the other bins is exact
-    corr = replace(corrections(conf, average=True, side=True, jitter=True),
-                   averaging_nodes=8, jitter_nodes=4)
+    corr = corrections(conf, average=True, side=True, jitter=True)
     carrier = carrier_mhz * MHZ
     # a 32-duration span: the medium's ringing puts 3e-9 of the output
     # energy in the window's outer sixteenths (1.8e-5 on 8 durations)
@@ -270,9 +269,10 @@ def test_ensemble_matches_member_loop(cfg, conf, carrier_mhz):
             sizes.append(len(w))
             yield w, transfer_amplitude(chi, cfg)
 
-    res = run_pulse_ensemble(pulse, transfer)
+    with at_nodes(8, 4):
+        res = run_pulse_ensemble(pulse, transfer)
+        want = _full_band_intensity(cfg, 5.0, pulse, corr, carrier)
     assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 32
-    want = _full_band_intensity(cfg, 5.0, pulse, corr, carrier)
     got = np.abs(np.asarray(res.output.samples)) ** 2
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
 
@@ -281,8 +281,7 @@ def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
     # the fig3 pulse on the default 16384-sample grid, whose spectral
     # support is under one percent of the bins, through the full correction
     # stack (fewer nodes than fig3, so the full-band loop stays quick)
-    corr = replace(corrections(conf, average=True, side=True, jitter=True),
-                   averaging_nodes=16, jitter_nodes=4)
+    corr = corrections(conf, average=True, side=True, jitter=True)
     medium = replace(cfg, od=MEASURED_OD)
     pulse = make_gaussian_pulse(PULSE_FWHM_US * 1e-6)
     support = []
@@ -292,10 +291,11 @@ def test_fig3_sized_ensemble_matches_full_band(cfg, conf):
         return ((w, transfer_amplitude(chi, medium))
                 for w, _, _, chi in ensemble_transfer(medium, ETA_EFF_0, omega, 0.0, corr))
 
-    res = run_pulse_ensemble(pulse, transfer)
+    with at_nodes(16, 4):
+        res = run_pulse_ensemble(pulse, transfer)
+        want = _full_band_intensity(medium, ETA_EFF_0, pulse, corr)
     # the Gaussian's lobe of 71 bins plus the four band edges, not the round-off
     assert support[0] < 128
-    want = _full_band_intensity(medium, ETA_EFF_0, pulse, corr)
     out = np.asarray(res.output.samples)
     assert np.all(np.isfinite(out)) and np.all(out.real >= 0)
     got = np.abs(out) ** 2

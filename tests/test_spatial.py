@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import at_nodes
 from vitlab import spatial
 from vitlab.config import MHZ, corrections, model_cooperativity
 from vitlab.core import transfer_amplitude, transmission
@@ -23,16 +24,9 @@ from vitlab.spatial import (
 )
 
 
-def _at_nodes(n):
-    """Patch the standing-wave rule to n nodes whatever eta_max: the unsized rule."""
-    rule = spatial._unit_rule
-    return mock.patch.object(spatial, "_unit_rule",
-                             lambda kind, nodes: rule(kind, n if kind == "cos2" else nodes))
-
-
 def test_members_standing_wave_moments():
     # eta_max 4 takes 8 ceil(1 + 2) = 24 of the cap's 64 nodes
-    e, _, w = Corrections(averaging_nodes=64).members(4.0)
+    e, _, w = Corrections(average=True).members(4.0)
     assert w.shape == (24, 1)
     w = w[:, 0]
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
@@ -45,13 +39,13 @@ def test_members_standing_wave_moments():
 
 def test_members_returns_fresh_arrays():
     # the unit rules are cached; writing to one result must not reach the next
-    corr = Corrections(averaging_nodes=8, jitter_fwhm=1.0, jitter_nodes=4)
-    wz = np.polynomial.legendre.leggauss(8)[1]
-    wj = np.polynomial.hermite.hermgauss(4)[1]
+    corr = Corrections(average=True, jitter_fwhm=1.0)
+    wz = np.polynomial.legendre.leggauss(24)[1]
+    wj = np.polynomial.hermite.hermgauss(16)[1]
     for a in corr.members(4.0):
         a[:] = -1.0
     e2, o2, w2 = corr.members(4.0)
-    assert np.all(e2 >= 0) and len(set(o2)) == 4
+    assert np.all(e2 >= 0) and len(set(o2)) == 16
     assert np.array_equal(w2, np.outer(wz / wz.sum(), wj / wj.sum()))
 
 
@@ -60,13 +54,14 @@ def test_members_returns_fresh_arrays():
     (8, 5.0, 8),  # a cap below the rule wins
 ))
 def test_members_sized_to_the_cooperativity(cap, eta_max, classes):
-    etas, _, w = Corrections(averaging_nodes=cap, jitter_fwhm=1.0, jitter_nodes=4).members(eta_max)
-    assert etas.shape == (classes,) and w.shape == (classes, 4)
+    with mock.patch.object(spatial, "MAX_CLASSES", cap):
+        etas, _, w = Corrections(average=True, jitter_fwhm=1.0).members(eta_max)
+    assert etas.shape == (classes,) and w.shape == (classes, spatial.JITTER_NODES)
 
 
 def test_every_rung_stays_cached():
     # a fit whose eta crosses a rung never rebuilds a rule
-    corr = Corrections(averaging_nodes=64, jitter_fwhm=1.0)
+    corr = Corrections(average=True, jitter_fwhm=1.0)
     spatial._unit_rule.cache_clear()
     for _ in range(2):
         for eta_max in (m * m for m in range(9)):
@@ -78,7 +73,7 @@ def test_averaging_lowers_transparency(cfg):
     # nodes of the standing wave absorb like bare atoms, so the averaged
     # dip at two-photon resonance is deeper than the antinode-only one
     ideal = corrected_spectrum(cfg, 5.0, 0.0, 0.0, IDEAL)[0]
-    avg = corrected_spectrum(cfg, 5.0, 0.0, 0.0, Corrections(averaging_nodes=64))[0]
+    avg = corrected_spectrum(cfg, 5.0, 0.0, 0.0, Corrections(average=True))[0]
     assert avg < ideal
     assert avg > transmission(cfg, 0.0, 0.0, 0.0)
 
@@ -87,8 +82,8 @@ def test_negative_cooperativity_is_refused(cfg):
     # core.susceptibility alone refuses it, with averaging on or off, and
     # sizing the rule to it warns of nothing first
     pulse = make_gaussian_pulse(1e-6, n_samples=2**10)
-    for corr in (IDEAL, Corrections(averaging_nodes=8, jitter_fwhm=0.2 * MHZ),
-                 Corrections(averaging_nodes=64)):
+    for corr in (IDEAL, Corrections(average=True, jitter_fwhm=0.2 * MHZ),
+                 Corrections(average=True)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
@@ -129,16 +124,15 @@ def test_side_weight_shifts_absorption(cfg):
     ({"side_weight": 1.5}, ValueError),
     ({"side_weight": -0.1}, ValueError),
     ({"side_weight": float("nan")}, ValueError),
-    ({"averaging_nodes": -1}, ValueError),
-    ({"jitter_nodes": 0}, ValueError),
-    ({"averaging_nodes": 64.0}, TypeError),
+    ({"side_shift": float("nan")}, ValueError),
+    ({"side_shift": -float("inf")}, ValueError),
+    ({"averaging_nodes": 64}, TypeError),  # the node counts are spatial's constants
     ({"side_shift": float("inf")}, ValueError),
     ({"jitter_fwhm": -1.0}, ValueError),
     ({"jitter_fwhm": float("nan")}, ValueError),
-    # refused before leggauss or hermgauss builds a count x count matrix
-    ({"averaging_nodes": 1025}, ValueError),
-    ({"averaging_nodes": 10**30}, ValueError),
-    ({"jitter_nodes": 10**30}, ValueError),
+    ({"jitter_fwhm": float("inf")}, ValueError),
+    ({"side_weight": float("inf")}, ValueError),
+    ({"side_weight": 10**400}, ValueError),
     ({"side_shift": 10**400}, OverflowError),
 ))
 def test_corrections_validation(fields, error):
@@ -152,7 +146,7 @@ def test_corrections_store_floats():
 
 
 def test_members_jitter_is_normal():
-    _, off, (w,) = Corrections(jitter_fwhm=1.0 / SIGMA_PER_FWHM, jitter_nodes=16).members(4.0)
+    _, off, (w,) = Corrections(jitter_fwhm=1.0 / SIGMA_PER_FWHM).members(4.0)
     assert np.isclose(np.sum(w), 1.0, atol=1e-12)
     assert np.isclose(np.sum(w * off), 0.0, atol=1e-12)
     assert np.isclose(np.sum(w * off**2), 1.0, rtol=1e-12)
@@ -180,8 +174,8 @@ def test_effective_cooperativity_ladder():
 
 
 def test_corrections_factory_roundtrip():
-    c = replace(SIDE, averaging_nodes=32, jitter_fwhm=0.2 * MHZ)
-    etas, offs, w = c.members(5.0)
+    c = replace(SIDE, average=True, jitter_fwhm=0.2 * MHZ)
+    etas, offs, w = c.members(5.0)  # 8 ceil(1 + sqrt(5)) = 32 classes
     assert etas.shape == (32,) and offs.shape == (c.jitter_nodes,)
     # classes by jitter offsets, weights the outer product
     z, cwts = np.polynomial.legendre.leggauss(32)
@@ -197,14 +191,14 @@ def test_corrections_factory_roundtrip():
     # IDEAL collapses to a single member at eta_max with no offset
     assert [a.tolist() for a in IDEAL.members(5.0)] == [[5.0], [0.0], [[1.0]]]
     # one correction alone keeps the other axis at a single node
-    assert Corrections(averaging_nodes=8).members(5.0)[2].shape == (8, 1)
-    etas, offs, w = Corrections(jitter_fwhm=0.2 * MHZ, jitter_nodes=4).members(5.0)
-    assert etas.tolist() == [5.0] and len(set(offs)) == 4 and w.shape == (1, 4)
+    assert Corrections(average=True).members(5.0)[2].shape == (32, 1)
+    etas, offs, w = Corrections(jitter_fwhm=0.2 * MHZ).members(5.0)
+    assert etas.tolist() == [5.0] and len(set(offs)) == 16 and w.shape == (1, 16)
 
 
 def test_corrected_spectrum_channels(cfg):
     trans, emis = corrected_spectrum(cfg, 5.0, np.linspace(-4, 4, 81) * MHZ, 0.0,
-                                     Corrections(averaging_nodes=16))
+                                     Corrections(average=True))
     assert trans.shape == emis.shape == (81,)
     assert np.all((trans > 0) & (trans <= 1))
     assert np.all((emis >= 0) & (emis <= 1))
@@ -249,16 +243,16 @@ def _oracle_spectrum(cfg, eta_max, dp, dcav, corr):
 @pytest.mark.parametrize("side", (False, True))
 @pytest.mark.parametrize("jitter", (False, True))
 def test_corrected_spectrum_matches_oracle_loop(cfg, conf, average, side, jitter):
-    corr = replace(corrections(conf, average=average, side=side, jitter=jitter),
-                   averaging_nodes=6, jitter_nodes=4)
+    corr = corrections(conf, average=average, side=side, jitter=jitter)
     # 1001 points split the members into blocks of four (BLOCK_POINTS 4096)
     dets = ((np.linspace(-4, 4, 1001) * MHZ, 0.5 * MHZ),
             (0.3 * MHZ, -2.2 * MHZ),
             (np.linspace(-4, 4, 5) * MHZ, 1000.0 * cfg.gamma))
     for eta in ETAS:
         for dp, dcav in dets:
-            trans, emis = corrected_spectrum(cfg, eta, dp, dcav, corr)
-            ref_t, ref_e = _oracle_spectrum(cfg, eta, dp, dcav, corr)
+            with at_nodes(6, 4):
+                trans, emis = corrected_spectrum(cfg, eta, dp, dcav, corr)
+                ref_t, ref_e = _oracle_spectrum(cfg, eta, dp, dcav, corr)
             assert np.shape(trans) == np.shape(emis) == np.shape(ref_t)
             assert np.max(np.abs(trans - ref_t)) < 1e-12
             assert np.max(np.abs(emis - ref_e)) < 1e-12
@@ -270,12 +264,14 @@ def test_ensemble_blocks_cover_every_member_once(cfg, points):
     # one chunk, in chunks of 4 and 3, or one by one): every (class, offset)
     # member comes out once with its weight, and only a lone class may
     # exceed BLOCK_POINTS
-    corr = Corrections(averaging_nodes=7, jitter_fwhm=0.2 * MHZ, jitter_nodes=5,
-                       side_weight=0.25, side_shift=0.6 * MHZ)
-    etas, offs, weights = corr.members(5.0)
+    corr = Corrections(average=True, jitter_fwhm=0.2 * MHZ, side_weight=0.25,
+                       side_shift=0.6 * MHZ)
     dp, dcav = np.linspace(-4, 4, points) * MHZ, 0.3 * MHZ
+    with at_nodes(7, 5):
+        etas, offs, weights = corr.members(5.0)
+        blocks = list(ensemble_transfer(cfg, 5.0, dp, dcav, corr))
     seen = np.zeros(weights.shape, dtype=int)
-    for w, e, q, chi in ensemble_transfer(cfg, 5.0, dp, dcav, corr):
+    for w, e, q, chi in blocks:
         assert q.shape == (points,) and chi.shape == (len(e), points)
         assert len(e) == 1 or chi.size <= BLOCK_POINTS
         # the block's offset, read back from its q row: q = 1/(1 - i dc)
@@ -321,7 +317,7 @@ def test_sized_rule_matches_the_cap(cfg, conf, eta, od, dp, dcav, switches):
     cfg = replace(cfg, od=od)
     args = (eta, np.array(dp) * cfg.gamma, dcav * cfg.kappa, corrections(conf, *switches))
     sized = corrected_spectrum(cfg, *args)
-    with _at_nodes(64):
+    with at_nodes(64):
         cap = corrected_spectrum(cfg, *args)
     assert np.max(np.abs(np.subtract(sized, cap))) < 1e-14
 
@@ -331,7 +327,7 @@ def test_sized_rule_matches_the_cap(cfg, conf, eta, od, dp, dcav, switches):
 def test_non_finite_input_is_named_before_any_warning(cfg, name, bad):
     args = {"eta_max": 5.0, "delta_probe": np.linspace(-4, 4, 9) * MHZ, "delta_cavity": 0.0}
     args[name] = bad if name != "delta_probe" else np.append(args[name], bad)
-    corr = Corrections(averaging_nodes=8, jitter_fwhm=0.2 * MHZ)
+    corr = Corrections(average=True, jitter_fwhm=0.2 * MHZ)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -342,18 +338,18 @@ def test_pulse_blocks_match_corrected_spectrum(cfg, conf):
     # the (weights, t) blocks the pulse ensemble consumes, four members of
     # 1024 frequencies each, average to the spectrum path's transmission
     # taken one frequency at a time (all 32 members in one block)
-    corr = replace(corrections(conf, average=True, side=True, jitter=True),
-                   averaging_nodes=8, jitter_nodes=4)
+    corr = corrections(conf, average=True, side=True, jitter=True)
     carrier = 0.4 * MHZ
     omega = 2 * np.pi * np.fft.fftfreq(1024, 4e-9)
     for eta in ETAS:
-        blocks = [(w, transfer_amplitude(chi, cfg))
-                  for w, _, _, chi in ensemble_transfer(cfg, eta, carrier + omega, 0.0, corr)]
+        with at_nodes(8, 4):
+            blocks = [(w, transfer_amplitude(chi, cfg)) for w, _, _, chi
+                      in ensemble_transfer(cfg, eta, carrier + omega, 0.0, corr)]
+            want = [corrected_spectrum(cfg, eta, carrier + w, 0.0, corr)[0]
+                    for w in omega[::16]]
         assert [len(w) for w, _ in blocks] == [4] * 8
         assert all(t.shape == (4, 1024) for _, t in blocks)
         summed = sum(w @ np.abs(t) ** 2 for w, t in blocks)
-        want = [corrected_spectrum(cfg, eta, carrier + w, 0.0, corr)[0]
-                for w in omega[::16]]
         assert np.max(np.abs(summed[::16] - want)) < 1e-14
 
 
@@ -362,12 +358,13 @@ def test_quadrature_convergence_fig2_panels(cfg, conf):
     eta = model_cooperativity(conf)
     grid, dcavs = fig2_detunings(cfg)
 
-    def panels(**nodes):
-        corr = replace(corrections(conf, average=True, side=True, jitter=True), **nodes)
+    def panels():
+        corr = corrections(conf, average=True, side=True, jitter=True)
         return np.array([corrected_spectrum(cfg, eta, grid, d, corr)
                          for d in dcavs.values()])
 
     base = panels()
-    assert np.max(np.abs(panels(jitter_nodes=32) - base)) < 1e-5
-    with _at_nodes(128):  # the rule sized to eta takes 24 nodes here
+    with at_nodes(24, 32):  # the rule sized to eta takes 24 classes here
+        assert np.max(np.abs(panels() - base)) < 1e-5
+    with at_nodes(128):
         assert np.max(np.abs(panels() - base)) < 1e-12

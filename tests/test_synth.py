@@ -168,11 +168,12 @@ def test_scan_csv_round_trip(tmp_path, cfg):
 def test_sidecar_contents(tmp_path, cfg):
     plan = _plan(seed=5)
     path = tmp_path / "scan.json"
-    write_scan_sidecar(path, plan, cfg, 3.4, Corrections(averaging_nodes=8), 1.0)
+    write_scan_sidecar(path, plan, cfg, 3.4, Corrections(average=True), 1.0)
     doc = json.loads(path.read_text())
     assert doc["plan"]["rng_seed"] == 5
     assert doc["physics"]["eta"] == 3.4
-    assert doc["corrections"]["averaging_nodes"] == 8
+    assert doc["corrections"]["averaging_nodes"] == 64
+    assert doc["corrections"]["jitter_nodes"] == 16
     assert "rng" in doc  # the noise recipe is spelled out for reproducers
 
 
@@ -241,12 +242,18 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
 
     doc = json.loads(path.read_text())
     # serialized now: the edits of doc below would reach these shallow copies.
-    # Corrections a Corrections cannot hold (fractional nodes, weight above
-    # 1), true or false, which Python would read as the numbers 1 and 0, and
-    # constants other than the config's
+    # Corrections a Corrections cannot hold (node counts other than the
+    # rules', fractional nodes, weight above 1), true or false, which Python
+    # would read as the numbers 1 and 0 (false stands for a 0 MHz detuning
+    # in either list), and constants other than the config's
+    probe_grid = list(doc["plan"]["probe_grid_MHz"])
+    probe_grid[len(GRID) // 2] = False
     bad = [json.dumps(dict(doc, **{part: dict(doc[part], **fields)})) for part, fields in (
         ("corrections", {"averaging_nodes": 64.0}), ("corrections", {"side_weight": 2.0}),
+        ("corrections", {"averaging_nodes": 8}), ("corrections", {"jitter_nodes": 4}),
         ("corrections", {"averaging_nodes": True}), ("plan", {"dwell_us": True}),
+        ("plan", {"delta_cavity_MHz": [False, *doc["plan"]["delta_cavity_MHz"][1:]]}),
+        ("plan", {"probe_grid_MHz": probe_grid}),
         ("physics", {"kappa_MHz": 0.5}), ("physics", {"length_um": "20"}))]
     # od and eta are what a fit estimates, so they may differ
     path.write_text(json.dumps(dict(doc, physics=dict(doc["physics"], od=0.9, eta=1.0))))
