@@ -128,9 +128,13 @@ def cmd_pulse(args):
     except BandCoverageError as err:
         raise ValueError(f"--tp-us {args.tp_us:g} --span-factor {args.span_factor:g} "
                          f"--samples {args.samples}: {err}") from None
-    except ValueError as err:
-        raise ValueError(f"--eta {eta:g} --od {cfg.od:g} "
-                         f"--carrier-mhz {args.carrier_mhz:g}: {err}") from None
+    except ValueError as err:  # the flags given, else the config file and keys behind them
+        path = args.config or os.environ.get(cfgmod.ENV_VAR)
+        source = f"config file {path}" if path else "default config"
+        keys = {"eta": "'f_eg', 'finesse', 'waist_um', 'wavelength_um'", "od": "'od'"}
+        named = [f"--{k} {v:g}" if getattr(args, k) is not None else
+                 f"{k} {v:g} ({source}: {keys[k]})" for k, v in (("eta", eta), ("od", cfg.od))]
+        raise ValueError(f"--carrier-mhz {args.carrier_mhz:g}, {', '.join(named)}: {err}") from None
     doc = dict(recipes.delays(result),
                tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / 1e-9,
                resonant_transmission_analytic=resonant_transmission(cfg.od, eta))
@@ -146,10 +150,11 @@ def cmd_synth(args):
     grid = _probe_grid(args)
     plan = ScanPlan(delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
                     probe_grid=tuple(grid), photon_flux=args.flux, dwell=args.dwell_us * 1e-6,
-                    efficiency_d1=args.eff1, efficiency_d2=args.eff2, rng_seed=args.seed)
-    records = generate_scan(cfg, eta, plan, corr, args.emission_scale)
+                    efficiency_d1=args.eff1, efficiency_d2=args.eff2, rng_seed=args.seed,
+                    emission_scale=args.emission_scale)
+    records = generate_scan(cfg, eta, plan, corr)
     write_scan_csv(args.out + ".csv", records)
-    write_scan_sidecar(args.out + ".json", plan, cfg, eta, corr, args.emission_scale)
+    write_scan_sidecar(args.out + ".json", plan, cfg, eta, corr)
     return 0
 
 

@@ -2,12 +2,13 @@
 
 Configs hold frequencies in ordinary MHz and lengths in um;
 physical_config converts them to the rad/s and meters used downstream.
-A config file may list any subset of the known keys; missing keys take
-the packaged defaults (vitlab/defaults.json).  Unknown keys are
-rejected outright rather than silently ignored.
+SCHEMA names every key with its default and its closed range, in MHz
+for *_MHz keys and in meters for *_um keys.  A config file may list any
+subset of the keys; missing keys take their defaults.  Unknown keys
+are rejected outright rather than silently ignored.
 
 Resolution order for the default document: explicit path argument,
-then the VIT_LAB_CONFIG environment variable, then the packaged file.
+then the VIT_LAB_CONFIG environment variable, then the defaults alone.
 read_json and read_csv read every outside file, each naming it in its
 ValueError; write_csv and write_json write every CSV and JSON file.
 """
@@ -17,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from importlib import resources
 from itertools import chain
 from operator import le
 
@@ -37,11 +37,22 @@ MIN_LINEWIDTH_MHZ = 2.0 * MAX_DETUNING_MHZ / 1e308 * (
 
 ENV_VAR = "VIT_LAB_CONFIG"
 
-_POSITIVE = ("gamma_MHz", "kappa_MHz", "wavelength_um", "finesse", "waist_um",
-             "length_um")
-_NONNEGATIVE = ("od", "side_weight", "side_shift_MHz", "jitter_fwhm_MHz")
-_UNIT_INTERVAL = ("f_ef", "f_eg", "side_weight")
-KNOWN_KEYS = set(_POSITIVE) | set(_NONNEGATIVE) | set(_UNIT_INTERVAL)
+# key: (default, lo, hi), lo <= value <= hi in MHz or m; 5e-324, the least
+# positive double, stands for "positive"
+SCHEMA = {
+    "gamma_MHz": (5.2, MIN_LINEWIDTH_MHZ, MAX_DETUNING_MHZ),
+    "kappa_MHz": (0.173, MIN_LINEWIDTH_MHZ, MAX_DETUNING_MHZ),
+    "wavelength_um": (0.852, 5e-324, sys.float_info.max),
+    "finesse": (63000.0, 5e-324, sys.float_info.max),
+    "waist_um": (35.0, 5e-324, sys.float_info.max),
+    "od": (0.4, 0.0, sys.float_info.max),
+    "length_um": (20.0, 5e-324, sys.float_info.max),
+    "f_ef": (0.42, 0.0, 1.0),
+    "f_eg": (0.47, 0.0, 1.0),
+    "side_weight": (0.25, 0.0, 1.0),
+    "side_shift_MHz": (0.6, 0.0, MAX_DETUNING_MHZ),
+    "jitter_fwhm_MHz": (0.2, 0.0, MAX_DETUNING_MHZ),
+}
 
 
 def read_csv(path, columns=(), types=()):
@@ -128,9 +139,8 @@ def write_json(path, doc):
 
 
 def packaged_defaults():
-    """The in-repo default constants, as a fresh dict."""
-    text = resources.files("vitlab").joinpath("defaults.json").read_text()
-    return json.loads(text)
+    """The default constants of SCHEMA, as a fresh dict."""
+    return {key: default for key, (default, _, _) in SCHEMA.items()}
 
 
 def validate_config(doc):
@@ -138,30 +148,17 @@ def validate_config(doc):
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     for key, value in doc.items():
-        if key not in KNOWN_KEYS:
+        if key not in SCHEMA:
             raise ValueError(f"unknown config key '{key}'")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"config key '{key}' must be a number")
         if not abs(value) <= sys.float_info.max:  # ints compare exactly: 10**400 is beyond
             raise ValueError(f"config key '{key}' must be finite")
-    merged = packaged_defaults()
-    merged.update(doc)
-    for key, value in merged.items():
-        if key.endswith("_MHz") and not abs(value) <= MAX_DETUNING_MHZ:
-            raise ValueError(f"config key '{key}' must be finite and within "
-                             f"+-{MAX_DETUNING_MHZ:g} MHz")
-        # checked in SI: 1e-320 um is a zero length
-        si = value * 1e-6 if key.endswith("_um") else value
-        if key in _POSITIVE and not si > 0:
-            raise ValueError(f"config key '{key}' must be positive, in SI units (m) too")
-        if key in ("gamma_MHz", "kappa_MHz") and not value >= MIN_LINEWIDTH_MHZ:
-            raise ValueError(f"config key '{key}' must be at least {MIN_LINEWIDTH_MHZ:.3g} MHz: "
-                             "detunings divided by it must stay finite")
-        if key in _NONNEGATIVE and si < 0:
-            raise ValueError(f"config key '{key}' must be nonnegative")
-    for key in _UNIT_INTERVAL:
-        if not 0 <= merged[key] <= 1:
-            raise ValueError(f"config key '{key}' must lie in [0, 1]")
+    merged = {**packaged_defaults(), **doc}
+    for key, (_, lo, hi) in SCHEMA.items():  # lengths checked in m: 1e-320 um is 0 m
+        unit = " MHz" if key.endswith("_MHz") else " m" if key.endswith("_um") else ""
+        if not lo <= merged[key] * (1e-6 if unit == " m" else 1) <= hi:
+            raise ValueError(f"config key '{key}' must lie in [{lo}, {hi}]{unit}")
     # every key is in range; two values derived from several can still overflow
     try:
         physical_config(merged)  # of its checks, only k L's and od/(k L)'s can fail here

@@ -52,7 +52,8 @@ class ScanPlan:
     dwell: integration time per grid point (s)
     efficiency_d1, efficiency_d2: detection efficiencies in [0, 1]
     rng_seed: nonnegative integer
-    The flux, dwell and efficiencies are stored as floats once checked.
+    emission_scale: gain on the emission D2 sees, positive and finite
+    The flux, dwell, efficiencies and scale are stored as floats once checked.
     """
 
     delta_cavity_list: tuple
@@ -62,12 +63,14 @@ class ScanPlan:
     efficiency_d1: float = 1.0
     efficiency_d2: float = 1.0
     rng_seed: int = 0
+    emission_scale: float = 1.0
 
     def __post_init__(self):
         if len(self.delta_cavity_list) == 0 or len(self.probe_grid) == 0:
             raise ValueError("plan needs at least one detuning on each axis")
-        if not 0 < self.dwell < np.inf:
-            raise ValueError("dwell must be positive and finite")
+        for name in ("dwell", "emission_scale"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.photon_flux < np.inf:
             raise ValueError("photon flux must be nonnegative and finite")
         for eff in (self.efficiency_d1, self.efficiency_d2):
@@ -75,7 +78,7 @@ class ScanPlan:
                 raise ValueError("efficiencies must lie in [0, 1]")
         if index(self.rng_seed) < 0:
             raise ValueError("rng_seed must be a nonnegative integer")
-        for name in ("photon_flux", "dwell", "efficiency_d1", "efficiency_d2"):
+        for name in ("photon_flux", "dwell", "efficiency_d1", "efficiency_d2", "emission_scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
@@ -107,23 +110,20 @@ class Spectrum:
             object.__setattr__(self, field.name, value)
 
 
-def generate_scan(cfg, eta, plan, corrections=IDEAL, emission_scale=1.0):
+def generate_scan(cfg, eta, plan, corrections=IDEAL):
     """Generate counts for every (resonator detuning, probe detuning) point.
 
     Returns a numpy record array with the RECORD_FIELDS columns, one row
     per point, resonator detunings major: row k is probe detuning
     k % len(grid) at resonator detuning k // len(grid), in plan order.
-    Identical (cfg, eta, plan) always produce identical records.  D2 sees the
-    emission times emission_scale, positive and finite (else ValueError).
+    Identical (cfg, eta, plan) always produce identical records.
     """
-    if not 0 < emission_scale < np.inf:
-        raise ValueError("emission_scale must be positive and finite")
     grid = np.asarray(plan.probe_grid, dtype=float)
     dp = np.tile(grid, len(plan.delta_cavity_list))
     dc = np.repeat(np.asarray(plan.delta_cavity_list, dtype=float), len(grid))
     trans, emis = corrected_spectrum(cfg, eta, dp, dc, corrections)
     e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
-    e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (emission_scale * emis)
+    e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (plan.emission_scale * emis)
     if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
         raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
                          "lower the photon flux, dwell or emission scale")
@@ -194,7 +194,7 @@ def _physics(cfg, eta):
             "length_um": cfg.length * 1e6, "eta": eta}
 
 
-def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1.0):
+def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL):
     """JSON sidecar recording everything needed to regenerate a scan."""
     meta = {
         "plan": {
@@ -214,7 +214,7 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL, emission_scale=1
             "jitter_fwhm_MHz": corrections.jitter_fwhm / MHZ,
             "jitter_nodes": corrections.jitter_nodes,
         },
-        "emission_scale": emission_scale,
+        "emission_scale": plan.emission_scale,
         "rng": "numpy PCG64, SeedSequence([rng_seed, scan_index, point_index]) per point",
     }
     write_json(path, meta)
@@ -253,9 +253,6 @@ def read_scan_sidecar(path, records, cfg):
                    *corr.values(), scale]
         if any(isinstance(v, bool) for v in numbers):
             raise ValueError("true or false where a number belongs")
-        if not 0 < scale < np.inf:
-            raise ValueError("emission_scale must be positive and finite")
-        scale = float(scale)
         plan = ScanPlan(
             delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
             probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
@@ -264,6 +261,7 @@ def read_scan_sidecar(path, records, cfg):
             efficiency_d1=plan["efficiency_d1"],
             efficiency_d2=plan["efficiency_d2"],
             rng_seed=plan["rng_seed"],
+            emission_scale=scale,
         )
         for key, ok in ("averaging_nodes", (0, MAX_CLASSES)), ("jitter_nodes", (JITTER_NODES,)):
             if type(corr[key]) is not int or corr[key] not in ok:
@@ -295,7 +293,7 @@ def read_scan_sidecar(path, records, cfg):
                              f"{MIN_EXPOSURE:.6g}{zero}")
     flux_dwell = flux_dwell * (1.0 + NORM_MARGIN)
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
-                        ("expected_d2", flux_dwell * plan.efficiency_d2 * scale)):
+                        ("expected_d2", flux_dwell * plan.efficiency_d2 * plan.emission_scale)):
         worst = records[name].max()
         if worst > bound:
             raise ValueError(f"{path}: its flux, dwell and efficiencies allow {name} up to "

@@ -785,6 +785,29 @@ def test_pulse_carrier_past_the_optical_frequency_names_the_medium(tmp_path, cap
     assert "--span-factor" not in err
 
 
+def test_pulse_medium_error_names_the_config_or_the_flags(tmp_path, capsys, monkeypatch):
+    # od 1e308 absorbs the whole pulse; it was blamed on --eta and --od, neither given
+    conf = tmp_path / "dense.json"
+    conf.write_text('{"od": 1e308}')
+    out = tmp_path / "pulse.json"
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    for argv in (["--config", str(conf)], []):  # the file from --config, then from the environment
+        assert main(["pulse", "--tp-us", "1", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {conf}" in err and "'od'" in err and "no centroid" in err
+        assert "--od" not in err and "--eta" not in err
+        monkeypatch.setenv(ENV_VAR, str(conf))
+    # flags that were given are named as flags, and eta's config keys as keys
+    monkeypatch.delenv(ENV_VAR)
+    assert main(["pulse", "--tp-us", "1", "--od", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--od 1e+308" in err and "default config: 'f_eg'" in err and "--eta" not in err
+    assert main(["pulse", "--tp-us", "1", "--od", "1e308", "--eta", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--carrier-mhz 0, --eta 2, --od 1e+308:" in err and "config" not in err
+    assert not out.exists()
+
+
 def test_negative_exponent_values_parse_as_numbers(tmp_path):
     # argparse took -2e0 for a flag ("expected one argument"); the same
     # values written without an exponent give the same files

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,15 @@ def test_packaged_defaults_complete():
     assert conf["kappa_MHz"] == 0.173
     assert conf["od"] == 0.4
     assert conf["finesse"] == 63000.0
+
+
+def test_readme_table_lists_the_defaults():
+    # README's configuration table: one row per key, its default as written there
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Configuration\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
+    assert len(rows) == len(packaged_defaults())
+    assert {key: float(default) for key, default in rows} == packaged_defaults()
 
 
 def test_validate_rejects_unknown_key():
@@ -49,6 +60,11 @@ def test_validate_range_checks():
         validate_config({"jitter_fwhm_MHz": -0.1})
 
 
+# the bound that each kind of bad value breaks: the detunings' in MHz, or positive in m
+RANGES = {"finite": r"must lie in \[[^,]+, 1e\+300\] MHz",
+          "positive": re.escape("must lie in [5e-324, 1.7976931348623157e+308] m")}
+
+
 @pytest.mark.parametrize("key, bad, good, message", (
     ("gamma_MHz", 1e303, 1e300, "finite"),
     ("kappa_MHz", 3e302, 1e300, "finite"),
@@ -60,7 +76,7 @@ def test_validate_range_checks():
 def test_validate_checks_the_si_value(key, bad, good, message):
     # bad is finite and positive in laboratory units, but beyond the
     # detunings' bound in MHz (infinite in rad/s), or zero in m
-    with pytest.raises(ValueError, match=f"'{key}' must be {message}"):
+    with pytest.raises(ValueError, match=f"'{key}' {RANGES[message]}"):
         validate_config({key: bad})
     assert validate_config({key: good})[key] == good
 

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vitlab.cli import main
-from vitlab.config import (CSV_BLOCK_ROWS, KNOWN_KEYS, MAX_DETUNING_MHZ, MHZ,
-                           MIN_LINEWIDTH_MHZ, packaged_defaults, read_csv, validate_config,
-                           write_csv)
+from vitlab.config import (CSV_BLOCK_ROWS, MAX_DETUNING_MHZ, MHZ, MIN_LINEWIDTH_MHZ, SCHEMA,
+                           packaged_defaults, read_csv, validate_config, write_csv)
 from vitlab.spatial import Corrections
 from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
 
@@ -177,7 +176,7 @@ def _in_range(key, value):
 
 def _fault(key, value):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if key not in KNOWN_KEYS or not number or not math.isfinite(value):
+    if key not in SCHEMA or not number or not math.isfinite(value):
         return True
     # frequencies within the detunings' bound and linewidths above the floor;
     # the signs checked in SI (rad/s, m)
@@ -188,16 +187,16 @@ def _fault(key, value):
 
 
 @SETTINGS
-@given(st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)),
+@given(st.dictionaries(st.sampled_from(sorted(SCHEMA)),
                        st.one_of(st.floats(-0.5, 1.5), st.integers(-1, 3), st.floats(0, 1e300)),
                        max_size=4),
-       st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS) + ["eta", "od_", ""]),
+       st.dictionaries(st.sampled_from(sorted(SCHEMA) + ["eta", "od_", ""]),
                        st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none()),
                        max_size=1))
 def test_validate_config_merges_or_names_the_key(numbers, wild):
     # mostly numeric documents, with at most one entry of any key and type
     doc = {**numbers, **wild}
-    assert POSITIVE | NONNEGATIVE | UNIT_INTERVAL == KNOWN_KEYS
+    assert POSITIVE | NONNEGATIVE | UNIT_INTERVAL == set(SCHEMA)
     faulty = {key for key, value in doc.items() if _fault(key, value)}
     try:
         merged = validate_config(doc)
@@ -329,7 +328,7 @@ def config_run(tmp_path_factory):
 
 
 @settings(SETTINGS, max_examples=200)
-@given(doc=st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)),
+@given(doc=st.dictionaries(st.sampled_from(sorted(SCHEMA)),
                            st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 100.0)),
                            max_size=2))
 # an overflow warning with exit 0, and an unnamed refusal after warnings

@@ -47,6 +47,7 @@ def test_plan_validation():
             _plan(seed=seed)
     # the float fields are stored as floats, and an integer beyond a double's range fails
     assert type(_plan(flux=10**6, dwell=1).dwell) is float
+    assert type(replace(_plan(), emission_scale=2).emission_scale) is float
     with pytest.raises(OverflowError):
         _plan(flux=10**400)
 
@@ -56,13 +57,13 @@ def test_counts_beyond_poisson_range_rejected(cfg):
     with pytest.raises(ValueError, match="flux"):
         generate_scan(cfg, 3.4, _plan(flux=1e30))
     with pytest.raises(ValueError, match="emission scale"):
-        generate_scan(cfg, 3.4, _plan(), emission_scale=1e30)
+        generate_scan(cfg, 3.4, replace(_plan(), emission_scale=1e30))
 
 
 @pytest.mark.parametrize("scale", (0.0, -1.0, np.inf, np.nan))
-def test_emission_scale_must_be_positive_and_finite(cfg, scale):
+def test_emission_scale_must_be_positive_and_finite(scale):
     with pytest.raises(ValueError, match="emission_scale must be positive and finite"):
-        generate_scan(cfg, 3.4, _plan(), emission_scale=scale)
+        replace(_plan(), emission_scale=scale)
 
 
 def test_determinism(cfg):
@@ -168,7 +169,7 @@ def test_scan_csv_round_trip(tmp_path, cfg):
 def test_sidecar_contents(tmp_path, cfg):
     plan = _plan(seed=5)
     path = tmp_path / "scan.json"
-    write_scan_sidecar(path, plan, cfg, 3.4, Corrections(average=True), 1.0)
+    write_scan_sidecar(path, plan, cfg, 3.4, Corrections(average=True))
     doc = json.loads(path.read_text())
     assert doc["plan"]["rng_seed"] == 5
     assert doc["physics"]["eta"] == 3.4
@@ -214,7 +215,7 @@ def test_scan_counts_are_exact_doubles(tmp_path):
 def test_sidecar_round_trip(tmp_path, cfg, conf):
     plan = ScanPlan(delta_cavity_list=(0.0, 0.5 * MHZ, -2.2 * MHZ), probe_grid=GRID,
                     photon_flux=2.5e6, dwell=20e-3, efficiency_d1=0.9,
-                    efficiency_d2=0.35, rng_seed=7)
+                    efficiency_d2=0.35, rng_seed=7, emission_scale=0.3)
     path = tmp_path / "scan.json"
     corr = corrections(conf, average=True, side=True, jitter=True)
     write_scan_sidecar(path, plan, cfg, 3.4, corr)
@@ -238,6 +239,7 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
         np.testing.assert_allclose(getattr(back, name), getattr(plan, name),
                                    rtol=1e-15, atol=1e-9)
     assert back.rng_seed == plan.rng_seed
+    assert back.emission_scale == plan.emission_scale
     assert len(back.probe_grid) == len(plan.probe_grid)
 
     doc = json.loads(path.read_text())
