@@ -21,7 +21,7 @@ from vitlab import config as cfgmod
 from vitlab import recipes
 from vitlab.config import MAX_DETUNING_MHZ, MHZ, write_csv, write_json
 from vitlab.core import group_delay_analytic, resonant_transmission
-from vitlab.errors import BandCoverageError, RankDeficientError
+from vitlab.errors import BandCoverageError, ExposureError, RankDeficientError
 from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra,
                             line_json_dict)
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
@@ -120,14 +120,16 @@ def cmd_pulse(args):
     conf, cfg, eta, corr = _setup(args)
     if args.od is not None:
         cfg = replace(cfg, od=args.od)
+    grid = f"--tp-us {args.tp_us:g} --span-factor {args.span_factor:g} --samples {args.samples}"
+    if not args.span_factor / 2 * args.tp_us < math.inf:
+        raise ValueError(f"{grid}: half the time span is beyond a double's range in us")
     duration = args.tp_us * 1e-6
     try:
         pulse = make_gaussian_pulse(duration, n_samples=args.samples,
                                     span=args.span_factor * duration)
         result = recipes.pulse_ensemble(cfg, eta, pulse, corr, args.carrier_mhz * MHZ)
     except BandCoverageError as err:
-        raise ValueError(f"--tp-us {args.tp_us:g} --span-factor {args.span_factor:g} "
-                         f"--samples {args.samples}: {err}") from None
+        raise ValueError(f"{grid}: {err}") from None
     except ValueError as err:  # the flags given, else the config file and keys behind them
         path = args.config or os.environ.get(cfgmod.ENV_VAR)
         source = f"config file {path}" if path else "default config"
@@ -148,24 +150,31 @@ def cmd_pulse(args):
 def cmd_synth(args):
     conf, cfg, eta, corr = _setup(args)
     grid = _probe_grid(args)
+    if args.dwell_us * 1e-6 == 0:
+        raise ValueError(f"--dwell-us {args.dwell_us:g} is 0 s in double precision")
     plan = ScanPlan(delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
                     probe_grid=tuple(grid), photon_flux=args.flux, dwell=args.dwell_us * 1e-6,
                     efficiency_d1=args.eff1, efficiency_d2=args.eff2, rng_seed=args.seed,
-                    emission_scale=args.emission_scale)
-    records = generate_scan(cfg, eta, plan, corr)
+                    emission_scale=args.emission_scale, corrections=corr)
+    try:
+        records = generate_scan(cfg, eta, plan)
+    except ExposureError as err:
+        raise ValueError(f"--flux {args.flux:g} --dwell-us {args.dwell_us:g} --eff1 {args.eff1:g} "
+                         f"--eff2 {args.eff2:g} --emission-scale {args.emission_scale:g}: "
+                         f"{err}") from None
     write_scan_csv(args.out + ".csv", records)
-    write_scan_sidecar(args.out + ".json", plan, cfg, eta, corr)
+    write_scan_sidecar(args.out + ".json", plan, cfg, eta)
     return 0
 
 
 def _read_input(path, args, cfg, flag_corrections):
-    """(source, corrections, Spectrum) of a scan or spectrum CSV.
+    """The Spectrum of a scan or spectrum CSV, carrying the corrections it fits with.
 
     The header's names are compared as write_csv writes them.  A file
-    whose first two are a scan's is a scan: it fits with its sidecar's
-    corrections (a flag they lack is an error, and so are constants other
-    than cfg's, and --delta-cavity-mhz) and names the sidecar.  Any other
-    is a spectrum at --delta-cavity-mhz (default 0), fitted with
+    whose first two are a scan's is a scan: it carries its sidecar's
+    corrections (a flag they lack is an error naming the sidecar, and so
+    are constants other than cfg's, and --delta-cavity-mhz).  Any other
+    is a spectrum at --delta-cavity-mhz (default 0) carrying
     flag_corrections; a third column must be its cavity_emission.
     config.read_csv decodes both.
     """
@@ -180,22 +189,25 @@ def _read_input(path, args, cfg, flag_corrections):
                              f"third column is {SPECTRUM_COLUMNS[2]}")
         dcav = 0.0 if args.delta_cavity_mhz is None else args.delta_cavity_mhz * MHZ
         e = rows[:, 2] if rows.shape[1] > 2 else None
-        return path, flag_corrections, Spectrum(rows[:, 0] * MHZ, rows[:, 1], e,
-                                                delta_cavity=dcav)
+        return Spectrum(rows[:, 0] * MHZ, rows[:, 1], e, delta_cavity=dcav,
+                        corrections=flag_corrections)
     if args.delta_cavity_mhz is not None:
         raise ValueError(f"--delta-cavity-mhz goes with a spectrum CSV, and {path} is a scan, "
                          "whose rows carry their resonator detunings")
     records = read_scan_csv(path)
     sidecar = args.sidecar or os.path.splitext(path)[0] + ".json"
-    plan, corr = read_scan_sidecar(sidecar, records, cfg)
+    plan = read_scan_sidecar(sidecar, records, cfg)
     for flag, field in (("average", "average"), ("side", "side_weight"),
                         ("jitter", "jitter_fwhm")):
-        if getattr(args, flag) and not getattr(corr, field):
+        if getattr(args, flag) and not getattr(plan.corrections, field):
             raise ValueError(f"--{flag} is given, but {sidecar} records the scan without it")
-    return sidecar, corr, spectrum_from_records(records, plan)
+    return spectrum_from_records(records, plan)
 
 
 def cmd_fit(args):
+    for i, path in enumerate(args.input):
+        if os.path.realpath(path) in map(os.path.realpath, args.input[:i]):
+            raise ValueError(f"--input gives the file {path} twice; its data would count twice")
     if args.sidecar and len(args.input) > 1:
         raise ValueError("--sidecar needs a single --input; "
                          "each scan otherwise reads its own sidecar")
@@ -226,16 +238,10 @@ def cmd_fit(args):
     conf = cfgmod.load_config(args.config)
     cfg = cfgmod.physical_config(conf)
     flags = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
-    inputs = [_read_input(path, args, cfg, flags) for path in args.input]
-    source, corr, _ = inputs[0]
-    for other, other_corr, _ in inputs[1:]:
-        if other_corr != corr:
-            raise ValueError(f"{source} and {other} hold different corrections; "
-                             "a joint fit needs one set")
-    spectra = [spectrum for _, _, spectrum in inputs]
+    spectra = [_read_input(path, args, cfg, flags) for path in args.input]
     if args.model == "vit":
         free = ("eta_eff", "od", "scale_d2") if args.free is None else tuple(args.free.split(","))
-        fit = fit_vit_spectra(spectra, cfg, free=free, corrections=corr)
+        fit = fit_vit_spectra(spectra, cfg, free=free)
     else:
         lines = sum(len(np.unique(spectrum.delta_cavity)) for spectrum in spectra)
         if lines > 1:

@@ -210,7 +210,8 @@ def _initial_guess(spec, cfg):
     grid = spec.delta_probe
     t = np.clip(spec.transmission, 1e-6, None)
     i_min = int(np.argmin(t))
-    dt_norm = 2.0 * grid[i_min] / cfg.gamma
+    # past 1e9 the factor saturates the clip, -log t being 0 or at least 1.1e-16 in magnitude
+    dt_norm = min(abs(2.0 * grid[i_min] / cfg.gamma), 1e9)
     od0 = float(np.clip(-np.log(t[i_min]) * (1.0 + dt_norm**2), 1e-3, 10.0))
     i_res = int(np.argmin(np.abs(grid - spec.delta_cavity)))
     t_res = float(np.clip(t[i_res], 1e-6, 1.0 - 1e-9))
@@ -224,14 +225,16 @@ def _initial_guess(spec, cfg):
     return guess
 
 
-def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2"), corrections=IDEAL):
+def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
     """Joint fit of the coupled-ensemble model over spectra and channels.
 
     spectra: list of Spectrum, each point at its own resonator detuning
-    (a scan's spectrum holds all of its detunings); every spectrum's
-    transmission channel enters the residual, and the emission channel
-    too when present, each weighed by its sigmas (1 without); a residual
-    evaluates the model once per spectrum.  free names parameters from
+    (a scan's spectrum holds all of its detunings) and each modelled
+    with its own corrections, so scans made with different corrections
+    fit jointly; every spectrum's transmission channel enters the
+    residual, and the emission channel too when present, each weighed by
+    its sigmas (1 without); a residual evaluates the model once per
+    spectrum.  free names parameters from
     VIT_PARAMS, each once and always eta_eff (else ValueError); they
     start from _initial_guess of the first spectrum, and the rest are
     held at cfg.od, a scale_d2 of 1 and zero offsets.  The solver keeps
@@ -259,7 +262,7 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2"), correction
         p.update({name: pvec[i] for i, name in enumerate(free)})
         chunks = []
         for spec in spectra:
-            model = _vit_model(cfg, spec, p, corrections)
+            model = _vit_model(cfg, spec, p, spec.corrections)
             for m, data, sigma in zip(model, (spec.transmission, spec.emission),
                                       (spec.sigma_transmission, spec.sigma_emission)):
                 if data is not None:

@@ -25,6 +25,7 @@ from operator import index
 import numpy as np
 
 from vitlab.config import MHZ, read_csv, read_json, write_csv, write_json
+from vitlab.errors import ExposureError
 from vitlab.spatial import IDEAL, JITTER_NODES, MAX_CLASSES, Corrections, corrected_spectrum
 
 
@@ -53,6 +54,7 @@ class ScanPlan:
     efficiency_d1, efficiency_d2: detection efficiencies in [0, 1]
     rng_seed: nonnegative integer
     emission_scale: gain on the emission D2 sees, positive and finite
+    corrections: the apparatus corrections the scan is made with
     The flux, dwell, efficiencies and scale are stored as floats once checked.
     """
 
@@ -64,6 +66,7 @@ class ScanPlan:
     efficiency_d2: float = 1.0
     rng_seed: int = 0
     emission_scale: float = 1.0
+    corrections: Corrections = IDEAL
 
     def __post_init__(self):
         if len(self.delta_cavity_list) == 0 or len(self.probe_grid) == 0:
@@ -87,9 +90,9 @@ class Spectrum:
     """Normalized spectra on probe detunings, with optional sigmas.
 
     delta_cavity is each point's resonator detuning, or one for every
-    point (rad/s, default 0).  Given fields are stored as float arrays;
-    a given sigma that is not positive and finite raises ValueError
-    naming the field.
+    point (rad/s, default 0); a fit models them with corrections.  Array
+    fields are stored as float arrays; a given sigma that is not
+    positive and finite raises ValueError naming the field.
     """
 
     delta_probe: object
@@ -98,9 +101,10 @@ class Spectrum:
     sigma_transmission: object = None
     sigma_emission: object = None
     delta_cavity: object = 0.0
+    corrections: Corrections = IDEAL
 
     def __post_init__(self):
-        for field in fields(self):
+        for field in fields(self)[:-1]:  # the array fields: all but corrections
             value = getattr(self, field.name)
             if value is None:
                 continue
@@ -110,8 +114,8 @@ class Spectrum:
             object.__setattr__(self, field.name, value)
 
 
-def generate_scan(cfg, eta, plan, corrections=IDEAL):
-    """Generate counts for every (resonator detuning, probe detuning) point.
+def generate_scan(cfg, eta, plan):
+    """Counts at every (resonator detuning, probe detuning) point, under plan.corrections.
 
     Returns a numpy record array with the RECORD_FIELDS columns, one row
     per point, resonator detunings major: row k is probe detuning
@@ -121,12 +125,12 @@ def generate_scan(cfg, eta, plan, corrections=IDEAL):
     grid = np.asarray(plan.probe_grid, dtype=float)
     dp = np.tile(grid, len(plan.delta_cavity_list))
     dc = np.repeat(np.asarray(plan.delta_cavity_list, dtype=float), len(grid))
-    trans, emis = corrected_spectrum(cfg, eta, dp, dc, corrections)
+    trans, emis = corrected_spectrum(cfg, eta, dp, dc, plan.corrections)
     e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
     e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (plan.emission_scale * emis)
     if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
-        raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
-                         "lower the photon flux, dwell or emission scale")
+        raise ExposureError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
+                            "lower the photon flux, dwell or emission scale")
     c1, c2 = np.empty((2, len(dp)), dtype=np.int64)
     for k in range(len(dp)):
         scan, point = divmod(k, len(grid))
@@ -159,6 +163,7 @@ def spectrum_from_records(records, plan):
         sigma_transmission=np.sqrt(np.maximum(c1, 1.0)) / norm1,
         sigma_emission=sigma_emission,
         delta_cavity=records.delta_cavity.copy(),
+        corrections=plan.corrections,
     )
 
 
@@ -194,7 +199,7 @@ def _physics(cfg, eta):
             "length_um": cfg.length * 1e6, "eta": eta}
 
 
-def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL):
+def write_scan_sidecar(path, plan, cfg, eta):
     """JSON sidecar recording everything needed to regenerate a scan."""
     meta = {
         "plan": {
@@ -208,11 +213,11 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL):
         },
         "physics": _physics(cfg, eta),
         "corrections": {
-            "averaging_nodes": corrections.averaging_nodes,
-            "side_weight": corrections.side_weight,
-            "side_shift_MHz": corrections.side_shift / MHZ,
-            "jitter_fwhm_MHz": corrections.jitter_fwhm / MHZ,
-            "jitter_nodes": corrections.jitter_nodes,
+            "averaging_nodes": plan.corrections.averaging_nodes,
+            "side_weight": plan.corrections.side_weight,
+            "side_shift_MHz": plan.corrections.side_shift / MHZ,
+            "jitter_fwhm_MHz": plan.corrections.jitter_fwhm / MHZ,
+            "jitter_nodes": plan.corrections.jitter_nodes,
         },
         "emission_scale": plan.emission_scale,
         "rng": "numpy PCG64, SeedSequence([rng_seed, scan_index, point_index]) per point",
@@ -221,7 +226,7 @@ def write_scan_sidecar(path, plan, cfg, eta, corrections=IDEAL):
 
 
 def read_scan_sidecar(path, records, cfg):
-    """The (ScanPlan, Corrections) recorded by write_scan_sidecar.
+    """The ScanPlan, corrections included, recorded by write_scan_sidecar.
 
     Values the sidecar holds in SI come back as the same doubles; those
     it holds in MHz or us (frequencies, dwell) pass one unit conversion
@@ -253,6 +258,9 @@ def read_scan_sidecar(path, records, cfg):
                    *corr.values(), scale]
         if any(isinstance(v, bool) for v in numbers):
             raise ValueError("true or false where a number belongs")
+        for key, ok in ("averaging_nodes", (0, MAX_CLASSES)), ("jitter_nodes", (JITTER_NODES,)):
+            if type(corr[key]) is not int or corr[key] not in ok:
+                raise ValueError(f"{key} must be {' or '.join(map(str, ok))}")
         plan = ScanPlan(
             delta_cavity_list=tuple(d * MHZ for d in plan["delta_cavity_MHz"]),
             probe_grid=tuple(d * MHZ for d in plan["probe_grid_MHz"]),
@@ -262,13 +270,11 @@ def read_scan_sidecar(path, records, cfg):
             efficiency_d2=plan["efficiency_d2"],
             rng_seed=plan["rng_seed"],
             emission_scale=scale,
+            corrections=Corrections(
+                average=corr["averaging_nodes"] > 0, side_weight=corr["side_weight"],
+                side_shift=corr["side_shift_MHz"] * MHZ,
+                jitter_fwhm=corr["jitter_fwhm_MHz"] * MHZ),
         )
-        for key, ok in ("averaging_nodes", (0, MAX_CLASSES)), ("jitter_nodes", (JITTER_NODES,)):
-            if type(corr[key]) is not int or corr[key] not in ok:
-                raise ValueError(f"{key} must be {' or '.join(map(str, ok))}")
-        corr = Corrections(
-            average=corr["averaging_nodes"] > 0, side_weight=corr["side_weight"],
-            side_shift=corr["side_shift_MHz"] * MHZ, jitter_fwhm=corr["jitter_fwhm_MHz"] * MHZ)
     except KeyError as err:
         raise ValueError(f"{path}: sidecar lacks key {err}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as err:
@@ -310,4 +316,4 @@ def read_scan_sidecar(path, records, cfg):
                              f"at probe detuning {records.delta_probe[i] / MHZ:.6g} MHz and "
                              f"resonator detuning {records.delta_cavity[i] / MHZ:.6g} MHz, "
                              f"where {name} is {e[i]:.6g} (at most {bound[i]:.6g})")
-    return plan, corr
+    return plan

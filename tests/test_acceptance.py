@@ -150,8 +150,8 @@ GRID81 = tuple(np.linspace(-4.0, 4.0, 81) * MHZ)
 DCAVS = tuple(d * MHZ for d in RESONATOR_DETUNINGS_MHZ)
 
 
-def _spectra(cfg, eta, plan, noiseless=False, corr=Corrections()):
-    recs = generate_scan(cfg, eta, plan, corr)
+def _spectra(cfg, eta, plan, noiseless=False):
+    recs = generate_scan(cfg, eta, plan)
     if not noiseless:
         return [spectrum_from_records(recs, plan)]
     norm = plan.photon_flux * plan.dwell

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from vitlab import config as cfgmod
 from vitlab import fitting, recipes
 from vitlab.cli import MAX_POINTS, MAX_SAMPLES, build_parser, main
 from vitlab.config import ENV_VAR, MAX_DETUNING_MHZ, MIN_LINEWIDTH_MHZ, packaged_defaults
-from vitlab.spatial import Corrections, corrected_spectrum
+from vitlab.spatial import IDEAL, Corrections, corrected_spectrum
 
 
 def _read_csv(path):
@@ -278,6 +279,21 @@ def test_fit_sidecar_needs_a_scan(tmp_path, capsys, model):
                  "--sidecar", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "--sidecar" in err and "sp.csv" in err
+
+
+@pytest.mark.parametrize("model", ("vit", "linear"))
+def test_fit_refuses_an_input_given_twice(tmp_path, capsys, monkeypatch, model):
+    # one file's data entered twice would shrink every error by sqrt(2)
+    monkeypatch.chdir(tmp_path)
+    if model == "vit":
+        assert main(["synth", "--delta-cavity-mhz", "0", "--points", "41", "--out", "s"]) == 0
+    else:
+        (tmp_path / "s.csv").write_text("x,y,sigma\n1,2,0.1\n2,4,0.1\n3,6.5,0.1\n")
+    assert main(["fit", "--model", model, "--input", "s.csv", "--out", "fit.json"]) == 0
+    for again in ("s.csv", "./s.csv", str(tmp_path / "s.csv")):
+        assert main(["fit", "--model", model, "--input", "s.csv", again]) == 2
+        err = capsys.readouterr().err
+        assert "--input" in err and again in err and "twice" in err
 
 
 def test_fit_lorentzian_rejects_several_detunings(tmp_path, capsys):
@@ -998,11 +1014,36 @@ def test_fit_uses_the_sidecar_corrections(tmp_path, capsys):
     assert fit(prefix + ".csv", "--side")[0] == 2
     err = capsys.readouterr().err
     assert "--side" in err and "sc.json" in err
-    # a joint fit needs one set of corrections
+    # scans made with different corrections fit jointly, each with its own
     plain = _synth(tmp_path / "plain", "0", "1")
-    assert fit(prefix + ".csv", plain)[0] == 2
-    err = capsys.readouterr().err
-    assert "sc.json" in err and "plain.json" in err
+    code, joint = fit(prefix + ".csv", plain)
+    assert code == 0 and json.loads(joint)["converged"]
+    eta = json.loads(joint)["params"]["eta_eff"]
+    assert abs(eta["value"] - 3.39) < 3 * eta["error"]
+
+
+def test_joint_fit_models_each_input_with_its_corrections(tmp_path, monkeypatch):
+    # two scans of different lengths tell the model evaluations apart
+    assert main(["synth", "--average", "--delta-cavity-mhz", "0.5", "--points", "41",
+                 "--out", str(tmp_path / "av")]) == 0
+    assert main(["synth", "--side", "--jitter", "--delta-cavity-mhz", "0", "--points", "61",
+                 "--out", str(tmp_path / "sj")]) == 0
+    conf = packaged_defaults()
+    average, side_jitter = Corrections(average=True), cfgmod.corrections(conf, side=True,
+                                                                         jitter=True)
+    calls = []
+
+    def spy(cfg, eta, delta_probe, delta_cavity, corrections):
+        calls.append((np.size(delta_probe), corrections))
+        return corrected_spectrum(cfg, eta, delta_probe, delta_cavity, corrections)
+
+    monkeypatch.setattr(fitting, "corrected_spectrum", spy)
+    assert main(["fit", "--model", "vit", "--input", str(tmp_path / "av.csv"),
+                 str(tmp_path / "sj.csv"), "--out", str(tmp_path / "fit.json")]) == 0
+    # the starting point's one evaluation is ideal; every residual's are the scans' own
+    assert calls[0] == (41, IDEAL)
+    assert set(calls[1:]) == {(41, average), (61, side_jitter)}
+    assert calls[1:].count((41, average)) == calls[1:].count((61, side_jitter))
 
 
 def test_missing_input_returns_2(capsys):

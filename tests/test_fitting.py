@@ -8,6 +8,7 @@ from vitlab.config import MHZ, write_json
 from vitlab.core import transmission
 from vitlab.errors import RankDeficientError
 from vitlab.fitting import (
+    _initial_guess,
     damped_least_squares,
     extract_transparency,
     fit_linear_weighted,
@@ -28,14 +29,14 @@ GRID = np.linspace(-4e6, 4e6, 81) * 2 * np.pi
 def _clean_spectrum(cfg, eta, dcavs, corrections=None, od=None):
     """A noiseless scan's spectrum, straight from the generator expectations."""
     c = replace(cfg, od=od) if od is not None else cfg
-    plan = ScanPlan(delta_cavity_list=tuple(dcavs), probe_grid=tuple(GRID),
-                    photon_flux=1e6, dwell=1e-2, rng_seed=0)
     corr = corrections if corrections is not None else Corrections()
-    recs = generate_scan(c, eta, plan, corr)
+    plan = ScanPlan(delta_cavity_list=tuple(dcavs), probe_grid=tuple(GRID),
+                    photon_flux=1e6, dwell=1e-2, rng_seed=0, corrections=corr)
+    recs = generate_scan(c, eta, plan)
     norm = plan.photon_flux * plan.dwell
     sigma = np.full(len(recs), 1.0 / norm)
     return Spectrum(recs.delta_probe, recs.expected_d1 / norm, recs.expected_d2 / norm,
-                    sigma, sigma, recs.delta_cavity)
+                    sigma, sigma, recs.delta_cavity, corr)
 
 
 def test_damped_least_squares_quadratic():
@@ -214,10 +215,10 @@ def test_vit_fixed_parameters(cfg):
 def test_vit_round_trip_with_corrections(cfg):
     corr = Corrections(average=True)  # 32 classes at eta_max 5
     spectra = [_clean_spectrum(cfg, 5.0, (0.0,), corrections=corr)]
-    fit = fit_vit_spectra(spectra, cfg, corrections=corr)
+    fit = fit_vit_spectra(spectra, cfg)
     assert abs(fit.value("eta_eff") - 5.0) / 5.0 < 1e-3
     # fitting the same data without the averaging misattributes eta
-    naive = fit_vit_spectra(spectra, cfg)
+    naive = fit_vit_spectra([replace(s, corrections=Corrections()) for s in spectra], cfg)
     assert abs(naive.value("eta_eff") - 5.0) / 5.0 > 0.01
 
 
@@ -229,6 +230,21 @@ def test_spectrum_refuses_a_sigma_that_is_not_positive_and_finite(field, bad):
     with pytest.raises(ValueError, match=field):
         Spectrum(GRID, np.ones(81), np.ones(81), **{field: sigma})
     assert getattr(Spectrum(GRID, np.ones(81), np.ones(81), **{field: None}), field) is None
+
+
+@pytest.mark.parametrize("detuning_mhz", (0.0, 3.0, -1e4, 1e9, 1e150, -1e300))
+@pytest.mark.parametrize("t_min", (1e-7, 0.5, 1.0 - 2.0**-53, 1.0, 1.5))
+def test_initial_od_saturates_without_overflow(cfg, detuning_mhz, t_min):
+    # the wing formula's factor 1 + Dt^2 overflows far out; the guess is the
+    # formula's wherever the product is finite, and its clip beyond
+    guess = _initial_guess(Spectrum([detuning_mhz * MHZ], [t_min]), cfg)
+    dt_norm = np.float64(2.0 * detuning_mhz * MHZ / cfg.gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = -np.log(max(t_min, 1e-6)) * (1.0 + dt_norm**2)
+    if np.isfinite(product):
+        assert guess["od"] == float(np.clip(product, 1e-3, 10.0))
+    else:
+        assert guess["od"] == (10.0 if t_min < 1.0 else 1e-3)
 
 
 def test_vit_flat_data_rank_deficient(cfg):

@@ -283,12 +283,12 @@ def test_sidecar_reads_or_names_the_file(scan, cfg, data):
         text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
     sidecar.write_text(text)
     try:
-        plan, corr = read_scan_sidecar(sidecar, read_scan_csv(csv_path), cfg)
+        plan = read_scan_sidecar(sidecar, read_scan_csv(csv_path), cfg)
     except ValueError as err:
         assert str(sidecar) in str(err)
         refused = True
     else:
-        assert isinstance(plan, ScanPlan) and isinstance(corr, Corrections)
+        assert isinstance(plan, ScanPlan) and isinstance(plan.corrections, Corrections)
         refused = False
     out = csv_path.with_name("fit.json")
     out.unlink(missing_ok=True)
@@ -362,3 +362,90 @@ def test_config_document_runs_or_names_the_key(config_run, doc):
             else:
                 cells = [float(c) for row in csv.reader(text.splitlines()[1:]) for c in row]
             assert cells and all(map(math.isfinite, cells)), path
+
+
+# each subcommand's valued flags, the required one first; the correction
+# switches are drawn apart from them
+ARGV_FLAGS = {
+    "spectrum": (None, "--eta", "--delta-cavity-mhz", "--scan-from", "--scan-to", "--points",
+                 "--emission-scale"),
+    "pulse": ("--tp-us", "--eta", "--od", "--carrier-mhz", "--samples", "--span-factor"),
+    "synth": ("--delta-cavity-mhz", "--eta", "--scan-from", "--scan-to", "--points", "--flux",
+              "--dwell-us", "--eff1", "--eff2", "--emission-scale", "--seed"),
+}
+# the extremes, and laboratory values that the integer flags also take
+ARGV_VALUES = st.sampled_from([*map(repr, EXTREMES), "0.5", "-2.2", "1.73", "2", "41"])
+
+
+@st.composite
+def argvs(draw):
+    """A spectrum, pulse or synth argv, its output paths left out."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    required, *optional = ARGV_FLAGS[command]
+    argv = [command, *draw(st.lists(st.sampled_from(("--average", "--side", "--jitter")),
+                                    unique=True, max_size=3))]
+    for flag in [required] * bool(required) + draw(st.lists(st.sampled_from(optional),
+                                                            unique=True, max_size=3)):
+        argv += [flag, draw(ARGV_VALUES)]
+    return argv
+
+
+def _run(argv, files=()):
+    """The exit code of one in-process run; a warning fails the test, and so
+    does an exit 2 that names none of argv's flags and paths, nor files."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal of a flag
+            code = exc.code
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 2:
+        named = [word for word in argv if word.startswith("--") or "/" in word] + list(files)
+        assert any(word in err.getvalue() for word in named), (argv, err.getvalue())
+    return code
+
+
+def _cells(path):
+    """Every number of an output CSV or JSON file."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return _numbers(json.loads(text))
+    return [float(c) for row in csv.reader(text.splitlines()[1:]) for c in row]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(argv=argvs())
+# a trace time axis past a double's range, an initial od whose wing factor
+# overflows, a dwell that is 0 s, and expected counts past the sampler's
+@example(argv=["pulse", "--tp-us", "1e308"])
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--points", "41", "--scan-from", "-1e300",
+               "--eff2", "0.5", "--average"])
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--dwell-us", "5e-324"])
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--flux", "1e300"])
+def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, argv):
+    # exit 0 with finite outputs, 2 naming a flag or file, or 3 (a fit only);
+    # never a warning; each scan written is fitted too
+    out = config_run / "out"
+    outputs = {"spectrum": (".csv",), "pulse": (".json", ".trace.csv"),
+               "synth": (".csv", ".json")}[argv[0]]
+    for suffix in (*outputs, ".fit.json"):
+        out.with_suffix(suffix).unlink(missing_ok=True)
+    if argv[0] == "synth":
+        files = ["--out", str(out)]
+    else:
+        files = ["--out", str(out.with_suffix(outputs[0]))]
+        files += ["--trace", str(out.with_suffix(outputs[1]))] if argv[0] == "pulse" else []
+    code = _run(argv + files)
+    assert code in (0, 2)
+    if code == 0:
+        for suffix in outputs:
+            cells = _cells(out.with_suffix(suffix))
+            assert cells and all(map(math.isfinite, cells)), (argv, suffix)
+    if argv[0] == "synth" and code == 0:
+        fit = out.with_suffix(".fit.json")
+        if _run(["fit", "--model", "vit", "--input", str(out.with_suffix(".csv")),
+                 "--out", str(fit)], [str(out.with_suffix(".json"))]) == 0:
+            assert all(map(math.isfinite, _cells(fit))), argv

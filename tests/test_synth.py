@@ -169,7 +169,7 @@ def test_scan_csv_round_trip(tmp_path, cfg):
 def test_sidecar_contents(tmp_path, cfg):
     plan = _plan(seed=5)
     path = tmp_path / "scan.json"
-    write_scan_sidecar(path, plan, cfg, 3.4, Corrections(average=True))
+    write_scan_sidecar(path, replace(plan, corrections=Corrections(average=True)), cfg, 3.4)
     doc = json.loads(path.read_text())
     assert doc["plan"]["rng_seed"] == 5
     assert doc["physics"]["eta"] == 3.4
@@ -215,14 +215,14 @@ def test_scan_counts_are_exact_doubles(tmp_path):
 def test_sidecar_round_trip(tmp_path, cfg, conf):
     plan = ScanPlan(delta_cavity_list=(0.0, 0.5 * MHZ, -2.2 * MHZ), probe_grid=GRID,
                     photon_flux=2.5e6, dwell=20e-3, efficiency_d1=0.9,
-                    efficiency_d2=0.35, rng_seed=7, emission_scale=0.3)
+                    efficiency_d2=0.35, rng_seed=7, emission_scale=0.3,
+                    corrections=corrections(conf, average=True, side=True, jitter=True))
     path = tmp_path / "scan.json"
-    corr = corrections(conf, average=True, side=True, jitter=True)
-    write_scan_sidecar(path, plan, cfg, 3.4, corr)
+    write_scan_sidecar(path, plan, cfg, 3.4)
     # the plan's own scan, read back as a fit reads it
-    write_scan_csv(tmp_path / "scan.csv", generate_scan(cfg, 3.4, plan, corr))
+    write_scan_csv(tmp_path / "scan.csv", generate_scan(cfg, 3.4, plan))
     scans = read_scan_csv(tmp_path / "scan.csv")
-    back, back_corr = read_scan_sidecar(path, scans, cfg)
+    back = read_scan_sidecar(path, scans, cfg)
     # another scan is refused: a detuning missing, a probe grid cut short,
     # the rows in another order, or another resonator detuning
     other_dcav = scans.copy()
@@ -231,7 +231,7 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
         with pytest.raises(ValueError, match="scan.json.*probe grid"):
             read_scan_sidecar(path, other, cfg)
     # 0.6 MHz side shift and 0.2 MHz jitter come back as the same doubles
-    assert back_corr == corr
+    assert back.corrections == plan.corrections
     # the sidecar holds MHz and us, so the rad/s and s values come back
     # through one unit conversion each way
     for name in ("delta_cavity_list", "probe_grid", "photon_flux", "dwell",
@@ -259,7 +259,7 @@ def test_sidecar_round_trip(tmp_path, cfg, conf):
         ("physics", {"kappa_MHz": 0.5}), ("physics", {"length_um": "20"}))]
     # od and eta are what a fit estimates, so they may differ
     path.write_text(json.dumps(dict(doc, physics=dict(doc["physics"], od=0.9, eta=1.0))))
-    assert read_scan_sidecar(path, scans, cfg)[1] == corr
+    assert read_scan_sidecar(path, scans, cfg).corrections == plan.corrections
     path.write_text(json.dumps({k: v for k, v in doc.items() if k != "physics"}))
     with pytest.raises(ValueError, match="scan.json.*'physics'"):
         read_scan_sidecar(path, scans, cfg)
