@@ -21,9 +21,9 @@ from vitlab import config as cfgmod
 from vitlab import recipes
 from vitlab.config import MAX_DETUNING_MHZ, MHZ, write_csv, write_json
 from vitlab.core import group_delay_analytic, resonant_transmission
-from vitlab.errors import BandCoverageError, ExposureError, RankDeficientError
-from vitlab.fitting import (VIT_PARAMS, fit_linear_weighted, fit_lorentzian, fit_vit_spectra,
-                            line_json_dict)
+from vitlab.errors import BandCoverageError, RankDeficientError
+from vitlab.fitting import (VIT_PARAMS, check_free, fit_linear_weighted, fit_lorentzian,
+                            fit_vit_spectra, line_json_dict)
 from vitlab.pulses import make_gaussian_pulse, write_trace_csv
 from vitlab.spatial import corrected_spectrum
 from vitlab.synth import (SCAN_COLUMNS, ScanPlan, Spectrum, generate_scan, read_scan_csv,
@@ -148,17 +148,16 @@ def cmd_pulse(args):
 
 
 def cmd_synth(args):
+    """Write a scan and its sidecar, or neither for a plan that no fit can read."""
     conf, cfg, eta, corr = _setup(args)
     grid = _probe_grid(args)
-    if args.dwell_us * 1e-6 == 0:
-        raise ValueError(f"--dwell-us {args.dwell_us:g} is 0 s in double precision")
-    plan = ScanPlan(delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
-                    probe_grid=tuple(grid), photon_flux=args.flux, dwell=args.dwell_us * 1e-6,
-                    efficiency_d1=args.eff1, efficiency_d2=args.eff2, rng_seed=args.seed,
-                    emission_scale=args.emission_scale, corrections=corr)
     try:
+        plan = ScanPlan(delta_cavity_list=tuple(d * MHZ for d in args.delta_cavity_mhz),
+                        probe_grid=tuple(grid), photon_flux=args.flux, dwell=args.dwell_us * 1e-6,
+                        efficiency_d1=args.eff1, efficiency_d2=args.eff2, rng_seed=args.seed,
+                        emission_scale=args.emission_scale, corrections=corr)
         records = generate_scan(cfg, eta, plan)
-    except ExposureError as err:
+    except ValueError as err:  # the plan's rules, or the bound on expected counts
         raise ValueError(f"--flux {args.flux:g} --dwell-us {args.dwell_us:g} --eff1 {args.eff1:g} "
                          f"--eff2 {args.eff2:g} --emission-scale {args.emission_scale:g}: "
                          f"{err}") from None
@@ -220,6 +219,12 @@ def cmd_fit(args):
         if getattr(args, flag) is not None and getattr(args, flag) is not False:
             raise ValueError(f"--{flag.replace('_', '-')} does not apply to a {args.model} "
                              f"fit of {' '.join(args.input)}")
+    free = ("eta_eff", "od", "scale_d2")
+    if args.free is not None:  # a vit fit's, checked before any input is read
+        try:
+            free = check_free(args.free.split(","))
+        except ValueError as err:
+            raise ValueError(f"--free {args.free}: {err}") from None
 
     if args.model == "linear":
         tables = [np.array(cfgmod.read_csv(path)) for path in args.input]
@@ -229,10 +234,10 @@ def cmd_fit(args):
                                  f"and {path} has {table.shape[1]}")
         x, y, sigma = np.vstack([table[:, :3] for table in tables]).T
         try:
-            fit = fit_linear_weighted(x, y, sigma)
+            doc = line_json_dict(fit_linear_weighted(x, y, sigma))
         except ValueError as err:
             raise ValueError(f"--input {' '.join(args.input)}: {err}") from None
-        write_json(args.out, line_json_dict(fit))
+        write_json(args.out, doc)
         return 0
 
     conf = cfgmod.load_config(args.config)
@@ -240,7 +245,6 @@ def cmd_fit(args):
     flags = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
     spectra = [_read_input(path, args, cfg, flags) for path in args.input]
     if args.model == "vit":
-        free = ("eta_eff", "od", "scale_d2") if args.free is None else tuple(args.free.split(","))
         fit = fit_vit_spectra(spectra, cfg, free=free)
     else:
         lines = sum(len(np.unique(spectrum.delta_cavity)) for spectrum in spectra)

@@ -12,10 +12,6 @@ class RankDeficientError(RuntimeError):
         super().__init__(message or f"parameter '{parameter}' is not identifiable from the data")
 
 
-class ExposureError(ValueError):
-    """A plan's expected counts per point exceed what the Poisson sampler draws."""
-
-
 class BandCoverageError(ValueError):
     """Pulse grid does not cover the pulse or the medium's response.
 

@@ -225,6 +225,19 @@ def _initial_guess(spec, cfg):
     return guess
 
 
+def check_free(free):
+    """free as a tuple of VIT_PARAMS names, each once and eta_eff among them, else ValueError."""
+    free = tuple(free)
+    for name in free:
+        if name not in VIT_PARAMS:
+            raise ValueError(f"unknown parameter '{name}'")
+        if free.count(name) > 1:
+            raise ValueError(f"parameter '{name}' is listed more than once")
+    if "eta_eff" not in free:
+        raise ValueError("the free parameters must include eta_eff, which no config value holds")
+    return free
+
+
 def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
     """Joint fit of the coupled-ensemble model over spectra and channels.
 
@@ -234,8 +247,7 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
     fit jointly; every spectrum's transmission channel enters the
     residual, and the emission channel too when present, each weighed by
     its sigmas (1 without); a residual evaluates the model once per
-    spectrum.  free names parameters from
-    VIT_PARAMS, each once and always eta_eff (else ValueError); they
+    spectrum.  free names parameters as check_free takes them; they
     start from _initial_guess of the first spectrum, and the rest are
     held at cfg.od, a scale_d2 of 1 and zero offsets.  The solver keeps
     the free parameters at or above their VIT_PARAMS lower bounds.
@@ -246,13 +258,7 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
     """
     if not spectra:
         raise ValueError("need at least one spectrum")
-    for name in free:
-        if name not in VIT_PARAMS:
-            raise ValueError(f"unknown parameter '{name}'")
-        if free.count(name) > 1:
-            raise ValueError(f"parameter '{name}' is listed more than once in free")
-    if "eta_eff" not in free:
-        raise ValueError("free must include eta_eff, which no config value holds")
+    free = check_free(free)
     guess = _initial_guess(spectra[0], cfg)
     held = {"od": cfg.od, "scale_d2": 1.0, "probe_offset_mhz": 0.0, "cavity_offset_mhz": 0.0}
     base = {name: guess[name] if name in free else held[name] for name in VIT_PARAMS}
@@ -305,6 +311,8 @@ def fit_linear_weighted(x, y, sigma):
 
 def line_ratio(fit):
     """intercept/slope of a fit_linear_weighted result and its error, covariance included."""
+    if fit.value("slope") == 0:
+        raise ValueError("the fitted slope is 0, so intercept/slope is undefined")
     return ratio_with_error(fit.value("intercept"), fit.error("intercept"),
                             fit.value("slope"), fit.error("slope"), fit.covariance[0, 1])
 

@@ -25,7 +25,6 @@ from operator import index
 import numpy as np
 
 from vitlab.config import MHZ, read_csv, read_json, write_csv, write_json
-from vitlab.errors import ExposureError
 from vitlab.spatial import IDEAL, JITTER_NODES, MAX_CLASSES, Corrections, corrected_spectrum
 
 
@@ -56,6 +55,8 @@ class ScanPlan:
     emission_scale: gain on the emission D2 sees, positive and finite
     corrections: the apparatus corrections the scan is made with
     The flux, dwell, efficiencies and scale are stored as floats once checked.
+    Each detector's exposure flux * dwell * efficiency must be finite and at
+    least MIN_EXPOSURE, so counts over it stay finite, or 0 on D2 alone.
     """
 
     delta_cavity_list: tuple
@@ -74,8 +75,6 @@ class ScanPlan:
         for name in ("dwell", "emission_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.photon_flux < np.inf:
-            raise ValueError("photon flux must be nonnegative and finite")
         for eff in (self.efficiency_d1, self.efficiency_d2):
             if not 0.0 <= eff <= 1.0:
                 raise ValueError("efficiencies must lie in [0, 1]")
@@ -83,6 +82,12 @@ class ScanPlan:
             raise ValueError("rng_seed must be a nonnegative integer")
         for name in ("photon_flux", "dwell", "efficiency_d1", "efficiency_d2", "emission_scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        for detector, eff, zero in (("D1", self.efficiency_d1, ""),
+                                    ("D2", self.efficiency_d2, ", or 0 for no emission")):
+            exposure = self.photon_flux * self.dwell * eff
+            if not (MIN_EXPOSURE <= exposure < np.inf or exposure == 0 and zero):
+                raise ValueError(f"detector {detector} has an exposure of {exposure:.6g}, which "
+                                 f"must be finite and at least {MIN_EXPOSURE:.6g}{zero}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,8 @@ def generate_scan(cfg, eta, plan):
     e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
     e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (plan.emission_scale * emis)
     if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
-        raise ExposureError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
-                            "lower the photon flux, dwell or emission scale")
+        raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
+                         "lower the photon flux, dwell or emission scale")
     c1, c2 = np.empty((2, len(dp)), dtype=np.int64)
     for k in range(len(dp)):
         scan, point = divmod(k, len(grid))
@@ -144,13 +149,11 @@ def spectrum_from_records(records, plan):
     """Counts to normalized two-channel spectrum with Poisson sigmas.
 
     Count variance uses a floor of one count so zero-count points keep
-    a finite weight.  A D2 the plan gives no counts is an absent channel
-    (emission None); D1 must have counts.
+    a finite weight.  A D2 the plan gives no exposure is an absent channel
+    (emission None); ScanPlan gives D1 one, finite and nonzero.
     """
     norm1 = plan.photon_flux * plan.dwell * plan.efficiency_d1
     norm2 = plan.photon_flux * plan.dwell * plan.efficiency_d2
-    if norm1 == 0:
-        raise ValueError("plan normalization of D1 is zero; cannot form a spectrum")
     c1 = records.counts_d1.astype(float)
     emission = sigma_emission = None
     if norm2 > 0:
@@ -239,9 +242,7 @@ def read_scan_sidecar(path, records, cfg):
     efficiency of its detector (times the emission scale on D2), by more
     than NORM_MARGIN relative, cannot come from the model, and raises
     ValueError naming the sidecar;
-    so does a detector's exposure flux * dwell * efficiency that is
-    infinite or below MIN_EXPOSURE, where a count over it would overflow
-    (an exposure of 0 is allowed on D2 alone: a scan without emission), a
+    so does a plan ScanPlan refuses (a detector's exposure among them), a
     negative expected count, and an observed count above e + 50 sqrt(e)
     + 50 with e its expected count, which a Poisson draw reaches with
     probability below 1e-150 (Chernoff bound), whatever e.
@@ -289,15 +290,7 @@ def read_scan_sidecar(path, records, cfg):
             and np.array_equal(records.delta_cavity, np.repeat(dcavs, len(grid)))):
         raise ValueError(f"{path}: its plan's resonator detunings and probe grid "
                          "are not the scan's")
-    flux_dwell = plan.photon_flux * plan.dwell
-    for detector, eff, zero in (("D1", plan.efficiency_d1, ""),
-                                ("D2", plan.efficiency_d2, ", or 0 for a scan without emission")):
-        exposure = flux_dwell * eff
-        if not (MIN_EXPOSURE <= exposure < np.inf or exposure == 0 and zero):
-            raise ValueError(f"{path}: its flux, dwell and efficiency give detector {detector} "
-                             f"an exposure of {exposure:.6g}, which must be finite and at least "
-                             f"{MIN_EXPOSURE:.6g}{zero}")
-    flux_dwell = flux_dwell * (1.0 + NORM_MARGIN)
+    flux_dwell = plan.photon_flux * plan.dwell * (1.0 + NORM_MARGIN)
     for name, bound in (("expected_d1", flux_dwell * plan.efficiency_d1),
                         ("expected_d2", flux_dwell * plan.efficiency_d2 * plan.emission_scale)):
         worst = records[name].max()

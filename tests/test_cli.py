@@ -312,6 +312,20 @@ def test_fit_repeated_free_returns_2(tmp_path, capsys):
     assert "'eta_eff'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("free, message", (
+    ("foo", "unknown parameter 'foo'"), ("od", "must include eta_eff"),
+    ("eta_eff,eta_eff", "'eta_eff' is listed more than once"),
+    ("eta_eff, od", "unknown parameter ' od'"), ("", "unknown parameter ''")))
+def test_fit_bad_free_names_the_flag_before_any_input(tmp_path, capsys, free, message):
+    # the input does not exist: --free is checked before it is opened
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--model", "vit", "--input", str(tmp_path / "none.csv"),
+                 "--free", free, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--free {free}: " in err and message in err
+    assert not out.exists()
+
+
 def test_fit_has_no_eta_flag(tmp_path, capsys):
     scan = _synth(tmp_path / "scan", "0", "1")
     with pytest.raises(SystemExit) as exc:
@@ -445,7 +459,8 @@ def test_fit_lorentzian_short_scan_names_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rows, message", (("3,13.6,0.1\n", "at least 2 points"),
-                                           ("3,13.6,0.1\n5,20.4,0\n", "sigmas must be positive")))
+                                           ("3,13.6,0.1\n5,20.4,0\n", "sigmas must be positive"),
+                                           ("1,2,0.1\n2,2,0.1\n3,2,0.2\n", "slope is 0")))
 def test_fit_linear_bad_rows_name_the_file(tmp_path, capsys, rows, message):
     data = tmp_path / "one.csv"
     data.write_text("n_c,eta_eff,eta_eff_err\n" + rows)
@@ -458,11 +473,21 @@ def test_fit_linear_bad_rows_name_the_file(tmp_path, capsys, rows, message):
     ("--flux", "0", "D1"), ("--flux", "5e-324", "D1"), ("--eff1", "5e-324", "D1"),
     ("--eff2", "5e-324", "D2")), ids=("--flux-D1", "--flux-5e-324-D1", "--eff1-5e-324-D1",
                                       "--eff2-5e-324-D2"))
-def test_fit_zero_normalisation_names_the_sidecar(tmp_path, capsys, flag, value, detector):
-    # an exposure whose reciprocal overflows is no better than none
+def test_zero_exposure_refused_by_synth_and_by_fit(tmp_path, capsys, flag, value, detector):
+    # an exposure whose reciprocal overflows is no better than none: synth
+    # writes no scan with it, and a fit refuses a sidecar edited to it
     prefix = str(tmp_path / "z")
-    assert main(["synth", "--delta-cavity-mhz", "0", "--points", "11", flag, value,
-                 "--out", prefix]) == 0
+    synth = ["synth", "--delta-cavity-mhz", "0", "--points", "11", "--out", prefix]
+    assert main(synth + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and f"detector {detector}" in err
+    assert not list(tmp_path.iterdir())
+    assert main(synth) == 0
+    sidecar = tmp_path / "z.json"
+    doc = json.loads(sidecar.read_text())
+    key = {"--flux": "photon_flux_per_s", "--eff1": "efficiency_d1", "--eff2": "efficiency_d2"}
+    doc["plan"][key[flag]] = float(value)
+    sidecar.write_text(json.dumps(doc))
     out = tmp_path / "fit.json"
     assert main(["fit", "--model", "vit", "--input", prefix + ".csv", "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from vitlab.cli import main
 from vitlab.config import (CSV_BLOCK_ROWS, MAX_DETUNING_MHZ, MHZ, MIN_LINEWIDTH_MHZ, SCHEMA,
                            packaged_defaults, read_csv, validate_config, write_csv)
+from vitlab.fitting import VIT_PARAMS
 from vitlab.spatial import Corrections
 from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
 
@@ -364,29 +365,45 @@ def test_config_document_runs_or_names_the_key(config_run, doc):
             assert cells and all(map(math.isfinite, cells)), path
 
 
-# each subcommand's valued flags, the required one first; the correction
+# each subcommand's required and optional valued flags; the correction
 # switches are drawn apart from them
 ARGV_FLAGS = {
-    "spectrum": (None, "--eta", "--delta-cavity-mhz", "--scan-from", "--scan-to", "--points",
-                 "--emission-scale"),
-    "pulse": ("--tp-us", "--eta", "--od", "--carrier-mhz", "--samples", "--span-factor"),
-    "synth": ("--delta-cavity-mhz", "--eta", "--scan-from", "--scan-to", "--points", "--flux",
-              "--dwell-us", "--eff1", "--eff2", "--emission-scale", "--seed"),
+    "spectrum": ((), ("--eta", "--delta-cavity-mhz", "--scan-from", "--scan-to", "--points",
+                      "--emission-scale")),
+    "pulse": (("--tp-us",), ("--eta", "--od", "--carrier-mhz", "--samples", "--span-factor")),
+    "synth": (("--delta-cavity-mhz",), ("--eta", "--scan-from", "--scan-to", "--points",
+                                        "--flux", "--dwell-us", "--eff1", "--eff2",
+                                        "--emission-scale", "--seed")),
+    "fit": (("--model", "--input"), ("--free", "--on", "--sidecar", "--delta-cavity-mhz")),
 }
 # the extremes, and laboratory values that the integer flags also take
 ARGV_VALUES = st.sampled_from([*map(repr, EXTREMES), "0.5", "-2.2", "1.73", "2", "41"])
+# what the fit_inputs fixture writes: a jittered scan, a scan without
+# emission (each with its sidecar), a spectrum and a line
+FIT_INPUTS = ("scan.csv", "d1.csv", "spectrum.csv", "line.csv")
+FIT_SIDECARS = ("scan.json", "d1.json")
+# the words of fit's flags; --free lists VIT_PARAMS names mixed with junk and
+# empty names, and --delta-cavity-mhz takes ARGV_VALUES like the other flags
+FIT_WORDS = {
+    "--model": st.sampled_from(("vit", "lorentzian", "linear")).map(lambda word: [word]),
+    "--input": st.lists(st.sampled_from(FIT_INPUTS), min_size=1, max_size=2),
+    "--free": st.lists(st.sampled_from((*VIT_PARAMS, "", "eta", " od")), min_size=1,
+                       max_size=3).map(lambda names: [",".join(names)]),
+    "--on": st.sampled_from(("absorbance", "transmission")).map(lambda word: [word]),
+    "--sidecar": st.sampled_from(FIT_SIDECARS).map(lambda word: [word]),
+}
 
 
 @st.composite
 def argvs(draw):
-    """A spectrum, pulse or synth argv, its output paths left out."""
+    """A spectrum, pulse, synth or fit argv, its output paths left out; a
+    fit's files are named as the fit_inputs fixture names them."""
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
-    required, *optional = ARGV_FLAGS[command]
+    required, optional = ARGV_FLAGS[command]
     argv = [command, *draw(st.lists(st.sampled_from(("--average", "--side", "--jitter")),
                                     unique=True, max_size=3))]
-    for flag in [required] * bool(required) + draw(st.lists(st.sampled_from(optional),
-                                                            unique=True, max_size=3)):
-        argv += [flag, draw(ARGV_VALUES)]
+    for flag in [*required, *draw(st.lists(st.sampled_from(optional), unique=True, max_size=3))]:
+        argv += [flag, *draw(FIT_WORDS.get(flag, ARGV_VALUES.map(lambda word: [word])))]
     return argv
 
 
@@ -416,6 +433,20 @@ def _cells(path):
     return [float(c) for row in csv.reader(text.splitlines()[1:]) for c in row]
 
 
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """The directory of FIT_INPUTS and FIT_SIDECARS, small enough to fit fast."""
+    where = tmp_path_factory.mktemp("fit_inputs")
+    scan = ["synth", "--points", "21", "--scan-from", "-3", "--scan-to", "3", "--out"]
+    assert main([*scan, str(where / "scan"), "--jitter", "--delta-cavity-mhz", "0.5",
+                 "--dwell-us", "20000", "--seed", "1"]) == 0
+    assert main([*scan, str(where / "d1"), "--delta-cavity-mhz", "0", "--eff2", "0"]) == 0
+    assert main(["spectrum", "--points", "21", "--out", str(where / "spectrum.csv")]) == 0
+    (where / "line.csv").write_text("n_c,eta_eff,eta_eff_err\n3,13.6,0.1\n5,20.4,0.1\n"
+                                    "7,27.2,0.2\n")
+    return where
+
+
 @settings(SETTINGS, max_examples=200)
 @given(argv=argvs())
 # a trace time axis past a double's range, an initial od whose wing factor
@@ -425,12 +456,18 @@ def _cells(path):
                "--eff2", "0.5", "--average"])
 @example(argv=["synth", "--delta-cavity-mhz", "0", "--dwell-us", "5e-324"])
 @example(argv=["synth", "--delta-cavity-mhz", "0", "--flux", "1e300"])
-def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, argv):
+# a --free name with a leading blank, and a line fit of a scan, whose second
+# column (the resonator detuning) is a flat line: neither named a flag or file
+@example(argv=["fit", "--model", "vit", "--input", "scan.csv", "--free", "eta_eff, od"])
+@example(argv=["fit", "--model", "linear", "--input", "scan.csv"])
+def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, fit_inputs, argv):
     # exit 0 with finite outputs, 2 naming a flag or file, or 3 (a fit only);
     # never a warning; each scan written is fitted too
+    argv = [str(fit_inputs / word) if word in FIT_INPUTS + FIT_SIDECARS else word
+            for word in argv]
     out = config_run / "out"
     outputs = {"spectrum": (".csv",), "pulse": (".json", ".trace.csv"),
-               "synth": (".csv", ".json")}[argv[0]]
+               "synth": (".csv", ".json"), "fit": (".json",)}[argv[0]]
     for suffix in (*outputs, ".fit.json"):
         out.with_suffix(suffix).unlink(missing_ok=True)
     if argv[0] == "synth":
@@ -439,7 +476,7 @@ def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, argv):
         files = ["--out", str(out.with_suffix(outputs[0]))]
         files += ["--trace", str(out.with_suffix(outputs[1]))] if argv[0] == "pulse" else []
     code = _run(argv + files)
-    assert code in (0, 2)
+    assert code in (0, 2) or argv[0] == "fit"
     if code == 0:
         for suffix in outputs:
             cells = _cells(out.with_suffix(suffix))

@@ -50,6 +50,14 @@ def test_plan_validation():
     assert type(replace(_plan(), emission_scale=2).emission_scale) is float
     with pytest.raises(OverflowError):
         _plan(flux=10**400)
+    # each detector's exposure flux * dwell * efficiency is finite and at
+    # least MIN_EXPOSURE, or 0 on D2 alone: a scan without emission
+    for change, detector in (({"photon_flux": 0}, "D1"), ({"efficiency_d1": 0}, "D1"),
+                             ({"efficiency_d1": 5e-324}, "D1"), ({"efficiency_d2": 5e-324}, "D2"),
+                             ({"photon_flux": 1e300, "dwell": 1e300}, "D1")):
+        with pytest.raises(ValueError, match=f"detector {detector} has an exposure"):
+            replace(_plan(), **change)
+    assert replace(_plan(), efficiency_d2=0).efficiency_d2 == 0.0
 
 
 def test_counts_beyond_poisson_range_rejected(cfg):
