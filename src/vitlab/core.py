@@ -80,6 +80,16 @@ def _factors(cfg, delta_probe, delta_cavity):
             1.0 / (1.0 - (2j / cfg.kappa) * (dp - np.asarray(delta_cavity, dtype=float))))
 
 
+def _mobius(c, eta, p, q):
+    """c/(p + eta q), formed in place; the one refusal of a negative cooperativity."""
+    eta = np.asarray(eta, dtype=float)
+    if (eta < 0).any():
+        raise ValueError("cooperativity must be nonnegative")
+    w = np.asarray(eta * q)
+    w += p
+    return np.divide(c, w, out=w)[()]
+
+
 def susceptibility(cfg, eta, delta_probe, delta_cavity):
     """Linear weak-probe susceptibility of the coupled ensemble.
 
@@ -96,13 +106,7 @@ def susceptibility(cfg, eta, delta_probe, delta_cavity):
     member-point costs one multiply, one add and one divide.  Returns a
     complex ndarray, or a complex scalar for scalar inputs.
     """
-    eta = np.asarray(eta, dtype=float)
-    if (eta < 0).any():
-        raise ValueError("cooperativity must be nonnegative")
-    p, q = _factors(cfg, delta_probe, delta_cavity)
-    w = np.asarray(eta * q)
-    w += p
-    return np.divide(1j * cfg.od / cfg.kl, w, out=w)[()]
+    return _mobius(1j * cfg.od / cfg.kl, eta, *_factors(cfg, delta_probe, delta_cavity))
 
 
 def transfer_amplitude(chi, cfg):
@@ -155,10 +159,8 @@ def group_delay(cfg, eta, delta_probe, delta_cavity):
     group_delay_analytic only when kappa/gamma << eta.
     """
     eta = np.asarray(eta, dtype=float)
-    if (eta < 0).any():
-        raise ValueError("cooperativity must be nonnegative")
     p, q = _factors(cfg, delta_probe, delta_cavity)
-    u = 1.0 / (p + eta * q)  # |u| <= 1: u^2 cannot overflow where w^2 would
+    u = _mobius(1.0, eta, p, q)  # |u| <= 1: u^2 cannot overflow where w^2 would
     return (cfg.od * ((eta * q * q / cfg.kappa - 1.0 / cfg.gamma) * u * u).real)[()]
 
 

@@ -17,6 +17,7 @@ with a floor of one count); a channel without sigmas weighs each point
 (J^T J)^{-1} at the optimum with J the weighted Jacobian.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -286,6 +287,12 @@ def fit_linear_weighted(x, y, sigma):
     inverse normal matrix, residual_norm the weighted chi^2, converged
     after 0 iterations.  Multiplying every sigma by a constant leaves
     slope and intercept untouched and rescales chi^2 by its inverse square.
+    The sums are the centred ones of Numerical Recipes (sec. 15.2), formed
+    on scaled data: weights relative to the tightest point, x and y about
+    their midrange over their half-range, so no finite input overflows
+    them.  A value, variance or chi^2 that a double cannot hold in the
+    data's units raises ValueError; so does a variance below a double's
+    normal range, whose error would read 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -294,19 +301,44 @@ def fit_linear_weighted(x, y, sigma):
         raise ValueError("need at least 2 points")
     if np.any(sigma <= 0):
         raise ValueError("sigmas must be positive")
-    w = 1.0 / sigma**2
-    s = w.sum()
-    sx, sy = (w * x).sum(), (w * y).sum()
-    sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
-    d = s * sxx - sx * sx
-    if d <= 0 or d < 1e-12 * s * sxx:
+    (cx, hx), (cy, hy) = _midrange(x), _midrange(y)
+    if not hx:
         raise RankDeficientError("slope", "abscissa values are degenerate")
-    m = (s * sxy - sx * sy) / d
-    b = (sxx * sy - sx * sxy) / d
-    return FitResult(names=("slope", "intercept"), values=np.array([m, b]),
-                     covariance=np.array([[s, -sx], [-sx, sxx]]) / d,
-                     residual_norm=float((w * (y - m * x - b) ** 2).sum()),
-                     converged=True, iterations=0)
+    hy = hy or 1.0  # a flat line
+    tight = sigma.min()
+    w = np.square(tight / sigma)
+    u, v = (x - cx) / hx, (y - cy) / hy
+    s = w.sum()
+    ubar = (w @ u) / s
+    t = u - ubar
+    stt = w @ (t * t)
+    xbar = cx / hx + ubar  # the weighted mean of x, in units of hx
+    # abscissae whose weighted spread is under 1e-6 of their weighted mean
+    if not stt > 1e-12 * (stt + s * xbar * xbar):
+        raise RankDeficientError("slope", "abscissa values are degenerate")
+    # mapped back, any of these may leave a double's range: the check follows.
+    # Each error is a product, never the root of a variance; g/h is minus the
+    # slope-intercept correlation
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, vbar = (w @ (t * v)) / stt, (w @ v) / s
+        chi2 = np.square(hy * np.sqrt(w @ np.square(v - vbar - m * t)) / tight)
+        values = np.array([hy / hx * m, cy + hy * (vbar - xbar * m)])
+        g = xbar / np.sqrt(stt)
+        h = np.hypot(1.0 / np.sqrt(s), g)
+        errors = np.array([tight / hx / np.sqrt(stt), tight * h])
+        covariance = np.outer(errors, errors) * np.array([[1.0, -g / h], [-g / h, 1.0]])
+    if not (np.isfinite([*values, chi2, *covariance.flat]).all()
+            and (np.diag(covariance) >= np.finfo(float).tiny).all()):
+        raise ValueError("the slope, the intercept, their variances or chi^2 lie "
+                         "outside a double's range in the data's units")
+    return FitResult(names=("slope", "intercept"), values=values, covariance=covariance,
+                     residual_norm=float(chi2), converged=True, iterations=0)
+
+
+def _midrange(a):
+    """(centre, half-range) of an array; each end is halved first, so neither overflows."""
+    lo, hi = a.min() / 2.0, a.max() / 2.0
+    return lo + hi, hi - lo
 
 
 def line_ratio(fit):
@@ -327,8 +359,16 @@ def ratio_with_error(b, b_err, m, m_err, cov=0.0):
     if m == 0:
         raise ValueError("ratio undefined for zero denominator")
     r = b / m
-    var = (b_err / m) ** 2 + (b * m_err / m**2) ** 2 - 2.0 * b * cov / m**3
-    return r, float(np.sqrt(max(var, 0.0)))
+    # m^2 var = b_err^2 + p^2 - 2 rho b_err p, p = r m_err, as a sum of two
+    # squares taken by hypot: no square of an error leaves a double's range
+    rho = float(cov) / b_err / m_err if cov else 0.0
+    p = r * m_err
+    root = math.hypot(b_err - rho * p, math.sqrt(max(1.0 - rho * rho, 0.0)) * p)
+    err = root / abs(m)
+    # an error that overflowed, or that fell below a double's normal range
+    if not (math.isfinite(r) and math.isfinite(err) and (err >= np.finfo(float).tiny or not root)):
+        raise ValueError("the ratio or its error lies outside a double's range")
+    return r, err
 
 
 def format_value_error(value, error):

@@ -12,24 +12,24 @@ Four effects are modeled, each switchable:
   * resonator frequency jitter, modeled as a Gaussian spread of the
     cavity detuning and applied as a Gauss-Hermite quadrature.
 
-Averaging and jitter together define the correction ensemble: one
-member per coupling class x jitter offset, each with a weight, which
+Averaging and jitter together define the correction ensemble: one member
+per coupling class x jitter offset, each with a weight, which
 Corrections.members alone enumerates.  ensemble_transfer turns it into
 susceptibilities in offset-major blocks (one jitter offset, a chunk of
-classes), each with core's cavity factor q = 1/(1 - i dc), the side
-channel taking its share of the od; corrected_spectrum and the pulse
-ensemble (recipes.pulse_ensemble) consume those blocks.  The nodes are
-fixed quadrature rules, the standing wave's sized to eta_max, so results
-never depend on evaluation order, and a negative cooperativity is
-refused by core.susceptibility alone.
+classes), forming core's factors p and q = 1/(1 - i dc) once per offset
+and calling core._mobius once per chunk and channel, the side channel with
+its share of the od; corrected_spectrum and recipes.pulse_ensemble consume
+those blocks.  The nodes are fixed quadrature rules, the standing wave's
+sized to eta_max, so results never depend on evaluation order, and a
+negative cooperativity is refused by core._mobius alone.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from vitlab.core import _factors, susceptibility
+from vitlab.core import _factors, _mobius
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -105,7 +105,7 @@ class Corrections:
         jitter_nodes offsets (one zero offset when jitter_fwhm is 0) in
         rad/s of cavity detuning, and weights[c, j] of member (etas[c],
         offsets[j]), summing to 1.  The only place nodes are made: cached
-        unit rules, scaled here; core.susceptibility refuses a negative eta_max.
+        unit rules, scaled here; core._mobius refuses a negative eta_max.
         """
         etas, wz = np.array([float(eta_max)]), np.ones(1)
         if self.averaging_nodes:
@@ -132,7 +132,7 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     classes of about BLOCK_POINTS member x point elements (at least one
     class).  Yields (weights, etas, q, chi) per block: the block's member
     weights, its cooperativities as a (member, 1) column, the main
-    channel's cavity factor q = 1/(1 - i dc) of core.susceptibility as a
+    channel's cavity factor q = 1/(1 - i dc) of core._factors as a
     (point,) row, and the members' susceptibility of shape (member,
     point), over the broadcast detunings flattened.  The side channel,
     its two-photon resonance displaced by side_shift, takes w/(1 + w) of
@@ -145,17 +145,19 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
                                    np.asarray(delta_cavity, dtype=float))
     dp, dcav = dp.ravel(), dcav.ravel()
-    main = replace(cfg, od=cfg.od / (1.0 + corrections.side_weight))
-    side = replace(cfg, od=cfg.od - main.od)
+    main = cfg.od / (1.0 + corrections.side_weight)
+    c_main, c_side = 1j * main / cfg.kl, 1j * (cfg.od - main) / cfg.kl
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
     for j, offset in enumerate(offsets):
         dcav_j = dcav + offset
-        _, q = _factors(cfg, dp, dcav_j)
+        p, q = _factors(cfg, dp, dcav_j)
+        if corrections.side_weight:
+            q_side = _factors(cfg, dp, dcav_j + corrections.side_shift)[1]
         for lo in range(0, len(etas), step):
             column = etas[lo:lo + step, None]
-            chi = susceptibility(main, column, dp, dcav_j)
+            chi = _mobius(c_main, column, p, q)
             if corrections.side_weight:
-                chi += susceptibility(side, column, dp, dcav_j + corrections.side_shift)
+                chi += _mobius(c_side, column, p, q_side)
             yield weights[lo:lo + step, j], column, q, chi
 
 

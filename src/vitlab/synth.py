@@ -131,8 +131,9 @@ def generate_scan(cfg, eta, plan):
     dp = np.tile(grid, len(plan.delta_cavity_list))
     dc = np.repeat(np.asarray(plan.delta_cavity_list, dtype=float), len(grid))
     trans, emis = corrected_spectrum(cfg, eta, dp, dc, plan.corrections)
-    e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
-    e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (plan.emission_scale * emis)
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the bound refuses
+        e1 = plan.photon_flux * plan.dwell * plan.efficiency_d1 * trans
+        e2 = plan.photon_flux * plan.dwell * plan.efficiency_d2 * (plan.emission_scale * emis)
     if max(e1.max(), e2.max()) > MAX_EXPECTED_COUNTS:
         raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
                          "lower the photon flux, dwell or emission scale")

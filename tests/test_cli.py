@@ -124,6 +124,31 @@ def test_fit_linear_command(tmp_path):
     assert doc["converged"] is True and doc["iterations"] == 0
 
 
+@pytest.mark.parametrize("cells, code", (
+    # x spans 1e200: once five RuntimeWarnings and "cannot convert float NaN to
+    # integer"; the slope's variance, 2e-400, is below a double's range
+    ("0,1,1\n1e200,1.0000000000000002,1\n", 2),
+    ("0,1,1e-200\n1,3,1e-200\n2,5,1e-200\n", 2),
+    ("0,1,1e200\n1,3,1e200\n2,5,1e200\n", 2),
+    # 1/sigma^2 of 1e200, whose uncentred sums overflowed
+    ("0,1,1e-100\n1,3,1e-100\n2,5,1e-100\n", 0),
+))
+def test_fit_linear_extreme_cells_fit_or_name_the_input(tmp_path, capsys, cells, code):
+    # warnings are errors under pytest, so none may come first
+    data = tmp_path / "line.csv"
+    data.write_text("x,y,sigma\n" + cells)
+    out = tmp_path / "lin.json"
+    assert main(["fit", "--model", "linear", "--input", str(data), "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"--input {data}" in err and "outside a double's range" in err
+        assert not out.exists()
+    else:
+        doc = json.loads(out.read_text())
+        assert doc["params"]["slope"]["value"] == pytest.approx(2.0, rel=1e-12)
+        assert doc["params"]["slope"]["error"] == pytest.approx(1e-100 / math.sqrt(2.0))
+
+
 @pytest.mark.parametrize("flag", ("--average", "--side", "--jitter"))
 def test_fit_linear_rejects_correction_flags(tmp_path, capsys, flag):
     # a line has no spectrum to correct; the flag is an error, not ignored

@@ -44,10 +44,11 @@ def test_geometric_cooperativity_value(geom):
 
 
 def test_susceptibility_rejects_negative_eta(cfg):
-    with pytest.raises(ValueError):
-        susceptibility(cfg, -0.5, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        susceptibility(cfg, np.array([1.0, -0.5]), 0.0, 0.0)
+    # one refusal, in core._mobius, serves both
+    for model in (susceptibility, group_delay):
+        for eta in (-0.5, np.array([1.0, -0.5])):
+            with pytest.raises(ValueError, match="cooperativity must be nonnegative"):
+                model(cfg, eta, 0.0, 0.0)
 
 
 def _textbook_susceptibility(cfg, eta, dp, dcav):

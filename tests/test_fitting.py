@@ -285,15 +285,35 @@ def test_linear_fit_sigma_scale_invariance():
     y = 2.0 * x + 1.0 + rng.normal(0, 0.3, 12)
     s = np.full_like(x, 0.3)
     a = fit_linear_weighted(x, y, s)
-    b = fit_linear_weighted(x, y, 10.0 * s)
-    assert np.isclose(a.value("slope"), b.value("slope"), rtol=1e-12)
-    assert np.isclose(a.value("intercept"), b.value("intercept"), rtol=1e-12)
-    assert np.isclose(a.residual_norm, 100.0 * b.residual_norm, rtol=1e-9)
+    # at 1e-100 and 1e100, 1/sigma^2 sums past a double's range
+    for unit in (10.0, 1e-100, 1e100):
+        b = fit_linear_weighted(x, y, unit * s)
+        assert np.isclose(a.value("slope"), b.value("slope"), rtol=1e-12)
+        assert np.isclose(a.value("intercept"), b.value("intercept"), rtol=1e-12)
+        assert np.isclose(a.residual_norm, unit**2 * b.residual_norm, rtol=1e-9)
+        for name in a.names:
+            assert np.isclose(unit * a.error(name), b.error(name), rtol=1e-12)
 
 
 def test_linear_fit_degenerate_abscissa():
     with pytest.raises(RankDeficientError):
         fit_linear_weighted([3.0, 3.0, 3.0], [1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
+
+
+def test_linear_fit_midrange_spans_a_double():
+    # y runs from -1.5e308 to 1.5e308: its range, and the uncentred sum of w x y, overflow
+    fit = fit_linear_weighted([0.0, 1.0, 2.0], [-1.5e308, 0.0, 1.5e308], [1.0, 1.0, 1.0])
+    assert fit.values.tolist() == [1.5e308, -1.5e308]
+    assert fit.error("slope") == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    assert fit.residual_norm == 0.0
+
+
+def test_ratio_error_in_range_where_its_squares_are_not():
+    # (b_err/m)^2 is 1e400, past a double, though the ratio and its error are not
+    r, err = ratio_with_error(1.0, 1e100, 1e-100, 1.0)
+    assert r == 1e100 and err == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-12)
+    with pytest.raises(ValueError, match="outside a double's range"):
+        ratio_with_error(1.0, 1e200, 1e-200, 0.0)
 
 
 def test_linear_fit_against_numpy_cov():

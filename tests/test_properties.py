@@ -382,6 +382,11 @@ ARGV_VALUES = st.sampled_from([*map(repr, EXTREMES), "0.5", "-2.2", "1.73", "2",
 # emission (each with its sidecar), a spectrum and a line
 FIT_INPUTS = ("scan.csv", "d1.csv", "spectrum.csv", "line.csv")
 FIT_SIDECARS = ("scan.json", "d1.json")
+# the x, y and sigma cells of line.csv: a laboratory line, or rows drawn like the flags' values
+LAB_LINE = (("3", "13.6", "0.1"), ("5", "20.4", "0.1"), ("7", "27.2", "0.2"))
+LINES = st.one_of(st.just(LAB_LINE),
+                  st.lists(st.tuples(ARGV_VALUES, ARGV_VALUES, ARGV_VALUES), min_size=1,
+                           max_size=4))
 # the words of fit's flags; --free lists VIT_PARAMS names mixed with junk and
 # empty names, and --delta-cavity-mhz takes ARGV_VALUES like the other flags
 FIT_WORDS = {
@@ -435,34 +440,38 @@ def _cells(path):
 
 @pytest.fixture(scope="module")
 def fit_inputs(tmp_path_factory):
-    """The directory of FIT_INPUTS and FIT_SIDECARS, small enough to fit fast."""
+    """The directory of FIT_INPUTS but line.csv, and of FIT_SIDECARS, small enough to fit fast."""
     where = tmp_path_factory.mktemp("fit_inputs")
     scan = ["synth", "--points", "21", "--scan-from", "-3", "--scan-to", "3", "--out"]
     assert main([*scan, str(where / "scan"), "--jitter", "--delta-cavity-mhz", "0.5",
                  "--dwell-us", "20000", "--seed", "1"]) == 0
     assert main([*scan, str(where / "d1"), "--delta-cavity-mhz", "0", "--eff2", "0"]) == 0
     assert main(["spectrum", "--points", "21", "--out", str(where / "spectrum.csv")]) == 0
-    (where / "line.csv").write_text("n_c,eta_eff,eta_eff_err\n3,13.6,0.1\n5,20.4,0.1\n"
-                                    "7,27.2,0.2\n")
     return where
 
 
 @settings(SETTINGS, max_examples=200)
-@given(argv=argvs())
+@given(argv=argvs(), line=LINES)
 # a trace time axis past a double's range, an initial od whose wing factor
 # overflows, a dwell that is 0 s, and expected counts past the sampler's
-@example(argv=["pulse", "--tp-us", "1e308"])
+@example(argv=["pulse", "--tp-us", "1e308"], line=LAB_LINE)
 @example(argv=["synth", "--delta-cavity-mhz", "0", "--points", "41", "--scan-from", "-1e300",
-               "--eff2", "0.5", "--average"])
-@example(argv=["synth", "--delta-cavity-mhz", "0", "--dwell-us", "5e-324"])
-@example(argv=["synth", "--delta-cavity-mhz", "0", "--flux", "1e300"])
+               "--eff2", "0.5", "--average"], line=LAB_LINE)
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--dwell-us", "5e-324"], line=LAB_LINE)
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--flux", "1e300"], line=LAB_LINE)
 # a --free name with a leading blank, and a line fit of a scan, whose second
 # column (the resonator detuning) is a flat line: neither named a flag or file
-@example(argv=["fit", "--model", "vit", "--input", "scan.csv", "--free", "eta_eff, od"])
-@example(argv=["fit", "--model", "linear", "--input", "scan.csv"])
-def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, fit_inputs, argv):
+@example(argv=["fit", "--model", "vit", "--input", "scan.csv", "--free", "eta_eff, od"],
+         line=LAB_LINE)
+@example(argv=["fit", "--model", "linear", "--input", "scan.csv"], line=LAB_LINE)
+# x spanning 1e200, which once warned and then named no cause
+@example(argv=["fit", "--model", "linear", "--input", "line.csv"],
+         line=[("0", "1", "1"), ("1e200", "1.0000000000000002", "1")])
+def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, fit_inputs, argv, line):
     # exit 0 with finite outputs, 2 naming a flag or file, or 3 (a fit only);
     # never a warning; each scan written is fitted too
+    (fit_inputs / "line.csv").write_text(
+        "n_c,eta_eff,eta_eff_err\n" + "".join(",".join(row) + "\n" for row in line))
     argv = [str(fit_inputs / word) if word in FIT_INPUTS + FIT_SIDECARS else word
             for word in argv]
     out = config_run / "out"

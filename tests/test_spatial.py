@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import at_nodes
-from vitlab import spatial
+from vitlab import core, spatial
 from vitlab.config import MHZ, corrections, model_cooperativity
-from vitlab.core import transfer_amplitude, transmission
+from vitlab.core import PhysicalConfig, transfer_amplitude, transmission
 from vitlab.oracle import branching_ratio, susceptibility_from_oracle
 from vitlab.pulses import make_gaussian_pulse
 from vitlab.recipes import fig2_detunings, pulse_ensemble, transparency_curve
 from vitlab.spatial import (
     BLOCK_POINTS,
     IDEAL,
+    JITTER_NODES,
     Corrections,
     SIGMA_PER_FWHM,
     corrected_spectrum,
@@ -283,6 +284,30 @@ def test_ensemble_blocks_cover_every_member_once(cfg, points):
         assert np.array_equal(w, weights[c, j])
         seen[c, j] += 1
     assert np.all(seen == 1)
+
+
+def test_full_stack_forms_factors_once_per_offset_and_copies_no_config(cfg, monkeypatch):
+    # p and q once per jitter offset, the side channel's q once more, and no
+    # config copied to split the od: every chunk of classes is one core._mobius
+    # call per channel
+    calls = {"factors": 0, "configs": 0}
+    factors, post_init = core._factors, PhysicalConfig.__post_init__
+
+    def counted_factors(*args):
+        calls["factors"] += 1
+        return factors(*args)
+
+    def counted_post_init(self):
+        calls["configs"] += 1
+        post_init(self)
+
+    for module in (core, spatial):
+        monkeypatch.setattr(module, "_factors", counted_factors)
+    monkeypatch.setattr(PhysicalConfig, "__post_init__", counted_post_init)
+    corr = Corrections(average=True, side_weight=0.25, side_shift=0.6 * MHZ,
+                       jitter_fwhm=0.2 * MHZ)
+    corrected_spectrum(cfg, 37.4, np.linspace(-4, 4, 321) * MHZ, 0.3 * MHZ, corr)
+    assert calls == {"factors": 2 * JITTER_NODES, "configs": 0}
 
 
 def test_far_detunings_are_transparent_without_overflow(cfg, conf):
