@@ -90,7 +90,7 @@ def _mobius(c, eta, p, q):
     return np.divide(c, w, out=w)[()]
 
 
-def susceptibility(cfg, eta, delta_probe, delta_cavity):
+def susceptibility(cfg, eta, delta_probe, delta_cavity, od=None, factors=None):
     """Linear weak-probe susceptibility of the coupled ensemble.
 
     chi = (OD/kL) (dc + i)/(eta + z) with z = (1 - i Dt)(1 - i dc): a
@@ -99,14 +99,14 @@ def susceptibility(cfg, eta, delta_probe, delta_cavity):
     product of two detunings is formed, so chi is finite, with
     Im chi >= 0, for every finite eta and detuning.
 
-    eta is the cooperativity; eta = 0 gives the bare two-level response.
-    eta and the detunings are scalars or arrays that broadcast together,
-    as in group_delay: a (member, 1) column of cooperativities against
-    detunings of shape (point,) forms p and q once per point, and each
-    member-point costs one multiply, one add and one divide.  Returns a
-    complex ndarray, or a complex scalar for scalar inputs.
+    eta is the cooperativity, 0 for the bare two-level response; it
+    broadcasts against the detunings as in group_delay.  od (default
+    cfg.od) is a channel's share of the optical depth, and factors the
+    (p, q) of _factors at these detunings, when the caller formed them.
+    Returns a complex ndarray, or a complex scalar for scalar inputs.
     """
-    return _mobius(1j * cfg.od / cfg.kl, eta, *_factors(cfg, delta_probe, delta_cavity))
+    p, q = _factors(cfg, delta_probe, delta_cavity) if factors is None else factors
+    return _mobius(1j * (cfg.od if od is None else od) / cfg.kl, eta, p, q)
 
 
 def transfer_amplitude(chi, cfg):

@@ -14,7 +14,8 @@ A residual is (model - data) / sigma with the Spectrum's own sigmas,
 positive and finite by construction (Poisson for scans: sqrt(counts)
 with a floor of one count); a channel without sigmas weighs each point
 1.  Every fit returns a FitResult; parameter covariances are
-(J^T J)^{-1} at the optimum with J the weighted Jacobian.
+(J^T J)^{-1} at the optimum with J the weighted Jacobian, carried as
+errors and a correlation matrix.
 """
 
 import math
@@ -33,9 +34,14 @@ VIT_PARAMS = {"eta_eff": 0.0, "od": 0.0, "scale_d2": 0.0,
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's parameters and chi^2, the covariance carried as errors and a
+    correlation matrix: an error stays in a double's range where its square
+    may not."""
+
     names: tuple
     values: object
-    covariance: object
+    errors: object
+    correlation: object
     residual_norm: float
     converged: bool
     iterations: int
@@ -44,8 +50,7 @@ class FitResult:
         return float(self.values[self.names.index(name)])
 
     def error(self, name):
-        i = self.names.index(name)
-        return float(np.sqrt(max(self.covariance[i, i], 0.0)))
+        return float(self.errors[self.names.index(name)])
 
     def to_json_dict(self):
         return {
@@ -129,10 +134,14 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
         raise RankDeficientError(offender)
     cov = np.linalg.inv(jac.T @ jac)
     cov = 0.5 * (cov + cov.T)
+    errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correlation = cov / np.outer(errors, errors)
     return FitResult(
         names=names,
         values=p,
-        covariance=cov,
+        errors=errors,
+        correlation=correlation,
         residual_norm=cost,
         converged=converged,
         iterations=iterations,
@@ -283,16 +292,17 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
 def fit_linear_weighted(x, y, sigma):
     """Weighted straight-line fit by the closed-form normal equations.
 
-    Returns a FitResult over ("slope", "intercept"): covariance the
-    inverse normal matrix, residual_norm the weighted chi^2, converged
-    after 0 iterations.  Multiplying every sigma by a constant leaves
-    slope and intercept untouched and rescales chi^2 by its inverse square.
+    Returns a FitResult over ("slope", "intercept"): errors and
+    correlation those of the inverse normal matrix, residual_norm the
+    weighted chi^2, converged after 0 iterations.  Multiplying every
+    sigma by a constant leaves slope and intercept untouched and
+    rescales chi^2 by its inverse square.
     The sums are the centred ones of Numerical Recipes (sec. 15.2), formed
     on scaled data: weights relative to the tightest point, x and y about
     their midrange over their half-range, so no finite input overflows
-    them.  A value, variance or chi^2 that a double cannot hold in the
-    data's units raises ValueError; so does a variance below a double's
-    normal range, whose error would read 0.
+    them.  A value, error or chi^2 that a double cannot hold in the
+    data's units raises ValueError; so does an error below a double's
+    normal range, which would read 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -326,12 +336,12 @@ def fit_linear_weighted(x, y, sigma):
         g = xbar / np.sqrt(stt)
         h = np.hypot(1.0 / np.sqrt(s), g)
         errors = np.array([tight / hx / np.sqrt(stt), tight * h])
-        covariance = np.outer(errors, errors) * np.array([[1.0, -g / h], [-g / h, 1.0]])
-    if not (np.isfinite([*values, chi2, *covariance.flat]).all()
-            and (np.diag(covariance) >= np.finfo(float).tiny).all()):
-        raise ValueError("the slope, the intercept, their variances or chi^2 lie "
+    if not (np.isfinite([*values, chi2, *errors]).all()
+            and (errors >= np.finfo(float).tiny).all()):
+        raise ValueError("the slope, the intercept, their errors or chi^2 lie "
                          "outside a double's range in the data's units")
-    return FitResult(names=("slope", "intercept"), values=values, covariance=covariance,
+    return FitResult(names=("slope", "intercept"), values=values, errors=errors,
+                     correlation=np.array([[1.0, -g / h], [-g / h, 1.0]]),
                      residual_norm=float(chi2), converged=True, iterations=0)
 
 
@@ -342,11 +352,11 @@ def _midrange(a):
 
 
 def line_ratio(fit):
-    """intercept/slope of a fit_linear_weighted result and its error, covariance included."""
+    """intercept/slope of a fit_linear_weighted result and its error, correlation included."""
     if fit.value("slope") == 0:
         raise ValueError("the fitted slope is 0, so intercept/slope is undefined")
     return ratio_with_error(fit.value("intercept"), fit.error("intercept"),
-                            fit.value("slope"), fit.error("slope"), fit.covariance[0, 1])
+                            fit.value("slope"), fit.error("slope"), fit.correlation[0, 1])
 
 
 def line_json_dict(fit):
@@ -354,14 +364,13 @@ def line_json_dict(fit):
     return dict(fit.to_json_dict(), ratio_intercept_slope=value_error_doc(*line_ratio(fit)))
 
 
-def ratio_with_error(b, b_err, m, m_err, cov=0.0):
-    """b/m with first-order error propagation (optional covariance)."""
+def ratio_with_error(b, b_err, m, m_err, rho=0.0):
+    """b/m with first-order error propagation (optional correlation rho of b and m)."""
     if m == 0:
         raise ValueError("ratio undefined for zero denominator")
     r = b / m
     # m^2 var = b_err^2 + p^2 - 2 rho b_err p, p = r m_err, as a sum of two
     # squares taken by hypot: no square of an error leaves a double's range
-    rho = float(cov) / b_err / m_err if cov else 0.0
     p = r * m_err
     root = math.hypot(b_err - rho * p, math.sqrt(max(1.0 - rho * rho, 0.0)) * p)
     err = root / abs(m)

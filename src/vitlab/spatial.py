@@ -17,11 +17,11 @@ per coupling class x jitter offset, each with a weight, which
 Corrections.members alone enumerates.  ensemble_transfer turns it into
 susceptibilities in offset-major blocks (one jitter offset, a chunk of
 classes), forming core's factors p and q = 1/(1 - i dc) once per offset
-and calling core._mobius once per chunk and channel, the side channel with
-its share of the od; corrected_spectrum and recipes.pulse_ensemble consume
-those blocks.  The nodes are fixed quadrature rules, the standing wave's
-sized to eta_max, so results never depend on evaluation order, and a
-negative cooperativity is refused by core._mobius alone.
+and calling core.susceptibility with them once per chunk and channel,
+the side channel with its share of the od; corrected_spectrum and
+recipes.pulse_ensemble consume those blocks.  The nodes are fixed
+quadrature rules, the standing wave's sized to eta_max, so results never
+depend on evaluation order, and core._mobius alone refuses a negative eta.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from vitlab.core import _factors, _mobius
+from vitlab.core import _factors, susceptibility
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -146,18 +146,18 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
                                    np.asarray(delta_cavity, dtype=float))
     dp, dcav = dp.ravel(), dcav.ravel()
     main = cfg.od / (1.0 + corrections.side_weight)
-    c_main, c_side = 1j * main / cfg.kl, 1j * (cfg.od - main) / cfg.kl
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
     for j, offset in enumerate(offsets):
         dcav_j = dcav + offset
         p, q = _factors(cfg, dp, dcav_j)
         if corrections.side_weight:
-            q_side = _factors(cfg, dp, dcav_j + corrections.side_shift)[1]
+            dcav_side = dcav_j + corrections.side_shift
+            side = p, _factors(cfg, dp, dcav_side)[1]
         for lo in range(0, len(etas), step):
             column = etas[lo:lo + step, None]
-            chi = _mobius(c_main, column, p, q)
+            chi = susceptibility(cfg, column, dp, dcav_j, od=main, factors=(p, q))
             if corrections.side_weight:
-                chi += _mobius(c_side, column, p, q_side)
+                chi += susceptibility(cfg, column, dp, dcav_side, od=cfg.od - main, factors=side)
             yield weights[lo:lo + step, j], column, q, chi
 
 

@@ -124,29 +124,42 @@ def test_fit_linear_command(tmp_path):
     assert doc["converged"] is True and doc["iterations"] == 0
 
 
-@pytest.mark.parametrize("cells, code", (
+@pytest.mark.parametrize("cells, slope, slope_err", (
     # x spans 1e200: once five RuntimeWarnings and "cannot convert float NaN to
-    # integer"; the slope's variance, 2e-400, is below a double's range
-    ("0,1,1\n1e200,1.0000000000000002,1\n", 2),
-    ("0,1,1e-200\n1,3,1e-200\n2,5,1e-200\n", 2),
-    ("0,1,1e200\n1,3,1e200\n2,5,1e200\n", 2),
+    # integer"; the slope's variance, 2e-400, is below a double's range, its
+    # error is not
+    ("0,1,1\n1e200,1.0000000000000002,1\n", 2.0**-52 / 1e200, math.sqrt(2.0) * 1e-200),
+    # variances of 1e-400 and 1e400
+    ("0,1,1e-200\n1,3,1e-200\n2,5,1e-200\n", 2.0, 1e-200 / math.sqrt(2.0)),
+    ("0,1,1e200\n1,3,1e200\n2,5,1e200\n", 2.0, 1e200 / math.sqrt(2.0)),
     # 1/sigma^2 of 1e200, whose uncentred sums overflowed
-    ("0,1,1e-100\n1,3,1e-100\n2,5,1e-100\n", 0),
+    ("0,1,1e-100\n1,3,1e-100\n2,5,1e-100\n", 2.0, 1e-100 / math.sqrt(2.0)),
 ))
-def test_fit_linear_extreme_cells_fit_or_name_the_input(tmp_path, capsys, cells, code):
+def test_fit_linear_extreme_cells_fit(tmp_path, cells, slope, slope_err):
     # warnings are errors under pytest, so none may come first
     data = tmp_path / "line.csv"
     data.write_text("x,y,sigma\n" + cells)
     out = tmp_path / "lin.json"
-    assert main(["fit", "--model", "linear", "--input", str(data), "--out", str(out)]) == code
-    if code:
-        err = capsys.readouterr().err
-        assert f"--input {data}" in err and "outside a double's range" in err
-        assert not out.exists()
-    else:
-        doc = json.loads(out.read_text())
-        assert doc["params"]["slope"]["value"] == pytest.approx(2.0, rel=1e-12)
-        assert doc["params"]["slope"]["error"] == pytest.approx(1e-100 / math.sqrt(2.0))
+    assert main(["fit", "--model", "linear", "--input", str(data), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["slope"]["value"] == pytest.approx(slope, rel=1e-12)
+    assert doc["params"]["slope"]["error"] == pytest.approx(slope_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("cells", (
+    # chi^2 of about 1e400
+    "0,1,1e-200\n1,3,1e-200\n2,4,1e-200\n",
+    # a slope error of about 2e-400, below a double's range
+    "0,1,1e-100\n1e300,3,1e-100\n2e300,5,1e-100\n",
+))
+def test_fit_linear_out_of_range_names_the_input(tmp_path, capsys, cells):
+    data = tmp_path / "line.csv"
+    data.write_text("x,y,sigma\n" + cells)
+    out = tmp_path / "lin.json"
+    assert main(["fit", "--model", "linear", "--input", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--input {data}" in err and "outside a double's range" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ("--average", "--side", "--jitter"))

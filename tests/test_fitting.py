@@ -48,8 +48,8 @@ def test_damped_least_squares_quadratic():
 
     fit = damped_least_squares(resid, np.zeros(2), ("a", "b"))
     assert fit.converged
-    assert fit.covariance.shape == (2, 2)
-    assert np.allclose(fit.covariance, fit.covariance.T)
+    assert fit.correlation.shape == (2, 2)
+    assert np.allclose(fit.correlation, fit.correlation.T)
 
 
 def test_damped_least_squares_monotone():
@@ -330,7 +330,8 @@ def test_linear_fit_against_numpy_cov():
     cov = np.linalg.inv(a.T @ a)
     assert np.isclose(fit.error("slope"), np.sqrt(cov[0, 0]), rtol=1e-10)
     assert np.isclose(fit.error("intercept"), np.sqrt(cov[1, 1]), rtol=1e-10)
-    assert np.isclose(fit.covariance[0, 1], cov[0, 1], rtol=1e-10)
+    assert np.isclose(fit.error("slope") * fit.error("intercept") * fit.correlation[0, 1],
+                      cov[0, 1], rtol=1e-10)
 
 
 def test_ratio_error_propagation():
@@ -339,7 +340,7 @@ def test_ratio_error_propagation():
     cov = np.array([[1.0, 0.06], [0.06, 0.01]])
     draws = rng.multivariate_normal([5.0, 3.7], cov, size=200_000)
     mc = draws[:, 0] / draws[:, 1]
-    r, err = ratio_with_error(5.0, 1.0, 3.7, 0.1, cov=0.06)
+    r, err = ratio_with_error(5.0, 1.0, 3.7, 0.1, rho=0.06 / (1.0 * 0.1))
     assert abs(r - 5.0 / 3.7) < 1e-12
     assert abs(err - mc.std()) / mc.std() < 0.05
 

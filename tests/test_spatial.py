@@ -288,14 +288,21 @@ def test_ensemble_blocks_cover_every_member_once(cfg, points):
 
 def test_full_stack_forms_factors_once_per_offset_and_copies_no_config(cfg, monkeypatch):
     # p and q once per jitter offset, the side channel's q once more, and no
-    # config copied to split the od: every chunk of classes is one core._mobius
-    # call per channel
-    calls = {"factors": 0, "configs": 0}
+    # config copied to split the od: every chunk of classes is one
+    # core.susceptibility call per channel, handed those factors, so each
+    # member-point of each channel passes through it once
+    calls = {"factors": 0, "configs": 0, "chi_points": 0}
     factors, post_init = core._factors, PhysicalConfig.__post_init__
 
     def counted_factors(*args):
         calls["factors"] += 1
         return factors(*args)
+
+    def counted_chi(*args, **kwargs):
+        assert kwargs["factors"] is not None
+        chi = core.susceptibility(*args, **kwargs)
+        calls["chi_points"] += chi.size
+        return chi
 
     def counted_post_init(self):
         calls["configs"] += 1
@@ -303,11 +310,14 @@ def test_full_stack_forms_factors_once_per_offset_and_copies_no_config(cfg, monk
 
     for module in (core, spatial):
         monkeypatch.setattr(module, "_factors", counted_factors)
+    monkeypatch.setattr(spatial, "susceptibility", counted_chi)
     monkeypatch.setattr(PhysicalConfig, "__post_init__", counted_post_init)
     corr = Corrections(average=True, side_weight=0.25, side_shift=0.6 * MHZ,
                        jitter_fwhm=0.2 * MHZ)
     corrected_spectrum(cfg, 37.4, np.linspace(-4, 4, 321) * MHZ, 0.3 * MHZ, corr)
-    assert calls == {"factors": 2 * JITTER_NODES, "configs": 0}
+    members = corr.members(37.4)[2].size
+    assert calls == {"factors": 2 * JITTER_NODES, "configs": 0,
+                     "chi_points": 2 * members * 321}
 
 
 def test_far_detunings_are_transparent_without_overflow(cfg, conf):
