@@ -245,7 +245,10 @@ def cmd_fit(args):
     flags = cfgmod.corrections(conf, average=args.average, side=args.side, jitter=args.jitter)
     spectra = [_read_input(path, args, cfg, flags) for path in args.input]
     if args.model == "vit":
-        fit = fit_vit_spectra(spectra, cfg, free=free)
+        try:
+            fit = fit_vit_spectra(spectra, cfg, free=free)
+        except ValueError as err:
+            raise ValueError(f"--input {' '.join(args.input)}: {err}") from None
     else:
         lines = sum(len(np.unique(spectrum.delta_cavity)) for spectrum in spectra)
         if lines > 1:

@@ -9,13 +9,17 @@ accepted only if it lowers the weighted residual norm, and a rank
 deficient final Jacobian fails the fit naming the unidentifiable
 parameter.  Jacobians are forward differences with relative step 1e-6;
 fit parameters are therefore kept order-one (offsets in MHz, not rad/s).
+A fit that ends at a chi^2 or a Jacobian that is not finite raises
+ValueError.
 
 A residual is (model - data) / sigma with the Spectrum's own sigmas,
 positive and finite by construction (Poisson for scans: sqrt(counts)
 with a floor of one count); a channel without sigmas weighs each point
-1.  Every fit returns a FitResult; parameter covariances are
-(J^T J)^{-1} at the optimum with J the weighted Jacobian, carried as
-errors and a correlation matrix.
+1.  Every fit returns a FitResult; the parameter covariance (J^T J)^{-1}
+at the optimum, J the weighted Jacobian, is carried as errors and a
+correlation matrix, both read off the SVD of J that tests its rank
+(Numerical Recipes, 3rd ed., sec. 15.4.2), never from an inverse of
+J^T J, which would square its condition number.
 """
 
 import math
@@ -27,6 +31,8 @@ from vitlab.config import MHZ
 from vitlab.errors import RankDeficientError
 from vitlab.spatial import IDEAL, corrected_spectrum
 
+# the least ratio of a fit's smallest singular value to its largest (the rank rule)
+RANK_RATIO = 1e-10
 # the model fit's parameters and their lower bounds
 VIT_PARAMS = {"eta_eff": 0.0, "od": 0.0, "scale_d2": 0.0,
               "probe_offset_mhz": -np.inf, "cavity_offset_mhz": -np.inf}
@@ -73,6 +79,7 @@ def _jacobian(residual_fn, p, r0):
     return jac
 
 
+@np.errstate(all="ignore")
 def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
     """Minimize sum residual_fn(p)^2 over p >= lower with adaptive damping.
 
@@ -81,10 +88,14 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
     their bound with a positive gradient, and those with a zero Jacobian
     column, solves for the rest and projects the trial onto the bounds.
     A trial that does not descend grows the damping (from 1e-3) 8-fold,
-    an accepted one shrinks it 4-fold, to no less than 1e-12.  Converged
-    means a step gained under 1e-12 relative, none descends below damping
-    1e14, or all are held; not after max_iter.  Singular values of the
-    final Jacobian spanning over 1e10 raise RankDeficientError.
+    an accepted one shrinks it 4-fold, to no less than 1e-12; a trial
+    whose chi^2 is not finite never descends.  Converged means a step
+    gained under 1e-12 relative, none descends below damping 1e14, or
+    all are held; not after max_iter.  The model is evaluated without
+    warnings, and a final chi^2 or Jacobian that is not finite raises
+    ValueError.  With the final J = U S V^T, singular values spanning
+    more than 1/RANK_RATIO raise RankDeficientError; else the covariance
+    is R R^T with R = V/s (Numerical Recipes sec. 15.4.2).
     """
     p = np.asarray(p0, dtype=float).copy()
     names = tuple(names)
@@ -115,7 +126,7 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
             trial = np.maximum(p + delta, lower)
             r_new = residual_fn(trial)
             cost_new = float(r_new @ r_new)
-            if cost_new < cost:
+            if cost_new < cost:  # never true of a nan or inf trial
                 converged = (cost - cost_new) / max(cost, 1e-300) < 1e-12
                 p, r, cost = trial, r_new, cost_new
                 lam = max(lam / 4.0, 1e-12)
@@ -128,20 +139,22 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
             break
 
     jac = _jacobian(residual_fn, p, r)
+    # numpy's SVD may never return from an inf
+    if not (math.isfinite(cost) and np.isfinite(jac).all()):
+        raise ValueError(f"the fit ends where chi^2 or its Jacobian is not finite, at "
+                         f"{dict(zip(names, p.tolist()))}")
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s[0] == 0 or s[-1] / s[0] < 1e-10:
+    if s[0] == 0 or s[-1] / s[0] < RANK_RATIO:
         offender = names[int(np.argmax(np.abs(vt[-1])))]
         raise RankDeficientError(offender)
-    cov = np.linalg.inv(jac.T @ jac)
-    cov = 0.5 * (cov + cov.T)
-    errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correlation = cov / np.outer(errors, errors)
+    root = vt.T / s
+    errors = np.hypot.reduce(root, axis=1)
+    unit = root / errors[:, None]
     return FitResult(
         names=names,
         values=p,
         errors=errors,
-        correlation=correlation,
+        correlation=unit @ unit.T,
         residual_norm=cost,
         converged=converged,
         iterations=iterations,
@@ -231,7 +244,8 @@ def _initial_guess(spec, cfg):
     if spec.emission is not None:
         peak = float(np.max(_vit_model(cfg, spec, guess, IDEAL)[1]))
         if peak > 0:
-            guess["scale_d2"] = float(np.clip(np.max(spec.emission) / peak, 1e-3, 1e6))
+            with np.errstate(over="ignore"):  # a ratio that overflows clips to 1e6
+                guess["scale_d2"] = float(np.clip(np.max(spec.emission) / peak, 1e-3, 1e6))
     return guess
 
 
@@ -300,9 +314,12 @@ def fit_linear_weighted(x, y, sigma):
     The sums are the centred ones of Numerical Recipes (sec. 15.2), formed
     on scaled data: weights relative to the tightest point, x and y about
     their midrange over their half-range, so no finite input overflows
-    them.  A value, error or chi^2 that a double cannot hold in the
-    data's units raises ValueError; so does an error below a double's
-    normal range, which would read 0.
+    them.  The rank rule is the solver's: the singular values of that
+    scaled design spanning more than 1/RANK_RATIO raise
+    RankDeficientError, equal abscissae among them.  A value, error or
+    chi^2 that a double cannot hold in the data's units raises
+    ValueError; so does an error below a double's normal range, which
+    would read 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -312,9 +329,7 @@ def fit_linear_weighted(x, y, sigma):
     if np.any(sigma <= 0):
         raise ValueError("sigmas must be positive")
     (cx, hx), (cy, hy) = _midrange(x), _midrange(y)
-    if not hx:
-        raise RankDeficientError("slope", "abscissa values are degenerate")
-    hy = hy or 1.0  # a flat line
+    hx, hy = hx or 1.0, hy or 1.0  # equal abscissae fail the rank rule below; a flat line fits
     tight = sigma.min()
     w = np.square(tight / sigma)
     u, v = (x - cx) / hx, (y - cy) / hy
@@ -323,8 +338,8 @@ def fit_linear_weighted(x, y, sigma):
     t = u - ubar
     stt = w @ (t * t)
     xbar = cx / hx + ubar  # the weighted mean of x, in units of hx
-    # abscissae whose weighted spread is under 1e-6 of their weighted mean
-    if not stt > 1e-12 * (stt + s * xbar * xbar):
+    # the solver's rank rule on the design's singular values, sqrt(stt) <= 2 sqrt(s) and sqrt(s)
+    if not np.sqrt(stt / s) >= RANK_RATIO:
         raise RankDeficientError("slope", "abscissa values are degenerate")
     # mapped back, any of these may leave a double's range: the check follows.
     # Each error is a product, never the root of a variance; g/h is minus the
@@ -383,17 +398,37 @@ def ratio_with_error(b, b_err, m, m_err, rho=0.0):
 def format_value_error(value, error):
     """Concise value(error) string, error to one significant digit.
 
-    format_value_error(1.351, 0.273) == '1.4(3)'.
+    format_value_error(1.351, 0.273) == '1.4(3)'.  A fixed form longer
+    than 24 characters gives way to a scientific one, the value rounded
+    at the error's leading digit: format_value_error(0.5, 6e200) ==
+    '0(6)e+200'.  Where that digit lies past the 17 a double holds of the
+    value, the value is written as repr writes it and the error apart:
+    format_value_error(1e300, 1e-300) == '1e+300(1e-300)'.
     """
     if error <= 0:
         return repr(float(value))
     exponent = int(np.floor(np.log10(error)))
-    decimals = max(0, -exponent)
-    scaled = int(round(error * 10.0**decimals))
-    if scaled == 10 and decimals > 0:
-        decimals -= 1
-        scaled = 1
-    return f"{value:.{decimals}f}({scaled})"
+    if exponent > -24:
+        decimals = max(0, -exponent)
+        scaled = int(round(error * 10.0**decimals))
+        if scaled == 10 and decimals > 0:
+            decimals -= 1
+            scaled = 1
+        fixed = f"{value:.{decimals}f}({scaled})"
+        if len(fixed) <= 24:
+            return fixed
+    # the error to one digit, and the value in units of that digit, rounded
+    # half to even in exact integer arithmetic
+    digit, exponent = map(int, f"{error:.0e}".split("e"))
+    n, d = float(value).as_integer_ratio()
+    n, d = (n * 10**-exponent, d) if exponent < 0 else (n, d * 10**exponent)
+    units, rest = divmod(n, d)
+    units += 2 * rest > d or (2 * rest == d and units % 2)
+    digits = str(abs(units))
+    if len(digits) > 17:
+        return f"{float(value)!r}({error:.0e})"
+    sign, point = "-" * (units < 0), "." * (len(digits) > 1)
+    return f"{sign}{digits[0]}{point}{digits[1:]}({digit})e{exponent + len(digits) - 1:+03d}"
 
 
 def value_error_doc(value, error):

@@ -134,6 +134,8 @@ def test_fit_linear_command(tmp_path):
     ("0,1,1e200\n1,3,1e200\n2,5,1e200\n", 2.0, 1e200 / math.sqrt(2.0)),
     # 1/sigma^2 of 1e200, whose uncentred sums overflowed
     ("0,1,1e-100\n1,3,1e-100\n2,5,1e-100\n", 2.0, 1e-100 / math.sqrt(2.0)),
+    # x spread over 2e-7 of its mean, once refused as degenerate (exit 3)
+    ("1e10,1,0.1\n1.0000001e10,2,0.1\n1.0000002e10,3.1,0.1\n", 1.05e-3, 0.1 / math.sqrt(2e6)),
 ))
 def test_fit_linear_extreme_cells_fit(tmp_path, cells, slope, slope_err):
     # warnings are errors under pytest, so none may come first
@@ -159,6 +161,27 @@ def test_fit_linear_out_of_range_names_the_input(tmp_path, capsys, cells):
     assert main(["fit", "--model", "linear", "--input", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"--input {data}" in err and "outside a double's range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, header, cells", (
+    # a transmission of 1e300: two RuntimeWarnings, then exit 0 and a chi^2 of Infinity
+    (["--model", "vit"], "delta_probe_MHz,transmission,cavity_emission",
+     "-4,0.9,0.1\n-3,0.8,0.1\n-2,0.7,0.1\n-1,0.6,0.1\n0,0.5,0.1\n1,0.6,0.1\n2,1e300,0.1\n"
+     "3,0.8,0.1\n"),
+    # a fit that ends with an inf in its Jacobian, from which numpy's SVD never returned
+    (["--model", "lorentzian", "--on", "transmission"], "delta_probe_MHz,transmission",
+     "1e-300,1e-300\n2,-1e-300\n1.73,1e308\n-2.2,-1e300\n-1e-300,41\n5e-324,0.0\n"
+     "-2.2,1.73\n1.73,41\n"),
+))
+def test_fit_that_ends_not_finite_names_the_input(tmp_path, capsys, argv, header, cells):
+    # warnings are errors under pytest, so none may come first
+    data = tmp_path / "spectrum.csv"
+    data.write_text(header + "\n" + cells)
+    out = tmp_path / "fit.json"
+    assert main(["fit", *argv, "--input", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "not finite" in err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -103,6 +105,20 @@ def test_damped_least_squares_frees_the_others_at_a_bound():
     fit = damped_least_squares(resid, np.array([3.0, 0.0]), ("a", "b"), lower=[0.0, -np.inf])
     assert fit.converged
     assert np.allclose(fit.values, [0.0, 2.0], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("c", (1e7, 1e8, 1e9, 3e9))
+def test_damped_least_squares_errors_at_high_condition(c):
+    # J = L diag(1, 1e-3, 1/c) V^T, which the rank rule accepts: the errors are
+    # the row norms of V/s, where an inverse of J^T J, whose condition is c^2,
+    # read 0.80 of them at c = 1e9 and raised LinAlgError at 3e9
+    v = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2 + np.eye(3))[0]
+    left = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, 5), 3))[0]
+    s = np.array([1.0, 1e-3, 1.0 / c])
+    jac = left @ np.diag(s) @ v.T
+    fit = damped_least_squares(lambda p: jac @ p, np.ones(3), ("a", "b", "c"))
+    assert fit.errors == pytest.approx(np.linalg.norm(v / s, axis=1), rel=1e-2)
+    assert np.allclose(np.diag(fit.correlation), 1.0)
 
 
 def test_rank_deficiency_names_parameter():
@@ -298,6 +314,9 @@ def test_linear_fit_sigma_scale_invariance():
 def test_linear_fit_degenerate_abscissa():
     with pytest.raises(RankDeficientError):
         fit_linear_weighted([3.0, 3.0, 3.0], [1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
+    # the weight rests on one point: the others weigh 1e-400, which is 0
+    with pytest.raises(RankDeficientError):
+        fit_linear_weighted([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1e200, 1e200])
 
 
 def test_linear_fit_midrange_spans_a_double():
@@ -352,6 +371,28 @@ def test_format_value_error_cases():
     assert format_value_error(7.224, 0.5) == "7.2(5)"
     # rounding an error like 0.097 carries to one digit up
     assert format_value_error(3.4, 0.097) == "3.4(1)"
+    # a fixed form of over 24 characters turns scientific, the value rounded
+    # at the error's digit; the ratio of a line with sigmas of 1e200, and of
+    # one whose slope is 2.2e-216 +/- 1.4e-200, ran to over 200 and 400 characters
+    assert format_value_error(0.5, 6.038073644245599e199) == "0(6)e+199"
+    assert format_value_error(4.503599627370496e215, 2.8683658739090507e231) == "0(3)e+231"
+    assert format_value_error(-1.2345e-30, 9.7e-33) == "-1.23(1)e-30"
+    assert format_value_error(9.996e25, 1e23) == "1.000(1)e+26"
+    # an error past the 17 digits a double holds of its value stands apart
+    assert format_value_error(16.9, 1e-20) == "16.9(1e-20)"
+    scientific = 0
+    for value in (0.0, 1.0, -0.7, np.pi * 1e-300, -np.e * 1e150, 1.7e308, 5e-324):
+        for error in np.logspace(-323, 308, 40):
+            text = format_value_error(value, error)
+            assert len(text) <= 32, text
+            form = re.fullmatch(r"(-?\d)\.?(\d*)\((\d)\)e([+-]\d+)", text)
+            if form:
+                # the value within half a unit of the error's digit
+                lead, tail, _, power = form.groups()
+                unit = Decimal(1).scaleb(int(power) - len(tail))
+                assert abs(Decimal(f"{lead}.{tail}e{power}") - Decimal(value)) <= unit / 2, text
+                scientific += 1
+    assert scientific > 100
 
 
 def test_extract_transparency():

@@ -387,6 +387,13 @@ LAB_LINE = (("3", "13.6", "0.1"), ("5", "20.4", "0.1"), ("7", "27.2", "0.2"))
 LINES = st.one_of(st.just(LAB_LINE),
                   st.lists(st.tuples(ARGV_VALUES, ARGV_VALUES, ARGV_VALUES), min_size=1,
                            max_size=4))
+# the cells of spectrum.csv: the laboratory spectrum the fit_inputs fixture
+# writes (21 rows of 3), up to 10 of its cells drawn like the flags' values
+# (a dictionary by row and column), or 8 to 21 rows of 2 or 3 such cells
+SPECTRA = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 20), st.integers(0, 2)), ARGV_VALUES, max_size=10),
+    st.integers(2, 3).flatmap(lambda width: st.lists(st.tuples(*[ARGV_VALUES] * width),
+                                                     min_size=8, max_size=21)))
 # the words of fit's flags; --free lists VIT_PARAMS names mixed with junk and
 # empty names, and --delta-cavity-mhz takes ARGV_VALUES like the other flags
 FIT_WORDS = {
@@ -440,38 +447,57 @@ def _cells(path):
 
 @pytest.fixture(scope="module")
 def fit_inputs(tmp_path_factory):
-    """The directory of FIT_INPUTS but line.csv, and of FIT_SIDECARS, small enough to fit fast."""
+    """The directory of FIT_INPUTS but line.csv and spectrum.csv, of FIT_SIDECARS, and of
+    lab.csv, the laboratory spectrum, small enough to fit fast."""
     where = tmp_path_factory.mktemp("fit_inputs")
     scan = ["synth", "--points", "21", "--scan-from", "-3", "--scan-to", "3", "--out"]
     assert main([*scan, str(where / "scan"), "--jitter", "--delta-cavity-mhz", "0.5",
                  "--dwell-us", "20000", "--seed", "1"]) == 0
     assert main([*scan, str(where / "d1"), "--delta-cavity-mhz", "0", "--eff2", "0"]) == 0
-    assert main(["spectrum", "--points", "21", "--out", str(where / "spectrum.csv")]) == 0
+    assert main(["spectrum", "--points", "21", "--out", str(where / "lab.csv")]) == 0
     return where
 
 
 @settings(SETTINGS, max_examples=200)
-@given(argv=argvs(), line=LINES)
+@given(argv=argvs(), line=LINES, spectrum=SPECTRA)
 # a trace time axis past a double's range, an initial od whose wing factor
 # overflows, a dwell that is 0 s, and expected counts past the sampler's
-@example(argv=["pulse", "--tp-us", "1e308"], line=LAB_LINE)
+@example(argv=["pulse", "--tp-us", "1e308"], line=LAB_LINE, spectrum={})
 @example(argv=["synth", "--delta-cavity-mhz", "0", "--points", "41", "--scan-from", "-1e300",
-               "--eff2", "0.5", "--average"], line=LAB_LINE)
-@example(argv=["synth", "--delta-cavity-mhz", "0", "--dwell-us", "5e-324"], line=LAB_LINE)
-@example(argv=["synth", "--delta-cavity-mhz", "0", "--flux", "1e300"], line=LAB_LINE)
+               "--eff2", "0.5", "--average"], line=LAB_LINE, spectrum={})
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--dwell-us", "5e-324"], line=LAB_LINE,
+         spectrum={})
+@example(argv=["synth", "--delta-cavity-mhz", "0", "--flux", "1e300"], line=LAB_LINE, spectrum={})
 # a --free name with a leading blank, and a line fit of a scan, whose second
 # column (the resonator detuning) is a flat line: neither named a flag or file
 @example(argv=["fit", "--model", "vit", "--input", "scan.csv", "--free", "eta_eff, od"],
-         line=LAB_LINE)
-@example(argv=["fit", "--model", "linear", "--input", "scan.csv"], line=LAB_LINE)
+         line=LAB_LINE, spectrum={})
+@example(argv=["fit", "--model", "linear", "--input", "scan.csv"], line=LAB_LINE, spectrum={})
 # x spanning 1e200, which once warned and then named no cause
 @example(argv=["fit", "--model", "linear", "--input", "line.csv"],
-         line=[("0", "1", "1"), ("1e200", "1.0000000000000002", "1")])
-def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, fit_inputs, argv, line):
+         line=[("0", "1", "1"), ("1e200", "1.0000000000000002", "1")], spectrum={})
+# a fit whose end held an inf, from which numpy's SVD never returned, and one
+# that warned twice and wrote a chi^2 of Infinity
+@example(argv=["fit", "--model", "lorentzian", "--on", "transmission", "--input", "spectrum.csv"],
+         line=LAB_LINE, spectrum=[("1e-300", "1e-300"), ("2", "-1e-300"), ("1.73", "1e308"),
+                                  ("-2.2", "-1e300"), ("-1e-300", "41"), ("5e-324", "0.0"),
+                                  ("-2.2", "1.73"), ("1.73", "41")])
+@example(argv=["fit", "--model", "vit", "--input", "spectrum.csv"], line=LAB_LINE,
+         spectrum=[("-4", "0.9", "0.1"), ("-3", "0.8", "0.1"), ("-2", "0.7", "0.1"),
+                   ("-1", "0.6", "0.1"), ("0", "0.5", "0.1"), ("1", "0.6", "0.1"),
+                   ("2", "1e300", "0.1"), ("3", "0.8", "0.1")])
+def test_argv_exits_0_2_or_3_and_names_the_fault(config_run, fit_inputs, argv, line, spectrum):
     # exit 0 with finite outputs, 2 naming a flag or file, or 3 (a fit only);
     # never a warning; each scan written is fitted too
     (fit_inputs / "line.csv").write_text(
         "n_c,eta_eff,eta_eff_err\n" + "".join(",".join(row) + "\n" for row in line))
+    header, *lab = (fit_inputs / "lab.csv").read_text().splitlines()
+    if isinstance(spectrum, dict):
+        spectrum = [[spectrum.get((i, j), cell) for j, cell in enumerate(row.split(","))]
+                    for i, row in enumerate(lab)]
+    (fit_inputs / "spectrum.csv").write_text(
+        ",".join(header.split(",")[:len(spectrum[0])]) + "\n"
+        + "".join(",".join(row) + "\n" for row in spectrum))
     argv = [str(fit_inputs / word) if word in FIT_INPUTS + FIT_SIDECARS else word
             for word in argv]
     out = config_run / "out"
