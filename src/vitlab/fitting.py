@@ -398,24 +398,26 @@ def ratio_with_error(b, b_err, m, m_err, rho=0.0):
 def format_value_error(value, error):
     """Concise value(error) string, error to one significant digit.
 
-    format_value_error(1.351, 0.273) == '1.4(3)'.  A fixed form longer
-    than 24 characters gives way to a scientific one, the value rounded
-    at the error's leading digit: format_value_error(0.5, 6e200) ==
-    '0(6)e+200'.  Where that digit lies past the 17 a double holds of the
-    value, the value is written as repr writes it and the error apart:
+    format_value_error(1.351, 0.273) == '1.4(3)'.  An error that rounds
+    to 10 or more, or a fixed form longer than 24 characters, gives way
+    to a scientific form, the value rounded at the error's leading digit:
+    format_value_error(5, 12) == '0(1)e+01' and
+    format_value_error(0.5, 6e200) == '0(6)e+200'.  Where that digit lies
+    past the 17 a double holds of the value, the value is written as repr
+    writes it and the error apart:
     format_value_error(1e300, 1e-300) == '1e+300(1e-300)'.
     """
     if error <= 0:
         return repr(float(value))
     exponent = int(np.floor(np.log10(error)))
-    if exponent > -24:
-        decimals = max(0, -exponent)
+    if -24 < exponent < 1:
+        decimals = -exponent
         scaled = int(round(error * 10.0**decimals))
         if scaled == 10 and decimals > 0:
             decimals -= 1
             scaled = 1
         fixed = f"{value:.{decimals}f}({scaled})"
-        if len(fixed) <= 24:
+        if scaled < 10 and len(fixed) <= 24:
             return fixed
     # the error to one digit, and the value in units of that digit, rounded
     # half to even in exact integer arithmetic

@@ -13,6 +13,13 @@ PCG64, so results are identical whether points are generated serially
 or in parallel, and the scheme is explicit enough to reproduce outside
 this package.
 
+generate_scan builds no such objects per point.  It derives every
+point's SeedSequence state in one vectorised pass of numpy's hash and
+seeds PCG64 from it with the two LCG steps of pcg_setseq_128_srandom_r;
+one Generator takes each state in turn.  The states equal those
+SeedSequence and PCG64 make, bit for bit, so any single point can still
+be re-drawn in isolation with stock numpy.
+
 File format: CSV with columns delta_probe_MHz, delta_cavity_MHz,
 counts_d1, counts_d2, expected_d1, expected_d2, one row per point with
 resonator detunings major, plus a JSON sidecar carrying the plan, the
@@ -20,6 +27,7 @@ physical constants and the seed.
 """
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import index
 
 import numpy as np
@@ -40,6 +48,13 @@ MIN_EXPOSURE = 2.0**53 / np.finfo(float).max
 PHYSICS_KEYS = ("gamma_MHz", "kappa_MHz", "wavelength_um", "length_um")
 # the columns of a scan's record array, SCAN_COLUMNS with the detunings in rad/s
 RECORD_FIELDS = "delta_probe,delta_cavity,counts_d1,counts_d2,expected_d1,expected_d2"
+# numpy.random.SeedSequence's hash constants (a pool of 4 uint32 words, shift 16)
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905)
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# points whose streams are seeded together; it bounds the Python ints held at once
+STREAM_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,8 @@ class ScanPlan:
     rng_seed: nonnegative integer
     emission_scale: gain on the emission D2 sees, positive and finite
     corrections: the apparatus corrections the scan is made with
-    The flux, dwell, efficiencies and scale are stored as floats once checked.
+    The flux, dwell, efficiencies and scale are stored as floats once checked,
+    the seed as an int.
     Each detector's exposure flux * dwell * efficiency must be finite and at
     least MIN_EXPOSURE, so counts over it stay finite, or 0 on D2 alone.
     """
@@ -72,13 +88,17 @@ class ScanPlan:
     def __post_init__(self):
         if len(self.delta_cavity_list) == 0 or len(self.probe_grid) == 0:
             raise ValueError("plan needs at least one detuning on each axis")
+        for name in ("delta_cavity_list", "probe_grid"):
+            if len(getattr(self, name)) >= 2**32:  # each index is one uint32 seed word
+                raise ValueError(f"{name} must hold fewer than 2**32 detunings")
         for name in ("dwell", "emission_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         for eff in (self.efficiency_d1, self.efficiency_d2):
             if not 0.0 <= eff <= 1.0:
                 raise ValueError("efficiencies must lie in [0, 1]")
-        if index(self.rng_seed) < 0:
+        object.__setattr__(self, "rng_seed", index(self.rng_seed))
+        if self.rng_seed < 0:
             raise ValueError("rng_seed must be a nonnegative integer")
         for name in ("photon_flux", "dwell", "efficiency_d1", "efficiency_d2", "emission_scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -138,12 +158,71 @@ def generate_scan(cfg, eta, plan):
         raise ValueError(f"expected counts per point exceed {MAX_EXPECTED_COUNTS:.0e}: "
                          "lower the photon flux, dwell or emission scale")
     c1, c2 = np.empty((2, len(dp)), dtype=np.int64)
-    for k in range(len(dp)):
-        scan, point = divmod(k, len(grid))
-        rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, scan, point]))
-        c1[k] = rng.poisson(e1[k])
-        c2[k] = rng.poisson(e2[k])
+    # one Generator draws every point, from the state PCG64(SeedSequence(...)) would start at
+    rng, pcg = np.random.Generator(np.random.PCG64(0)), {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(dp), STREAM_CHUNK):
+        ks = np.arange(start, min(start + STREAM_CHUNK, len(dp)))
+        states = _seed_states(plan.rng_seed, *np.divmod(ks, len(grid))).T.tolist()
+        for k, (s0, s1, s2, s3) in zip(ks.tolist(), states):
+            # pcg_setseq_128_srandom_r: from state 0, one LCG step, add the seed, one more
+            inc = (s2 << 65 | s3 << 1 | 1) % 2**128
+            pcg["state"], pcg["inc"] = ((inc + (s0 << 64 | s1)) * PCG_MULT + inc) % 2**128, inc
+            rng.bit_generator.state = state
+            c1[k] = rng.poisson(e1[k])
+            c2[k] = rng.poisson(e2[k])
     return np.rec.fromarrays((dp, dc, c1, c2, e1, e2), names=RECORD_FIELDS)
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = MIX_MULT_L * x - MIX_MULT_R * y
+    return value ^ value >> 16
+
+
+@lru_cache(maxsize=8)
+def _hash_steps(n_words):
+    """SeedSequence's hash constants over n_words (4 or more) entropy words, step by step.
+
+    A step is a pair of uint32 columns, hashmix's xor and multiplier for
+    each pool row: the pool's fill, one step per source word (in the first
+    four, the source's own row takes a dummy, as its pool word is kept),
+    then the eight output words.
+    """
+    a, b = (np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(count + 1)],
+                     dtype=np.uint32)[:, None]
+            for init, mult, count in ((INIT_A, MULT_A, 4 * n_words), (INIT_B, MULT_B, 8)))
+    rows = np.arange(4)
+    order = [rows, *(4 + 3 * src + rows - (rows >= src) for src in range(4)),
+             *(4 * src + rows for src in range(4, n_words))]
+    return [(a[i], a[i + 1]) for i in order] + [(b[:-1], b[1:])]
+
+
+def _seed_states(seed, scans, points):
+    """SeedSequence([seed, scan, point]).generate_state(4, np.uint64) for every index pair.
+
+    Returns a (4, n) uint64 array, column j for (scans[j], points[j]).
+    numpy's pool mixing runs on a (4, n) pool, one vector step per entropy
+    word; the seed's words are shared, and each index, below 2**32, is one.
+    """
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 2, 4), len(points)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words):len(words) + 2] = scans, points
+    steps = _hash_steps(len(entropy))
+    pool = _hashmix(entropy[:4], *steps[0])
+    for src in range(4):
+        mixed = _mix(pool, _hashmix(pool[src], *steps[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for src in range(4, len(entropy)):
+        pool = _mix(pool, _hashmix(entropy[src], *steps[1 + src]))
+    state = _hashmix(np.tile(pool, (2, 1)), *steps[-1]).astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
 
 
 def spectrum_from_records(records, plan):

@@ -378,6 +378,12 @@ def test_format_value_error_cases():
     assert format_value_error(4.503599627370496e215, 2.8683658739090507e231) == "0(3)e+231"
     assert format_value_error(-1.2345e-30, 9.7e-33) == "-1.23(1)e-30"
     assert format_value_error(9.996e25, 1e23) == "1.000(1)e+26"
+    # an error of 10 or more, once written with all its integer digits, is
+    # scientific too: the x ~ 1e10 line's intercept/slope ratio was "-9999999063(142)"
+    assert format_value_error(5, 12) == "0(1)e+01"
+    assert format_value_error(-9999999063.0, 142.0) == "-9.9999991(1)e+09"
+    assert format_value_error(5, 9.6) == "0(1)e+01"
+    assert format_value_error(5, 9.4) == "5(9)"
     # an error past the 17 digits a double holds of its value stands apart
     assert format_value_error(16.9, 1e-20) == "16.9(1e-20)"
     scientific = 0

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from vitlab.config import MHZ, corrections
 from vitlab.core import transmission
 from vitlab.spatial import Corrections
+from vitlab import synth
 from vitlab.synth import (
     RECORD_FIELDS,
     SCAN_COLUMNS,
@@ -45,8 +47,10 @@ def test_plan_validation():
     for seed in (np.nan, 1.0):
         with pytest.raises(TypeError):
             _plan(seed=seed)
-    # the float fields are stored as floats, and an integer beyond a double's range fails
+    # the float fields are stored as floats and the seed as an int, and an integer
+    # beyond a double's range fails
     assert type(_plan(flux=10**6, dwell=1).dwell) is float
+    assert type(_plan(seed=np.uint64(2**64 - 1)).rng_seed) is int
     assert type(replace(_plan(), emission_scale=2).emission_scale) is float
     with pytest.raises(OverflowError):
         _plan(flux=10**400)
@@ -58,6 +62,24 @@ def test_plan_validation():
         with pytest.raises(ValueError, match=f"detector {detector} has an exposure"):
             replace(_plan(), **change)
     assert replace(_plan(), efficiency_d2=0).efficiency_d2 == 0.0
+
+
+class _Sized:
+    """A stand-in detuning list that has a length and allocates nothing."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def test_plan_indices_fit_one_seed_word():
+    # each scan and point index is one uint32 word of the point's SeedSequence
+    for name in ("delta_cavity_list", "probe_grid"):
+        assert len(getattr(replace(_plan(), **{name: _Sized(2**32 - 1)}), name)) == 2**32 - 1
+        with pytest.raises(ValueError, match=f"{name} must hold fewer than 2\\*\\*32"):
+            replace(_plan(), **{name: _Sized(2**32)})
 
 
 def test_counts_beyond_poisson_range_rejected(cfg):
@@ -157,6 +179,40 @@ def test_scan_rows_follow_the_plan(cfg):
     alone = generate_scan(cfg, 3.4, replace(plan, delta_cavity_list=(-2.2 * MHZ,)))
     np.testing.assert_allclose(recs.expected_d1[len(GRID):2 * len(GRID)],
                                alone.expected_d1, rtol=1e-15)
+
+
+INDICES = st.integers(0, 2**32 - 1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(0, 2**128 - 1), st.lists(st.tuples(INDICES, INDICES), min_size=1, max_size=4))
+def test_seed_states_are_seed_sequences(seed, pairs):
+    # the one-pass hash gives each (scan, point) the words SeedSequence gives PCG64
+    scans, points = np.array(pairs, dtype=np.int64).T
+    states = synth._seed_states(seed, scans, points)
+    for j, (scan, point) in enumerate(pairs):
+        expected = np.random.SeedSequence([seed, scan, point]).generate_state(4, np.uint64)
+        assert np.array_equal(states[:, j], expected), (seed, scan, point)
+
+
+@pytest.mark.parametrize("seed", (0, 2**32 + 5, 2**70 + 9))
+def test_counts_are_the_per_point_streams(cfg, seed):
+    # 3 x 201 points span two chunks of streams; od 2000 leaves D1 points of
+    # zero expectation near resonance, and an --eff2 0 plan leaves D2 only zeros
+    dense = replace(cfg, od=2000.0)
+    grid = tuple(np.linspace(-300, 300, 201) * MHZ)
+    plan = ScanPlan(delta_cavity_list=(0.5 * MHZ, -2.2 * MHZ, 0.0), probe_grid=grid,
+                    photon_flux=1e6, dwell=1e-3, rng_seed=seed)
+    for plan in (plan, replace(plan, efficiency_d2=0.0)):
+        recs = generate_scan(dense, 3.4, plan)
+        assert np.any(recs.expected_d1 == 0) and np.any(recs.expected_d1 > 10)
+        reference = []
+        for k, rec in enumerate(recs):
+            scan, point = divmod(k, len(grid))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, scan, point])))
+            reference.append((rng.poisson(rec.expected_d1), rng.poisson(rec.expected_d2)))
+        assert np.array_equal(np.array(reference).T, [recs.counts_d1, recs.counts_d2])
+    assert not recs.expected_d2.any()
 
 
 def test_scan_csv_round_trip(tmp_path, cfg):
