@@ -7,10 +7,12 @@ behaviors are load bearing and must be guaranteed, not assumed: a step,
 projected onto the lower bounds (VIT_PARAMS for the model fit), is
 accepted only if it lowers the weighted residual norm, and a rank
 deficient final Jacobian fails the fit naming the unidentifiable
-parameter.  Jacobians are forward differences with relative step 1e-6;
-fit parameters are therefore kept order-one (offsets in MHz, not rad/s).
-A fit that ends at a chi^2 or a Jacobian that is not finite raises
-ValueError.
+parameter.  The model fit's Jacobian is exact, corrected_spectrum's
+derivatives from the pass that forms the model; fit_lorentzian's, and
+any other residual's given without one, are forward differences with
+relative step 1e-6, so fit parameters are kept order-one (offsets in
+MHz, not rad/s).  A fit that ends at a chi^2 or a Jacobian that is not
+finite raises ValueError.
 
 A residual is (model - data) / sigma with the Spectrum's own sigmas,
 positive and finite by construction (Poisson for scans: sqrt(counts)
@@ -51,6 +53,7 @@ class FitResult:
     residual_norm: float
     converged: bool
     iterations: int
+    evaluations: int  # the solver's model passes, 0 for a closed-form fit
 
     def value(self, name):
         return float(self.values[self.names.index(name)])
@@ -66,6 +69,7 @@ class FitResult:
             "residual_norm": self.residual_norm,
             "converged": self.converged,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
         }
 
 
@@ -80,22 +84,27 @@ def _jacobian(residual_fn, p, r0):
 
 
 @np.errstate(all="ignore")
-def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
+def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None, jacobian=False):
     """Minimize sum residual_fn(p)^2 over p >= lower with adaptive damping.
 
     lower holds a bound per parameter (-inf for none, the default); a p0
-    below it raises ValueError.  Each iteration holds the parameters at
-    their bound with a positive gradient, and those with a zero Jacobian
-    column, solves for the rest and projects the trial onto the bounds.
-    A trial that does not descend grows the damping (from 1e-3) 8-fold,
-    an accepted one shrinks it 4-fold, to no less than 1e-12; a trial
-    whose chi^2 is not finite never descends.  Converged means a step
-    gained under 1e-12 relative, none descends below damping 1e14, or
-    all are held; not after max_iter.  The model is evaluated without
-    warnings, and a final chi^2 or Jacobian that is not finite raises
-    ValueError.  With the final J = U S V^T, singular values spanning
-    more than 1/RANK_RATIO raise RankDeficientError; else the covariance
-    is R R^T with R = V/s (Numerical Recipes sec. 15.4.2).
+    below it raises ValueError.  With jacobian, residual_fn returns (r,
+    J), J its exact Jacobian, at every point it is given, so an accepted
+    trial brings the next iteration's J; without, J is forward
+    differences of relative step 1e-6, formed once per point that needs
+    one.  Each iteration holds the parameters at their bound with a
+    positive gradient, and those with a zero Jacobian column, solves for
+    the rest and projects the trial onto the bounds.  A trial that does
+    not descend grows the damping (from 1e-3) 8-fold, an accepted one
+    shrinks it 4-fold, to no less than 1e-12; a trial whose chi^2 is not
+    finite never descends.  Converged means a step gained under 1e-12
+    relative, none descends below damping 1e14, or all are held; not
+    after max_iter.  The model is evaluated without warnings, and a
+    final chi^2 or Jacobian that is not finite raises ValueError.  With
+    the final J = U S V^T, singular values spanning more than
+    1/RANK_RATIO raise RankDeficientError; else the covariance is R R^T
+    with R = V/s (Numerical Recipes sec. 15.4.2).  The result's
+    evaluations counts the calls of residual_fn.
     """
     p = np.asarray(p0, dtype=float).copy()
     names = tuple(names)
@@ -103,14 +112,24 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
     if np.any(p < lower):
         raise ValueError(f"the fit starts below its lower bounds, at "
                          f"{dict(zip(names, p.tolist()))}")
-    r = residual_fn(p)
+    evaluations = 0
+
+    def evaluate(q):
+        nonlocal evaluations
+        evaluations += 1
+        return residual_fn(q) if jacobian else (residual_fn(q), None)
+
+    def at(q, r):  # the Jacobian at q, whose residual is r
+        return _jacobian(lambda x: evaluate(x)[0], q, r)
+
+    r, jac = evaluate(p)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        jac = _jacobian(residual_fn, p, r)
+        jac = at(p, r) if jac is None else jac
         jtj = jac.T @ jac
         g = jac.T @ r
         # hold what descent pushes past its bound, and what the data do not inform here
@@ -124,11 +143,11 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
                 lam *= 8.0
                 continue
             trial = np.maximum(p + delta, lower)
-            r_new = residual_fn(trial)
+            r_new, jac_new = evaluate(trial)
             cost_new = float(r_new @ r_new)
             if cost_new < cost:  # never true of a nan or inf trial
                 converged = (cost - cost_new) / max(cost, 1e-300) < 1e-12
-                p, r, cost = trial, r_new, cost_new
+                p, r, jac, cost = trial, r_new, jac_new, cost_new
                 lam = max(lam / 4.0, 1e-12)
                 break
             lam *= 8.0
@@ -138,7 +157,7 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
         if converged:
             break
 
-    jac = _jacobian(residual_fn, p, r)
+    jac = at(p, r) if jac is None else jac
     # numpy's SVD may never return from an inf
     if not (math.isfinite(cost) and np.isfinite(jac).all()):
         raise ValueError(f"the fit ends where chi^2 or its Jacobian is not finite, at "
@@ -158,6 +177,7 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
         residual_norm=cost,
         converged=converged,
         iterations=iterations,
+        evaluations=evaluations,
     )
 
 
@@ -213,12 +233,32 @@ def fit_lorentzian(spectrum, on="absorbance"):
     )
 
 
-def _vit_model(cfg, spec, p, corrections):
-    trans, emis = corrected_spectrum(replace(cfg, od=p["od"]), p["eta_eff"],
-                                     spec.delta_probe + p["probe_offset_mhz"] * MHZ,
-                                     spec.delta_cavity + p["cavity_offset_mhz"] * MHZ,
-                                     corrections)
-    return trans, p["scale_d2"] * emis
+# the corrected_spectrum argument each offset or model parameter moves, and its rate
+_SPECTRUM_ARGS = {"eta_eff": ("eta_max", 1.0), "od": ("od", 1.0),
+                 "probe_offset_mhz": ("delta_probe", MHZ),
+                 "cavity_offset_mhz": ("delta_cavity", MHZ)}
+
+
+def _vit_model(cfg, spec, p, corrections, free=None):
+    """spec's (transmission, emission) model at the parameters p.
+
+    With free, parameter names, each channel's exact derivatives along
+    them follow, of shape (len(free), points): scale_d2's is the
+    unscaled emission, every other corrected_spectrum's.
+    """
+    moved = [name for name in free or () if name != "scale_d2"]
+    trans, emis, *grads = corrected_spectrum(
+        replace(cfg, od=p["od"]), p["eta_eff"],
+        spec.delta_probe + p["probe_offset_mhz"] * MHZ,
+        spec.delta_cavity + p["cavity_offset_mhz"] * MHZ,
+        corrections, None if free is None else [_SPECTRUM_ARGS[name][0] for name in moved])
+    scale = p["scale_d2"]
+    if free is None:
+        return trans, scale * emis
+    rows = {name: (_SPECTRUM_ARGS[name][1] * dtrans, _SPECTRUM_ARGS[name][1] * scale * demis)
+            for name, dtrans, demis in zip(moved, *grads)}
+    rows["scale_d2"] = np.zeros_like(trans), emis
+    return (trans, scale * emis, *np.array([rows[name] for name in free]).swapaxes(0, 1))
 
 
 def _initial_guess(spec, cfg):
@@ -270,11 +310,12 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
     with its own corrections, so scans made with different corrections
     fit jointly; every spectrum's transmission channel enters the
     residual, and the emission channel too when present, each weighed by
-    its sigmas (1 without); a residual evaluates the model once per
-    spectrum.  free names parameters as check_free takes them; they
-    start from _initial_guess of the first spectrum, and the rest are
-    held at cfg.od, a scale_d2 of 1 and zero offsets.  The solver keeps
-    the free parameters at or above their VIT_PARAMS lower bounds.
+    its sigmas (1 without); a residual evaluates the model and its exact
+    Jacobian in one pass per spectrum.  free names parameters as
+    check_free takes them; they start from _initial_guess of the first
+    spectrum, and the rest are held at cfg.od, a scale_d2 of 1 and zero
+    offsets.  The solver keeps the free parameters at or above their
+    VIT_PARAMS lower bounds.
 
     probe_offset_mhz and cavity_offset_mhz are axis calibrations: the
     correction added to the recorded detunings to recover the true ones,
@@ -290,17 +331,21 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
     def residual(pvec):
         p = dict(base)
         p.update({name: pvec[i] for i, name in enumerate(free)})
-        chunks = []
+        chunks, rows = [], []
         for spec in spectra:
-            model = _vit_model(cfg, spec, p, spec.corrections)
-            for m, data, sigma in zip(model, (spec.transmission, spec.emission),
-                                      (spec.sigma_transmission, spec.sigma_emission)):
+            trans, emis, dtrans, demis = _vit_model(cfg, spec, p, spec.corrections, free)
+            for m, dm, data, sigma in zip((trans, emis), (dtrans, demis),
+                                          (spec.transmission, spec.emission),
+                                          (spec.sigma_transmission, spec.sigma_emission)):
                 if data is not None:
-                    chunks.append((m - data) / (1.0 if sigma is None else sigma))
-        return np.concatenate(chunks)
+                    sigma = 1.0 if sigma is None else sigma
+                    chunks.append((m - data) / sigma)
+                    rows.append(dm / sigma)
+        return np.concatenate(chunks), np.concatenate(rows, axis=1).T
 
     p0 = [base[name] for name in free]
-    return damped_least_squares(residual, p0, free, lower=[VIT_PARAMS[n] for n in free])
+    return damped_least_squares(residual, p0, free, lower=[VIT_PARAMS[n] for n in free],
+                                jacobian=True)
 
 
 def fit_linear_weighted(x, y, sigma):
@@ -357,7 +402,7 @@ def fit_linear_weighted(x, y, sigma):
                          "outside a double's range in the data's units")
     return FitResult(names=("slope", "intercept"), values=values, errors=errors,
                      correlation=np.array([[1.0, -g / h], [-g / h, 1.0]]),
-                     residual_norm=float(chi2), converged=True, iterations=0)
+                     residual_norm=float(chi2), converged=True, iterations=0, evaluations=0)
 
 
 def _midrange(a):

@@ -19,7 +19,8 @@ susceptibilities in offset-major blocks (one jitter offset, a chunk of
 classes), forming core's factors p and q = 1/(1 - i dc) once per offset
 and calling core.susceptibility with them once per chunk and channel,
 the side channel with its share of the od; corrected_spectrum and
-recipes.pulse_ensemble consume those blocks.  The nodes are fixed
+recipes.pulse_ensemble consume those blocks, and corrected_spectrum
+takes the fits' exact derivatives from them too.  The nodes are fixed
 quadrature rules, the standing wave's sized to eta_max, so results never
 depend on evaluation order, and core._mobius alone refuses a negative eta.
 """
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from vitlab.core import _factors, susceptibility
+from vitlab.core import _factors, _mobius, susceptibility
 
 SIGMA_PER_FWHM = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -40,6 +41,8 @@ BLOCK_POINTS = 4096
 # 256 classes move fig2's spectra by < 2e-8, and 32 nodes by < 1e-5
 MAX_CLASSES = 64
 JITTER_NODES = 16
+# what corrected_spectrum's derivatives may name: its arguments, od being cfg.od
+DERIVATIVES = ("eta_max", "od", "delta_probe", "delta_cavity")
 
 
 @lru_cache(maxsize=16)  # every 8-node rung up to 64, and the jitter rule
@@ -96,36 +99,44 @@ class Corrections:
         for name in ("side_weight", "side_shift", "jitter_fwhm"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
+    def classes(self, eta_max):
+        """The coupling classes as (nodes, weights), the weights summing to 1.
+
+        A class's cooperativity is eta_max times its node: the
+        min(averaging_nodes, 8 ceil(1 + sqrt(eta_max))) Gauss-Legendre
+        nodes of cos^2, or the one node 1 when averaging is off.
+        """
+        if not self.averaging_nodes:
+            return np.ones(1), np.ones(1)
+        # the pole eta cos^2 = -z, |z| >= 1, lies ~1/sqrt(eta) off the
+        # interval and sets Gauss-Legendre's rate (Trefethen, SIAM Rev. 50
+        # (2008) 67); max() leaves a negative eta_max, unwarned, to core
+        rungs = np.ceil(1.0 + np.sqrt(max(eta_max, 0.0)))
+        return _unit_rule("cos2", int(min(self.averaging_nodes, 8 * rungs)))
+
     def members(self, eta_max):
         """The correction ensemble as (etas, offsets, weights).
 
-        One member per coupling class x jitter offset: the classes etas,
-        min(averaging_nodes, 8 ceil(1 + sqrt(eta_max))) Gauss-Legendre
-        nodes of cos^2 (eta_max alone when averaging is off), the
-        jitter_nodes offsets (one zero offset when jitter_fwhm is 0) in
-        rad/s of cavity detuning, and weights[c, j] of member (etas[c],
-        offsets[j]), summing to 1.  The only place nodes are made: cached
-        unit rules, scaled here; core._mobius refuses a negative eta_max.
+        One member per coupling class x jitter offset: the classes' etas
+        (eta_max times the nodes of classes), the jitter_nodes offsets
+        (one zero offset when jitter_fwhm is 0) in rad/s of cavity
+        detuning, and weights[c, j] of member (etas[c], offsets[j]),
+        summing to 1.  The only place nodes are made: cached unit rules,
+        scaled here; core._mobius refuses a negative eta_max.
         """
-        etas, wz = np.array([float(eta_max)]), np.ones(1)
-        if self.averaging_nodes:
-            # the pole eta cos^2 = -z, |z| >= 1, lies ~1/sqrt(eta) off the
-            # interval and sets Gauss-Legendre's rate (Trefethen, SIAM Rev. 50
-            # (2008) 67); max() leaves a negative eta_max, unwarned, to core
-            rungs = np.ceil(1.0 + np.sqrt(max(eta_max, 0.0)))
-            cos2, wz = _unit_rule("cos2", int(min(self.averaging_nodes, 8 * rungs)))
-            etas = eta_max * cos2
+        nodes, wz = self.classes(eta_max)
         offs, wj = np.zeros(1), np.ones(1)
         if self.jitter_fwhm:
             x, wj = _unit_rule("normal", self.jitter_nodes)
             offs = np.sqrt(2.0) * (self.jitter_fwhm * SIGMA_PER_FWHM) * x
-        return etas, offs, np.outer(wz, wj)
+        return eta_max * nodes, offs, np.outer(wz, wj)
 
 
 IDEAL = Corrections()
 
 
-def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL):
+def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,
+                      derivatives=()):
     """Susceptibilities of the ensemble members, in blocks.
 
     Offset-major: each block is one jitter offset and a chunk of coupling
@@ -140,6 +151,10 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     chi_main + chi_side.  Members transmit exp(-k L Im chi) in intensity
     and core.transfer_amplitude(chi, cfg) in amplitude.  Only here are
     Corrections.members made susceptibilities.
+
+    derivatives names DERIVATIVES; the block then carries, after chi, one
+    (d g, d chi) per name, g = etas |q|^2, each point's derivative along
+    its own detunings, as _derivatives forms them.
     """
     etas, offsets, weights = corrections.members(eta_max)
     dp, dcav = np.broadcast_arrays(np.asarray(delta_probe, dtype=float),
@@ -147,21 +162,74 @@ def ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL
     dp, dcav = dp.ravel(), dcav.ravel()
     main = cfg.od / (1.0 + corrections.side_weight)
     step = max(BLOCK_POINTS // max(dp.size, 1), 1)
+    if derivatives:
+        unknown = set(derivatives) - set(DERIVATIVES)
+        if unknown:
+            raise ValueError(f"no derivative along {sorted(unknown)}; choose from {DERIVATIVES}")
+        # d etas/d eta_max: the unit nodes, not etas/eta_max, which is 0/0 at eta_max = 0
+        nodes = corrections.classes(eta_max)[0][:, None]
     for j, offset in enumerate(offsets):
         dcav_j = dcav + offset
         p, q = _factors(cfg, dp, dcav_j)
+        # each channel's od, its rate in cfg.od, and its q
+        channels = [(main, 1.0 / (1.0 + corrections.side_weight), q)]
         if corrections.side_weight:
             dcav_side = dcav_j + corrections.side_shift
             side = p, _factors(cfg, dp, dcav_side)[1]
+            channels.append((cfg.od - main, 1.0 - channels[0][1], side[1]))
         for lo in range(0, len(etas), step):
             column = etas[lo:lo + step, None]
             chi = susceptibility(cfg, column, dp, dcav_j, od=main, factors=(p, q))
             if corrections.side_weight:
                 chi += susceptibility(cfg, column, dp, dcav_side, od=cfg.od - main, factors=side)
-            yield weights[lo:lo + step, j], column, q, chi
+            block = weights[lo:lo + step, j], column, q, chi
+            if derivatives:
+                block += _derivatives(cfg, derivatives, column, nodes[lo:lo + step], p, channels)
+            yield block
 
 
-def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL):
+def _derivatives(cfg, names, etas, nodes, p, channels):
+    """A block's (d g, d chi) per name, g = etas |q|^2 with the main channel's q.
+
+    channels holds each channel's (od, d od/d cfg.od, q), the main
+    channel's first.  With w = p + eta q and u = 1/w, a channel's chi =
+    i c u (c = od/kL) has d chi/d w = -i c u^2; eta_max moves each
+    class's eta by its node, dp/dDelta = -2i/gamma and dq/dDelta =
+    -dq/ddelta = (2i/kappa) q^2, and od enters as i u/kL times its
+    rate, never as chi/od, since od = 0 is legal.  g does not depend on
+    od: its d g there is None.
+    """
+    dchi = []
+    for od, rate, q in channels:
+        u = _mobius(1.0, etas, p, q)
+        dchi_dw = u * u
+        dchi_dw *= -1j * od / cfg.kl
+        dq = (2j / cfg.kappa) * (q * q)
+        terms = []
+        for name in names:
+            if name == "eta_max":
+                term = dchi_dw * q
+                term *= nodes
+            elif name == "od":
+                term = (1j * rate / cfg.kl) * u
+            elif name == "delta_probe":
+                term = dchi_dw * (etas * dq - 2j / cfg.gamma)
+            else:
+                term = dchi_dw * (etas * -dq)
+            terms.append(term)
+        for total, term in zip(dchi, terms):
+            total += term
+        dchi = dchi or terms
+    q = channels[0][2]
+    q2 = q.real * q.real + q.imag * q.imag
+    dq2 = (-4.0 / cfg.kappa) * q2 * q.imag  # d|q|^2/dDelta = 2 Re(conj(q) dq/dDelta)
+    dg = [nodes * q2 if name == "eta_max" else None if name == "od" else
+          etas * (dq2 if name == "delta_probe" else -dq2) for name in names]
+    return tuple(zip(dg, dchi))
+
+
+def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEAL,
+                       derivatives=None):
     """Transmission and resonator-emission spectra with the full correction stack.
 
     Returns (transmission, emission), each the intensity-level average
@@ -173,23 +241,47 @@ def corrected_spectrum(cfg, eta_max, delta_probe, delta_cavity, corrections=IDEA
     vitlab.oracle); a detector's gain is its caller's to apply.  A
     negative cooperativity, a non-finite eta_max or detuning, or a
     Delta - delta beyond a double's range raises ValueError.
+
+    derivatives, names from DERIVATIVES (od is cfg.od's), adds their
+    exact derivatives: (transmission, emission, d_transmission,
+    d_emission), each derivative of shape (len(derivatives),) + the
+    spectra's, a detuning's taken at each point along its own.  The
+    spectra are those of a call without derivatives, bit for bit.
     """
     for name, value in (("eta_max", eta_max), ("delta_probe", delta_probe),
                         ("delta_cavity", delta_cavity)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
     shape = np.broadcast_shapes(np.shape(delta_probe), np.shape(delta_cavity))
+    names = () if derivatives is None else tuple(derivatives)
+    grads = np.zeros((2, len(names), int(np.prod(shape))))
     trans = emis = 0.0
-    for weights, etas, q, chi in ensemble_transfer(cfg, eta_max, delta_probe, delta_cavity,
-                                                   corrections):
+    for weights, etas, q, chi, *blocks in ensemble_transfer(cfg, eta_max, delta_probe,
+                                                            delta_cavity, corrections, names):
         # |exp(i k L chi / 2)|^2: the phase Re chi is never needed
         t2 = np.exp(-cfg.kl * chi.imag)
-        g = etas * (q.real * q.real + q.imag * q.imag)
+        q2 = q.real * q.real + q.imag * q.imag
+        g = etas * q2
+        lift = 1.0 + g
+        absorbed, beta = 1.0 - t2, g / lift
         trans = trans + weights @ t2
-        emis = emis + weights @ ((1.0 - t2) * (g / (1.0 + g)))
+        emis = emis + weights @ (absorbed * beta)
+        if blocks:
+            slope = -cfg.kl * t2  # dt2/d Im chi
+            gain = absorbed / (lift * lift)  # d emission/dg at fixed t2
+        # d emission = gain dg - beta dt2, each term summed over the block apart
+        for k, (dg, dchi) in enumerate(blocks):
+            dt2 = slope * dchi.imag
+            grads[0, k] += weights @ dt2
+            grads[1, k] -= weights @ (beta * dt2)
+            if dg is not None:
+                grads[1, k] += weights @ (gain * dg)
     # each lies in [0, 1] unless Delta - delta overflowed
     if not np.isfinite(trans + emis).all():
         raise ValueError("Delta - delta beyond a double's range gives a non-finite spectrum")
     # the weights sum to 1 only to rounding: a transparent medium may read 1 + 2e-16
     np.minimum(trans, 1.0, out=trans)
-    return trans.reshape(shape)[()], emis.reshape(shape)[()]
+    spectra = trans.reshape(shape)[()], emis.reshape(shape)[()]
+    if derivatives is None:
+        return spectra
+    return *spectra, *grads.reshape((2, len(names)) + shape)

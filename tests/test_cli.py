@@ -1119,9 +1119,9 @@ def test_joint_fit_models_each_input_with_its_corrections(tmp_path, monkeypatch)
                                                                          jitter=True)
     calls = []
 
-    def spy(cfg, eta, delta_probe, delta_cavity, corrections):
+    def spy(cfg, eta, delta_probe, delta_cavity, corrections, derivatives=None):
         calls.append((np.size(delta_probe), corrections))
-        return corrected_spectrum(cfg, eta, delta_probe, delta_cavity, corrections)
+        return corrected_spectrum(cfg, eta, delta_probe, delta_cavity, corrections, derivatives)
 
     monkeypatch.setattr(fitting, "corrected_spectrum", spy)
     assert main(["fit", "--model", "vit", "--input", str(tmp_path / "av.csv"),

@@ -5,12 +5,15 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from vitlab.config import MHZ, write_json
+from vitlab.config import MHZ, corrections, write_json
 from vitlab.core import transmission
 from vitlab.errors import RankDeficientError
 from vitlab.fitting import (
+    VIT_PARAMS,
     _initial_guess,
+    _vit_model,
     damped_least_squares,
     extract_transparency,
     fit_linear_weighted,
@@ -22,7 +25,7 @@ from vitlab.fitting import (
     ratio_with_error,
 )
 from vitlab.recipes import RESONATOR_DETUNINGS_MHZ
-from vitlab.spatial import Corrections
+from vitlab.spatial import Corrections, corrected_spectrum
 from vitlab.synth import ScanPlan, Spectrum, generate_scan
 
 GRID = np.linspace(-4e6, 4e6, 81) * 2 * np.pi
@@ -119,6 +122,27 @@ def test_damped_least_squares_errors_at_high_condition(c):
     fit = damped_least_squares(lambda p: jac @ p, np.ones(3), ("a", "b", "c"))
     assert fit.errors == pytest.approx(np.linalg.norm(v / s, axis=1), rel=1e-2)
     assert np.allclose(np.diag(fit.correlation), 1.0)
+
+
+def test_damped_least_squares_counts_its_model_passes():
+    target = np.array([2.0, -3.0])
+    jac = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]])
+    calls = []
+
+    def resid(p):
+        calls.append(p.copy())
+        return jac @ p - np.array([target[0], target[1], -0.1])
+
+    fd = damped_least_squares(resid, np.zeros(2), ("a", "b"))
+    assert fd.evaluations == len(calls) == 41
+    exact = damped_least_squares(lambda p: (resid(p), jac), np.zeros(2), ("a", "b"),
+                                 jacobian=True)
+    # the start and one pass per trial: 28 trials, most of them the rejected
+    # ones that grow the damping past 1e14 at the optimum; forward differences
+    # add one pass per parameter at each of the 6 points whose Jacobian is used
+    assert exact.evaluations == len(calls) - 41 == 29
+    assert exact.iterations == fd.iterations == 6
+    assert np.allclose(exact.values, target, rtol=0.0, atol=1e-12)
 
 
 def test_rank_deficiency_names_parameter():
@@ -238,6 +262,48 @@ def test_vit_round_trip_with_corrections(cfg):
     assert abs(naive.value("eta_eff") - 5.0) / 5.0 > 0.01
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(eta=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+       od=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), scale=st.floats(0.1, 3.0),
+       offsets=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       dcav=st.sampled_from((0.0,) + RESONATOR_DETUNINGS_MHZ),
+       switches=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_vit_model_jacobian_matches_central_differences(cfg, conf, eta, od, scale, offsets,
+                                                        dcav, switches):
+    # the fit's exact columns for all five parameters against central
+    # differences of corrected_spectrum, to 1e-6 of each column's largest
+    # entry and 1e-9 for the differences' rounding (eps/h of values near 1);
+    # within a step of a bound of 0, the one-sided second-order difference
+    corr = corrections(conf, *switches)
+    spec = Spectrum(np.linspace(-4.0, 4.0, 9) * MHZ, np.ones(9), None, None, None,
+                    np.full(9, dcav * MHZ), corr)
+    p = {"eta_eff": eta, "od": od, "scale_d2": scale,
+         "probe_offset_mhz": offsets[0], "cavity_offset_mhz": offsets[1]}
+    trans, emis, dtrans, demis = _vit_model(cfg, spec, p, corr, list(VIT_PARAMS))
+    # the values are those of a call without derivatives, bit for bit
+    plain = _vit_model(cfg, spec, p, corr)
+    assert np.array_equal(trans, plain[0]) and np.array_equal(emis, plain[1])
+
+    def model(name, h):
+        q = dict(p, **{name: p[name] + h})
+        t, e = corrected_spectrum(replace(cfg, od=q["od"]), q["eta_eff"],
+                                  spec.delta_probe + q["probe_offset_mhz"] * MHZ,
+                                  spec.delta_cavity + q["cavity_offset_mhz"] * MHZ, corr)
+        return np.concatenate([t, q["scale_d2"] * e])
+
+    for k, name in enumerate(VIT_PARAMS):
+        h = 1e-5 * max(abs(p[name]), 1.0)
+        if p[name] - h < VIT_PARAMS[name]:
+            diff = (4.0 * model(name, h) - 3.0 * model(name, 0.0) - model(name, 2 * h)) / (2 * h)
+        else:
+            # the standing wave's class count steps where sqrt(eta_eff) is a whole number
+            if name == "eta_eff":
+                assume(np.ceil(np.sqrt(eta - h)) == np.ceil(np.sqrt(eta + h)))
+            diff = (model(name, h) - model(name, -h)) / (2 * h)
+        exact = np.concatenate([dtrans[k], demis[k]])
+        assert np.abs(exact - diff).max() <= 1e-6 * np.abs(diff).max() + 1e-9, name
+
+
 @pytest.mark.parametrize("field", ("sigma_transmission", "sigma_emission"))
 @pytest.mark.parametrize("bad", (0.0, -1.0, np.nan, np.inf))
 def test_spectrum_refuses_a_sigma_that_is_not_positive_and_finite(field, bad):
@@ -285,7 +351,7 @@ def test_linear_fit_exact_line():
     assert np.isclose(fit.value("intercept"), 3.4, rtol=1e-10)
     r, _ = line_ratio(fit)
     assert np.isclose(r, 1.0, rtol=1e-10)
-    assert fit.converged and fit.iterations == 0
+    assert fit.converged and fit.iterations == 0 and fit.evaluations == 0
 
 
 def test_linear_fit_two_points_interpolates():
