@@ -19,7 +19,7 @@ import numpy as np
 
 from vitlab import config as cfgmod
 from vitlab import recipes
-from vitlab.config import MAX_DETUNING_MHZ, MHZ, write_csv, write_json
+from vitlab.config import MAX_DETUNING_MHZ, MHZ, write_csv, write_csv_tables, write_json
 from vitlab.core import group_delay_analytic, resonant_transmission
 from vitlab.errors import BandCoverageError, RankDeficientError
 from vitlab.fitting import (VIT_PARAMS, check_free, fit_linear_weighted, fit_lorentzian,
@@ -141,7 +141,7 @@ def cmd_pulse(args):
                tau_max_analytic_ns=group_delay_analytic(cfg.od, cfg.kappa, eta) / 1e-9,
                resonant_transmission_analytic=resonant_transmission(cfg.od, eta))
     if args.trace:
-        write_trace_csv(args.trace, result.output)
+        write_trace_csv({args.trace: result.output})
         doc["trace"] = args.trace
     write_json(args.out, doc)
     return 0
@@ -276,13 +276,14 @@ def cmd_reproduce(args):
 
     if args.figure == "fig2":
         grid, spectra, params = recipes.fig2(conf, cfg)
-        for name, (trans, emis) in spectra.items():
-            write_csv(path(name), SPECTRUM_COLUMNS, (grid / MHZ, trans, emis))
+        probe_mhz = grid / MHZ
+        write_csv_tables((path(name), SPECTRUM_COLUMNS, (probe_mhz, trans, emis))
+                         for name, (trans, emis) in spectra.items())
     elif args.figure == "fig3":
         pulse, results, summary, params = recipes.fig3(conf, cfg)
-        write_trace_csv(path("fig3_input.csv"), pulse)
-        for label, result in results.items():
-            write_trace_csv(path(f"fig3_output_{label}.csv"), result.output)
+        write_trace_csv({path("fig3_input.csv"): pulse,
+                         **{path(f"fig3_output_{label}.csv"): result.output
+                            for label, result in results.items()}})
         write_json(path("fig3_delays.json"), summary)
     else:
         rows, line, curve, params = recipes.fig4(conf, cfg, args.seed)

@@ -20,14 +20,17 @@ t(omega) = e^{i omega tau} shifts the pulse later by tau, and the group
 delay is + d(arg t)/d omega, matching vitlab.core.group_delay.
 
 Traces are written as CSV with columns time_us, re, im, an output
-format that vitlab itself never reads back.
+format that vitlab itself never reads back.  write_trace_csv takes every
+trace of one time grid in one call ({path: pulse}) and writes the files
+in lockstep, so the shared time column is formatted once per block, and
+the all-zero im column of a real envelope once per block per file.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from vitlab.config import write_csv
+from vitlab.config import write_csv_tables
 from vitlab.core import TWO_PI
 from vitlab.errors import BandCoverageError
 
@@ -192,7 +195,15 @@ def run_pulse_ensemble(pulse, transfer):
     return PropagationResult(centroid, peak, energy, SampledPulse(pulse.t0, pulse.dt, field))
 
 
-def write_trace_csv(path, pulse):
-    """Write a pulse trace as CSV columns time_us, re, im."""
-    write_csv(path, TRACE_COLUMNS, (pulse.times * 1e6, pulse.samples.real, pulse.samples.imag))
+def write_trace_csv(traces):
+    """Write pulse traces on one time grid, {path: pulse}, as CSV columns time_us, re, im.
 
+    The files share one time_us column, so each block of it is formatted
+    once for all of them (config.write_csv_tables).
+    """
+    grids = {(p.t0, p.dt, p.n) for p in traces.values()}
+    if len(grids) > 1:
+        raise ValueError("traces written together must share one time grid")
+    time_us = next(iter(traces.values())).times * 1e6
+    write_csv_tables((path, TRACE_COLUMNS, (time_us, pulse.samples.real, pulse.samples.imag))
+                     for path, pulse in traces.items())

@@ -20,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from vitlab.cli import main
 from vitlab.config import (CSV_BLOCK_ROWS, MAX_DETUNING_MHZ, MHZ, MIN_LINEWIDTH_MHZ, SCHEMA,
-                           packaged_defaults, read_csv, validate_config, write_csv)
+                           packaged_defaults, read_csv, validate_config, write_csv,
+                           write_csv_tables)
 from vitlab.fitting import VIT_PARAMS
 from vitlab.spatial import Corrections
 from vitlab.synth import SCAN_COLUMNS, ScanPlan, read_scan_csv, read_scan_sidecar
@@ -132,6 +133,68 @@ def test_write_csv_bytes_match_csv_writer(csv_path, n_rows, data, kinds):
 def test_write_csv_needs_equal_columns(csv_path):
     with pytest.raises(ValueError, match="equal lengths"):
         write_csv(csv_path, ["a", "b"], ([1.0, 2.0], [1.0]))
+
+
+# cells of long one-bit-pattern runs: whole blocks of 0.0, -0.0, a nan of
+# either sign or an inf, which the writer formats once per block
+RUN_CELLS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.5])
+
+
+def _shared_column(data, k, n_rows):
+    kind = data.draw(st.sampled_from(["float", "int", "runs", "zeros"]), label=f"kind {k}")
+    if kind == "zeros":  # one -0.0 among 0.0s, the block holding it not constant
+        values = [0.0] * n_rows
+        if n_rows:
+            values[data.draw(st.integers(0, n_rows - 1), label=f"at {k}")] = -0.0
+    elif kind == "runs":
+        runs = data.draw(st.lists(st.tuples(RUN_CELLS, st.integers(1, 2 * CSV_BLOCK_ROWS)),
+                                  min_size=1, max_size=4), label=f"runs {k}")
+        cells = [cell for cell, length in runs for _ in range(length)]
+        values = [cells[i % len(cells)] for i in range(n_rows)]
+    else:
+        pool = data.draw(st.lists(FLOAT_CELLS if kind == "float" else INT_CELLS,
+                                  min_size=1, max_size=20), label=f"pool {k}")
+        values = [pool[(i * (k + 1)) % len(pool)] for i in range(n_rows)]
+    if not data.draw(st.booleans(), label=f"array {k}"):
+        return tuple(values)
+    return np.array(values, dtype=np.int64 if kind == "int" else float)
+
+
+@pytest.mark.parametrize("n_rows", (0, 1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                    CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7))
+@settings(SETTINGS, max_examples=15)
+@given(data=st.data(), n_columns=st.integers(1, 4), n_tables=st.integers(1, 3))
+def test_write_csv_tables_bytes_match_csv_writer(csv_path, n_rows, data, n_columns, n_tables):
+    # every table draws its columns from one pool, so column objects recur
+    # within a table and across tables
+    pool = [_shared_column(data, k, n_rows) for k in range(n_columns)]
+    tables = []
+    for t in range(n_tables):
+        picks = data.draw(st.lists(st.integers(0, n_columns - 1), min_size=1, max_size=4),
+                          label=f"table {t}")
+        tables.append((csv_path.with_name(f"table{t}.csv"), [f"c{k}" for k in picks],
+                       [pool[k] for k in picks]))
+    write_csv_tables(tables)
+    for path, header, columns in tables:
+        want = _text([header, *zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                                     for c in columns])])
+        assert path.read_bytes() == want.encode()
+
+
+def test_write_csv_tables_need_equal_tables(csv_path):
+    first, second = csv_path.with_name("first.csv"), csv_path.with_name("second.csv")
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_csv_tables([(first, ["a"], ([1.0, 2.0],)), (second, ["a"], ([1.0],))])
+    assert not first.exists() and not second.exists()
+
+
+def test_write_csv_tables_stdout_only_alone(csv_path, capsys):
+    path = csv_path.with_name("beside_stdout.csv")
+    with pytest.raises(ValueError, match="stdout"):
+        write_csv_tables([(None, ["a"], ([1.0],)), (path, ["a"], ([1.0],))])
+    assert not path.exists() and capsys.readouterr().out == ""
+    write_csv_tables([(None, ["a"], ([1.0],))])
+    assert capsys.readouterr().out == "a\r\n1.0\r\n"
 
 
 SCAN_ROW = ["0.5", "0.0", "12", "3", "11.5", "2.5"]

@@ -388,7 +388,29 @@ def test_trace_round_trip(tmp_path):
                                 span=16 * 1.73e-6)
     out = _one_member(pulse, lambda w: np.exp(1j * w * 30e-9 - (w * 4e-8) ** 2)).output
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, out)
+    write_trace_csv({path: out})
     time_us, re, im = np.array(read_csv(path, TRACE_COLUMNS)).T
     assert np.array_equal(time_us, out.times * 1e6)
     assert np.array_equal(re, out.samples.real) and np.array_equal(im, out.samples.imag)
+
+
+def test_traces_written_together_match_each_alone(tmp_path):
+    # fig3's three traces on one grid: one lockstep call shares the time
+    # column and formats the all-zero im blocks once, byte for byte as alone
+    pulse = make_gaussian_pulse(1.73e-6, n_samples=2**11, span=16 * 1.73e-6)
+    traces = {"input": pulse,
+              "delayed": _one_member(pulse, lambda w: np.exp(1j * w * 30e-9)).output,
+              "real": SampledPulse(pulse.t0, pulse.dt, np.abs(pulse.samples) * (1 + 0j))}
+    write_trace_csv({tmp_path / f"{name}.csv": trace for name, trace in traces.items()})
+    for name, trace in traces.items():
+        write_trace_csv({tmp_path / f"{name}_alone.csv": trace})
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_alone.csv").read_bytes()
+
+
+def test_traces_written_together_share_one_grid(tmp_path):
+    pulse = make_gaussian_pulse(1.73e-6, n_samples=2**10, span=16 * 1.73e-6)
+    shifted = SampledPulse(pulse.t0 + pulse.dt, pulse.dt, pulse.samples)
+    with pytest.raises(ValueError, match="one time grid"):
+        write_trace_csv({tmp_path / "a.csv": pulse, tmp_path / "b.csv": shifted})
+    assert not list(tmp_path.iterdir())
