@@ -7,12 +7,11 @@ behaviors are load bearing and must be guaranteed, not assumed: a step,
 projected onto the lower bounds (VIT_PARAMS for the model fit), is
 accepted only if it lowers the weighted residual norm, and a rank
 deficient final Jacobian fails the fit naming the unidentifiable
-parameter.  The model fit's Jacobian is exact, corrected_spectrum's
-derivatives from the pass that forms the model; fit_lorentzian's, and
-any other residual's given without one, are forward differences with
-relative step 1e-6, so fit parameters are kept order-one (offsets in
-MHz, not rad/s).  A fit that ends at a chi^2 or a Jacobian that is not
-finite raises ValueError.
+parameter.  Every residual comes with its exact Jacobian: the model
+fit's is corrected_spectrum's derivatives from the pass that forms the
+model, fit_lorentzian's the line's four closed-form columns.  A fit
+that ends at a chi^2 or a Jacobian that is not finite raises
+ValueError.
 
 A residual is (model - data) / sigma with the Spectrum's own sigmas,
 positive and finite by construction (Poisson for scans: sqrt(counts)
@@ -73,38 +72,26 @@ class FitResult:
         }
 
 
-def _jacobian(residual_fn, p, r0):
-    jac = np.empty((len(r0), len(p)))
-    for i in range(len(p)):
-        h = 1e-6 * max(abs(p[i]), 1.0)
-        q = p.copy()
-        q[i] += h
-        jac[:, i] = (residual_fn(q) - r0) / h
-    return jac
-
-
 @np.errstate(all="ignore")
-def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None, jacobian=False):
+def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None):
     """Minimize sum residual_fn(p)^2 over p >= lower with adaptive damping.
 
-    lower holds a bound per parameter (-inf for none, the default); a p0
-    below it raises ValueError.  With jacobian, residual_fn returns (r,
-    J), J its exact Jacobian, at every point it is given, so an accepted
-    trial brings the next iteration's J; without, J is forward
-    differences of relative step 1e-6, formed once per point that needs
-    one.  Each iteration holds the parameters at their bound with a
-    positive gradient, and those with a zero Jacobian column, solves for
-    the rest and projects the trial onto the bounds.  A trial that does
-    not descend grows the damping (from 1e-3) 8-fold, an accepted one
-    shrinks it 4-fold, to no less than 1e-12; a trial whose chi^2 is not
-    finite never descends.  Converged means a step gained under 1e-12
-    relative, none descends below damping 1e14, or all are held; not
-    after max_iter.  The model is evaluated without warnings, and a
-    final chi^2 or Jacobian that is not finite raises ValueError.  With
-    the final J = U S V^T, singular values spanning more than
-    1/RANK_RATIO raise RankDeficientError; else the covariance is R R^T
-    with R = V/s (Numerical Recipes sec. 15.4.2).  The result's
-    evaluations counts the calls of residual_fn.
+    residual_fn(p) returns (r, J), the residual and its exact Jacobian,
+    at every point it is given, so an accepted trial brings the next
+    iteration's J.  lower holds a bound per parameter (-inf for none, the
+    default); a p0 below it raises ValueError.  Each iteration holds the
+    parameters at their bound with a positive gradient, and those with a
+    zero Jacobian column, solves for the rest and projects the trial onto
+    the bounds.  A trial that does not descend grows the damping (from
+    1e-3) 8-fold, an accepted one shrinks it 4-fold, to no less than
+    1e-12; a trial whose chi^2 is not finite never descends.  Converged
+    means a step gained under 1e-12 relative, none descends below damping
+    1e14, or all are held; not after max_iter.  The model is evaluated
+    without warnings, and a final chi^2 or Jacobian that is not finite
+    raises ValueError.  With the final J = U S V^T, singular values
+    spanning more than 1/RANK_RATIO raise RankDeficientError; else the
+    covariance is R R^T with R = V/s (Numerical Recipes sec. 15.4.2).
+    The result's evaluations counts the calls of residual_fn.
     """
     p = np.asarray(p0, dtype=float).copy()
     names = tuple(names)
@@ -112,24 +99,14 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None, jacob
     if np.any(p < lower):
         raise ValueError(f"the fit starts below its lower bounds, at "
                          f"{dict(zip(names, p.tolist()))}")
-    evaluations = 0
-
-    def evaluate(q):
-        nonlocal evaluations
-        evaluations += 1
-        return residual_fn(q) if jacobian else (residual_fn(q), None)
-
-    def at(q, r):  # the Jacobian at q, whose residual is r
-        return _jacobian(lambda x: evaluate(x)[0], q, r)
-
-    r, jac = evaluate(p)
+    r, jac = residual_fn(p)
+    evaluations = 1
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        jac = at(p, r) if jac is None else jac
         jtj = jac.T @ jac
         g = jac.T @ r
         # hold what descent pushes past its bound, and what the data do not inform here
@@ -143,7 +120,8 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None, jacob
                 lam *= 8.0
                 continue
             trial = np.maximum(p + delta, lower)
-            r_new, jac_new = evaluate(trial)
+            r_new, jac_new = residual_fn(trial)
+            evaluations += 1
             cost_new = float(r_new @ r_new)
             if cost_new < cost:  # never true of a nan or inf trial
                 converged = (cost - cost_new) / max(cost, 1e-300) < 1e-12
@@ -157,7 +135,6 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None, jacob
         if converged:
             break
 
-    jac = at(p, r) if jac is None else jac
     # numpy's SVD may never return from an inf
     if not (math.isfinite(cost) and np.isfinite(jac).all()):
         raise ValueError(f"the fit ends where chi^2 or its Jacobian is not finite, at "
@@ -182,9 +159,13 @@ def damped_least_squares(residual_fn, p0, names, max_iter=200, lower=None, jacob
 
 
 def lorentzian(x, center, fwhm, depth, baseline):
-    """baseline + depth / (1 + (2 (x - center)/fwhm)^2)."""
+    """baseline + depth f, f = 1 / (1 + u^2) with u = 2 (x - center)/fwhm,
+    and its exact derivatives along (center, fwhm, depth, baseline), of
+    shape (4, points)."""
     u = 2.0 * (x - center) / fwhm
-    return baseline + depth / (1.0 + u * u)
+    f = 1.0 / (1.0 + u * u)
+    slope = 2.0 * depth * u * f * f / fwhm  # d/dfwhm is u slope, d/dcenter 2 slope
+    return baseline + depth * f, np.array([2.0 * slope, u * slope, f, np.ones_like(f)])
 
 
 def fit_lorentzian(spectrum, on="absorbance"):
@@ -195,6 +176,9 @@ def fit_lorentzian(spectrum, on="absorbance"):
     linewidth; on="transmission" fits the raw dip instead (its width is
     not the atomic linewidth unless the medium is optically thin).
     The detunings are handled in MHz, so the fitted fwhm is already in MHz.
+    The residual carries lorentzian's exact columns.  The line holds fwhm
+    only squared, so a fit that ends at a negative width reports its
+    magnitude, with the same error and its correlations negated.
     Returns FitResult with parameters (center_mhz, fwhm_mhz, depth,
     baseline).
     """
@@ -224,13 +208,14 @@ def fit_lorentzian(spectrum, on="absorbance"):
     fwhm0 = max(float(np.count_nonzero(above)) * step, 2.0 * step)
 
     def residual(p):
-        return (lorentzian(x, *p) - y) / sigma
+        model, columns = lorentzian(x, *p)
+        return (model - y) / sigma, (columns / sigma).T
 
-    return damped_least_squares(
-        residual,
-        [center0, fwhm0, depth0, baseline0],
-        ("center_mhz", "fwhm_mhz", "depth", "baseline"),
-    )
+    fit = damped_least_squares(residual, [center0, fwhm0, depth0, baseline0],
+                               ("center_mhz", "fwhm_mhz", "depth", "baseline"))
+    flip = np.array([1.0, math.copysign(1.0, fit.values[1]), 1.0, 1.0])
+    return replace(fit, values=fit.values * flip,
+                   correlation=fit.correlation * np.outer(flip, flip))
 
 
 # the corrected_spectrum argument each offset or model parameter moves, and its rate
@@ -344,8 +329,7 @@ def fit_vit_spectra(spectra, cfg, free=("eta_eff", "od", "scale_d2")):
         return np.concatenate(chunks), np.concatenate(rows, axis=1).T
 
     p0 = [base[name] for name in free]
-    return damped_least_squares(residual, p0, free, lower=[VIT_PARAMS[n] for n in free],
-                                jacobian=True)
+    return damped_least_squares(residual, p0, free, lower=[VIT_PARAMS[n] for n in free])
 
 
 def fit_linear_weighted(x, y, sigma):

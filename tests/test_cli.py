@@ -95,6 +95,21 @@ def test_fit_lorentzian_on_spectrum_csv(tmp_path):
     assert doc["params"]["fwhm_mhz"]["value"] == pytest.approx(5.2, rel=1e-4)
 
 
+@pytest.mark.parametrize("center", (2.5, 0.0))
+def test_fit_lorentzian_reports_a_positive_width(tmp_path, capsys, center):
+    # noise-free lines narrower than the 1.25 MHz step, where the solver may
+    # end at fwhm -0.2: the line holds fwhm only squared, so the fit reports 0.2
+    x = np.linspace(-5.0, 5.0, 9)
+    t = np.exp(-fitting.lorentzian(x, center, 0.2, 0.1, 0.0)[0])
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("delta_probe_MHz,transmission\n"
+                      + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), t.tolist())))
+    assert main(["fit", "--model", "lorentzian", "--input", str(narrow)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is True
+    assert doc["params"]["fwhm_mhz"]["value"] == pytest.approx(0.2, rel=1e-9)
+
+
 def test_fit_degenerate_returns_3(tmp_path, capsys):
     flat = tmp_path / "flat.csv"
     with open(flat, "w", newline="") as fh:

@@ -2,10 +2,11 @@ import json
 import re
 from dataclasses import replace
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vitlab.config import MHZ, corrections, write_json
 from vitlab.core import transmission
@@ -47,9 +48,10 @@ def _clean_spectrum(cfg, eta, dcavs, corrections=None, od=None):
 def test_damped_least_squares_quadratic():
     # exactly solvable problem: residual linear in p
     target = np.array([2.0, -3.0])
+    jac = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]])
 
     def resid(p):
-        return np.array([p[0] - target[0], p[1] - target[1], 0.1 * (p[0] + p[1] + 1.0)])
+        return np.array([p[0] - target[0], p[1] - target[1], 0.1 * (p[0] + p[1] + 1.0)]), jac
 
     fit = damped_least_squares(resid, np.zeros(2), ("a", "b"))
     assert fit.converged
@@ -57,13 +59,19 @@ def test_damped_least_squares_quadratic():
     assert np.allclose(fit.correlation, fit.correlation.T)
 
 
+def _banana(p):
+    """A curved valley's residual and its Jacobian."""
+    r = np.array([np.exp(p[0]) - 2.0, 10.0 * (p[1] - p[0] ** 2)])
+    return r, np.array([[np.exp(p[0]), 0.0], [-20.0 * p[0], 10.0]])
+
+
 def test_damped_least_squares_monotone():
     costs = []
 
     def resid(p):
-        r = np.array([np.exp(p[0]) - 2.0, 10.0 * (p[1] - p[0] ** 2)])
+        r, jac = _banana(p)
         costs.append(float(r @ r))
-        return r
+        return r, jac
 
     fit = damped_least_squares(resid, np.array([2.0, -2.0]), ("a", "b"))
     assert fit.converged
@@ -73,11 +81,8 @@ def test_damped_least_squares_monotone():
 
 
 def test_damped_least_squares_out_of_iterations_is_not_converged():
-    def resid(p):
-        return np.array([np.exp(p[0]) - 2.0, 10.0 * (p[1] - p[0] ** 2)])
-
-    assert damped_least_squares(resid, np.array([2.0, -2.0]), ("a", "b")).iterations > 1
-    fit = damped_least_squares(resid, np.array([2.0, -2.0]), ("a", "b"), max_iter=1)
+    assert damped_least_squares(_banana, np.array([2.0, -2.0]), ("a", "b")).iterations > 1
+    fit = damped_least_squares(_banana, np.array([2.0, -2.0]), ("a", "b"), max_iter=1)
     assert not fit.converged
     assert fit.iterations == 1
 
@@ -88,7 +93,7 @@ def test_damped_least_squares_stays_in_the_domain():
 
     def resid(p):
         seen.append(p[0])
-        return np.array([p[0] + 1.0, 0.5 * p[0] + 0.5])
+        return np.array([p[0] + 1.0, 0.5 * p[0] + 0.5]), np.array([[1.0], [0.5]])
 
     fit = damped_least_squares(resid, np.array([3.0]), ("a",), lower=[0.0])
     assert min(seen) >= 0.0
@@ -103,7 +108,7 @@ def test_damped_least_squares_stays_in_the_domain():
 def test_damped_least_squares_frees_the_others_at_a_bound():
     # a stops at its bound a >= 0 and b still reaches its optimum
     def resid(p):
-        return np.array([p[0] + 1.0, p[1] - 2.0])
+        return np.array([p[0] + 1.0, p[1] - 2.0]), np.eye(2)
 
     fit = damped_least_squares(resid, np.array([3.0, 0.0]), ("a", "b"), lower=[0.0, -np.inf])
     assert fit.converged
@@ -119,7 +124,7 @@ def test_damped_least_squares_errors_at_high_condition(c):
     left = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, 5), 3))[0]
     s = np.array([1.0, 1e-3, 1.0 / c])
     jac = left @ np.diag(s) @ v.T
-    fit = damped_least_squares(lambda p: jac @ p, np.ones(3), ("a", "b", "c"))
+    fit = damped_least_squares(lambda p: (jac @ p, jac), np.ones(3), ("a", "b", "c"))
     assert fit.errors == pytest.approx(np.linalg.norm(v / s, axis=1), rel=1e-2)
     assert np.allclose(np.diag(fit.correlation), 1.0)
 
@@ -131,23 +136,21 @@ def test_damped_least_squares_counts_its_model_passes():
 
     def resid(p):
         calls.append(p.copy())
-        return jac @ p - np.array([target[0], target[1], -0.1])
+        return jac @ p - np.array([target[0], target[1], -0.1]), jac
 
-    fd = damped_least_squares(resid, np.zeros(2), ("a", "b"))
-    assert fd.evaluations == len(calls) == 41
-    exact = damped_least_squares(lambda p: (resid(p), jac), np.zeros(2), ("a", "b"),
-                                 jacobian=True)
+    fit = damped_least_squares(resid, np.zeros(2), ("a", "b"))
     # the start and one pass per trial: 28 trials, most of them the rejected
-    # ones that grow the damping past 1e14 at the optimum; forward differences
-    # add one pass per parameter at each of the 6 points whose Jacobian is used
-    assert exact.evaluations == len(calls) - 41 == 29
-    assert exact.iterations == fd.iterations == 6
-    assert np.allclose(exact.values, target, rtol=0.0, atol=1e-12)
+    # ones that grow the damping past 1e14 at the optimum
+    assert fit.evaluations == len(calls) == 29
+    assert fit.iterations == 6
+    assert np.allclose(fit.values, target, rtol=0.0, atol=1e-12)
 
 
 def test_rank_deficiency_names_parameter():
+    jac = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
     def resid(p):
-        return np.array([p[0] - 1.0, p[0] - 2.0, 0.0 * p[1]])
+        return np.array([p[0] - 1.0, p[0] - 2.0, 0.0 * p[1]]), jac
 
     with pytest.raises(RankDeficientError) as err:
         damped_least_squares(resid, np.zeros(2), ("alive", "dead"))
@@ -156,7 +159,7 @@ def test_rank_deficiency_names_parameter():
 
 def test_lorentzian_shape():
     x = np.linspace(-10, 10, 101)
-    y = lorentzian(x, center=1.0, fwhm=4.0, depth=0.5, baseline=0.1)
+    y, _ = lorentzian(x, center=1.0, fwhm=4.0, depth=0.5, baseline=0.1)
     assert np.isclose(y[np.argmin(np.abs(x - 1.0))], 0.6, atol=1e-12)
     # half depth at center +/- fwhm/2
     assert np.isclose(np.interp(3.0, x, y), 0.35, atol=1e-3)
@@ -199,12 +202,83 @@ def test_fit_lorentzian_against_scipy(cfg):
     x = GRID / MHZ
     y = -np.log(noisy)
     popt, _ = curve_fit(
-        lambda x, c, w, d, b: lorentzian(x, c, w, d, b),
+        lambda x, c, w, d, b: lorentzian(x, c, w, d, b)[0],
         x, y, p0=(0.0, 5.0, 0.4, 0.0), sigma=sigma / noisy,
     )
     assert abs(mine.value("center_mhz") - popt[0]) < 1e-4
     assert abs(mine.value("fwhm_mhz") - popt[1]) < 1e-4
     assert abs(mine.value("depth") - popt[2]) < 1e-5
+
+
+
+class _Residual(Exception):
+    """Carries the residual that a fit hands its solver."""
+
+
+def _lorentzian_residual(spectrum, on):
+    def capture(residual_fn, *_):
+        raise _Residual(residual_fn)
+
+    with mock.patch("vitlab.fitting.damped_least_squares", capture), \
+            pytest.raises(_Residual) as got:
+        fit_lorentzian(spectrum, on=on)
+    return got.value.args[0]
+
+
+def _line_spectrum(n, center, fwhm, depth, noise=0.0, seed=0):
+    """n points on [-5, 5] MHz of exp(-line), noise on -ln T and sigmas to match (none at 0)."""
+    x = np.linspace(-5.0, 5.0, n)
+    absorbance = depth / (1.0 + (2.0 * (x - center) / fwhm) ** 2)
+    t = np.exp(-(absorbance + noise * np.random.default_rng(seed).standard_normal(n)))
+    return Spectrum(x * MHZ, t, None, noise * t if noise else None, None)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(on=st.sampled_from(("absorbance", "transmission")), n=st.integers(8, 40),
+       line=st.tuples(st.floats(-3.0, 3.0), st.floats(0.3, 6.0), st.floats(0.05, 2.0)),
+       noise=st.sampled_from((0.0, 0.01)),
+       point=st.tuples(st.floats(-4.0, 4.0), st.floats(0.5, 8.0), st.booleans(),
+                       st.floats(-2.0, 2.0), st.floats(-1.0, 2.0)))
+def test_lorentzian_columns_match_central_differences(on, n, line, noise, point):
+    # the residual fit_lorentzian hands its solver, in either domain, with
+    # sigmas or without, at a point of either width sign: its exact columns
+    # against central differences of its values, to 1e-6 of each column's
+    # largest entry and 1e-9 of the residual for the differences' rounding
+    residual = _lorentzian_residual(_line_spectrum(n, *line, noise), on)
+    center, width, negative, depth, baseline = point
+    p = np.array([center, -width if negative else width, depth, baseline])
+    r, jac = residual(p)
+    assert jac.shape == (n, 4)
+    for k in range(4):
+        h = np.zeros(4)
+        h[k] = 1e-5 * max(abs(p[k]), 1.0)
+        diff = (residual(p + h)[0] - residual(p - h)[0]) / (2.0 * h[k])
+        assert np.abs(jac[:, k] - diff).max() <= 1e-6 * np.abs(diff).max() + 1e-9 * (
+            np.abs(r).max() + 1.0), k
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(on=st.sampled_from(("absorbance", "transmission")), n=st.integers(8, 20),
+       line=st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 6.0), st.floats(0.01, 2.0)),
+       noise=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)), seed=st.integers(0, 2**32 - 1))
+@example(on="absorbance", n=9, line=(2.5, 0.2, 0.1), noise=0.0, seed=0)
+@example(on="absorbance", n=9, line=(0.0, 0.2, 0.1), noise=0.0, seed=0)
+def test_fit_lorentzian_width_is_never_negative(on, n, line, noise, seed):
+    # the line holds fwhm only squared, so a fit that ends at a negative
+    # width reports its magnitude: the residual there is the fit's chi^2,
+    # bit for bit, and the correlations are those of its Jacobian there
+    spectrum = _line_spectrum(n, *line, noise, seed)
+    try:
+        fit = fit_lorentzian(spectrum, on=on)
+    except (RankDeficientError, ValueError):
+        return
+    assert fit.value("fwhm_mhz") >= 0.0
+    r, jac = _lorentzian_residual(spectrum, on)(fit.values)
+    assert float(r @ r) == fit.residual_norm
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    root = vt.T / s
+    unit = root / np.hypot.reduce(root, axis=1)[:, None]
+    assert np.allclose(unit @ unit.T, fit.correlation, rtol=0.0, atol=1e-6)
 
 
 def test_vit_round_trip_all_free(cfg):
